@@ -1,30 +1,10 @@
 """Numerical lab for eigenvalue statistics of randomly perturbed
-non-self-adjoint differential operators on the circle."""
+non-self-adjoint differential operators on the circle.
+
+The API lives in the submodules symbol, domains, discretize, randomness,
+quasimode and harness; the command-line tool is weylab.cli.
+"""
 
 __version__ = "0.1.0"
 
-from .domains import (AnnularSector, Dilated, DyadicPieces, Polygon,
-                      QuadOptions, QuadratureResult, RadialProfile, Rectangle,
-                      dilate, dyadic_decompose, regular_polygon, weyl_measure)
-from .discretize import (ConvergenceReport, FourierTruncation, OperatorMatrix,
-                         SobolevWeights, assemble_operator,
-                         assemble_perturbation, count_eigenvalues, eigenpairs,
-                         eigenvalues, formal_adjoint, load_matrix,
-                         operator_norm_Hm_to_L2, perturbed_symbol, save_matrix,
-                         sigma_min_map, truncation_convergence)
-from .harness import (ExperimentConfig, ExperimentReport, TrialRecord,
-                      default_delta, delta_window, fit_power_law, load_config,
-                      run_highenergy, run_semiclassical, write_report)
-from .quasimode import (CutoffOptions, EigenBranch, Phase, Quasimode,
-                        build_adjoint_quasimode, build_quasimode,
-                        fourier_coefficients, leading_amplitude, locate_branch,
-                        overlap_coefficient, overlap_profile, overlap_variance,
-                        residual, save_quasimode, solve_eikonal)
-from .randomness import (CoefficientLaw, PerturbationDraw, SeedSpec,
-                         TailReport, empirical_tail, load_draw, sample_draw,
-                         save_draw, sigma_of, sup_norm_estimate)
-from .symbol import (ClassifiedRoot, MatrixSymbol, PhaseSpacePoint,
-                     RegionClassification, RegionKind, RootInventory,
-                     RootOptions, TrigPolynomial, classify_region,
-                     count_m_gamma, find_roots, poisson_bracket_indicator, qz,
-                     scalar_symbol, symbol_spectrum, winding_number, xi_window)
+from . import discretize, domains, harness, quasimode, randomness, symbol

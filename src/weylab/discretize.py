@@ -5,6 +5,13 @@ by a trigonometric polynomial is a convolution band, so the truncation to
 modes |k| <= K is assembled exactly (no aliasing) from the coefficient
 Fourier data.  Layout is component-major: row/column index
 i*(2K+1) + (k + K) for component i and frequency k.
+
+Both assemblers go through one band kernel, a Toeplitz gather: the
+coefficients c_f of one term are spread into a table c[-2K..2K] and the
+(2K+1)^2 block is c[l - k], read in one np.take with the precomputed index
+l - k + 2K, then scaled in place by the term's (hk)^alpha row.  A term costs
+O(side^2) whatever its number of coefficients, and no side^2 temporary is
+made per coefficient.
 """
 
 from __future__ import annotations
@@ -59,12 +66,6 @@ class OperatorMatrix:
             raise ValueError("entry block does not match the truncation side")
         object.__setattr__(self, "entries", e)
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.trunc != self.trunc:
-            raise ValueError("truncations differ")
-        return OperatorMatrix(self.entries + other.entries, self.trunc,
-                              provenance="combined")
-
 
 @dataclass(frozen=True)
 class SobolevWeights:
@@ -85,13 +86,27 @@ class SobolevWeights:
         return np.sqrt(total)
 
 
-def _band_matrix(poly: TrigPolynomial, modes: np.ndarray) -> np.ndarray:
-    """Multiplication by poly, compressed to the retained modes."""
-    side = len(modes)
-    out = np.zeros((side, side), dtype=complex)
-    diff = modes[:, None] - modes[None, :]      # output freq l minus input k
-    for j, c in poly.coefficients.items():
-        out[diff == j] += c
+def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
+    """Sum of band terms, each added into its (i, j) block in the order given.
+
+    A term (i, j, coeffs, weight) adds c_{l-k} * weight[k] at (l, k): the
+    multiplication by sum_f c_f e^{ifx} after the diagonal weight on the
+    input modes.  Every frequency f must satisfy |f| <= 2K.
+    """
+    K = trunc.K
+    nb = 2 * K + 1
+    modes = trunc.modes
+    index = modes[:, None] - modes[None, :] + 2 * K
+    out = np.zeros((trunc.side, trunc.side), dtype=complex)
+    table = np.empty(4 * K + 1, dtype=complex)
+    band = np.empty((nb, nb), dtype=complex)
+    for i, j, coeffs, weight in terms:
+        table.fill(0.0)
+        for f, c in coeffs.items():
+            table[f + 2 * K] += c
+        np.take(table, index, out=band, mode="clip")
+        band *= weight[None, :]
+        out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] += band
     return out
 
 
@@ -105,21 +120,20 @@ def assemble_operator(sym: MatrixSymbol,
         raise BandwidthExceeded(
             f"K={trunc.K} cannot hold coefficients of bandwidth {bw} "
             f"with a safety margin")
-    modes = trunc.modes
-    nb = len(modes)
-    out = np.zeros((trunc.side, trunc.side), dtype=complex)
-    hk = trunc.h * modes
-    for i in range(sym.n):
-        for j in range(sym.n):
-            block = np.zeros((nb, nb), dtype=complex)
-            xipow = np.ones(nb)
-            for a in range(sym.m + 1):
-                poly = sym.coeffs[a][i][j]
-                if not poly.is_zero():
-                    block += _band_matrix(poly, modes) * xipow[None, :]
-                xipow = xipow * hk
-            out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = block
-    return OperatorMatrix(out, trunc, provenance="unperturbed")
+    hk = trunc.h * trunc.modes
+
+    def terms():
+        for i in range(sym.n):
+            for j in range(sym.n):
+                xipow = np.ones(len(hk))
+                for a in range(sym.m + 1):
+                    poly = sym.coeffs[a][i][j]
+                    if not poly.is_zero():
+                        yield i, j, poly.coefficients, xipow
+                    xipow = xipow * hk
+
+    return OperatorMatrix(_assemble_bands(terms(), trunc), trunc,
+                          provenance="unperturbed")
 
 
 def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
@@ -131,20 +145,17 @@ def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
-    modes = trunc.modes
-    nb = len(modes)
-    out = np.zeros((trunc.side, trunc.side), dtype=complex)
     if delta == 0.0:
-        return OperatorMatrix(out, trunc, provenance="perturbation(delta=0)")
-    hk = trunc.h * modes
+        return OperatorMatrix(np.zeros((trunc.side, trunc.side), dtype=complex),
+                              trunc, provenance="perturbation(delta=0)")
+    hk = trunc.h * trunc.modes
     by_entry = {}
     for (alpha, i, j, k), q in draw.coeffs.items():
         if abs(k) > 2 * trunc.K:
             continue
         by_entry.setdefault((alpha, i, j), {})[k] = q / SQRT_2PI
-    for (alpha, i, j), cmap in by_entry.items():
-        band = _band_matrix(TrigPolynomial(cmap), modes)
-        out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] += band * (hk ** alpha)[None, :]
+    out = _assemble_bands(((i, j, cmap, hk ** alpha)
+                           for (alpha, i, j), cmap in by_entry.items()), trunc)
     out *= delta
     return OperatorMatrix(out, trunc, provenance=f"perturbation(delta={delta!r})")
 
@@ -223,11 +234,6 @@ def eigenpairs(mat: OperatorMatrix):
     return vals[order], vecs[:, order]
 
 
-def count_eigenvalues(mat: OperatorMatrix, domain) -> int:
-    vals = eigenvalues(mat)
-    return int(np.count_nonzero(domain.contains_many(vals)))
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     K_list: tuple
@@ -249,7 +255,8 @@ def truncation_convergence(sym: MatrixSymbol, h: float, domain,
         mat = assemble_operator(sym, trunc)
         if draw is not None:
             mat = perturbed_operator(mat, draw, delta)
-        counts.append(count_eigenvalues(mat, domain))
+        counts.append(int(np.count_nonzero(
+            domain.contains_many(eigenvalues(mat)))))
     stabilized = len(counts) >= 2 and counts[-1] == counts[-2]
     return ConvergenceReport(K_list=K_list, counts=tuple(counts),
                              stabilized=stabilized)

@@ -30,6 +30,9 @@ TWO_PI = 2.0 * math.pi
 
 CSV_HEADER = "mode,h_or_lambda,trial,seed,N,W,residual,K,millis"
 
+# Stages of one trial, timed into TrialRecord.stage_ms in this order.
+STAGES = ("draw", "assemble", "eigensolve", "count")
+
 
 # -- configuration -----------------------------------------------------------
 
@@ -245,6 +248,7 @@ class TrialRecord:
     K: int
     millis: float
     eigenvalues: np.ndarray | None = None
+    stage_ms: dict = field(default_factory=dict)    # STAGES timed, in ms
 
     def __post_init__(self):
         if self.N < 0 or self.W < 0.0:
@@ -279,6 +283,22 @@ def _aggregate(records, param) -> dict:
         "q90_abs_residual": float(np.quantile(res, 0.9)),
     }
     out["mean_ratio"] = float(np.mean(Ns) / W) if W > 0 else None
+    return out
+
+
+def _stage_ms(*marks) -> dict:
+    """Milliseconds between consecutive perf_counter marks, one per stage."""
+    return {s: (b - a) * 1e3 for s, a, b in zip(STAGES, marks, marks[1:])}
+
+
+def _stage_medians(records, param) -> dict:
+    """Median milliseconds per stage over the trials at param that timed it."""
+    out = {}
+    for stage in STAGES:
+        ms = [r.stage_ms[stage] for r in records
+              if r.param == param and stage in r.stage_ms]
+        if ms:
+            out[stage] = float(np.median(ms))
     return out
 
 
@@ -345,15 +365,19 @@ def run_semiclassical(config: ExperimentConfig,
             t0 = time.perf_counter()
             spec = randomness.SeedSpec(config.seed, f"sc:{h!r}", trial)
             draw = randomness.sample_draw(law_h, spec, h)
-            eigs = discretize.eigenvalues(
-                discretize.perturbed_operator(base, draw, delta))
+            t1 = time.perf_counter()
+            mat = discretize.perturbed_operator(base, draw, delta)
+            t2 = time.perf_counter()
+            eigs = discretize.eigenvalues(mat)
+            t3 = time.perf_counter()
             N = int(np.count_nonzero(gamma.contains_many(eigs)))
-            ms = (time.perf_counter() - t0) * 1e3
+            t4 = time.perf_counter()
             records.append(TrialRecord(
                 mode="semiclassical", param=h, trial=trial,
                 seed_label=f"{config.seed}/sc:{h!r}/{trial}",
-                N=N, W=W, residual=N - W, K=K, millis=ms,
-                eigenvalues=eigs if keep_eigs else None))
+                N=N, W=W, residual=N - W, K=K, millis=(t4 - t0) * 1e3,
+                eigenvalues=eigs if keep_eigs else None,
+                stage_ms=_stage_ms(t0, t1, t2, t3, t4)))
 
     params = tuple(config.h_list)
     aggregates = {h: _aggregate(records, h) for h in params}
@@ -392,7 +416,8 @@ def run_semiclassical(config: ExperimentConfig,
                               if config.delta_override is not None else
                               default_delta(h, law.rho_decay, config.gamma1,
                                             config.N0))
-                          for h in params}},
+                          for h in params},
+                "stage_ms": {h: _stage_medians(records, h) for h in params}},
         config_echo=config.echo())
 
 
@@ -517,11 +542,21 @@ def run_highenergy(config: ExperimentConfig,
     records = []
     dyadic_info = {}
     for trial in range(config.trials):
+        # the pilot's spectrum comes from certification (pilot_millis)
+        stages = {}
         t1 = time.perf_counter()
-        eigs = pilot_eigs if trial == 0 else discretize.eigenvalues(
-            discretize.perturbed_operator(base, draw_of(trial), 1.0))
+        if trial == 0:
+            eigs = pilot_eigs
+        else:
+            draw = draw_of(trial)
+            t2 = time.perf_counter()
+            mat = discretize.perturbed_operator(base, draw, 1.0)
+            t3 = time.perf_counter()
+            eigs = discretize.eigenvalues(mat)
+            stages = _stage_ms(t1, t2, t3, time.perf_counter())
         ms = (time.perf_counter() - t1) * 1e3 / len(lam_sorted)
         for lam, dom in zip(lam_sorted, rungs):
+            tc = time.perf_counter()
             N = int(np.count_nonzero(dom.contains_many(eigs)))
             if lam in pieces_by_lam:
                 piece_counts = [
@@ -537,19 +572,31 @@ def run_highenergy(config: ExperimentConfig,
                 mode="highenergy", param=float(lam), trial=trial,
                 seed_label=f"{config.seed}/he/{trial}",
                 N=N, W=W, residual=N - W, K=K, millis=ms,
-                eigenvalues=eigs if keep_eigs else None))
+                eigenvalues=eigs if keep_eigs else None,
+                stage_ms={**stages,
+                          "count": (time.perf_counter() - tc) * 1e3}))
 
     params = tuple(float(l) for l in lam_sorted)
     aggregates = {lam: _aggregate(records, lam) for lam in params}
     for lam, ok in zip(params, certified):
         aggregates[lam]["certified"] = ok
 
-    # per-trajectory envelope |res| <= C(omega) + C~ lambda^{1/(2m)} sqrt(ln lam)
+    # Fits and relative residuals use certified rungs only: an uncertified
+    # count is a truncation artefact.  Per trajectory, the envelope
+    # |res| <= C(omega) + C~ lambda^{1/(2m)} sqrt(ln lam); None where fewer
+    # certified rungs remain than a fit has parameters.
+    fit_rungs = [lam for lam, ok in zip(params, certified) if ok]
     fits = {}
     rel_residuals = {}
     for trial in range(config.trials):
-        rows = sorted((r for r in records if r.trial == trial),
+        rows = sorted((r for r in records
+                       if r.trial == trial and r.param in fit_rungs),
                       key=lambda r: r.param)
+        rel_residuals[trial] = [
+            abs(r.residual) / r.W if r.W > 0 else math.inf for r in rows]
+        if len(rows) < 2:
+            fits[trial] = None
+            continue
         b = np.array([r.param ** (1.0 / (2 * m))
                       * math.sqrt(max(math.log(r.param), 1e-12))
                       for r in rows])
@@ -557,13 +604,11 @@ def run_highenergy(config: ExperimentConfig,
         A = np.vstack([np.ones_like(b), b]).T
         (c_omega, c_tilde), *_ = np.linalg.lstsq(A, y, rcond=None)
         fits[trial] = (float(c_omega), float(c_tilde))
-        rel_residuals[trial] = [
-            abs(r.residual) / r.W if r.W > 0 else math.inf for r in rows]
 
     env = None
-    if len(params) >= 3:
+    if len(fit_rungs) >= 3:
         pairs = [(lam, max(aggregates[lam]["mean_abs_residual"], 1e-12))
-                 for lam in params]
+                 for lam in fit_rungs]
         env = fit_power_law(pairs)
 
     return ExperimentReport(
@@ -578,12 +623,14 @@ def run_highenergy(config: ExperimentConfig,
                 "certified": {str(lam): ok
                               for lam, ok in zip(lam_sorted, certified)},
                 "pilot_millis": pilot_ms,
+                "fit_rungs": fit_rungs,
             },
             "rescaling_identity": {f"{k[0]}/{k[1]}": v
                                    for k, v in rescaling_ok.items()},
             "dyadic": {f"{k[0]}/{k[1]}": v for k, v in dyadic_info.items()},
             "trajectory_fits": fits,
             "relative_residuals": rel_residuals,
+            "stage_ms": {lam: _stage_medians(records, lam) for lam in params},
         },
         config_echo=config.echo())
 

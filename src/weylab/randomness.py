@@ -10,6 +10,7 @@ across the dyadic lambda ladder.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -85,19 +86,19 @@ class CoefficientLaw:
     def tail_mass(self, cutoff: int | None = None) -> float:
         """Exact bound C~ * sum_{|k| > cutoff} <k>^{-rho} per (alpha, i, j),
         summed over the coefficient slots."""
-        cut = self.K_q if cutoff is None else cutoff
-        cache = self.__dict__.setdefault("_tail_cache", {})
-        if cut in cache:
-            return cache[cut]
-        rho = self.rho_decay
-        # sum a long head explicitly, bound the remainder by an integral
-        head_k = np.arange(cut + 1, cut + 100001)
-        head = 2.0 * np.sum((1.0 + head_k.astype(float) ** 2) ** (-rho / 2.0))
-        kmax = cut + 100000
-        integral_tail = 2.0 * kmax ** (1.0 - rho) / (rho - 1.0)
         slots = (self.alpha_max - self.alpha_min + 1) * self.n * self.n
-        cache[cut] = self.c_tilde * slots * float(head + integral_tail)
-        return cache[cut]
+        return _tail_mass(self.rho_decay, self.c_tilde, slots,
+                          self.K_q if cutoff is None else cutoff)
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_mass(rho: float, c_tilde: float, slots: int, cut: int) -> float:
+    # sum a long head explicitly, bound the remainder by an integral
+    head_k = np.arange(cut + 1, cut + 100001)
+    head = 2.0 * np.sum((1.0 + head_k.astype(float) ** 2) ** (-rho / 2.0))
+    kmax = cut + 100000
+    integral_tail = 2.0 * kmax ** (1.0 - rho) / (rho - 1.0)
+    return c_tilde * slots * float(head + integral_tail)
 
 
 def sigma_of(law: CoefficientLaw, alpha: int, i: int, j: int, k: int,
@@ -116,15 +117,6 @@ class PerturbationDraw:
     law: CoefficientLaw
     h: float
     tail_mass: float
-
-    def as_trig_maps(self):
-        """{alpha: n x n array of {frequency: value/sqrt(2*pi)}} for assembly."""
-        out = {}
-        for (alpha, i, j, k), q in self.coeffs.items():
-            block = out.setdefault(alpha, {})
-            entry = block.setdefault((i, j), {})
-            entry[k] = entry.get(k, 0.0) + q / SQRT_2PI
-        return out
 
 
 def _unit_normals(spec: SeedSpec, alpha: int, i: int, j: int,

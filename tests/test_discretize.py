@@ -6,9 +6,9 @@ import pytest
 from weylab import discretize, randomness
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
                                SobolevWeights, assemble_operator,
-                               assemble_perturbation, count_eigenvalues,
-                               eigenpairs, eigenvalues, formal_adjoint,
-                               load_matrix, operator_norm_Hm_to_L2,
+                               assemble_perturbation, eigenpairs, eigenvalues,
+                               formal_adjoint, load_matrix,
+                               operator_norm_Hm_to_L2, perturbed_operator,
                                perturbed_symbol, save_matrix, sigma_min_map,
                                truncation_convergence)
 from weylab.domains import Rectangle
@@ -107,6 +107,102 @@ class TestPerturbation:
         assert np.allclose(two, 2.0 * one)
 
 
+# The mask-loop assembler the Toeplitz gather replaced: one side^2 mask per
+# coefficient.  The gather must reproduce it bit for bit (term order, the
+# (hk)^alpha weights, the |k| > 2K drop and the final delta).
+
+def _mask_band(coeffs, modes):
+    side = len(modes)
+    out = np.zeros((side, side), dtype=complex)
+    diff = modes[:, None] - modes[None, :]
+    for j, c in coeffs.items():
+        out[diff == j] += c
+    return out
+
+
+def _mask_operator(sym, trunc):
+    modes = trunc.modes
+    nb = len(modes)
+    out = np.zeros((trunc.side, trunc.side), dtype=complex)
+    hk = trunc.h * modes
+    for i in range(sym.n):
+        for j in range(sym.n):
+            block = np.zeros((nb, nb), dtype=complex)
+            xipow = np.ones(nb)
+            for a in range(sym.m + 1):
+                poly = sym.coeffs[a][i][j]
+                if not poly.is_zero():
+                    block += _mask_band(poly.coefficients, modes) \
+                        * xipow[None, :]
+                xipow = xipow * hk
+            out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = block
+    return out
+
+
+def _mask_perturbation(draw, trunc, delta):
+    modes = trunc.modes
+    nb = len(modes)
+    out = np.zeros((trunc.side, trunc.side), dtype=complex)
+    hk = trunc.h * modes
+    by_entry = {}
+    for (alpha, i, j, k), q in draw.coeffs.items():
+        if abs(k) > 2 * trunc.K:
+            continue
+        by_entry.setdefault((alpha, i, j), {})[k] = q / randomness.SQRT_2PI
+    for (alpha, i, j), cmap in by_entry.items():
+        band = _mask_band(cmap, modes)
+        out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] += \
+            band * (hk ** alpha)[None, :]
+    out *= delta
+    return out
+
+
+def _identical(a, b):
+    """Equal values and equal bits (signs of zeros included)."""
+    return np.array_equal(a, b) and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+class TestGatherKernel:
+    @pytest.mark.parametrize("K,h", [(2, 1.0), (5, 0.3), (16, 0.1),
+                                     (57, 0.05)])
+    def test_operator_matches_mask_loop(self, f1, f2, f3, f4, K, h):
+        # F2 + delta*Q with orders 0..2 puts three random terms into one
+        # block, where the order of addition shows in the last bits
+        law = CoefficientLaw(alpha_min=0, alpha_max=2, n=1, rho_decay=1.5,
+                             K_q=K - 1)
+        draw = sample_draw(law, SeedSpec(8, "gather", K), h)
+        for sym in (f1, f2, f3, f4, perturbed_symbol(f2, draw, 0.3)):
+            t = FourierTruncation(K=K, n=sym.n, h=h)
+            assert _identical(assemble_operator(sym, t).entries,
+                              _mask_operator(sym, t))
+
+    @pytest.mark.parametrize("n,alpha_max,K_q,K", [
+        (1, 0, 40, 8),      # K_q > 2K: coefficients dropped
+        (2, 1, 12, 9),      # orders 0..1 of an n = 2, m = 2 system
+        (2, 2, 12, 9),      # three orders into each block
+    ])
+    def test_perturbation_matches_mask_loop(self, n, alpha_max, K_q, K):
+        law = CoefficientLaw(alpha_min=0, alpha_max=alpha_max, n=n,
+                             rho_decay=1.2, K_q=K_q)
+        t = FourierTruncation(K=K, n=n, h=0.07)
+        for trial in range(3):
+            draw = sample_draw(law, SeedSpec(4, "gather", trial), t.h)
+            for delta in (1.0, 3.7e-4):
+                assert _identical(
+                    assemble_perturbation(draw, t, delta).entries,
+                    _mask_perturbation(draw, t, delta))
+
+    def test_trial_matrix_matches_mask_loop(self, f3):
+        law = CoefficientLaw(alpha_min=0, alpha_max=0, n=2, rho_decay=1.5,
+                             K_q=30)
+        t = FourierTruncation(K=10, n=2, h=0.1)
+        draw = sample_draw(law, SeedSpec(2, "gather", 0), t.h)
+        mat = perturbed_operator(assemble_operator(f3, t), draw, 2e-3)
+        assert _identical(mat.entries, _mask_operator(f3, t)
+                          - _mask_perturbation(draw, t, 2e-3))
+
+
 class TestAdjoint:
     @pytest.mark.parametrize("h", [1.0, 0.3, 0.05])
     def test_adjoint_compatibility(self, f1, f2, f3, h):
@@ -145,8 +241,10 @@ class TestEigen:
         mat = assemble_operator(f2, t)
         big = 1e6
         gamma = Rectangle(-1.0, 1.0, -1.0, 1.0)
-        inside = count_eigenvalues(mat, gamma)
-        total = count_eigenvalues(mat, Rectangle(-big, big, -big, big))
+        vals = eigenvalues(mat)
+        inside = np.count_nonzero(gamma.contains_many(vals))
+        total = np.count_nonzero(
+            Rectangle(-big, big, -big, big).contains_many(vals))
         assert total == t.side
         assert 0 <= inside <= total
 
@@ -223,9 +321,3 @@ class TestConvergenceAndMaps:
         back = load_matrix(path)
         assert back.trunc == t
         assert np.array_equal(back.entries, mat.entries)
-
-    def test_addition_checks_truncation(self, f1):
-        a = assemble_operator(f1, FourierTruncation(K=3, n=1, h=0.5))
-        b = assemble_operator(f1, FourierTruncation(K=4, n=1, h=0.5))
-        with pytest.raises(ValueError):
-            a + b

@@ -135,6 +135,17 @@ class TestSemiclassicalRun:
         assert labels == {"3/sc:0.1/0", "3/sc:0.1/1"}
 
 
+@pytest.fixture(scope="module")
+def ladder_report(f4):
+    # criterion 8's law on a ladder to lambda = 4096: the top rung's
+    # eigenvalues are too ill-conditioned for any affordable K
+    law = CoefficientLaw(alpha_min=0, alpha_max=0, n=1, rho_decay=1.1,
+                         K_q=32)
+    lams = (4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
+    return run_highenergy(he_config(f4, law=law, lambda_list=lams,
+                                    trials=1, seed=1))
+
+
 class TestHighEnergyRun:
     def test_small_run(self, f4):
         cfg = he_config(f4)
@@ -166,14 +177,9 @@ class TestHighEnergyRun:
                     dom = dilate(cfg.domains[0], r.param)
                     assert np.count_nonzero(dom.contains_many(eigs)) == r.N
 
-    def test_ill_conditioned_top_rung_uncertified(self, f4, tmp_path):
-        # criterion 8's law on a ladder to lambda = 4096: the top rung's
-        # eigenvalues are too ill-conditioned for any affordable K
-        law = CoefficientLaw(alpha_min=0, alpha_max=0, n=1, rho_decay=1.1,
-                             K_q=32)
-        lams = (4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
-        rep = run_highenergy(he_config(f4, law=law, lambda_list=lams,
-                                       trials=1, seed=1))
+    def test_ill_conditioned_top_rung_uncertified(self, ladder_report,
+                                                  tmp_path):
+        rep = ladder_report
         certified = rep.extras["truncation"]["certified"]
         assert certified["4.0"]
         assert not certified["4096.0"]
@@ -182,6 +188,33 @@ class TestHighEnergyRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["extras"]["truncation"]["certified"]["4096.0"] is False
         assert summary["aggregates"]["4096.0"]["certified"] is False
+
+    def test_fits_use_certified_rungs_only(self, f4, ladder_report):
+        rep = ladder_report
+        certified = rep.extras["truncation"]["certified"]
+        fit_rungs = rep.extras["truncation"]["fit_rungs"]
+        assert 4096.0 not in fit_rungs
+        assert fit_rungs == [lam for lam in rep.params
+                             if certified[str(lam)]]
+        assert 4096.0 in {r.param for r in rep.records}
+        rows = sorted((r for r in rep.records if r.param in fit_rungs),
+                      key=lambda r: r.param)
+        assert rep.extras["relative_residuals"][0] == [
+            abs(r.residual) / r.W for r in rows]
+        b = np.array([r.param ** 0.25 * math.sqrt(math.log(r.param))
+                      for r in rows])
+        A = np.vstack([np.ones_like(b), b]).T
+        coef, *_ = np.linalg.lstsq(
+            A, np.array([abs(r.residual) for r in rows]), rcond=None)
+        assert rep.extras["trajectory_fits"][0] == pytest.approx(tuple(coef))
+        assert rep.envelope_fit == pytest.approx(fit_power_law(
+            [(lam, rep.aggregates[lam]["mean_abs_residual"])
+             for lam in fit_rungs]))
+        # one certified rung leaves nothing to fit
+        small = run_highenergy(he_config(f4))
+        assert small.extras["truncation"]["fit_rungs"] == [2.0]
+        assert set(small.extras["trajectory_fits"].values()) == {None}
+        assert small.envelope_fit is None
 
     def test_certification_gives_up_at_cap(self):
         # a spectrum that never settles: every rung uncertified, no solve
@@ -241,6 +274,23 @@ class TestReports:
         a = (tmp_path / "a" / "trials.csv").read_bytes()
         b = (tmp_path / "b" / "trials.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["semiclassical", "highenergy"])
+    def test_stage_timings(self, f2, f4, mode, tmp_path):
+        if mode == "semiclassical":
+            rep = run_semiclassical(sc_config(f2, trials=2))
+        else:
+            rep = run_highenergy(he_config(f4))
+        write_report(rep, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        stage_ms = summary["extras"]["stage_ms"]
+        assert set(stage_ms) == {str(p) for p in rep.params}
+        for medians in stage_ms.values():
+            assert set(medians) == set(harness.STAGES)
+            assert all(v >= 0.0 for v in medians.values())
+        for r in rep.records:
+            assert all(v >= 0.0 for v in r.stage_ms.values())
+            assert "count" in r.stage_ms
 
     def test_eigen_dump(self, f2, tmp_path):
         rep = run_semiclassical(sc_config(f2, trials=1), keep_eigs=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from weylab.discretize import FourierTruncation, assemble_perturbation
 from weylab.errors import BoundViolation
 from weylab.randomness import (CoefficientLaw, SeedSpec, coefficient_abs_sum,
                                default_sigma_rule, empirical_tail, load_draw,
@@ -92,17 +93,20 @@ class TestSampling:
     def test_sup_norm_estimate_bounds_sup(self):
         lw = law(K_q=8)
         d = sample_draw(lw, SeedSpec(4, "sup", 0), 1.0)
-        maps = d.as_trig_maps()[0][(0, 0)]
         xs = np.linspace(0, 2 * math.pi, 512)
-        vals = sum(c * np.exp(1j * k * xs) for k, c in maps.items())
+        vals = sum(q * np.exp(1j * k * xs) / math.sqrt(2 * math.pi)
+                   for (_, _, _, k), q in d.coeffs.items())
         assert np.max(np.abs(vals)) <= sup_norm_estimate(d) + 1e-12
 
-    def test_as_trig_maps_scaling(self):
+    def test_assembled_coefficient_scaling(self):
+        # Q = sum_k q_k e^{ikx} / sqrt(2 pi): frequency 1 maps mode 0 to 1
         lw = law(K_q=2)
         d = sample_draw(lw, SeedSpec(4, "map", 0), 1.0)
-        maps = d.as_trig_maps()
+        t = FourierTruncation(K=2, n=1, h=1.0)
+        mat = assemble_perturbation(d, t, 1.0).entries
         q = d.coeffs[(0, 0, 0, 1)]
-        assert maps[0][(0, 0)][1] == pytest.approx(q / math.sqrt(2 * math.pi))
+        assert mat[t.index(0, 1), t.index(0, 0)] \
+            == pytest.approx(q / math.sqrt(2 * math.pi))
 
 
 class TestTail:
