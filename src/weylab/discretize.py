@@ -234,34 +234,6 @@ def eigenpairs(mat: OperatorMatrix):
     return vals[order], vecs[:, order]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    K_list: tuple
-    counts: tuple
-    stabilized: bool
-
-
-def truncation_convergence(sym: MatrixSymbol, h: float, domain,
-                           draw: PerturbationDraw | None, delta: float,
-                           K_list) -> ConvergenceReport:
-    """Counts in `domain` of P - delta*Q_omega (the drivers' matrix) across
-    increasing truncations, same draw."""
-    K_list = tuple(int(K) for K in K_list)
-    if any(b <= a for a, b in zip(K_list, K_list[1:])):
-        raise ValueError("K_list must be strictly increasing")
-    counts = []
-    for K in K_list:
-        trunc = FourierTruncation(K=K, n=sym.n, h=h)
-        mat = assemble_operator(sym, trunc)
-        if draw is not None:
-            mat = perturbed_operator(mat, draw, delta)
-        counts.append(int(np.count_nonzero(
-            domain.contains_many(eigenvalues(mat)))))
-    stabilized = len(counts) >= 2 and counts[-1] == counts[-2]
-    return ConvergenceReport(K_list=K_list, counts=tuple(counts),
-                             stabilized=stabilized)
-
-
 def sigma_min_map(sym: MatrixSymbol, h: float, trunc: FourierTruncation,
                   z_grid) -> np.ndarray:
     """Smallest singular value of (P - z) per node; 1/sigma_min lower-bounds

@@ -3,7 +3,10 @@ phase-space (Weyl) prediction, in two modes.
 
 semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
-each trial draws a fresh perturbation.
+each trial draws a fresh perturbation.  Per h, the truncation K is certified
+on pilot trials: it grows by 1.5 from ceil(xi_window / 4h) + 2 bandwidth
+until their eigenvalues in Gamma settle, never past the rule's
+ceil(c_K xi_window / h) + 2 bandwidth, where every trial runs if they do not.
 
 highenergy: fixed unit sector Gamma, growing dilation lambda, classical
 (h = 1) assembly with an order-zero-to-alpha1 perturbation; each trajectory
@@ -11,6 +14,9 @@ draws ONE realization omega and reuses it across every lambda, which the
 addressable sampler makes exact.  The h = 1 matrix does not depend on
 lambda, so one eigensolve per trajectory counts every rung, at a truncation
 certified on a pilot trajectory.
+
+Both modes certify with certify_truncation; each records its choice in
+extras["truncation"].
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ class ExperimentConfig:
     seed: int = 0
     c_K: float = 2.0
     calibration_quantile: float = 1.0
-    check_truncation: bool = False
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -136,9 +141,13 @@ class ExperimentConfig:
         _check_shared_bases(inv)
 
     # ------------------------------------------------------------------
-    def truncation_K(self, h: float, z_sup: float) -> int:
+    def truncation_K(self, h: float, z_sup: float,
+                     c_K: float | None = None) -> int:
+        """ceil(c_K xi_window / h) + 2 bandwidth; c_K defaults to the
+        config's."""
+        c_K = self.c_K if c_K is None else c_K
         window = symbol.xi_window(self.sym, z_sup)
-        return int(math.ceil(self.c_K * window / h)) + 2 * self.sym.max_bandwidth()
+        return int(math.ceil(c_K * window / h)) + 2 * self.sym.max_bandwidth()
 
     def echo(self) -> dict:
         if self.raw:
@@ -321,63 +330,170 @@ def fit_power_law(pairs) -> tuple:
     return float(slope), float(intercept), r2
 
 
+# -- truncation certification --------------------------------------------------
+
+# K grows by a per-mode factor until the pilot spectra settle: inside a domain
+# their eigenvalues at K and at the next K coincide one to one within a
+# per-mode fraction of the domain's radius.  Integer counts of an unresolved
+# truncation often agree by chance; eigenvalue positions do not.
+#
+# semiclassical: the first SC_PILOTS trials of each h, from
+# K = ceil(SC_C_START xi_window / h) + 2 bandwidth, never beyond the rule's K.
+# Between K and 1.5K an unresolved truncation moves Gamma's eigenvalues by
+# 4e-3 R or more, a resolved one (c_K >= 0.9) by at most about 6e-6 R, and
+# rounding at the rule's K by 3e-10 R; at 1e-4 R, K can stop near c_K = 0.66,
+# too close to c_K = 0.5, where counts change.
+SC_PILOTS = 8
+SC_C_START = 0.25
+SC_GROWTH = 1.5
+SC_SETTLE_TOL = 1e-5
+# highenergy: the pilot trajectory, doubling up to a dense side of 2049.
+HE_GROWTH = 2
+HE_SETTLE_TOL = 1e-8
+HE_K_CAP = 1024
+
+
+def _settled(coarse: np.ndarray, fine: np.ndarray, dom, tol: float) -> bool:
+    a = coarse[dom.contains_many(coarse)]
+    b = fine[dom.contains_many(fine)]
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    d = np.abs(a[:, None] - b[None, :])
+    tol = tol * dom.bound_radius()
+    return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
+
+
+def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
+                       cap: int) -> tuple:
+    """Smallest K in K0, ceil(growth K0), ... at which the pilots settle in
+    the first domain.
+
+    ``solve(K)`` returns the pilot spectra at truncation K, one array per
+    pilot trial; ``doms`` are nested domains, smallest first.  K grows only
+    while the smallest domain is unsettled on some pilot: large eigenvalues
+    can be exponentially ill-conditioned, so a domain that rounding alone can
+    move is not settled by any larger K.  Every domain takes its verdict from
+    the same pair (K, ceil(growth K)), and is settled when every pilot is.
+    Returns (K, pilot spectra at K, per-domain verdicts, every K solved); if
+    the next K would exceed cap first, every verdict is False and K is the
+    last K solved.
+    """
+    K, spectra = K0, solve(K0)
+    tried = [K0]
+    while (finer_K := math.ceil(growth * K)) <= cap:
+        finer = solve(finer_K)
+        tried.append(finer_K)
+        verdicts = [all(_settled(a, b, dom, tol)
+                        for a, b in zip(spectra, finer)) for dom in doms]
+        if verdicts[0]:
+            return K, spectra, verdicts, tuple(tried)
+        K, spectra = finer_K, finer
+    return K, spectra, [False] * len(doms), tuple(tried)
+
+
 # -- semiclassical experiment --------------------------------------------------
 
 def _delta_floor(mat_norm: float) -> float:
     return 1e3 * np.finfo(float).eps * mat_norm
 
 
-def run_semiclassical(config: ExperimentConfig,
-                      keep_eigs: bool = False) -> ExperimentReport:
-    sym, law = config.sym, config.law
-    gamma = config.domains[0]
-    measure = domains.weyl_measure(sym, gamma).value
-    z_sup = gamma.bound_radius()
+def _coupling(config: ExperimentConfig, h: float) -> float:
+    if config.delta_override is not None:
+        return config.delta_override
+    return default_delta(h, config.law.rho_decay, config.gamma1, config.N0)
+
+
+def _semiclassical_h(config: ExperimentConfig, h: float, W: float,
+                     keep_eigs: bool) -> tuple:
+    """Every trial at one h, at a truncation K certified on the pilots.
+
+    The pilots keep their draws and their spectra at the chosen K; if they
+    never settle below the rule's K_rule, every trial runs at K_rule.  The
+    rounding-floor guard on delta reads the norm at K_rule whatever K is
+    chosen.  Returns (records, the truncation record of extras).
+    """
+    sym, gamma = config.sym, config.domains[0]
+
+    def truncation(K):
+        return discretize.FourierTruncation(K=K, n=sym.n, h=h)
+
+    K_rule = config.truncation_K(h, gamma.bound_radius())
+    rule_base = discretize.assemble_operator(sym, truncation(K_rule))
+    delta = _coupling(config, h)
+    if delta != 0.0:
+        floor = _delta_floor(float(np.linalg.norm(rule_base.entries, 2)))
+        if delta < floor:
+            raise EmptyWindow(
+                f"delta = {delta:.3e} is below the rounding floor "
+                f"{floor:.3e} at h = {h}; the intentional perturbation "
+                f"would drown in eigensolver noise")
+
+    def draw(trial):
+        t0 = time.perf_counter()
+        d = randomness.sample_draw(
+            config.law, randomness.SeedSpec(config.seed, f"sc:{h!r}", trial),
+            h)
+        return d, (time.perf_counter() - t0) * 1e3
+
+    def solve(base, d):
+        t0 = time.perf_counter()
+        mat = discretize.perturbed_operator(base, d, delta)
+        t1 = time.perf_counter()
+        eigs = discretize.eigenvalues(mat)
+        return eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
+
+    pilots = [draw(t) for t in range(min(SC_PILOTS, config.trials))]
+    solved = {}     # K -> (eigenvalues, assemble ms, eigensolve ms) per pilot
+
+    def solve_pilots(K):
+        base = (rule_base if K == K_rule
+                else discretize.assemble_operator(sym, truncation(K)))
+        solved[K] = [solve(base, d) for d, _ in pilots]
+        return [run[0] for run in solved[K]]
+
+    K0 = min(K_rule, config.truncation_K(h, gamma.bound_radius(), SC_C_START))
+    K, _, (certified,), K_tried = certify_truncation(
+        solve_pilots, [gamma], K0, SC_GROWTH, SC_SETTLE_TOL, K_rule)
+    if not certified:
+        K = K_rule
+    base = (rule_base if K == K_rule
+            else discretize.assemble_operator(sym, truncation(K)))
 
     records = []
-    for h in config.h_list:
-        K = config.truncation_K(h, z_sup)
-        law_h = law
-        trunc = discretize.FourierTruncation(K=K, n=sym.n, h=h)
-        base = discretize.assemble_operator(sym, trunc)
-        if config.delta_override is not None:
-            delta = config.delta_override
+    for trial in range(config.trials):
+        d, draw_ms = pilots[trial] if trial < len(pilots) else draw(trial)
+        if trial < len(pilots) and K in solved:
+            eigs, assemble_ms, eig_ms = solved[K][trial]
         else:
-            delta = default_delta(h, law.rho_decay, config.gamma1, config.N0)
-        if delta != 0.0:
-            floor = _delta_floor(float(np.linalg.norm(base.entries, 2)))
-            if delta < floor:
-                raise EmptyWindow(
-                    f"delta = {delta:.3e} is below the rounding floor "
-                    f"{floor:.3e} at h = {h}; the intentional perturbation "
-                    f"would drown in eigensolver noise")
-        if config.check_truncation:
-            probe = randomness.sample_draw(
-                law_h, randomness.SeedSpec(config.seed, f"sc:{h!r}", 0), h)
-            rep = discretize.truncation_convergence(
-                sym, h, gamma, probe, delta, [K, 2 * K])
-            if not rep.stabilized:
-                K = 2 * K
-                trunc = discretize.FourierTruncation(K=K, n=sym.n, h=h)
-                base = discretize.assemble_operator(sym, trunc)
-        W = measure / (TWO_PI * h)
-        for trial in range(config.trials):
-            t0 = time.perf_counter()
-            spec = randomness.SeedSpec(config.seed, f"sc:{h!r}", trial)
-            draw = randomness.sample_draw(law_h, spec, h)
-            t1 = time.perf_counter()
-            mat = discretize.perturbed_operator(base, draw, delta)
-            t2 = time.perf_counter()
-            eigs = discretize.eigenvalues(mat)
-            t3 = time.perf_counter()
-            N = int(np.count_nonzero(gamma.contains_many(eigs)))
-            t4 = time.perf_counter()
-            records.append(TrialRecord(
-                mode="semiclassical", param=h, trial=trial,
-                seed_label=f"{config.seed}/sc:{h!r}/{trial}",
-                N=N, W=W, residual=N - W, K=K, millis=(t4 - t0) * 1e3,
-                eigenvalues=eigs if keep_eigs else None,
-                stage_ms=_stage_ms(t0, t1, t2, t3, t4)))
+            eigs, assemble_ms, eig_ms = solve(base, d)
+        t0 = time.perf_counter()
+        N = int(np.count_nonzero(gamma.contains_many(eigs)))
+        stage_ms = dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
+                                     (time.perf_counter() - t0) * 1e3)))
+        records.append(TrialRecord(
+            mode="semiclassical", param=h, trial=trial,
+            seed_label=f"{config.seed}/sc:{h!r}/{trial}",
+            N=N, W=W, residual=N - W, K=K, millis=sum(stage_ms.values()),
+            eigenvalues=eigs if keep_eigs else None, stage_ms=stage_ms))
+    return records, {"K": K, "K_rule": K_rule, "K_tried": list(K_tried),
+                     "pilot_trials": len(pilots),
+                     "settle_tol": SC_SETTLE_TOL, "certified": certified}
+
+
+def run_semiclassical(config: ExperimentConfig,
+                      keep_eigs: bool = False) -> ExperimentReport:
+    sym = config.sym
+    gamma = config.domains[0]
+    measure = domains.weyl_measure(sym, gamma).value
+
+    records = []
+    truncation = {}
+    for h in config.h_list:
+        rows, truncation[h] = _semiclassical_h(
+            config, h, measure / (TWO_PI * h), keep_eigs)
+        records += rows
 
     params = tuple(config.h_list)
     aggregates = {h: _aggregate(records, h) for h in params}
@@ -412,59 +528,13 @@ def run_semiclassical(config: ExperimentConfig,
         aggregates=aggregates, envelope_fit=env, envelope_fit_h=env_h,
         c_hat=c_hat, coverage=coverage,
         extras={"weyl_measure": measure,
-                "delta": {h: (config.delta_override
-                              if config.delta_override is not None else
-                              default_delta(h, law.rho_decay, config.gamma1,
-                                            config.N0))
-                          for h in params},
+                "delta": {h: _coupling(config, h) for h in params},
+                "truncation": truncation,
                 "stage_ms": {h: _stage_medians(records, h) for h in params}},
         config_echo=config.echo())
 
 
 # -- high-energy experiment ----------------------------------------------------
-
-# A rung is settled when its eigenvalues at K and at 2K coincide one to one
-# within this fraction of the rung's radius.  Integer counts of an unresolved
-# truncation often agree by chance; eigenvalue positions do not.
-SETTLE_TOL = 1e-8
-# Largest truncation the pilot solves while certifying (dense side 2049).
-K_CAP = 1024
-
-
-def _settled(coarse: np.ndarray, fine: np.ndarray, dom) -> bool:
-    a = coarse[dom.contains_many(coarse)]
-    b = fine[dom.contains_many(fine)]
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    d = np.abs(a[:, None] - b[None, :])
-    tol = SETTLE_TOL * dom.bound_radius()
-    return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
-
-
-def certify_truncation(solve, rungs, K0: int) -> tuple:
-    """Smallest K = K0 * 2^j at which the smallest rung is settled.
-
-    ``solve(K)`` returns the pilot trial's eigenvalues at truncation K;
-    ``rungs`` are nested domains, smallest first.  K grows only while the
-    smallest rung is unsettled: the large eigenvalues are exponentially
-    ill-conditioned, so a rung that rounding alone can move is not settled
-    by any larger K.  Every rung takes its verdict from the same pair
-    (K, 2K).  Returns (K, eigenvalues at K, per-rung verdicts, every K
-    solved); if 2K would exceed K_CAP first, every verdict is False.
-    """
-    K, eigs = K0, solve(K0)
-    tried = [K0]
-    while 2 * K <= K_CAP:
-        finer = solve(2 * K)
-        tried.append(2 * K)
-        verdicts = [_settled(eigs, finer, dom) for dom in rungs]
-        if verdicts[0]:
-            return K, eigs, verdicts, tuple(tried)
-        K, eigs = 2 * K, finer
-    return K, eigs, [False] * len(rungs), tuple(tried)
-
 
 def _rescaled_symbol(sym: symbol.MatrixSymbol,
                      h: float) -> symbol.MatrixSymbol:
@@ -507,10 +577,10 @@ def run_highenergy(config: ExperimentConfig,
     t0 = time.perf_counter()
     pilot = draw_of(0)
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
-    K, pilot_eigs, certified, K_tried = certify_truncation(
-        lambda k: discretize.eigenvalues(discretize.perturbed_operator(
-            discretize.assemble_operator(sym, truncation(k)), pilot, 1.0)),
-        rungs, K0)
+    K, (pilot_eigs,), certified, K_tried = certify_truncation(
+        lambda k: [discretize.eigenvalues(discretize.perturbed_operator(
+            discretize.assemble_operator(sym, truncation(k)), pilot, 1.0))],
+        rungs, K0, HE_GROWTH, HE_SETTLE_TOL, HE_K_CAP)
     trunc = truncation(K)
     base = discretize.assemble_operator(sym, trunc)
 
@@ -619,7 +689,7 @@ def run_highenergy(config: ExperimentConfig,
             "weyl_by_lambda": {str(k): v for k, v in weyl_by_lam.items()},
             "truncation": {
                 "K": K, "K_start": K0, "K_tried": list(K_tried),
-                "pilot_trial": 0, "settle_tol": SETTLE_TOL,
+                "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,
                 "certified": {str(lam): ok
                               for lam, ok in zip(lam_sorted, certified)},
                 "pilot_millis": pilot_ms,
@@ -781,6 +851,5 @@ def load_config(path) -> ExperimentConfig:
         seed=int(raw.get("seed", 0)),
         c_K=float(exp.get("c_K", 2.0)),
         calibration_quantile=float(exp.get("calibration_quantile", 1.0)),
-        check_truncation=bool(exp.get("check_truncation", False)),
         raw=raw,
     )

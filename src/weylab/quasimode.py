@@ -457,14 +457,6 @@ def overlap_profile(alpha: int, j: int, i: int, e_plus: Quasimode,
     return prof
 
 
-def overlap_coefficient(k: int, alpha: int, j: int, i: int,
-                        e_plus: Quasimode, e_minus: Quasimode,
-                        h: float) -> complex:
-    N = len(e_plus.x)
-    prof = overlap_profile(alpha, j, i, e_plus, e_minus, h)
-    return complex(prof[k % N])
-
-
 def overlap_variance(law, e_plus: Quasimode, e_minus: Quasimode,
                      h: float) -> float:
     """Deterministic sigma^2(h) = sum sigma^2 |<e_k (hD)^alpha e_+, e_->|^2."""

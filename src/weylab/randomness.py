@@ -156,10 +156,6 @@ def sup_norm_estimate(draw: PerturbationDraw) -> float:
     return sum(abs(q) for q in draw.coeffs.values()) / SQRT_2PI
 
 
-def coefficient_abs_sum(draw: PerturbationDraw) -> float:
-    return sum(abs(q) for q in draw.coeffs.values())
-
-
 @dataclass(frozen=True)
 class TailReport:
     thresholds: tuple
@@ -184,7 +180,7 @@ def empirical_tail(law: CoefficientLaw, seed: int, trials: int,
     stats = np.empty(trials)
     for t in range(trials):
         draw = sample_draw(law, SeedSpec(seed, experiment, t), h)
-        stats[t] = coefficient_abs_sum(draw)
+        stats[t] = sum(abs(q) for q in draw.coeffs.values())
 
     sigmas = []
     ks = range(-law.K_q, law.K_q + 1)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from weylab import discretize, randomness
+from weylab import discretize, harness, randomness
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
                                SobolevWeights, assemble_operator,
                                assemble_perturbation, eigenpairs, eigenvalues,
                                formal_adjoint, load_matrix,
                                operator_norm_Hm_to_L2, perturbed_operator,
-                               perturbed_symbol, save_matrix, sigma_min_map,
-                               truncation_convergence)
+                               perturbed_symbol, save_matrix, sigma_min_map)
 from weylab.domains import Rectangle
 from weylab.errors import BandwidthExceeded
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
@@ -279,17 +278,37 @@ class TestNorms:
 
 class TestConvergenceAndMaps:
     def test_truncation_convergence(self, f1):
+        # certification on F1 from K = 2, where two of three pilots miscount:
+        # K grows until the pilots' eigenvalues in Gamma settle between K and
+        # ceil(1.5 K), and the pilot spectra it returns are those at K
+        h, delta = 0.2, 1e-4
         gamma = Rectangle(-0.4, 0.4, -0.4, 0.4)
-        draw = sample_draw(small_law(), SeedSpec(3, "tc", 0), 0.2)
-        rep = truncation_convergence(f1, 0.2, gamma, draw, 1e-4,
-                                     [16, 24, 32])
-        assert rep.K_list == (16, 24, 32)
-        assert len(rep.counts) == 3
-        assert rep.stabilized
+        draws = [sample_draw(small_law(), SeedSpec(3, "tc", t), h)
+                 for t in range(3)]
+
+        def solve(K):
+            base = assemble_operator(f1, FourierTruncation(K=K, n=1, h=h))
+            return [eigenvalues(perturbed_operator(base, d, delta))
+                    for d in draws]
+
+        def counts(spectra):
+            return [int(np.count_nonzero(gamma.contains_many(e)))
+                    for e in spectra]
+
+        K, spectra, verdicts, tried = harness.certify_truncation(
+            solve, [gamma], 2, harness.SC_GROWTH, harness.SC_SETTLE_TOL, 64)
+        assert verdicts == [True]
+        assert tried[0] == 2 and K > 2
+        assert all(b == math.ceil(1.5 * a) for a, b in zip(tried, tried[1:]))
+        assert tried[-1] == math.ceil(1.5 * K)
+        assert counts(solve(2)) != counts(spectra)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, solve(K)))
+        assert counts(solve(2 * K)) == counts(spectra)
+        assert counts(solve(3 * K)) == counts(spectra)
 
     def test_truncation_convergence_counts_driver_matrix(self, f2):
-        # the semiclassical driver counts P - delta*Q_omega; the convergence
-        # probe must count the same matrix for the same draw and K
+        # every row's N is the count of P - delta*Q_omega assembled at that
+        # row's certified K, for the same draw
         from weylab.harness import ExperimentConfig, run_semiclassical
         h = 0.1
         law = small_law(K_q=16, rho=1.2)
@@ -301,8 +320,9 @@ class TestConvergenceAndMaps:
         delta = rep.extras["delta"][h]
         for r in rep.records:
             draw = sample_draw(law, SeedSpec(3, f"sc:{h!r}", r.trial), h)
-            conv = truncation_convergence(f2, h, gamma, draw, delta, [r.K])
-            assert conv.counts == (r.N,)
+            base = assemble_operator(f2, FourierTruncation(K=r.K, n=1, h=h))
+            eigs = eigenvalues(perturbed_operator(base, draw, delta))
+            assert np.count_nonzero(gamma.contains_many(eigs)) == r.N
 
     def test_sigma_min_small_at_eigenvalue(self, f1):
         t = FourierTruncation(K=8, n=1, h=0.25)

@@ -136,6 +136,116 @@ class TestSemiclassicalRun:
 
 
 @pytest.fixture(scope="module")
+def sc_two_h(f2):
+    # criterion 7's law, 12 trials at two h: 8 pilots, and 4 trials solved
+    # at the certified K only; sample_draw is counted
+    cfg = sc_config(f2, law=sc_law(K_q=128), h_list=(0.1, 0.07), trials=12)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        draw = harness.randomness.sample_draw
+        mp.setattr(harness.randomness, "sample_draw",
+                   lambda *a: calls.append(a) or draw(*a))
+        rep = run_semiclassical(cfg, keep_eigs=True)
+    return cfg, rep, len(calls)
+
+
+def resolve(cfg, h, trial, K, delta):
+    """Spectrum of trial's P - delta Q_omega solved afresh at truncation K."""
+    draw = sample_draw(cfg.law, SeedSpec(cfg.seed, f"sc:{h!r}", trial), h)
+    base = discretize.assemble_operator(
+        cfg.sym, discretize.FourierTruncation(K=K, n=1, h=h))
+    return discretize.eigenvalues(
+        discretize.perturbed_operator(base, draw, delta))
+
+
+class TestSemiclassicalTruncation:
+    def test_truncation_record(self, sc_two_h, tmp_path):
+        cfg, rep, draws = sc_two_h
+        assert draws == 2 * cfg.trials
+        write_report(rep, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        trunc = summary["extras"]["truncation"]
+        assert set(trunc) == {repr(h) for h in cfg.h_list}
+        for h in cfg.h_list:
+            t = trunc[repr(h)]
+            assert t == rep.extras["truncation"][h]
+            assert set(t) == {"K", "K_rule", "K_tried", "pilot_trials",
+                              "settle_tol", "certified"}
+            assert t["certified"] is True
+            assert t["pilot_trials"] == harness.SC_PILOTS
+            assert t["settle_tol"] == harness.SC_SETTLE_TOL
+            assert t["K_rule"] == cfg.truncation_K(
+                h, cfg.domains[0].bound_radius())
+            assert t["K"] < t["K_rule"]
+            tried = t["K_tried"]
+            assert all(a < b for a, b in zip(tried, tried[1:]))
+            assert t["K"] in tried
+            assert tried[-1] == math.ceil(1.5 * t["K"]) <= t["K_rule"]
+            assert {r.K for r in rep.records if r.param == h} == {t["K"]}
+
+    def test_pilots_settle_first_at_K(self, sc_two_h):
+        # the pilots' eigenvalues in Gamma coincide one to one at K and
+        # ceil(1.5 K), and at the K tried before K they do not
+        cfg, rep, _ = sc_two_h
+        gamma = cfg.domains[0]
+        tol = harness.SC_SETTLE_TOL * gamma.bound_radius()
+
+        def inside(eigs):
+            return eigs[gamma.contains_many(eigs)]
+
+        def settled(h, delta, K, finer):
+            for trial in range(harness.SC_PILOTS):
+                a = inside(resolve(cfg, h, trial, K, delta))
+                b = inside(resolve(cfg, h, trial, finer, delta))
+                if len(a) != len(b):
+                    return False
+                if len(a) == 0:
+                    continue
+                d = np.abs(a[:, None] - b[None, :])
+                if d.min(axis=1).max() > tol or d.min(axis=0).max() > tol:
+                    return False
+            return True
+
+        for h in cfg.h_list:
+            t = rep.extras["truncation"][h]
+            delta = rep.extras["delta"][h]
+            tried = t["K_tried"]
+            assert settled(h, delta, t["K"], tried[-1])
+            assert not settled(h, delta, tried[-3], tried[-2])
+
+    def test_counts_equal_counts_at_rule_K(self, sc_two_h):
+        cfg, rep, _ = sc_two_h
+        gamma = cfg.domains[0]
+        for r in rep.records:
+            t = rep.extras["truncation"][r.param]
+            eigs = resolve(cfg, r.param, r.trial, t["K_rule"],
+                           rep.extras["delta"][r.param])
+            assert np.count_nonzero(gamma.contains_many(eigs)) == r.N
+
+    def test_pilot_spectra_equal_fresh_solve(self, sc_two_h):
+        # pilots (trials 0..7) keep their spectra from certification; they
+        # and the other trials match a fresh solve at K bit for bit
+        cfg, rep, _ = sc_two_h
+        for r in rep.records:
+            eigs = resolve(cfg, r.param, r.trial, r.K,
+                           rep.extras["delta"][r.param])
+            assert eigs.tobytes() == r.eigenvalues.tobytes()
+
+    def test_unsettled_pilots_fall_back_to_rule_K(self, f2, monkeypatch):
+        monkeypatch.setattr(harness, "SC_SETTLE_TOL", 0.0)
+        cfg = sc_config(f2, trials=3)
+        rep = run_semiclassical(cfg)
+        t = rep.extras["truncation"][0.1]
+        assert t["certified"] is False
+        assert t["settle_tol"] == 0.0
+        assert t["pilot_trials"] == 3
+        assert t["K"] == t["K_rule"]
+        assert t["K_tried"][-1] <= t["K_rule"] < math.ceil(
+            1.5 * t["K_tried"][-1])
+        assert all(r.K == t["K_rule"] for r in rep.records)
+
+
+@pytest.fixture(scope="module")
 def ladder_report(f4):
     # criterion 8's law on a ladder to lambda = 4096: the top rung's
     # eigenvalues are too ill-conditioned for any affordable K
@@ -222,9 +332,10 @@ class TestHighEnergyRun:
         sector = AnnularSector(0.05, 2 * math.pi - 0.05, 1.0)
         rungs = [sector, dilate(sector, 4.0)]
         K, _, verdicts, tried = harness.certify_truncation(
-            lambda K: np.full(3, 0.5 + 0.1j + 1e-4 * K), rungs, 10)
+            lambda K: [np.full(3, 0.5 + 0.1j + 1e-4 * K)], rungs, 10,
+            harness.HE_GROWTH, harness.HE_SETTLE_TOL, harness.HE_K_CAP)
         assert verdicts == [False, False]
-        assert max(tried) <= harness.K_CAP < 2 * max(tried)
+        assert max(tried) <= harness.HE_K_CAP < 2 * max(tried)
         assert K == max(tried)
 
     def test_weyl_prefactor_is_classical(self, f4):

@@ -9,9 +9,8 @@ from weylab.errors import CutoffTooWide, MultipleEigenvalue
 from weylab.quasimode import (CutoffOptions, build_adjoint_quasimode,
                               build_quasimode, fourier_coefficients,
                               leading_amplitude, locate_branch,
-                              overlap_coefficient, overlap_profile,
-                              overlap_variance, residual, save_quasimode,
-                              solve_eikonal)
+                              overlap_profile, overlap_variance, residual,
+                              save_quasimode, solve_eikonal)
 from weylab.randomness import CoefficientLaw
 
 TWO_PI = 2.0 * math.pi
@@ -231,8 +230,6 @@ class TestOverlap:
                 direct = (TWO_PI / N) * np.sum(w * np.exp(1j * k * ep.x)) \
                     / math.sqrt(TWO_PI)
                 assert abs(prof[k % N] - direct) < 1e-12
-                assert overlap_coefficient(k, alpha, 0, 0, ep, em, h) \
-                    == pytest.approx(direct)
 
     def test_mass_concentrates_in_resonant_window(self, f2):
         # >= 99% of the l2 mass of k -> overlap inside |k| in [1/(Ch), C/h]
@@ -256,8 +253,8 @@ class TestOverlap:
         total = overlap_variance(law, ep, em, h)
         brute = 0.0
         for alpha in (0, 1):
+            prof = overlap_profile(alpha, 0, 0, ep, em, h)
             for k in range(-40, 41):
                 sig = law.sigma_rule(alpha, 0, 0, k, h)
-                brute += sig ** 2 * abs(
-                    overlap_coefficient(k, alpha, 0, 0, ep, em, h)) ** 2
+                brute += sig ** 2 * abs(prof[k % len(prof)]) ** 2
         assert total == pytest.approx(brute, rel=1e-12)
