@@ -16,13 +16,13 @@ import sys
 import numpy as np
 
 from . import discretize, domains, harness, quasimode, randomness, symbol
-from .errors import (BandwidthExceeded, BoundViolation, BranchLoss,
+from .errors import (BandwidthExceeded, BranchLoss,
                      CutoffTooWide, EmptyWindow, HypothesisViolation,
                      MultipleEigenvalue, NoConvergence, NonConvergence,
                      WeylabError, WindowViolation, ZeroOnContour)
 
 _CONFIG_ERRORS = (HypothesisViolation, WindowViolation, EmptyWindow,
-                  BoundViolation, BandwidthExceeded, ValueError, KeyError,
+                  BandwidthExceeded, ValueError, KeyError,
                   OSError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (NonConvergence, NoConvergence, BranchLoss, CutoffTooWide,
                      MultipleEigenvalue, ZeroOnContour)

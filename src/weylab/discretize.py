@@ -7,16 +7,17 @@ Fourier data.  Layout is component-major: row/column index
 i*(2K+1) + (k + K) for component i and frequency k.
 
 Both assemblers go through one band kernel, a Toeplitz gather: the
-coefficients c_f of one term are spread into a table c[-2K..2K] and the
-(2K+1)^2 block is c[l - k], read in one np.take with the precomputed index
-l - k + 2K, then scaled in place by the term's (hk)^alpha row.  A term costs
-O(side^2) whatever its number of coefficients, and no side^2 temporary is
-made per coefficient.
+coefficients c_f of one term, a row of the symbol's array
+``coeffs[alpha, i, j, f + B]`` or of the draw's ``q[alpha - alpha_min, i, j,
+k + K_q]``, are added into a table c[-2K..2K] and the (2K+1)^2 block is
+c[l - k], read in one np.take with the precomputed index l - k + 2K, then
+scaled in place by the term's (hk)^alpha row.  A term costs O(side^2)
+whatever its number of coefficients, and no side^2 temporary is made per
+coefficient.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import comb
 
@@ -25,7 +26,7 @@ import scipy.linalg
 
 from .errors import BandwidthExceeded, NoConvergence
 from .randomness import SQRT_2PI, PerturbationDraw
-from .symbol import MatrixSymbol, TrigPolynomial, ZERO_TRIG
+from .symbol import MatrixSymbol
 
 
 @dataclass(frozen=True)
@@ -67,31 +68,12 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
-@dataclass(frozen=True)
-class SobolevWeights:
-    """Per-frequency norms w(k) = (sum_{a<=m} (hk)^{2a})^{1/2} of e^{ikx}."""
-
-    m: int
-    h: float
-    K: int
-
-    @property
-    def weights(self) -> np.ndarray:
-        hk2 = (self.h * np.arange(-self.K, self.K + 1)) ** 2
-        acc = np.ones_like(hk2)
-        total = np.ones_like(hk2)
-        for _ in range(self.m):
-            acc = acc * hk2
-            total += acc
-        return np.sqrt(total)
-
-
 def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
     """Sum of band terms, each added into its (i, j) block in the order given.
 
     A term (i, j, coeffs, weight) adds c_{l-k} * weight[k] at (l, k): the
     multiplication by sum_f c_f e^{ifx} after the diagonal weight on the
-    input modes.  Every frequency f must satisfy |f| <= 2K.
+    input modes.  ``coeffs`` holds c_f at f + B for |f| <= B <= 2K.
     """
     K = trunc.K
     nb = 2 * K + 1
@@ -101,9 +83,9 @@ def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
     table = np.empty(4 * K + 1, dtype=complex)
     band = np.empty((nb, nb), dtype=complex)
     for i, j, coeffs, weight in terms:
+        B = len(coeffs) // 2
         table.fill(0.0)
-        for f, c in coeffs.items():
-            table[f + 2 * K] += c
+        table[2 * K - B:2 * K + B + 1] += coeffs
         np.take(table, index, out=band, mode="clip")
         band *= weight[None, :]
         out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] += band
@@ -127,9 +109,8 @@ def assemble_operator(sym: MatrixSymbol,
             for j in range(sym.n):
                 xipow = np.ones(len(hk))
                 for a in range(sym.m + 1):
-                    poly = sym.coeffs[a][i][j]
-                    if not poly.is_zero():
-                        yield i, j, poly.coefficients, xipow
+                    if sym.coeffs[a, i, j].any():
+                        yield i, j, sym.coeffs[a, i, j], xipow
                     xipow = xipow * hk
 
     return OperatorMatrix(_assemble_bands(terms(), trunc), trunc,
@@ -149,13 +130,11 @@ def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
         return OperatorMatrix(np.zeros((trunc.side, trunc.side), dtype=complex),
                               trunc, provenance="perturbation(delta=0)")
     hk = trunc.h * trunc.modes
-    by_entry = {}
-    for (alpha, i, j, k), q in draw.coeffs.items():
-        if abs(k) > 2 * trunc.K:
-            continue
-        by_entry.setdefault((alpha, i, j), {})[k] = q / SQRT_2PI
-    out = _assemble_bands(((i, j, cmap, hk ** alpha)
-                           for (alpha, i, j), cmap in by_entry.items()), trunc)
+    K_q = draw.law.K_q
+    kept = min(K_q, 2 * trunc.K)
+    q = _over_sqrt_2pi(draw.q)[..., K_q - kept:K_q + kept + 1]
+    out = _assemble_bands(((i, j, q[a, i, j], hk ** (draw.law.alpha_min + a))
+                           for a, i, j in np.ndindex(q.shape[:3])), trunc)
     out *= delta
     return OperatorMatrix(out, trunc, provenance=f"perturbation(delta={delta!r})")
 
@@ -168,46 +147,44 @@ def perturbed_operator(base: OperatorMatrix, draw: PerturbationDraw,
                           provenance=f"combined(delta={delta!r})")
 
 
+def _over_sqrt_2pi(q: np.ndarray) -> np.ndarray:
+    """q / sqrt(2 pi), dividing the real and imaginary parts: dividing the
+    complex array multiplies by the reciprocal, which rounds differently."""
+    return (np.ascontiguousarray(q).view(float) / SQRT_2PI).view(complex)
+
+
+def _padded(coeffs: np.ndarray, B: int) -> np.ndarray:
+    """A coefficient array widened with zeros to bandwidth B."""
+    pad = B - coeffs.shape[-1] // 2
+    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(pad, pad)])
+
+
 def perturbed_symbol(sym: MatrixSymbol, draw: PerturbationDraw,
                      delta: float) -> MatrixSymbol:
     """The symbol of P + delta*Q_omega (for linearity cross-checks)."""
-    grids = [[[sym.coeffs[a][i][j] for j in range(sym.n)]
-              for i in range(sym.n)] for a in range(sym.m + 1)]
-    for (alpha, i, j, k), q in draw.coeffs.items():
-        extra = TrigPolynomial({k: delta * q / SQRT_2PI})
-        grids[alpha][i][j] = grids[alpha][i][j] + extra
-    coeffs = tuple(tuple(tuple(row) for row in grid) for grid in grids)
+    law = draw.law
+    B = max(sym.max_bandwidth(), law.K_q)
+    coeffs = _padded(sym.coeffs, B)
+    coeffs[law.alpha_min:law.alpha_max + 1] += _padded(
+        _over_sqrt_2pi(delta * draw.q), B)
     return MatrixSymbol(sym.n, sym.m, coeffs, sym.semiclassical)
 
 
 def formal_adjoint(sym: MatrixSymbol, h: float) -> MatrixSymbol:
     """P* = sum_beta B_beta (hD)^beta with
     B_beta = sum_{alpha >= beta} C(alpha,beta) h^{alpha-beta} D^{alpha-beta} A_alpha^*.
-    Exact on trigonometric-polynomial coefficients."""
-    n, m = sym.n, sym.m
-    grids = [[[ZERO_TRIG for _ in range(n)] for _ in range(n)]
-             for _ in range(m + 1)]
-    for alpha in range(m + 1):
-        for i in range(n):
-            for j in range(n):
-                star = sym.coeffs[alpha][j][i].conjugate()
-                for beta in range(alpha + 1):
-                    term = star
-                    for _ in range(alpha - beta):
-                        term = term.dx_op()
-                    term = term.scale(comb(alpha, beta) * h ** (alpha - beta))
-                    grids[beta][i][j] = grids[beta][i][j] + term
-    coeffs = tuple(tuple(tuple(row) for row in grid) for grid in grids)
-    return MatrixSymbol(n, m, coeffs, sym.semiclassical)
-
-
-def operator_norm_Hm_to_L2(mat: OperatorMatrix, w: SobolevWeights) -> float:
-    """Largest singular value of M . diag(1/w(k)), per component block."""
-    if w.K != mat.trunc.K:
-        raise ValueError("weight and matrix truncations differ")
-    inv_w = np.tile(1.0 / w.weights, mat.trunc.n)
-    return float(np.linalg.svd(mat.entries * inv_w[None, :],
-                               compute_uv=False)[0])
+    Exact on trigonometric-polynomial coefficients: D = (1/i) d/dx multiplies
+    the e^{ifx} coefficient by f."""
+    star = sym.adjoint_principal().coeffs
+    f = np.arange(-sym.max_bandwidth(), sym.max_bandwidth() + 1)
+    out = np.zeros_like(star)
+    for alpha in range(sym.m + 1):
+        for beta in range(alpha + 1):
+            term = star[alpha]
+            for _ in range(alpha - beta):
+                term = f * term
+            out[beta] += (comb(alpha, beta) * h ** (alpha - beta)) * term
+    return MatrixSymbol(sym.n, sym.m, out, sym.semiclassical)
 
 
 def eigenvalues(mat: OperatorMatrix) -> np.ndarray:

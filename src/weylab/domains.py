@@ -9,12 +9,14 @@ midpoint rule with grid doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import LambdaBelowOne, NonPositiveLambda, NoConvergence
+from .symbol import (coefficient_values, det_or_eigvals, polynomial,
+                     xi_window)
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,26 +283,12 @@ def _count_grid(sym, domain: SpectralDomain, x: np.ndarray,
                 xi: np.ndarray) -> float:
     """Sum over the tensor grid of m_Gamma(x, xi)."""
     total = 0
-    n = sym.n
+    values = np.empty((X_CHUNK, len(xi), sym.n, sym.n), dtype=complex)
     for start in range(0, len(x), X_CHUNK):
-        xs = x[start:start + X_CHUNK]
-        if n == 1:
-            vals = np.zeros((len(xs), len(xi)), dtype=complex)
-            xipow = np.ones_like(xi)
-            for a in range(sym.m + 1):
-                coeff = sym.coeff_values(a, xs)[:, 0, 0]
-                vals += coeff[:, None] * xipow[None, :]
-                xipow = xipow * xi
-            total += int(np.count_nonzero(domain.contains_many(vals)))
-        else:
-            mats = np.zeros((len(xs), len(xi), n, n), dtype=complex)
-            xipow = np.ones_like(xi)
-            for a in range(sym.m + 1):
-                coeff = sym.coeff_values(a, xs)
-                mats += coeff[:, None, :, :] * xipow[None, :, None, None]
-                xipow = xipow * xi
-            eigs = np.linalg.eigvals(mats.reshape(-1, n, n))
-            total += int(np.count_nonzero(domain.contains_many(eigs.ravel())))
+        coeffs = coefficient_values(sym, x[start:start + X_CHUNK, None])
+        p = polynomial(coeffs, xi, out=values[:coeffs.shape[1]])
+        total += int(np.count_nonzero(domain.contains_many(
+            det_or_eigvals(p, det=False))))
     return total
 
 
@@ -312,8 +300,6 @@ def weyl_measure(sym, domain: SpectralDomain,
     tolerance; the integrand is piecewise integer so higher-order rules
     would gain nothing.
     """
-    from .symbol import xi_window
-
     if isinstance(domain, Rectangle) and domain.is_empty():
         return QuadratureResult(0.0, 0.0, (), quad.base_grid)
     window = xi_window(sym, domain.bound_radius())
@@ -341,6 +327,8 @@ def weyl_measure(sym, domain: SpectralDomain,
             prev_avg = value
         prev_raw = raw
         grid *= 2
+    # a delta needs three grid levels, so max_doublings < 2 leaves none
+    last = f" (last delta {deltas[-1]:.3e})" if deltas else ""
     raise NoConvergence(
         f"weyl_measure did not converge after {quad.max_doublings} grid "
-        f"doublings (last delta {deltas[-1]:.3e})")
+        f"doublings{last}")

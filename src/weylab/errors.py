@@ -29,10 +29,6 @@ class BandwidthExceeded(WeylabError):
     """Fourier truncation too small for the coefficient bandwidth."""
 
 
-class BoundViolation(WeylabError):
-    """A variance rule violates the decay/non-degeneracy bounds."""
-
-
 class MultipleEigenvalue(WeylabError):
     """Eigenvalue gap test failed; branch tracking is ill-defined."""
 

@@ -210,9 +210,8 @@ def _check_shared_bases(inv, tol: float = 1e-6):
 
 
 def _principal_part(sym: symbol.MatrixSymbol) -> symbol.MatrixSymbol:
-    zero = tuple(tuple(symbol.ZERO_TRIG for _ in range(sym.n))
-                 for _ in range(sym.n))
-    coeffs = tuple(zero for _ in range(sym.m)) + (sym.coeffs[sym.m],)
+    coeffs = np.zeros_like(sym.coeffs)
+    coeffs[sym.m] = sym.coeffs[sym.m]
     return symbol.MatrixSymbol(sym.n, sym.m, coeffs, sym.semiclassical)
 
 
@@ -454,8 +453,10 @@ def _semiclassical_h(config: ExperimentConfig, h: float, W: float,
         return [run[0] for run in solved[K]]
 
     K0 = min(K_rule, config.truncation_K(h, gamma.bound_radius(), SC_C_START))
+    t0 = time.perf_counter()
     K, _, (certified,), K_tried = certify_truncation(
         solve_pilots, [gamma], K0, SC_GROWTH, SC_SETTLE_TOL, K_rule)
+    pilot_ms = (time.perf_counter() - t0) * 1e3
     if not certified:
         K = K_rule
     base = (rule_base if K == K_rule
@@ -464,22 +465,24 @@ def _semiclassical_h(config: ExperimentConfig, h: float, W: float,
     records = []
     for trial in range(config.trials):
         d, draw_ms = pilots[trial] if trial < len(pilots) else draw(trial)
-        if trial < len(pilots) and K in solved:
-            eigs, assemble_ms, eig_ms = solved[K][trial]
-        else:
-            eigs, assemble_ms, eig_ms = solve(base, d)
+        # a pilot's solve at K is timed in pilot_millis, not in its millis
+        reused = trial < len(pilots) and K in solved
+        eigs, assemble_ms, eig_ms = (solved[K][trial] if reused
+                                     else solve(base, d))
         t0 = time.perf_counter()
         N = int(np.count_nonzero(gamma.contains_many(eigs)))
-        stage_ms = dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
-                                     (time.perf_counter() - t0) * 1e3)))
+        count_ms = (time.perf_counter() - t0) * 1e3
+        stage_ms = dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms, count_ms)))
+        millis = draw_ms + count_ms + (0.0 if reused else assemble_ms + eig_ms)
         records.append(TrialRecord(
             mode="semiclassical", param=h, trial=trial,
             seed_label=f"{config.seed}/sc:{h!r}/{trial}",
-            N=N, W=W, residual=N - W, K=K, millis=sum(stage_ms.values()),
+            N=N, W=W, residual=N - W, K=K, millis=millis,
             eigenvalues=eigs if keep_eigs else None, stage_ms=stage_ms))
     return records, {"K": K, "K_rule": K_rule, "K_tried": list(K_tried),
                      "pilot_trials": len(pilots),
-                     "settle_tol": SC_SETTLE_TOL, "certified": certified}
+                     "settle_tol": SC_SETTLE_TOL, "certified": certified,
+                     "pilot_millis": pilot_ms}
 
 
 def run_semiclassical(config: ExperimentConfig,
@@ -540,11 +543,10 @@ def _rescaled_symbol(sym: symbol.MatrixSymbol,
                      h: float) -> symbol.MatrixSymbol:
     """lambda^{-1} P in semiclassical form at h = lambda^{-1/m}:
     A_alpha D^alpha / lambda = h^{m - alpha} A_alpha (hD)^alpha."""
-    coeffs = tuple(
-        tuple(tuple(c.scale(h ** (sym.m - a)) for c in row)
-              for row in sym.coeffs[a])
-        for a in range(sym.m + 1))
-    return symbol.MatrixSymbol(sym.n, sym.m, coeffs, semiclassical=True)
+    scale = np.array([h ** (sym.m - a) for a in range(sym.m + 1)])
+    return symbol.MatrixSymbol(sym.n, sym.m,
+                               sym.coeffs * scale[:, None, None, None],
+                               semiclassical=True)
 
 
 def run_highenergy(config: ExperimentConfig,
@@ -736,7 +738,8 @@ def write_report(report: ExperimentReport, out_dir,
         "coverage": {repr(k): v for k, v in report.coverage.items()},
         "extras": _jsonable(report.extras),
         "config": _jsonable(report.config_echo),
-        "total_millis": float(sum(r.millis for r in report.records)),
+        "total_millis": float(sum(r.millis for r in report.records))
+        + _pilot_millis(report),
         "versions": _versions(),
     }
     with open(summary_path, "w") as fh:
@@ -756,6 +759,14 @@ def write_report(report: ExperimentReport, out_dir,
                              f"{float(z.real)!r},{float(z.imag)!r}\n")
         written["eigenvalues"] = eig_path
     return written
+
+
+def _pilot_millis(report: ExperimentReport) -> float:
+    """The certification time, which no record's millis holds: one entry
+    per h in semiclassical runs, one for the pilot trajectory otherwise."""
+    trunc = report.extras["truncation"]
+    per_run = trunc.values() if report.mode == "semiclassical" else [trunc]
+    return float(sum(t["pilot_millis"] for t in per_run))
 
 
 def _jsonable(obj):
@@ -781,22 +792,12 @@ def _versions() -> dict:
 # -- JSON config loading ---------------------------------------------------------
 
 def parse_symbol(spec: dict) -> symbol.MatrixSymbol:
-    n = int(spec["n"])
-    m = int(spec["m"])
-    semiclassical = bool(spec.get("semiclassical", True))
-    grids = [[[dict() for _ in range(n)] for _ in range(n)]
-             for _ in range(m + 1)]
-    for alpha_key, entries in spec["coeffs"].items():
-        alpha = int(alpha_key)
-        for (i, j, k, re, im) in entries:
-            cmap = grids[alpha][int(i)][int(j)]
-            cmap[int(k)] = cmap.get(int(k), 0.0) + complex(float(re),
-                                                           float(im))
-    coeffs = tuple(
-        tuple(tuple(symbol.TrigPolynomial(grids[a][i][j])
-                    for j in range(n)) for i in range(n))
-        for a in range(m + 1))
-    return symbol.MatrixSymbol(n, m, coeffs, semiclassical)
+    return symbol.MatrixSymbol.from_terms(
+        int(spec["n"]), int(spec["m"]),
+        ((int(alpha), int(i), int(j), int(k), complex(float(re), float(im)))
+         for alpha, entries in spec["coeffs"].items()
+         for i, j, k, re, im in entries),
+        bool(spec.get("semiclassical", True)))
 
 
 def parse_domain(spec: dict):

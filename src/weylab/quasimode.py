@@ -16,17 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from .discretize import OperatorMatrix
 from .errors import BranchLoss, CutoffTooWide, MultipleEigenvalue
-from .symbol import (ClassifiedRoot, MatrixSymbol, PhaseSpacePoint, TWO_PI,
-                     find_roots)
+from .symbol import (TWO_PI, ClassifiedRoot, MatrixSymbol, adjugate,
+                     coefficient_values, det_or_eigvals, find_roots,
+                     polynomial)
 
 SQRT_2PI = math.sqrt(TWO_PI)
 
 _STEP = 1e-3            # continuation step in x
+_BLOCK = 32             # continuation points solved together
 _NEWTON_TOL = 1e-12
 _GAP_TOL = 1e-6
 
@@ -35,9 +36,11 @@ _GAP_TOL = 1e-6
 class EigenBranch:
     """A locally simple eigenvalue branch lambda(x, xi) of p(x, xi) near a root.
 
-    For n = 1 the branch is the symbol itself and every derivative is exact;
-    for n > 1 values come from per-point eigendecompositions selected by
-    continuity and derivatives from the left/right eigenvector formula.
+    lambda is the eigenvalue of p nearest z.  At a simple eigenvalue the
+    adjugate of p - lambda has rank one: its largest column is a right
+    eigenvector and d lambda = tr(adj dp) / tr(adj), the left/right
+    eigenvector formula.  For n = 1 the adjugate is 1, so lambda = p and its
+    derivatives are exact.  Every method broadcasts over arrays of (x, xi).
     """
 
     sym: MatrixSymbol
@@ -45,100 +48,49 @@ class EigenBranch:
     z: complex
     gap: float
 
-    def _matrix(self, x: float, xi: complex) -> np.ndarray:
-        out = np.zeros((self.sym.n, self.sym.n), dtype=complex)
-        xp = 1.0 + 0.0j
-        for a in range(self.sym.m + 1):
-            out += self.sym.coeff_values(a, x)[0] * xp
-            xp *= xi
-        return out
+    def _pick(self, p: np.ndarray):
+        """lambda and adj(p - lambda) for each matrix p."""
+        vals = det_or_eigvals(p, det=False)
+        near = np.abs(vals - self.z).argmin(axis=-1)[..., None]
+        lam = np.take_along_axis(vals, near, axis=-1)[..., 0]
+        return lam, adjugate(p - lam[..., None, None] * np.eye(self.sym.n))
 
-    def _matrix_dxi(self, x: float, xi: complex) -> np.ndarray:
-        out = np.zeros((self.sym.n, self.sym.n), dtype=complex)
-        xp = 1.0 + 0.0j
-        for a in range(1, self.sym.m + 1):
-            out += a * self.sym.coeff_values(a, x)[0] * xp
-            xp *= xi
-        return out
+    def value_dxi(self, x, xi, A=None):
+        """(lambda, d_xi lambda) at (x, xi); A, the coefficient values at x,
+        is reused when given, as in a Newton iteration in xi at fixed x."""
+        if A is None:
+            A = coefficient_values(self.sym, x)
+        p, dp = polynomial(A, xi, dxi=True)
+        lam, adj = self._pick(p)
+        return lam, _slope(adj, dp)
 
-    def _matrix_dx(self, x: float, xi: complex) -> np.ndarray:
-        out = np.zeros((self.sym.n, self.sym.n), dtype=complex)
-        xp = 1.0 + 0.0j
-        for a in range(self.sym.m + 1):
-            block = np.array(
-                [[self.sym.coeffs[a][i][j].derivative()(x)
-                  for j in range(self.sym.n)] for i in range(self.sym.n)],
-                dtype=complex)
-            out += block * xp
-            xp *= xi
-        return out
+    def dx(self, x, xi):
+        A, dA = coefficient_values(self.sym, x, dx=True)
+        _, adj = self._pick(polynomial(A, xi))
+        return _slope(adj, polynomial(dA, xi))
 
-    def value(self, x: float, xi: complex, ref: complex | None = None) -> complex:
-        if self.sym.n == 1:
-            acc, xp = 0.0 + 0.0j, 1.0 + 0.0j
-            for a in range(self.sym.m + 1):
-                acc += complex(self.sym.coeffs[a][0][0](x)) * xp
-                xp *= xi
-            return acc
-        vals = np.linalg.eigvals(self._matrix(x, xi))
-        target = self.z if ref is None else ref
-        return complex(vals[np.argmin(np.abs(vals - target))])
+    def eigvec(self, x, xi) -> np.ndarray:
+        """Unit right eigenvectors, shape (..., n)."""
+        _, adj = self._pick(polynomial(coefficient_values(self.sym, x), xi))
+        col = np.linalg.norm(adj, axis=-2).argmax(axis=-1)[..., None, None]
+        v = np.take_along_axis(adj, col, axis=-1)[..., 0]
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    def _pair(self, x: float, xi: complex, ref: complex):
-        """(lambda, right vec, left vec) of the branch nearest ref."""
-        mat = self._matrix(x, xi)
-        vals, lvecs, rvecs = scipy.linalg.eig(mat, left=True, right=True)
-        idx = int(np.argmin(np.abs(vals - ref)))
-        return complex(vals[idx]), rvecs[:, idx], lvecs[:, idx]
 
-    def dxi(self, x: float, xi: complex, ref: complex | None = None) -> complex:
-        if self.sym.n == 1:
-            acc, xp = 0.0 + 0.0j, 1.0 + 0.0j
-            for a in range(1, self.sym.m + 1):
-                acc += a * complex(self.sym.coeffs[a][0][0](x)) * xp
-                xp *= xi
-            return acc
-        ref = self.z if ref is None else ref
-        _, v, w = self._pair(x, xi, ref)
-        return complex((w.conj() @ self._matrix_dxi(x, xi) @ v)
-                       / (w.conj() @ v))
-
-    def dx(self, x: float, xi: complex, ref: complex | None = None) -> complex:
-        if self.sym.n == 1:
-            acc, xp = 0.0 + 0.0j, 1.0 + 0.0j
-            for a in range(self.sym.m + 1):
-                acc += complex(self.sym.coeffs[a][0][0].derivative()(x)) * xp
-                xp *= xi
-            return acc
-        ref = self.z if ref is None else ref
-        _, v, w = self._pair(x, xi, ref)
-        return complex((w.conj() @ self._matrix_dx(x, xi) @ v)
-                       / (w.conj() @ v))
-
-    def eigvec(self, x: float, xi: complex,
-               ref: complex | None = None) -> np.ndarray:
-        if self.sym.n == 1:
-            return np.ones(1, dtype=complex)
-        ref = self.z if ref is None else ref
-        _, v, _ = self._pair(x, xi, ref)
-        return v / np.linalg.norm(v)
+def _slope(adj: np.ndarray, dp: np.ndarray):
+    return (np.trace(adj @ dp, axis1=-2, axis2=-1)
+            / np.trace(adj, axis1=-2, axis2=-1))
 
 
 def locate_branch(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
                   gap_tol: float = _GAP_TOL) -> EigenBranch:
     """Attach the simple eigenvalue branch through the root to work on."""
-    x0, xi0 = root.point.x, root.point.xi
-    branch = EigenBranch(sym=sym, root=root, z=complex(z), gap=np.inf)
-    if sym.n == 1:
-        val = branch.value(x0, xi0)
-        if abs(val - z) > 1e-10:
-            raise ValueError(f"root does not satisfy lambda = z: |diff| = "
-                             f"{abs(val - z):.2e}")
-        return branch
-    vals = np.linalg.eigvals(branch._matrix(x0, xi0))
+    p = polynomial(coefficient_values(sym, root.point.x), root.point.xi)
+    vals = det_or_eigvals(p, det=False)
     order = np.argsort(np.abs(vals - z))
     if abs(vals[order[0]] - z) > 1e-10:
-        raise ValueError("no eigenvalue of p(root) matches z to 1e-10")
+        raise ValueError(f"no eigenvalue of p(root) matches z to 1e-10: "
+                         f"|diff| = {abs(vals[order[0]] - z):.2e}")
     gap = abs(vals[order[1]] - vals[order[0]]) if len(vals) > 1 else np.inf
     if gap <= gap_tol:
         raise MultipleEigenvalue(
@@ -179,26 +131,40 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 def _continue_xi(branch: EigenBranch, xs: np.ndarray, xi0: complex,
                  step_cap: float) -> np.ndarray:
-    """Newton continuation of lambda(x, xi(x)) = z along increasing index."""
+    """Newton continuation of lambda(x, xi(x)) = z along increasing index.
+
+    The points are solved _BLOCK at a time: each starts on the line through
+    the last two solutions, and Newton iterates on the points of the block
+    not yet converged, so one evaluation serves the whole block.
+    """
     out = np.empty(len(xs), dtype=complex)
-    xi = complex(xi0)
-    lam_ref = branch.z
-    for idx, x in enumerate(xs):
+    last = np.array([xi0, xi0], dtype=complex)
+    for start in range(0, len(xs), _BLOCK):
+        x = xs[start:start + _BLOCK]
+        A = coefficient_values(branch.sym, x)
+        xi = last[1] + (last[1] - last[0]) * np.arange(1, len(x) + 1)
+        todo = np.arange(len(x))
         for _ in range(60):
-            f = branch.value(float(x), xi, ref=lam_ref) - branch.z
-            if abs(f) < _NEWTON_TOL:
+            lam, dp = branch.value_dxi(x[todo], xi[todo], A[:, todo])
+            f = lam - branch.z
+            moving = np.abs(f) >= _NEWTON_TOL
+            todo, f, dp = todo[moving], f[moving], dp[moving]
+            if not todo.size:
                 break
-            dp = branch.dxi(float(x), xi, ref=lam_ref)
-            if dp == 0:
-                raise BranchLoss(f"d_xi lambda vanished at x = {x:.6f}")
-            xi = xi - f / dp
-            if abs(xi - xi0) > step_cap:
+            if np.any(dp == 0):
+                raise BranchLoss(f"d_xi lambda vanished at x = "
+                                 f"{x[todo[dp == 0][0]]:.6f}")
+            xi[todo] -= f / dp
+            left = np.abs(xi[todo] - xi0) > step_cap
+            if left.any():
                 raise BranchLoss(
-                    f"continuation left the basin at x = {x:.6f} "
-                    f"(|xi - xi_root| > {step_cap:.3g})")
+                    f"continuation left the basin at x = "
+                    f"{x[todo[left][0]]:.6f} (|xi - xi_root| > "
+                    f"{step_cap:.3g})")
         else:
-            raise BranchLoss(f"eikonal Newton stalled at x = {x:.6f}")
-        out[idx] = xi
+            raise BranchLoss(f"eikonal Newton stalled at x = {x[todo[0]]:.6f}")
+        out[start:start + len(x)] = xi
+        last = out[start + len(x) - 2:start + len(x)]
     return out
 
 
@@ -209,7 +175,7 @@ def solve_eikonal(branch: EigenBranch, x_interval) -> Phase:
     xi0 = complex(branch.root.point.xi)
     if not x_lo < x0 < x_hi:
         raise ValueError("interval must contain the root base point")
-    dlam = branch.dxi(x0, xi0)
+    dlam = complex(branch.value_dxi(x0, xi0)[1])
     if abs(dlam) < 1e-12:
         raise ValueError("d_xi lambda vanishes at the root; no simple branch")
     step_cap = 10.0 * max(abs(xi0), 1.0)
@@ -231,7 +197,7 @@ def solve_eikonal(branch: EigenBranch, x_interval) -> Phase:
     root_index = n_left
 
     # phi'' at the root from implicit differentiation of the eikonal
-    phi2 = -branch.dx(x0, xi0) / dlam
+    phi2 = -complex(branch.dx(x0, xi0)) / dlam
     return Phase(x_grid=x_grid, xi=xi_vals, phi=phi,
                  phi_second_at_root=complex(phi2), x_root=x0,
                  xi_root=float(xi0.real), root_index=root_index,
@@ -244,8 +210,7 @@ def leading_amplitude(branch: EigenBranch, phase: Phase) -> np.ndarray:
     a0 = (d_xi lambda(root) / d_xi lambda(x, xi(x)))^{1/2} with the square
     root branch continued from a0(x_root) = 1.
     """
-    g = np.array([branch.dxi(float(x), xi)
-                  for x, xi in zip(phase.x_grid, phase.xi)], dtype=complex)
+    g = branch.value_dxi(phase.x_grid, phase.xi)[1]
     # continuous log via accumulated increments from the root outward
     ratios = g[1:] / g[:-1]
     inc = np.log(ratios)
@@ -254,24 +219,13 @@ def leading_amplitude(branch: EigenBranch, phase: Phase) -> np.ndarray:
     log_g[:phase.root_index] = -np.cumsum(inc[:phase.root_index][::-1])[::-1]
     a0 = np.exp(-0.5 * log_g)
 
-    if branch.sym.n == 1:
-        return a0[:, None]
-    vecs = np.empty((len(phase.x_grid), branch.sym.n), dtype=complex)
-    prev = branch.eigvec(phase.x_root, complex(phase.xi[phase.root_index]))
-    vecs[phase.root_index] = prev
-    for idx in range(phase.root_index + 1, len(phase.x_grid)):
-        v = branch.eigvec(float(phase.x_grid[idx]), phase.xi[idx])
-        ph = np.vdot(prev, v)
-        v = v * (abs(ph) / ph) if ph != 0 else v
-        vecs[idx] = v
-        prev = v
-    prev = vecs[phase.root_index]
-    for idx in range(phase.root_index - 1, -1, -1):
-        v = branch.eigvec(float(phase.x_grid[idx]), phase.xi[idx])
-        ph = np.vdot(prev, v)
-        v = v * (abs(ph) / ph) if ph != 0 else v
-        vecs[idx] = v
-        prev = v
+    # eigenvector phases continued from the root outward
+    vecs = branch.eigvec(phase.x_grid, phase.xi)
+    r = phase.root_index
+    for idx in [*range(r + 1, len(vecs)), *range(r - 1, -1, -1)]:
+        ph = np.vdot(vecs[idx - 1 if idx > r else idx + 1], vecs[idx])
+        if ph != 0:
+            vecs[idx] *= abs(ph) / ph
     return a0[:, None] * vecs
 
 
@@ -466,12 +420,11 @@ def overlap_variance(law, e_plus: Quasimode, e_minus: Quasimode,
     total = 0.0
     ks = np.arange(-law.K_q, law.K_q + 1)
     for alpha in range(law.alpha_min, law.alpha_max + 1):
+        sig = law.sigma_rule(alpha, 0, 0, ks, h)
         for i in range(n):
             for j in range(n):
                 prof = overlap_profile(alpha, j, i, e_plus, e_minus, h)
                 vals = prof[ks % len(prof)]
-                sig = np.array([law.sigma_rule(alpha, i, j, int(k), h)
-                                for k in ks])
                 total += float(np.sum(sig ** 2 * np.abs(vals) ** 2))
     return total
 

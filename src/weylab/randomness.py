@@ -1,34 +1,28 @@
 """Reproducible sampling of the random Fourier perturbation model.
 
 Coefficients q_{alpha,k}^{i,j} are independent complex Gaussians with
-E|q|^2 = sigma(alpha,i,j,k,h)^2 (real and imaginary parts independent
-N(0, sigma^2/2) each).  Sampling is addressable: every coefficient is a
-pure function of (seed, experiment, trial, alpha, i, j, k), independent
-of evaluation order, so one realization can be reused across runs and
-across the dyadic lambda ladder.
+E|q|^2 = sigma(k)^2 = <k>^{-2 rho} (real and imaginary parts independent
+N(0, sigma^2/2) each).  A draw is one array ``q[alpha - alpha_min, i, j,
+k + K_q]`` for |k| <= K_q.  Sampling is addressable: every coefficient is a
+pure function of (seed, experiment, trial, alpha, i, j, k), independent of
+evaluation order, so one realization can be reused across runs and across
+the dyadic lambda ladder.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+import types
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BoundViolation
-
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def default_sigma_rule(rho: float) -> Callable:
-    """sigma = <k>^{-rho}, independent of alpha, i, j, h."""
-    def rule(alpha, i, j, k, h):
-        return (1.0 + k * k) ** (-rho / 2.0)
-    return rule
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,6 @@ class CoefficientLaw:
     rho_decay: float
     c_tilde: float = 1.0
     K_q: int = 32
-    sigma_rule: Callable | None = None
 
     def __post_init__(self):
         if self.alpha_min > self.alpha_max or self.alpha_min < 0:
@@ -57,31 +50,14 @@ class CoefficientLaw:
             raise ValueError("rho_decay must exceed 1")
         if self.c_tilde < 1.0:
             raise ValueError("c_tilde must be >= 1")
-        if self.sigma_rule is None:
-            object.__setattr__(self, "sigma_rule",
-                               default_sigma_rule(self.rho_decay))
-        self._validate_rule()
 
-    def _validate_rule(self):
-        ks = sorted({0, 1, -1, 2, -3, 5, -8, 13, self.K_q, -self.K_q})
-        hs = (1.0, 0.5, 0.1, 0.01)
-        for alpha in range(self.alpha_min, self.alpha_max + 1):
-            for i in range(self.n):
-                for j in range(self.n):
-                    for k in ks:
-                        for h in hs:
-                            s = self.sigma_rule(alpha, i, j, k, h)
-                            cap = self.c_tilde * (1.0 + k * k) ** (-self.rho_decay / 2.0)
-                            if s < 0 or s > cap * (1.0 + 1e-12):
-                                raise BoundViolation(
-                                    f"sigma({alpha},{i},{j},{k},h={h}) = {s} "
-                                    f"violates the <k>^-rho cap {cap}")
-                            if alpha == self.alpha_max:
-                                floor = (1.0 + k * k) ** (-self.rho_decay / 2.0) / self.c_tilde
-                                if s < floor * (1.0 - 1e-12):
-                                    raise BoundViolation(
-                                        f"sigma({alpha},{i},{j},{k},h={h}) = {s} "
-                                        f"below the top-order floor {floor}")
+    def sigma_rule(self, alpha, i, j, k, h):
+        """sigma = <k>^{-rho}, the same for every alpha, i, j and h; k may be
+        an array.  With c_tilde >= 1 it meets the cap c_tilde <k>^{-rho} and
+        the top-order floor <k>^{-rho} / c_tilde.  np.float_power rounds as
+        Python's float power does, where np.power can differ by one ulp."""
+        k = np.asarray(k, dtype=float)
+        return np.float_power(1.0 + k * k, -self.rho_decay / 2.0)
 
     def tail_mass(self, cutoff: int | None = None) -> float:
         """Exact bound C~ * sum_{|k| > cutoff} <k>^{-rho} per (alpha, i, j),
@@ -101,22 +77,24 @@ def _tail_mass(rho: float, c_tilde: float, slots: int, cut: int) -> float:
     return c_tilde * slots * float(head + integral_tail)
 
 
-def sigma_of(law: CoefficientLaw, alpha: int, i: int, j: int, k: int,
-             h: float) -> float:
-    if not law.alpha_min <= alpha <= law.alpha_max:
-        raise ValueError(f"alpha={alpha} outside [{law.alpha_min}, {law.alpha_max}]")
-    return float(law.sigma_rule(alpha, i, j, k, h))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationDraw:
-    """One realization omega of the coefficient family."""
+    """One realization omega: ``q[alpha - alpha_min, i, j, k + K_q]``."""
 
-    coeffs: Mapping
+    q: np.ndarray
     seed_record: SeedSpec
     law: CoefficientLaw
     h: float
     tail_mass: float
+
+    @functools.cached_property
+    def coeffs(self) -> Mapping:
+        """Read-only (alpha, i, j, k) -> q view, in the array's order."""
+        law = self.law
+        keys = itertools.product(range(law.alpha_min, law.alpha_max + 1),
+                                 range(law.n), range(law.n),
+                                 range(-law.K_q, law.K_q + 1))
+        return types.MappingProxyType(dict(zip(keys, self.q.ravel().tolist())))
 
 
 def _unit_normals(spec: SeedSpec, alpha: int, i: int, j: int,
@@ -135,25 +113,28 @@ def sample_draw(law: CoefficientLaw, spec: SeedSpec,
                 h: float = 1.0) -> PerturbationDraw:
     """Sample all coefficients with |k| <= K_q for one trial stream."""
     ks = np.arange(-law.K_q, law.K_q + 1)
-    coeffs = {}
+    sig = law.sigma_rule(law.alpha_min, 0, 0, ks, h)[:, None]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for alpha in range(law.alpha_min, law.alpha_max + 1):
-        for i in range(law.n):
-            for j in range(law.n):
-                normals = _unit_normals(spec, alpha, i, j, 2 * len(ks))
-                sig = np.array([law.sigma_rule(alpha, i, j, int(k), h)
-                                for k in ks])
-                re = normals[0::2] * sig * inv_sqrt2
-                im = normals[1::2] * sig * inv_sqrt2
-                for idx, k in enumerate(ks):
-                    coeffs[(alpha, i, j, int(k))] = complex(re[idx], im[idx])
-    return PerturbationDraw(coeffs=coeffs, seed_record=spec, law=law, h=h,
+    q = np.empty((law.alpha_max - law.alpha_min + 1, law.n, law.n, len(ks)),
+                 dtype=complex)
+    for a, i, j in np.ndindex(q.shape[:3]):
+        normals = _unit_normals(spec, law.alpha_min + a, i, j, 2 * len(ks))
+        # (Re, Im) pairs scaled as (normal * sigma) / sqrt(2)
+        q[a, i, j] = (normals.reshape(-1, 2) * sig * inv_sqrt2).view(complex)[:, 0]
+    q.flags.writeable = False
+    return PerturbationDraw(q=q, seed_record=spec, law=law, h=h,
                             tail_mass=law.tail_mass())
 
 
 def sup_norm_estimate(draw: PerturbationDraw) -> float:
     """sum |q| / sqrt(2*pi); bounds sum_alpha sup_x |Q_alpha^{i,j}(x)|."""
-    return sum(abs(q) for q in draw.coeffs.values()) / SQRT_2PI
+    return _abs_sum(draw) / SQRT_2PI
+
+
+def _abs_sum(draw: PerturbationDraw) -> float:
+    # Python's abs and a left-to-right sum in (alpha, i, j, k) order: np.abs
+    # and np.sum round differently
+    return sum(abs(q) for q in draw.q.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -180,15 +161,11 @@ def empirical_tail(law: CoefficientLaw, seed: int, trials: int,
     stats = np.empty(trials)
     for t in range(trials):
         draw = sample_draw(law, SeedSpec(seed, experiment, t), h)
-        stats[t] = sum(abs(q) for q in draw.coeffs.values())
+        stats[t] = _abs_sum(draw)
 
-    sigmas = []
-    ks = range(-law.K_q, law.K_q + 1)
-    for alpha in range(law.alpha_min, law.alpha_max + 1):
-        for i in range(law.n):
-            for j in range(law.n):
-                sigmas.extend(law.sigma_rule(alpha, i, j, k, h) for k in ks)
-    sigmas = np.asarray(sigmas)
+    slots = (law.alpha_max - law.alpha_min + 1) * law.n * law.n
+    sigmas = np.tile(law.sigma_rule(law.alpha_min, 0, 0,
+                                    np.arange(-law.K_q, law.K_q + 1), h), slots)
     l1 = float(np.sum(sigmas))
     linf = float(np.max(sigmas))
 
@@ -207,27 +184,3 @@ def empirical_tail(law: CoefficientLaw, seed: int, trials: int,
     return TailReport(thresholds=thresholds, fractions=fractions,
                       bounds=bounds, c0=c0, sigma_l1=l1, sigma_linf=linf)
 
-
-# -- replay files -----------------------------------------------------------
-
-def save_draw(draw: PerturbationDraw, path) -> None:
-    """Text map (alpha, i, j, k, Re, Im), one coefficient per line."""
-    with open(path, "w") as fh:
-        for (alpha, i, j, k) in sorted(draw.coeffs):
-            q = draw.coeffs[(alpha, i, j, k)]
-            fh.write(f"{alpha} {i} {j} {k} {q.real!r} {q.imag!r}\n")
-
-
-def load_draw(path, law: CoefficientLaw, spec: SeedSpec | None = None,
-              h: float = 1.0) -> PerturbationDraw:
-    coeffs = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            alpha, i, j, k = (int(p) for p in parts[:4])
-            coeffs[(alpha, i, j, k)] = complex(float(parts[4]), float(parts[5]))
-    return PerturbationDraw(coeffs=coeffs,
-                            seed_record=spec or SeedSpec(0, "replayed", 0),
-                            law=law, h=h, tail_mass=law.tail_mass())

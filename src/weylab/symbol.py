@@ -1,14 +1,24 @@
-"""Matrix symbols on T*S^1: evaluation, root classification, region mapping.
+"""Matrix symbols on T*S^1: one coefficient array, one evaluator, roots.
 
-A symbol is a matrix-valued polynomial in the fiber variable xi whose
-coefficients are trigonometric polynomials in x.  The scalarization
-``q_z = det(p - z)`` organizes everything: its zeros in phase space are
-classified by the sign of the real bracket ``(1/2i){q_z, conj(q_z)}``.
+A symbol p(x, xi) = sum_alpha A_alpha(x) xi^alpha is one dense complex array
+``coeffs[alpha, i, j, f + B]``: the coefficient of e^{ifx} in the entry
+A_alpha^{i,j}, for |f| <= B, the bandwidth.  Every value of p comes from one
+evaluator in two stages.  ``coefficient_values`` gives A_alpha(x), and with
+them d/dx A_alpha(x), on an array of x, shape (m+1, *x.shape, n, n); each
+entry sums c_f e^{ifx} term by term in increasing f.  ``polynomial`` sums
+A_alpha xi^alpha (real or complex xi, broadcast against x) with powers of xi
+iterated in alpha order, and the xi-derivative with it.  The first stage runs
+once per x: a Newton iteration in xi at fixed x reuses it, and a grid builds
+its (len(x), n, n) coefficients before broadcasting against xi.
+``det_or_eigvals`` turns (..., n, n) values into determinants or eigenvalues.
+
+The scalarization ``q_z = det(p - z)`` organizes everything: its zeros in
+phase space are classified by the sign of the real bracket
+``(1/2i){q_z, conj(q_z)}``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,140 +30,76 @@ from .errors import NonConvergence, ZeroOnContour
 
 TWO_PI = 2.0 * math.pi
 
-# x-grid density used for construction-time sup/inf estimates of coefficients
-_COEFF_GRID = 512
+# x grid of the construction-time sup/inf estimates of coefficients
+_COEFF_X = np.linspace(0.0, TWO_PI, 512, endpoint=False)
 
 
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Finite trigonometric polynomial sum_j c_j e^{ijx}, |j| <= J."""
-
-    coefficients: Mapping[int, complex]
-
-    def __post_init__(self):
-        clean = {int(j): complex(c) for j, c in self.coefficients.items()
-                 if c != 0}
-        object.__setattr__(self, "coefficients", clean)
-
-    @property
-    def bandwidth(self) -> int:
-        if not self.coefficients:
-            return 0
-        return max(abs(j) for j in self.coefficients)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for j, c in self.coefficients.items():
-            out += c * np.exp(1j * j * x)
-        return out if out.shape else complex(out)
-
-    def derivative(self) -> "TrigPolynomial":
-        """d/dx, exact on Fourier data."""
-        return TrigPolynomial({j: 1j * j * c for j, c in self.coefficients.items()})
-
-    def dx_op(self) -> "TrigPolynomial":
-        """D_x = (1/i) d/dx applied to this function."""
-        return TrigPolynomial({j: j * c for j, c in self.coefficients.items()})
-
-    def conjugate(self) -> "TrigPolynomial":
-        return TrigPolynomial({-j: np.conj(c) for j, c in self.coefficients.items()})
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        merged = dict(self.coefficients)
-        for j, c in other.coefficients.items():
-            merged[j] = merged.get(j, 0.0) + c
-        return TrigPolynomial(merged)
-
-    def scale(self, factor: complex) -> "TrigPolynomial":
-        return TrigPolynomial({j: factor * c for j, c in self.coefficients.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-
-ZERO_TRIG = TrigPolynomial({})
-
-
-def _as_trig(value) -> TrigPolynomial:
-    if isinstance(value, TrigPolynomial):
-        return value
-    if isinstance(value, Mapping):
-        return TrigPolynomial(value)
-    return TrigPolynomial({0: complex(value)})
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixSymbol:
     """p(x, xi) = sum_{alpha=0..m} A_alpha(x) xi^alpha with n x n coefficients.
 
-    ``coeffs[alpha][i][j]`` is the TrigPolynomial entry A_alpha^{i,j}.
-    Ellipticity (min_x sigma_min(A_m(x)) > 0) is verified at construction.
+    ``coeffs[alpha, i, j, f + B]`` is the Fourier coefficient of e^{ifx} in
+    A_alpha^{i,j}; the stored array is read-only and trimmed to the bandwidth
+    B of its nonzero coefficients.  Ellipticity (min_x sigma_min(A_m(x)) > 0)
+    is verified at construction, where the singular values of every A_alpha
+    on an x grid give ``ellipticity_margin`` and ``sup_norms``.
     """
 
     n: int
     m: int
-    coeffs: tuple
+    coeffs: np.ndarray
     semiclassical: bool = True
+    ellipticity_margin: float = field(init=False, repr=False)
+    sup_norms: tuple = field(init=False, repr=False)    # per alpha
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.coeffs) != self.m + 1:
-            raise ValueError("coeffs must have exactly m+1 entries")
-        norm = tuple(
-            tuple(tuple(_as_trig(self.coeffs[a][i][j]) for j in range(self.n))
-                  for i in range(self.n))
-            for a in range(self.m + 1)
-        )
-        object.__setattr__(self, "coeffs", norm)
-        if self.ellipticity_margin() <= 0.0:
+        c = np.array(self.coeffs, dtype=complex)
+        if (c.ndim != 4 or c.shape[:3] != (self.m + 1, self.n, self.n)
+                or c.shape[3] % 2 != 1):
+            raise ValueError("coeffs must have shape (m+1, n, n, 2B+1)")
+        B = c.shape[3] // 2
+        used = np.flatnonzero(c.any(axis=(0, 1, 2))) - B
+        bw = int(np.abs(used).max(initial=0))
+        c = c[..., B - bw:B + bw + 1].copy()
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+        sv = np.linalg.svd(coefficient_values(self, _COEFF_X),
+                           compute_uv=False)
+        object.__setattr__(self, "ellipticity_margin",
+                           float(sv[self.m, :, -1].min()))
+        object.__setattr__(self, "sup_norms",
+                           tuple(float(s) for s in sv[..., 0].max(axis=1)))
+        if self.ellipticity_margin <= 0.0:
             raise ValueError("leading coefficient is not elliptic: "
                              "min_x sigma_min(A_m(x)) <= 0")
 
-    # -- coefficient evaluation -------------------------------------------
-
-    def coeff_values(self, alpha: int, x) -> np.ndarray:
-        """A_alpha evaluated on an array of x; shape (..., n, n)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape + (self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[..., i, j] = self.coeffs[alpha][i][j](x)
-        return out
-
-    def ellipticity_margin(self, grid: int = _COEFF_GRID) -> float:
-        x = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-        a_m = self.coeff_values(self.m, x)
-        return float(np.linalg.svd(a_m, compute_uv=False)[..., -1].min())
-
-    def coeff_sup_norm(self, alpha: int, grid: int = _COEFF_GRID) -> float:
-        x = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-        a = self.coeff_values(alpha, x)
-        return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
+    @classmethod
+    def from_terms(cls, n: int, m: int, terms,
+                   semiclassical: bool = True) -> "MatrixSymbol":
+        """The symbol whose A_alpha^{i,j} sums c e^{ifx} over the terms
+        (alpha, i, j, f, c)."""
+        terms = list(terms)
+        B = max((abs(int(t[3])) for t in terms), default=0)
+        c = np.zeros((m + 1, n, n, 2 * B + 1), dtype=complex)
+        for alpha, i, j, f, value in terms:
+            c[alpha, i, j, int(f) + B] += value
+        return cls(n, m, c, semiclassical)
 
     def max_bandwidth(self) -> int:
-        return max((self.coeffs[a][i][j].bandwidth
-                    for a in range(self.m + 1)
-                    for i in range(self.n) for j in range(self.n)), default=0)
+        return self.coeffs.shape[3] // 2
 
     def lower_order_present(self) -> list:
         """Orders alpha < m with a nonzero coefficient matrix."""
-        out = []
-        for a in range(self.m):
-            if any(not self.coeffs[a][i][j].is_zero()
-                   for i in range(self.n) for j in range(self.n)):
-                out.append(a)
-        return out
+        return [a for a in range(self.m) if self.coeffs[a].any()]
 
     def adjoint_principal(self) -> "MatrixSymbol":
-        """Pointwise conjugate-transpose symbol p*(x, xi)."""
-        coeffs = tuple(
-            tuple(tuple(self.coeffs[a][j][i].conjugate() for j in range(self.n))
-                  for i in range(self.n))
-            for a in range(self.m + 1)
-        )
-        return MatrixSymbol(self.n, self.m, coeffs, self.semiclassical)
+        """Pointwise conjugate-transpose symbol p*(x, xi): conj(A_alpha^{j,i}),
+        whose e^{ifx} coefficient is the conjugate of the e^{-ifx} one."""
+        return MatrixSymbol(self.n, self.m,
+                            np.conj(self.coeffs[..., ::-1]).swapaxes(1, 2),
+                            self.semiclassical)
 
 
 def scalar_symbol(m: int, coeff_maps: Mapping[int, Mapping[int, complex]],
@@ -165,11 +111,79 @@ def scalar_symbol(m: int, coeff_maps: Mapping[int, Mapping[int, complex]],
     """
     if not hasattr(coeff_maps, "get"):
         coeff_maps = dict(enumerate(coeff_maps))
-    coeffs = tuple(
-        ((TrigPolynomial(coeff_maps.get(a, {})),),)
-        for a in range(m + 1)
-    )
-    return MatrixSymbol(1, m, coeffs, semiclassical)
+    return MatrixSymbol.from_terms(
+        1, m, ((a, 0, 0, f, c) for a, cmap in coeff_maps.items()
+               for f, c in cmap.items()), semiclassical)
+
+
+# -- the evaluator -------------------------------------------------------------
+
+def coefficient_values(sym: MatrixSymbol, x, dx: bool = False):
+    """A_alpha(x) for every alpha, shape (m+1, *x.shape, n, n); with ``dx``,
+    the pair (A_alpha(x), d/dx A_alpha(x))."""
+    x = np.asarray(x, dtype=float)
+    B = sym.max_bandwidth()
+    lead = (sym.m + 1,) + (1,) * x.ndim + (sym.n, sym.n)
+    vals = np.zeros((sym.m + 1,) + x.shape + (sym.n, sym.n), dtype=complex)
+    derivs = np.zeros_like(vals) if dx else None
+    for f in range(-B, B + 1):
+        c = sym.coeffs[..., f + B]
+        if not c.any():
+            continue
+        wave = np.exp(1j * f * x)[..., None, None]
+        vals += c.reshape(lead) * wave
+        if dx:
+            derivs += ((1j * f) * c).reshape(lead) * wave
+    return (vals, derivs) if dx else vals
+
+
+def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None):
+    """sum_alpha A[alpha] xi^alpha over the leading axis of A; with ``dxi``,
+    the pair (that sum, sum_alpha alpha A[alpha] xi^(alpha-1)).
+
+    xi broadcasts against A[alpha] without its two matrix axes.  The sum is
+    written into ``out`` when given, so that a loop over grid chunks keeps
+    two chunk-sized arrays alive, not three: with three, the allocator gave
+    their pages back and faulted them in again on every chunk.
+    """
+    xi = np.asarray(xi)[..., None, None]
+    shape = np.broadcast_shapes(A.shape[1:], xi.shape)
+    if out is None:
+        p = np.zeros(shape, dtype=complex)
+    else:
+        p = out
+        p.fill(0.0)
+    dp = np.zeros(shape, dtype=complex) if dxi else None
+    xipow = np.ones_like(xi)
+    for a in range(len(A)):
+        p += A[a] * xipow
+        if dxi and a + 1 < len(A):
+            dp += (a + 1) * A[a + 1] * xipow
+        xipow = xipow * xi
+    return (p, dp) if dxi else p
+
+
+def det_or_eigvals(mats: np.ndarray, det: bool) -> np.ndarray:
+    """Determinants, shape (...), or eigenvalues, shape (..., n), of the
+    n x n matrices on the last two axes of mats."""
+    n = mats.shape[-1]
+    if n == 1:
+        # a 1 x 1 matrix is its own determinant and eigenvalue; LAPACK's LU
+        # on 1 x 1 matrices took a third of a root scan's time
+        return mats[..., 0, 0] if det else mats[..., 0]
+    return np.linalg.det(mats) if det else np.linalg.eigvals(mats)
+
+
+def adjugate(mats: np.ndarray) -> np.ndarray:
+    """adj(M) on the last two axes, from the cofactors of M."""
+    n = mats.shape[-1]
+    adj = np.empty(mats.shape, dtype=complex)
+    idx = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            minor = mats[..., idx != i, :][..., idx != j]
+            adj[..., j, i] = (-1) ** (i + j) * det_or_eigvals(minor, det=True)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -221,65 +235,24 @@ class RootOptions:
     xi_window: float | None = None
 
 
-# -- pointwise evaluation ---------------------------------------------------
+# -- q_z and its gradient ------------------------------------------------------
 
-def eval_symbol(sym: MatrixSymbol, pt: PhaseSpacePoint) -> np.ndarray:
-    """p(x, xi) as a dense n x n complex matrix (principal part)."""
-    out = np.zeros((sym.n, sym.n), dtype=complex)
-    for a in range(sym.m + 1):
-        out += sym.coeff_values(a, pt.x)[0] * pt.xi ** a
-    return out
-
-
-def symbol_spectrum(sym: MatrixSymbol, pt: PhaseSpacePoint) -> np.ndarray:
-    """Eigenvalues of p(x, xi), sorted lexicographically by (Re, Im)."""
-    vals = np.linalg.eigvals(eval_symbol(sym, pt))
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+def _qz(sym: MatrixSymbol, x, xi, z: complex) -> np.ndarray:
+    """det(p - z) at the points (x, xi), broadcast."""
+    p = polynomial(coefficient_values(sym, x), xi)
+    return det_or_eigvals(p - z * np.eye(sym.n), det=True)
 
 
 def qz(sym: MatrixSymbol, pt: PhaseSpacePoint, z: complex) -> complex:
-    mat = eval_symbol(sym, pt) - z * np.eye(sym.n)
-    if sym.n == 1:
-        # a scalar symbol is its own determinant; LAPACK's LU on 1 x 1
-        # matrices took a third of a root scan's time
-        return complex(mat[0, 0])
-    return complex(np.linalg.det(mat))
-
-
-def _adjugate(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    adj = np.empty((n, n), dtype=complex)
-    idx = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = mat[np.ix_(idx != i, idx != j)]
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
-
-
-def _symbol_partials(sym: MatrixSymbol, pt: PhaseSpacePoint):
-    """(dp/dx, dp/dxi) at pt, both exact."""
-    dpx = np.zeros((sym.n, sym.n), dtype=complex)
-    dpxi = np.zeros((sym.n, sym.n), dtype=complex)
-    for a in range(sym.m + 1):
-        dx_coeff = np.zeros((sym.n, sym.n), dtype=complex)
-        for i in range(sym.n):
-            for j in range(sym.n):
-                dx_coeff[i, j] = sym.coeffs[a][i][j].derivative()(pt.x)
-        dpx += dx_coeff * pt.xi ** a
-        if a >= 1:
-            dpxi += sym.coeff_values(a, pt.x)[0] * a * pt.xi ** (a - 1)
-    return dpx, dpxi
+    return complex(_qz(sym, pt.x, pt.xi, z))
 
 
 def qz_gradient(sym: MatrixSymbol, pt: PhaseSpacePoint, z: complex):
     """(d_x q_z, d_xi q_z) via the Jacobi formula dq = tr(adj(p-z) dp)."""
-    mat = eval_symbol(sym, pt) - z * np.eye(sym.n)
-    adj = _adjugate(mat)
-    dpx, dpxi = _symbol_partials(sym, pt)
+    A, dA = coefficient_values(sym, pt.x, dx=True)
+    p, dpxi = polynomial(A, pt.xi, dxi=True)
+    dpx = polynomial(dA, pt.xi)
+    adj = adjugate(p - z * np.eye(sym.n))
     return complex(np.trace(adj @ dpx)), complex(np.trace(adj @ dpxi))
 
 
@@ -302,10 +275,9 @@ def xi_window(sym: MatrixSymbol, z_sup: float) -> float:
     Uses only the lower orders actually present in the symbol (plus the
     constant order), which keeps the window tight for homogeneous symbols.
     """
-    sigma_min = sym.ellipticity_margin()
     lower = sym.lower_order_present()
-    total_lower = sum(sym.coeff_sup_norm(a) for a in lower)
-    b = (abs(z_sup) + total_lower) / sigma_min
+    total_lower = sum(sym.sup_norms[a] for a in lower)
+    b = (abs(z_sup) + total_lower) / sym.ellipticity_margin
     if b == 0.0:
         return 0.0
     exps = {0} | set(lower)
@@ -313,22 +285,6 @@ def xi_window(sym: MatrixSymbol, z_sup: float) -> float:
 
 
 # -- grid machinery ---------------------------------------------------------
-
-def _qz_grid(sym: MatrixSymbol, x: np.ndarray, xi: np.ndarray,
-             z: complex) -> np.ndarray:
-    """det(p - z) on the tensor grid; shape (len(x), len(xi))."""
-    n = sym.n
-    mats = np.zeros((len(x), len(xi), n, n), dtype=complex)
-    xipow = np.ones_like(xi)
-    for a in range(sym.m + 1):
-        coeff = sym.coeff_values(a, x)            # (Nx, n, n)
-        mats += coeff[:, None, :, :] * xipow[None, :, None, None]
-        xipow = xipow * xi
-    mats -= z * np.eye(n)
-    if n == 1:
-        return mats[..., 0, 0]
-    return np.linalg.det(mats)
-
 
 def _local_minima(absq: np.ndarray) -> list:
     """Indices of strict-ish local minima, with x wrapped periodically."""
@@ -389,7 +345,7 @@ def find_roots(sym: MatrixSymbol, z: complex,
                              degenerate=False)
     x = np.linspace(0.0, TWO_PI, opts.grid_nx, endpoint=False)
     xi = np.linspace(-window, window, opts.grid_nxi)
-    q = _qz_grid(sym, x, xi, z)
+    q = _qz(sym, x[:, None], xi, z)
     absq = np.abs(q)
     qscale = max(float(np.median(absq)), 1e-300)
     accept = 1e-9 * qscale
@@ -479,8 +435,7 @@ def winding_number(sym: MatrixSymbol, z: complex, loop: Sequence,
     samples = np.concatenate(samples + [pts[-1][None, :]])
 
     def q_of(arr):
-        vals = np.array([qz(sym, PhaseSpacePoint(p[0], p[1]), z) for p in arr])
-        return vals
+        return _qz(sym, arr[:, 0] % TWO_PI, arr[:, 1], z)
 
     qvals = q_of(samples)
     scale = max(float(np.max(np.abs(qvals))), 1e-300)
@@ -500,8 +455,3 @@ def winding_number(sym: MatrixSymbol, z: complex, loop: Sequence,
         qvals = np.insert(qvals, insert_at, qmids, axis=0)
     raise ZeroOnContour("contour refinement exhausted; q_z too close to zero")
 
-
-def count_m_gamma(sym: MatrixSymbol, pt: PhaseSpacePoint, domain) -> int:
-    """#(sigma(p(x, xi)) intersect Gamma), boundary points counted inside."""
-    vals = symbol_spectrum(sym, pt)
-    return int(sum(1 for v in vals if domain.contains(complex(v))))

@@ -24,15 +24,10 @@ def f2():
 
 @pytest.fixture(scope="session")
 def f3():
-    one = symbol.TrigPolynomial({0: 1.0})
-    e_plus = symbol.TrigPolynomial({1: 1.0})
-    e_minus = symbol.TrigPolynomial({1: -1.0})
-    zero = symbol.ZERO_TRIG
-    coeffs = (
-        ((e_plus, one), (zero, e_minus)),   # order 0
-        ((one, zero), (zero, one)),          # order 1
-    )
-    return symbol.MatrixSymbol(2, 1, coeffs)
+    # terms (alpha, i, j, frequency, coefficient)
+    return symbol.MatrixSymbol.from_terms(2, 1, [
+        (0, 0, 0, 1, 1.0), (0, 0, 1, 0, 1.0), (0, 1, 1, 1, -1.0),
+        (1, 0, 0, 0, 1.0), (1, 1, 1, 0, 1.0)])
 
 
 @pytest.fixture(scope="session")

@@ -106,11 +106,16 @@ class TestSubcommands:
         assert table.startswith("x re0 im0")
 
     def test_mc_semiclassical(self, config_path, tmp_path):
-        rc = cli.main(["mc-semiclassical", "--config", config_path,
-                       "--out", str(tmp_path / "mc")])
-        assert rc == 0
-        assert (tmp_path / "mc" / "trials.csv").exists()
-        assert (tmp_path / "mc" / "summary.json").exists()
+        blobs = []
+        for sub in ("mc", "again"):
+            rc = cli.main(["mc-semiclassical", "--config", config_path,
+                           "--out", str(tmp_path / sub), "--dump-eigs"])
+            assert rc == 0
+            assert (tmp_path / sub / "summary.json").exists()
+            blobs.append([(tmp_path / sub / name).read_bytes()
+                          for name in ("trials.csv", "eigenvalues.csv")])
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0][1].split(b"\n")) > 10
 
     def test_mc_highenergy(self, he_config_path, tmp_path):
         blobs = []

@@ -5,10 +5,9 @@ import pytest
 
 from weylab import discretize, harness, randomness
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
-                               SobolevWeights, assemble_operator,
-                               assemble_perturbation, eigenpairs, eigenvalues,
-                               formal_adjoint, load_matrix,
-                               operator_norm_Hm_to_L2, perturbed_operator,
+                               assemble_operator, assemble_perturbation,
+                               eigenpairs, eigenvalues, formal_adjoint,
+                               load_matrix, perturbed_operator,
                                perturbed_symbol, save_matrix, sigma_min_map)
 from weylab.domains import Rectangle
 from weylab.errors import BandwidthExceeded
@@ -90,11 +89,11 @@ class TestPerturbation:
         law = small_law(K_q=9)
         draw = sample_draw(law, SeedSpec(5, "hi", 0), 0.5)
         full = assemble_perturbation(draw, t, 1.0).entries
-        kept = {key: q for key, q in draw.coeffs.items()
-                if abs(key[3]) <= 2 * t.K}
+        kept = 2 * t.K
         trimmed = randomness.PerturbationDraw(
-            coeffs=kept, seed_record=draw.seed_record, law=law, h=0.5,
-            tail_mass=draw.tail_mass)
+            q=draw.q[..., law.K_q - kept:law.K_q + kept + 1],
+            seed_record=draw.seed_record,
+            law=small_law(K_q=kept), h=0.5, tail_mass=draw.tail_mass)
         assert np.allclose(full,
                            assemble_perturbation(trimmed, t, 1.0).entries)
 
@@ -129,10 +128,11 @@ def _mask_operator(sym, trunc):
             block = np.zeros((nb, nb), dtype=complex)
             xipow = np.ones(nb)
             for a in range(sym.m + 1):
-                poly = sym.coeffs[a][i][j]
-                if not poly.is_zero():
-                    block += _mask_band(poly.coefficients, modes) \
-                        * xipow[None, :]
+                row = sym.coeffs[a, i, j]
+                poly = {f - len(row) // 2: c for f, c in enumerate(row)
+                        if c != 0}
+                if poly:
+                    block += _mask_band(poly, modes) * xipow[None, :]
                 xipow = xipow * hk
             out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = block
     return out
@@ -255,25 +255,17 @@ class TestEigen:
 
 
 class TestNorms:
-    def test_sobolev_weights(self):
-        w = SobolevWeights(m=2, h=0.5, K=2)
-        k = np.arange(-2, 3)
-        expect = np.sqrt(1 + (0.5 * k) ** 2 + (0.5 * k) ** 4)
-        assert np.allclose(w.weights, expect)
-
     def test_operator_norm_vs_direct(self, f2):
+        # sigma_min(P - z) = 1 / ||(P - z)^{-1}||, from a direct SVD
         t = FourierTruncation(K=5, n=1, h=0.4)
-        mat = assemble_operator(f2, t)
-        w = SobolevWeights(m=2, h=0.4, K=5)
-        direct = np.linalg.svd(mat.entries @ np.diag(1.0 / w.weights),
-                               compute_uv=False)[0]
-        assert operator_norm_Hm_to_L2(mat, w) == pytest.approx(direct)
-
-    def test_weight_mismatch(self, f2):
-        t = FourierTruncation(K=5, n=1, h=0.4)
-        mat = assemble_operator(f2, t)
-        with pytest.raises(ValueError):
-            operator_norm_Hm_to_L2(mat, SobolevWeights(m=2, h=0.4, K=4))
+        mat = assemble_operator(f2, t).entries
+        z = np.array([0.3 + 0.1j, -0.2j])
+        direct = [np.linalg.svd(mat - zz * np.eye(t.side),
+                                compute_uv=False)[-1] for zz in z]
+        assert np.array_equal(sigma_min_map(f2, 0.4, t, z), direct)
+        assert sigma_min_map(f2, 0.4, t, z)[0] == pytest.approx(
+            1.0 / np.linalg.norm(np.linalg.inv(mat - z[0] * np.eye(t.side)),
+                                 2))
 
 
 class TestConvergenceAndMaps:

@@ -7,7 +7,7 @@ from weylab import domains
 from weylab.domains import (AnnularSector, Dilated, Polygon, QuadOptions,
                             RadialProfile, Rectangle, dilate, dyadic_decompose,
                             regular_polygon, weyl_measure)
-from weylab.errors import LambdaBelowOne, NonPositiveLambda
+from weylab.errors import LambdaBelowOne, NoConvergence, NonPositiveLambda
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,6 +162,12 @@ class TestWeylMeasure:
         d = res.deltas
         assert len(d) >= 2
         assert d[-1] <= d[0]
+
+    def test_no_convergence_without_deltas(self, f2):
+        # two grid levels make no delta: the failure is NoConvergence
+        with pytest.raises(NoConvergence):
+            weyl_measure(f2, Rectangle(0.1, 0.7, -0.5, 0.5),
+                         QuadOptions(tol_rel=1.0, max_doublings=1))
 
     def test_matrix_symbol_measure(self, f3):
         # the triangular F3 has symbol spectrum {xi +- e^{ix}}, each

@@ -170,7 +170,17 @@ class TestSemiclassicalTruncation:
             t = trunc[repr(h)]
             assert t == rep.extras["truncation"][h]
             assert set(t) == {"K", "K_rule", "K_tried", "pilot_trials",
-                              "settle_tol", "certified"}
+                              "settle_tol", "certified", "pilot_millis"}
+            # every pilot solve at every K tried is timed in pilot_millis;
+            # a pilot's millis leaves out its solve at K, counted there
+            pilots = [r for r in rep.records
+                      if r.param == h and r.trial < harness.SC_PILOTS]
+            assert t["pilot_millis"] > sum(
+                r.stage_ms["assemble"] + r.stage_ms["eigensolve"]
+                for r in pilots)
+            for r in pilots:
+                assert r.millis == pytest.approx(
+                    r.stage_ms["draw"] + r.stage_ms["count"])
             assert t["certified"] is True
             assert t["pilot_trials"] == harness.SC_PILOTS
             assert t["settle_tol"] == harness.SC_SETTLE_TOL
@@ -402,6 +412,13 @@ class TestReports:
         for r in rep.records:
             assert all(v >= 0.0 for v in r.stage_ms.values())
             assert "count" in r.stage_ms
+        # certification time is part of the total in both modes
+        trunc = summary["extras"]["truncation"]
+        runs = trunc.values() if mode == "semiclassical" else [trunc]
+        pilot_ms = sum(t["pilot_millis"] for t in runs)
+        assert pilot_ms > 0.0
+        assert summary["total_millis"] == pytest.approx(
+            sum(r.millis for r in rep.records) + pilot_ms)
 
     def test_eigen_dump(self, f2, tmp_path):
         rep = run_semiclassical(sc_config(f2, trials=1), keep_eigs=True)

@@ -41,8 +41,9 @@ class TestBranch:
         _, root = plus_root(f1, 0.0)
         br = locate_branch(f1, 0.0, root)
         x, xi = 2.5, 0.7 + 0.2j
-        assert abs(br.value(x, xi) - (xi + np.exp(1j * x))) < 1e-14
-        assert abs(br.dxi(x, xi) - 1.0) < 1e-14
+        value, dxi = br.value_dxi(x, xi)
+        assert abs(value - (xi + np.exp(1j * x))) < 1e-14
+        assert abs(dxi - 1.0) < 1e-14
         assert abs(br.dx(x, xi) - 1j * np.exp(1j * x)) < 1e-14
 
     def test_matrix_branch_derivatives(self, f3):
@@ -52,8 +53,9 @@ class TestBranch:
         br = locate_branch(f3, z, root)
         # the tracked branch of F3 is xi + e^{ix} near its plus-root
         x, xi = root.point.x + 0.1, root.point.xi + 0.05
-        assert abs(br.value(x, xi) - (xi + np.exp(1j * x))) < 1e-12
-        assert abs(br.dxi(x, xi) - 1.0) < 1e-10
+        value, dxi = br.value_dxi(x, xi)
+        assert abs(value - (xi + np.exp(1j * x))) < 1e-12
+        assert abs(dxi - 1.0) < 1e-10
         assert abs(br.dx(x, xi) - 1j * np.exp(1j * x)) < 1e-10
 
     def test_mismatched_root_rejected(self, f1):
@@ -63,10 +65,8 @@ class TestBranch:
             locate_branch(f1, 0.0, bad)
 
     def test_multiple_eigenvalue_detected(self):
-        one = symbol.TrigPolynomial({0: 1.0})
-        zero = symbol.ZERO_TRIG
-        jordan = symbol.MatrixSymbol(
-            2, 1, (((zero, one), (zero, zero)), ((one, zero), (zero, one))))
+        jordan = symbol.MatrixSymbol.from_terms(
+            2, 1, [(0, 0, 1, 0, 1.0), (1, 0, 0, 0, 1.0), (1, 1, 1, 0, 1.0)])
         fake = symbol.ClassifiedRoot(symbol.PhaseSpacePoint(0.0, 0.0),
                                      "plus", 1.0)
         with pytest.raises(MultipleEigenvalue):
@@ -97,9 +97,8 @@ class TestEikonal:
             _, root = plus_root(sym, z)
             br = locate_branch(sym, z, root)
             ph = solve_eikonal(br, (root.point.x - 1.0, root.point.x + 1.0))
-            res = [abs(br.value(float(x), xi) - z)
-                   for x, xi in zip(ph.x_grid[::20], ph.xi[::20])]
-            assert max(res) < 1e-8
+            values = br.value_dxi(ph.x_grid[::20], ph.xi[::20])[0]
+            assert np.max(np.abs(values - z)) < 1e-8
 
     def test_interval_must_contain_root(self, f1):
         _, root = plus_root(f1, 0.0)

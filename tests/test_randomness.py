@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from weylab import randomness
 from weylab.discretize import FourierTruncation, assemble_perturbation
-from weylab.errors import BoundViolation
-from weylab.randomness import (CoefficientLaw, SeedSpec, default_sigma_rule,
-                               empirical_tail, load_draw, sample_draw,
-                               save_draw, sigma_of, sup_norm_estimate)
+from weylab.randomness import (CoefficientLaw, SeedSpec, empirical_tail,
+                               sample_draw, sup_norm_estimate)
 
 
 def law(rho=1.5, K_q=8, n=1, alpha_max=0, **kw):
@@ -17,31 +16,16 @@ def law(rho=1.5, K_q=8, n=1, alpha_max=0, **kw):
 
 class TestLaw:
     def test_default_rule(self):
-        rule = default_sigma_rule(2.0)
-        assert rule(0, 0, 0, 0, 0.1) == 1.0
-        assert rule(0, 0, 0, 3, 0.1) == pytest.approx(1.0 / 10.0)
+        lw = law(rho=2.0)
+        assert lw.sigma_rule(0, 0, 0, 0, 0.1) == 1.0
+        assert lw.sigma_rule(0, 0, 0, 3, 0.1) == pytest.approx(1.0 / 10.0)
+        ks = np.arange(-4, 5)
+        assert np.array_equal(lw.sigma_rule(0, 0, 0, ks, 0.1),
+                              [(1.0 + k * k) ** -1.0 for k in ks])
 
     def test_rho_must_exceed_one(self):
         with pytest.raises(ValueError):
             law(rho=1.0)
-
-    def test_rule_cap_enforced(self):
-        with pytest.raises(BoundViolation):
-            CoefficientLaw(alpha_min=0, alpha_max=0, n=1, rho_decay=2.0,
-                           sigma_rule=lambda a, i, j, k, h: 1.0)
-
-    def test_rule_floor_enforced_at_top_order(self):
-        # vanishing variance at the top perturbation order is rejected
-        with pytest.raises(BoundViolation):
-            CoefficientLaw(alpha_min=0, alpha_max=1, n=1, rho_decay=2.0,
-                           sigma_rule=lambda a, i, j, k, h:
-                           0.0 if a == 1 else (1 + k * k) ** -1.0)
-
-    def test_sigma_of_range_check(self):
-        lw = law()
-        assert sigma_of(lw, 0, 0, 0, 2, 1.0) == pytest.approx(5.0 ** -0.75)
-        with pytest.raises(ValueError):
-            sigma_of(lw, 1, 0, 0, 0, 1.0)
 
     def test_tail_mass_decreases_with_cutoff(self):
         lw = law(rho=2.0)
@@ -57,7 +41,7 @@ class TestSampling:
         lw = law()
         a = sample_draw(lw, SeedSpec(11, "exp", 3), 0.5)
         b = sample_draw(lw, SeedSpec(11, "exp", 3), 0.5)
-        assert a.coeffs == b.coeffs
+        assert a.q.tobytes() == b.q.tobytes()
 
     def test_streams_differ(self):
         lw = law()
@@ -65,12 +49,18 @@ class TestSampling:
         for spec in (SeedSpec(12, "exp", 3), SeedSpec(11, "exp", 4),
                      SeedSpec(11, "other", 3)):
             b = sample_draw(lw, spec, 0.5)
-            assert a.coeffs != b.coeffs
+            assert not np.array_equal(a.q, b.q)
 
     def test_coefficient_count_and_tail_record(self):
         lw = law(K_q=8, n=2, alpha_max=0)
         d = sample_draw(lw, SeedSpec(0), 1.0)
+        assert d.q.shape == (1, 2, 2, 17)
         assert len(d.coeffs) == 4 * 17
+        assert list(d.coeffs) == [(0, i, j, k) for i in range(2)
+                                  for j in range(2) for k in range(-8, 9)]
+        assert d.coeffs[(0, 1, 0, -8)] == d.q[0, 1, 0, 0]
+        with pytest.raises(TypeError):
+            d.coeffs[(0, 0, 0, 0)] = 0.0
         assert d.tail_mass == pytest.approx(lw.tail_mass())
 
     def test_moments(self):
@@ -130,10 +120,59 @@ class TestTail:
 
 class TestReplay:
     def test_save_load_roundtrip(self, tmp_path):
+        # the (alpha, i, j, k) -> q listing replays the draw exactly
         lw = law(K_q=4, n=2)
         d = sample_draw(lw, SeedSpec(21, "io", 0), 0.5)
         path = tmp_path / "draw.txt"
-        save_draw(d, path)
-        back = load_draw(path, lw, d.seed_record, 0.5)
-        assert back.coeffs == d.coeffs
-        assert sup_norm_estimate(back) == pytest.approx(sup_norm_estimate(d))
+        path.write_text("".join(f"{a} {i} {j} {k} {q.real!r} {q.imag!r}\n"
+                                for (a, i, j, k), q in d.coeffs.items()))
+        q = np.zeros(d.q.shape, dtype=complex)
+        for line in path.read_text().split("\n")[:-1]:
+            a, i, j, k, re, im = line.split()
+            q[int(a), int(i), int(j), int(k) + lw.K_q] = complex(float(re),
+                                                                float(im))
+        back = randomness.PerturbationDraw(q=q, seed_record=d.seed_record,
+                                           law=lw, h=0.5,
+                                           tail_mass=d.tail_mass)
+        assert back.q.tobytes() == d.q.tobytes()
+        assert sup_norm_estimate(back) == sup_norm_estimate(d)
+        t = FourierTruncation(K=5, n=2, h=0.5)
+        assert assemble_perturbation(back, t, 0.3).entries.tobytes() \
+            == assemble_perturbation(d, t, 0.3).entries.tobytes()
+
+
+# The per-k sampling loop the vectorized sample_draw replaced: one Python
+# float power per k and one complex per coefficient.  The draw must equal it
+# byte for byte.
+
+def _loop_draw(law, spec, h):
+    ks = np.arange(-law.K_q, law.K_q + 1)
+    out = []
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for alpha in range(law.alpha_min, law.alpha_max + 1):
+        for i in range(law.n):
+            for j in range(law.n):
+                normals = randomness._unit_normals(spec, alpha, i, j,
+                                                   2 * len(ks))
+                sig = np.array([(1.0 + int(k) * int(k)) ** (-law.rho_decay / 2.0)
+                                for k in ks])
+                re = normals[0::2] * sig * inv_sqrt2
+                im = normals[1::2] * sig * inv_sqrt2
+                out += [complex(re[idx], im[idx]) for idx in range(len(ks))]
+    return np.array(out)
+
+
+class TestDrawIdentity:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("K_q", [8, 128])
+    @pytest.mark.parametrize("rho", [1.1, 1.2, 1.5])
+    def test_draw_matches_per_k_loop(self, n, K_q, rho):
+        lw = CoefficientLaw(alpha_min=0, alpha_max=1, n=n, rho_decay=rho,
+                            K_q=K_q)
+        for trial in range(2):
+            spec = SeedSpec(31, "identity", trial)
+            d = sample_draw(lw, spec, 0.1)
+            ref = _loop_draw(lw, spec, 0.1)
+            assert d.q.ravel().tobytes() == ref.tobytes()
+            assert np.array(list(d.coeffs.values())).tobytes() \
+                == ref.tobytes()

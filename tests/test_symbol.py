@@ -23,36 +23,61 @@ def period_box(x0=-1.0, c=2.5, per_edge=300):
     return pts
 
 
+def entry_symbol(m, entry):
+    """Scalar symbol with A_m = 2 and the trigonometric polynomial
+    sum_f entry[f] e^{ifx} as A_0."""
+    return symbol.scalar_symbol(m, {0: entry, m: {0: 2.0}})
+
+
+def values_at(sym, x, xi=0.0):
+    return symbol.polynomial(symbol.coefficient_values(sym, x), xi)
+
+
 class TestTrigPolynomial:
+    # the coefficients of a symbol are trigonometric polynomials, stored as
+    # one array coeffs[alpha, i, j, f + B]
     def test_evaluation_and_bandwidth(self):
-        p = symbol.TrigPolynomial({0: 2.0, 1: 1.0, -3: 0.5j})
-        assert p.bandwidth == 3
+        sym = entry_symbol(1, {0: 2.0, 1: 1.0, -3: 0.5j})
+        assert sym.max_bandwidth() == 3
+        assert sym.coeffs.shape == (2, 1, 1, 7)
+        assert sym.coeffs[0, 0, 0, -3 + 3] == 0.5j
         x = 0.7
         expected = 2.0 + np.exp(1j * x) + 0.5j * np.exp(-3j * x)
-        assert abs(p(x) - expected) < 1e-14
+        A = symbol.coefficient_values(sym, x)
+        assert A.shape == (2, 1, 1)
+        assert abs(A[0, 0, 0] - expected) < 1e-14
+        with pytest.raises(ValueError):
+            sym.coeffs[0, 0, 0, 0] = 1.0
 
     def test_derivative_matches_finite_difference(self):
-        p = symbol.TrigPolynomial({1: 1.0 - 0.5j, -2: 0.3})
-        dp = p.derivative()
-        x = 1.234
+        sym = entry_symbol(1, {1: 1.0 - 0.5j, -2: 0.3})
+        x = np.array([1.234, 4.0])
         eps = 1e-6
-        fd = (p(x + eps) - p(x - eps)) / (2 * eps)
-        assert abs(dp(x) - fd) < 1e-7
+        _, dA = symbol.coefficient_values(sym, x, dx=True)
+        fd = (symbol.coefficient_values(sym, x + eps)
+              - symbol.coefficient_values(sym, x - eps)) / (2 * eps)
+        assert np.max(np.abs(dA - fd)) < 1e-7
 
     def test_dx_op_is_derivative_over_i(self):
-        p = symbol.TrigPolynomial({2: 1.0, -1: 2.0})
+        # D_x = (1/i) d/dx multiplies the e^{ifx} coefficient by f
+        entry = {2: 1.0, -1: 2.0}
         x = 0.4
-        assert abs(p.dx_op()(x) - p.derivative()(x) / 1j) < 1e-14
+        _, dA = symbol.coefficient_values(entry_symbol(1, entry), x, dx=True)
+        D = symbol.coefficient_values(
+            entry_symbol(1, {f: f * c for f, c in entry.items()}), x)
+        assert abs(D[0, 0, 0] - dA[0, 0, 0] / 1j) < 1e-14
 
     def test_conjugate(self):
-        p = symbol.TrigPolynomial({1: 1.0 + 2.0j, 0: -1.0})
+        sym = entry_symbol(1, {1: 1.0 + 2.0j, 0: -1.0})
         x = 2.1
-        assert abs(p.conjugate()(x) - np.conj(p(x))) < 1e-14
+        assert abs(values_at(sym.adjoint_principal(), x, 0.3)[0, 0]
+                   - np.conj(values_at(sym, x, 0.3)[0, 0])) < 1e-14
 
     def test_zero_detection(self):
-        assert symbol.ZERO_TRIG.is_zero()
-        assert (symbol.TrigPolynomial({1: 1.0})
-                + symbol.TrigPolynomial({1: -1.0})).is_zero()
+        sym = symbol.MatrixSymbol.from_terms(
+            1, 1, [(0, 0, 0, 1, 1.0), (0, 0, 0, 1, -1.0), (1, 0, 0, 0, 1.0)])
+        assert sym.max_bandwidth() == 0
+        assert sym.lower_order_present() == []
 
 
 class TestMatrixSymbol:
@@ -62,36 +87,81 @@ class TestMatrixSymbol:
             symbol.scalar_symbol(1, {1: {1: -0.5j, -1: 0.5j}})
 
     def test_eval_f3_triangular(self, f3):
-        pt = PhaseSpacePoint(0.3, 1.2)
-        mat = symbol.eval_symbol(f3, pt)
+        mat = values_at(f3, 0.3, 1.2)
         assert mat[1, 0] == 0.0
         assert abs(mat[0, 0] - (1.2 + np.exp(0.3j))) < 1e-14
         assert abs(mat[1, 1] - (1.2 - np.exp(0.3j))) < 1e-14
 
     def test_symbol_spectrum_triangular(self, f3):
-        pt = PhaseSpacePoint(1.0, 0.5)
-        vals = symbol.symbol_spectrum(f3, pt)
-        diag = sorted([0.5 + np.exp(1j), 0.5 - np.exp(1j)],
-                      key=lambda v: (v.real, v.imag))
-        assert np.allclose(vals, diag)
+        vals = symbol.det_or_eigvals(values_at(f3, 1.0, 0.5), det=False)
+        diag = [0.5 + np.exp(1j), 0.5 - np.exp(1j)]
+        assert np.allclose(sorted(vals, key=lambda v: (v.real, v.imag)),
+                           sorted(diag, key=lambda v: (v.real, v.imag)))
 
     def test_qz_is_det(self, f3):
         pt = PhaseSpacePoint(0.9, -0.4)
         z = 0.2 + 0.1j
-        direct = np.linalg.det(symbol.eval_symbol(f3, pt) - z * np.eye(2))
+        direct = np.linalg.det(values_at(f3, pt.x, pt.xi) - z * np.eye(2))
         assert abs(symbol.qz(f3, pt, z) - direct) < 1e-13
 
     def test_adjoint_principal_pointwise(self, f3):
-        pt = PhaseSpacePoint(2.2, 0.8)
-        adj = f3.adjoint_principal()
-        a = symbol.eval_symbol(adj, pt)
-        b = symbol.eval_symbol(f3, pt).conj().T
+        a = values_at(f3.adjoint_principal(), 2.2, 0.8)
+        b = values_at(f3, 2.2, 0.8).conj().T
         assert np.allclose(a, b, atol=1e-14)
 
     def test_lower_order_present(self, f1, f4):
         assert f1.lower_order_present() == [0]
         assert f4.lower_order_present() == []
 
+
+# Per-entry trigonometric evaluation and the powers of xi summed on a grid, as
+# the evaluator replaced them: each entry sums its nonzero c_f e^{ifx} (and
+# (i f) c_f e^{ifx} for d/dx), and the grid adds A_alpha xi^alpha with iterated
+# powers.  The evaluator must reproduce them bit for bit.
+
+def _entry_values(sym, x, dx=False):
+    B = sym.max_bandwidth()
+    out = np.zeros((sym.m + 1, len(x), sym.n, sym.n), dtype=complex)
+    for a in range(sym.m + 1):
+        for i in range(sym.n):
+            for j in range(sym.n):
+                vals = np.zeros(len(x), dtype=complex)
+                for f, c in enumerate(sym.coeffs[a, i, j].tolist()):
+                    if c != 0:
+                        f -= B
+                        c = 1j * f * c if dx else c
+                        vals += c * np.exp(1j * f * x)
+                out[a, :, i, j] = vals
+    return out
+
+
+def _grid_sum(A, xi, dxi=False):
+    mats = np.zeros((A.shape[1], len(xi)) + A.shape[2:], dtype=complex)
+    xipow = np.ones_like(xi)
+    for a in range(1 if dxi else 0, len(A)):
+        coeff = a * A[a] if dxi else A[a]
+        mats += coeff[:, None, :, :] * xipow[None, :, None, None]
+        xipow = xipow * xi
+    return mats
+
+
+class TestEvaluatorIdentity:
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_grid_matches_per_entry_evaluation(self, name, kind, request):
+        sym = request.getfixturevalue(name)
+        x = np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.01
+        xi = np.linspace(-3.0, 3.0, 48)
+        if kind == "complex":
+            xi = xi + 0.3j * np.cos(2.0 * xi)
+        A, dA = symbol.coefficient_values(sym, x, dx=True)
+        assert A.tobytes() == _entry_values(sym, x).tobytes()
+        assert dA.tobytes() == _entry_values(sym, x, dx=True).tobytes()
+        p, dpxi = symbol.polynomial(A[:, :, None], xi, dxi=True)
+        assert p.tobytes() == _grid_sum(A, xi).tobytes()
+        assert dpxi.tobytes() == _grid_sum(A, xi, dxi=True).tobytes()
+        assert symbol.polynomial(dA[:, :, None], xi).tobytes() \
+            == _grid_sum(dA, xi).tobytes()
 
 class TestGradient:
     def test_gradient_vs_central_differences(self, rng, f1, f2, f3):
@@ -224,14 +294,12 @@ class TestRegions:
             f1, 1j, RootOptions(eps_phi_rel=1e-3))
         assert cls.kind in (RegionKind.NEAR_PHI, RegionKind.OUTSIDE_SIGMA)
 
-    def test_count_m_gamma_additive(self, f3, rng):
-        from weylab.domains import Rectangle
+    def test_count_m_gamma_additive(self, f3):
+        from weylab.domains import Rectangle, _count_grid
         g1 = Rectangle(-2.0, 0.0, -2.0, 2.0)
         g2 = Rectangle(0.0 + 1e-9, 2.0, -2.0, 2.0)
         g12 = Rectangle(-2.0, 2.0, -2.0, 2.0)
-        for _ in range(25):
-            pt = PhaseSpacePoint(rng.uniform(0, TWO_PI), rng.uniform(-1.5, 1.5))
-            a = symbol.count_m_gamma(f3, pt, g1)
-            b = symbol.count_m_gamma(f3, pt, g2)
-            c = symbol.count_m_gamma(f3, pt, g12)
-            assert a + b == c
+        x = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+        xi = np.linspace(-1.5, 1.5, 25)
+        counts = [_count_grid(f3, g, x, xi) for g in (g1, g2, g12)]
+        assert counts[0] + counts[1] == counts[2] > 0
