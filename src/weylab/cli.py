@@ -87,8 +87,8 @@ def cmd_weyl(args) -> int:
     cfg = harness.load_config(args.config)
     dom = cfg.domains[int(args.domain)]
     res = domains.weyl_measure(cfg.sym, dom)
-    out = {"measure": res.value, "grid": res.grid,
-           "last_delta": res.last_delta}
+    out = {"measure": res.value, "bound": res.bound, "grid": res.grid,
+           "evaluations": res.evaluations}
     if cfg.mode == "semiclassical":
         out["prediction"] = {repr(h): res.value / (2.0 * math.pi * h)
                              for h in cfg.h_list}

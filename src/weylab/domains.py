@@ -2,8 +2,13 @@
 
 Domains are rectangles, polygons, annular sectors with smooth radial
 profiles, and dilations thereof.  ``weyl_measure`` integrates the
-eigenvalue-count function (x, xi) -> #(sigma(p(x, xi)) in Gamma) by a
-midpoint rule with grid doubling.
+eigenvalue-count function m_Gamma(x, xi) = #(sigma(p(x, xi)) in Gamma) by
+a corner quadtree: m_Gamma is evaluated (``m_gamma``) at the corners of a
+base lattice, cells whose corners disagree are split until the summed
+area * (max - min corner) of the cells still mixed, which bounds the
+error, meets the tolerance.  The result is W +- bound.  The bound assumes
+the base lattice resolves {p in Gamma}: no component of it or of its
+complement lies inside one base cell without touching a corner.
 """
 
 from __future__ import annotations
@@ -218,15 +223,19 @@ def dilate(domain: SpectralDomain, lam: float) -> SpectralDomain:
 
 @dataclass(frozen=True)
 class DyadicPieces:
-    """Dyadic splitting of Gamma(0, lam * r_out): core, rings, cap."""
+    """Dyadic splitting of Gamma(0, lam * r_out): core, rings, cap.
+
+    ``cap`` is None when it would have zero width (lam = 2^k0 on a
+    constant profile)."""
 
     core: SpectralDomain
     rings: tuple
-    cap: SpectralDomain
+    cap: SpectralDomain | None
     k0: int
 
     def all_pieces(self) -> list:
-        return [self.core, *self.rings, self.cap]
+        cap = [] if self.cap is None else [self.cap]
+        return [self.core, *self.rings, *cap]
 
 
 def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
@@ -245,10 +254,11 @@ def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
                               RadialProfile.constant(2.0, tmin, tmax),
                               RadialProfile.constant(1.0, tmin, tmax))
     rings = tuple(Dilated(float(2 ** k), ring_base) for k in range(k0))
-    cap_base = AnnularSector(tmin, tmax,
-                             sector.r_out.scaled(lam / 2 ** k0),
-                             RadialProfile.constant(1.0, tmin, tmax))
-    cap = Dilated(float(2 ** k0), cap_base)
+    cap_out = sector.r_out.scaled(lam / 2 ** k0)
+    cap = None
+    if cap_out.max_value() > 1.0 + BOUNDARY_TOL:
+        cap = Dilated(float(2 ** k0), AnnularSector(
+            tmin, tmax, cap_out, RadialProfile.constant(1.0, tmin, tmax)))
     return DyadicPieces(core=core, rings=rings, cap=cap, k0=k0)
 
 
@@ -259,76 +269,135 @@ class QuadOptions:
     tol_rel: float = 1e-3
     tol_abs: float = 1e-6
     base_grid: int = 128
-    max_doublings: int = 6
+    max_doublings: int = 12     # quadtree levels below the base grid
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """W = ``value`` +- ``bound``; ``deltas`` holds the bound after each
+    level, ``grid`` the finest resolution reached (base_grid * 2^levels)
+    and ``evaluations`` the number of m_Gamma points computed."""
+
     value: float
-    last_delta: float
+    bound: float
     deltas: tuple
     grid: int
+    evaluations: int
 
     def __float__(self):
         return self.value
 
 
-# Rows of x per batch in _count_grid.  Integer counts make the sum exact for
-# any chunk; 16 rows keep the batch of an 8192^2 grid near 2 MB, where 128
-# took 31 MB and ran slower.
-X_CHUNK = 16
+# Points per m_gamma batch and cells per split batch.  Between levels the
+# mixed cells are kept as int32 lattice indices and small-integer corner
+# counts; with float coordinates, int64 counts and whole-level batches the
+# finest F2 level added 9.4 MB to a run's peak memory.
+POINT_CHUNK = 8192
+CELL_CHUNK = 4096
 
 
-def _count_grid(sym, domain: SpectralDomain, x: np.ndarray,
-                xi: np.ndarray) -> float:
-    """Sum over the tensor grid of m_Gamma(x, xi)."""
-    total = 0
-    values = np.empty((X_CHUNK, len(xi), sym.n, sym.n), dtype=complex)
-    for start in range(0, len(x), X_CHUNK):
-        coeffs = coefficient_values(sym, x[start:start + X_CHUNK, None])
-        p = polynomial(coeffs, xi, out=values[:coeffs.shape[1]])
-        total += int(np.count_nonzero(domain.contains_many(
-            det_or_eigvals(p, det=False))))
-    return total
+def m_gamma(sym, domain: SpectralDomain, x: np.ndarray,
+            xi: np.ndarray) -> np.ndarray:
+    """m_Gamma(x[k], xi[k]): the number of eigenvalues of p(x[k], xi[k]) in
+    ``domain`` at each point, as the smallest integer type that holds n."""
+    out = np.empty(len(x), dtype=np.min_scalar_type(sym.n))
+    values = np.empty((POINT_CHUNK, sym.n, sym.n), dtype=complex)
+    for start in range(0, len(x), POINT_CHUNK):
+        coeffs = coefficient_values(sym, x[start:start + POINT_CHUNK])
+        p = polynomial(coeffs, xi[start:start + POINT_CHUNK],
+                       out=values[:coeffs.shape[1]])
+        out[start:start + len(p)] = np.count_nonzero(
+            domain.contains_many(det_or_eigvals(p, det=False)), axis=-1)
+    return out
+
+
+def _mixed(ij: np.ndarray, corners: np.ndarray):
+    """(sum of m over the cells whose corners agree, the other cells)."""
+    mixed = corners.min(axis=1) != corners.max(axis=1)
+    return (int(corners[~mixed, 0].sum(dtype=np.int64)),
+            ij[mixed], corners[mixed])
+
+
+def _split(ij: np.ndarray, corners: np.ndarray, m_at):
+    """_mixed of the four children of each cell.  ``ij`` indexes the cells'
+    lower-left corners; m_at(i, j) evaluates m_Gamma at indices of the next
+    level, once for the 5 new points of each cell: the edge midpoints and
+    the centre."""
+    i, j = 2 * ij[:, 0], 2 * ij[:, 1]
+    bottom, left, centre, right, top = m_at(
+        np.concatenate([i + 1, i, i + 1, i + 2, i + 1]),
+        np.concatenate([j, j + 1, j + 1, j + 1, j + 2])).reshape(5, -1)
+    c00, c10, c01, c11 = corners.T
+    # corner order (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)
+    child_corners = np.concatenate([
+        np.stack([c00, bottom, left, centre], axis=1),
+        np.stack([bottom, c10, centre, right], axis=1),
+        np.stack([left, centre, c01, top], axis=1),
+        np.stack([centre, right, top, c11], axis=1)])
+    child_ij = np.concatenate([np.stack([i + a, j + b], axis=1)
+                               for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))])
+    return _mixed(child_ij, child_corners)
 
 
 def weyl_measure(sym, domain: SpectralDomain,
                  quad: QuadOptions = QuadOptions()) -> QuadratureResult:
-    """Midpoint-rule integral of m_Gamma over [0, 2*pi] x [-Xi, Xi].
+    """Integral of m_Gamma over [0, 2*pi] x [-Xi, Xi] by a corner quadtree.
 
-    The grid is doubled until successive values agree to the requested
-    tolerance; the integrand is piecewise integer so higher-order rules
-    would gain nothing.
+    m_Gamma is evaluated at the corners of a base_grid^2 lattice.  A cell
+    whose four corners agree counts whole; a mixed cell splits into four at
+    the next level, which evaluates its edge midpoints and centre.  After
+    each level the cells still mixed take the mean of their corners, and
+    the sum over them of area * (max - min corner) is the error bound.  The
+    first level whose bound is within max(tol_abs, tol_rel * |value|)
+    returns; the work follows the boundary of {p in Gamma}, not its area.
+
+    The bound holds only if no component of {p in Gamma}, or of its
+    complement, fits inside one base cell without touching a corner: the
+    base grid must resolve every feature it is meant to count.
     """
     if isinstance(domain, Rectangle) and domain.is_empty():
-        return QuadratureResult(0.0, 0.0, (), quad.base_grid)
+        return QuadratureResult(0.0, 0.0, (), quad.base_grid, 0)
     window = xi_window(sym, domain.bound_radius())
     if window == 0.0:
-        return QuadratureResult(0.0, 0.0, (), quad.base_grid)
+        return QuadratureResult(0.0, 0.0, (), quad.base_grid, 0)
 
     grid = quad.base_grid
-    prev_raw = None
-    prev_avg = None
+    evaluations = (grid + 1) ** 2
+
+    def m_at(i, j):
+        # m_Gamma at lattice indices (i, j) of the current grid
+        return m_gamma(sym, domain, i * (TWO_PI / grid),
+                       -window + j * (2.0 * window / grid))
+
+    ii, jj = np.meshgrid(np.arange(grid + 1, dtype=np.int32),
+                         np.arange(grid + 1, dtype=np.int32), indexing="ij")
+    lattice = m_at(ii.ravel(), jj.ravel()).reshape(grid + 1, grid + 1)
+    count, ij, corners = _mixed(
+        np.stack([ii[:-1, :-1], jj[:-1, :-1]], axis=-1).reshape(-1, 2),
+        np.stack([lattice[:-1, :-1], lattice[1:, :-1], lattice[:-1, 1:],
+                  lattice[1:, 1:]], axis=-1).reshape(-1, 4))
+
+    whole = 0.0                 # integral over the cells counted whole
     deltas = []
-    for _ in range(quad.max_doublings + 1):
-        x = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-        xi = -window + (np.arange(grid) + 0.5) * (2.0 * window / grid)
+    for level in range(quad.max_doublings + 1):
         cell = (TWO_PI / grid) * (2.0 * window / grid)
-        raw = _count_grid(sym, domain, x, xi) * cell
-        if prev_raw is not None:
-            # the leading midpoint error of an indicator integrand flips
-            # sign under doubling; averaging two levels cancels most of it
-            value = 0.5 * (raw + prev_raw)
-            if prev_avg is not None:
-                delta = abs(value - prev_avg)
-                deltas.append(delta)
-                if delta < max(quad.tol_abs, quad.tol_rel * abs(value)):
-                    return QuadratureResult(value, delta, tuple(deltas), grid)
-            prev_avg = value
-        prev_raw = raw
+        whole += cell * count
+        value = whole + cell * int(corners.sum(dtype=np.int64)) / 4.0
+        bound = cell * int((corners.max(axis=1) - corners.min(axis=1))
+                           .sum(dtype=np.int64))
+        deltas.append(bound)
+        if bound <= max(quad.tol_abs, quad.tol_rel * abs(value)):
+            return QuadratureResult(value, bound, tuple(deltas), grid,
+                                    evaluations)
+        if level == quad.max_doublings:
+            break
         grid *= 2
-    # a delta needs three grid levels, so max_doublings < 2 leaves none
-    last = f" (last delta {deltas[-1]:.3e})" if deltas else ""
+        evaluations += 5 * len(ij)
+        parts = [_split(ij[s:s + CELL_CHUNK], corners[s:s + CELL_CHUNK], m_at)
+                 for s in range(0, len(ij), CELL_CHUNK)]
+        count = sum(p[0] for p in parts)
+        ij = np.concatenate([p[1] for p in parts])
+        corners = np.concatenate([p[2] for p in parts])
     raise NoConvergence(
-        f"weyl_measure did not converge after {quad.max_doublings} grid "
-        f"doublings{last}")
+        f"weyl_measure did not converge in {quad.max_doublings} quadtree "
+        f"levels (bound {deltas[-1]:.3e} at grid {grid})")

@@ -489,7 +489,8 @@ def run_semiclassical(config: ExperimentConfig,
                       keep_eigs: bool = False) -> ExperimentReport:
     sym = config.sym
     gamma = config.domains[0]
-    measure = domains.weyl_measure(sym, gamma).value
+    weyl = domains.weyl_measure(sym, gamma)
+    measure = weyl.value
 
     records = []
     truncation = {}
@@ -531,6 +532,7 @@ def run_semiclassical(config: ExperimentConfig,
         aggregates=aggregates, envelope_fit=env, envelope_fit_h=env_h,
         c_hat=c_hat, coverage=coverage,
         extras={"weyl_measure": measure,
+                "weyl_measure_bound": weyl.bound,
                 "delta": {h: _coupling(config, h) for h in params},
                 "truncation": truncation,
                 "stage_ms": {h: _stage_medians(records, h) for h in params}},
@@ -566,8 +568,8 @@ def run_highenergy(config: ExperimentConfig,
     lam_sorted = tuple(sorted(config.lambda_list))
     rungs = [domains.dilate(sector, lam) if lam != 1.0 else sector
              for lam in lam_sorted]
-    weyl_by_lam = {lam: domains.weyl_measure(sym, dom).value / TWO_PI
-                   for lam, dom in zip(lam_sorted, rungs)}
+    weyls = [domains.weyl_measure(sym, dom) for dom in rungs]
+    weyl_by_lam = {lam: w.value / TWO_PI for lam, w in zip(lam_sorted, weyls)}
 
     def draw_of(trial):
         return randomness.sample_draw(
@@ -689,6 +691,8 @@ def run_highenergy(config: ExperimentConfig,
         c_hat=None, coverage={},
         extras={
             "weyl_by_lambda": {str(k): v for k, v in weyl_by_lam.items()},
+            "weyl_bound_by_lambda": {str(lam): w.bound / TWO_PI
+                                     for lam, w in zip(lam_sorted, weyls)},
             "truncation": {
                 "K": K, "K_start": K0, "K_tried": list(K_tried),
                 "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,

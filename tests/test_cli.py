@@ -59,6 +59,8 @@ class TestSubcommands:
                          "--domain", "0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["measure"] > 0.0
+        assert 0.0 < out["bound"] <= 1e-3 * out["measure"]
+        assert out["evaluations"] > 0
         assert out["prediction"]["0.1"] == pytest.approx(
             out["measure"] / (2 * np.pi * 0.1))
 

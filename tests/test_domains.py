@@ -8,6 +8,7 @@ from weylab.domains import (AnnularSector, Dilated, Polygon, QuadOptions,
                             RadialProfile, Rectangle, dilate, dyadic_decompose,
                             regular_polygon, weyl_measure)
 from weylab.errors import LambdaBelowOne, NoConvergence, NonPositiveLambda
+from weylab.symbol import MatrixSymbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,6 +98,7 @@ class TestDyadic:
         pieces = dyadic_decompose(10.0, sector)
         assert pieces.k0 == 3
         assert len(pieces.rings) == 3
+        assert pieces.cap is not None
         # pieces tile Gamma(0, 10): area sum check by Monte Carlo membership
         rng = np.random.default_rng(1)
         z = rng.uniform(-10, 10, 4000) + 1j * rng.uniform(-10, 10, 4000)
@@ -111,6 +113,12 @@ class TestDyadic:
         assert np.all(hits[~inside] <= 1)
         assert np.all(interior >= 1)
         assert np.mean(interior > 1) < 0.01
+
+    def test_no_cap_at_power_of_two(self):
+        # at lambda = 2^k0 the cap would have r_in = r_out: no piece
+        pieces = dyadic_decompose(4.0, AnnularSector(0.2, 1.2, 1.0))
+        assert pieces.cap is None
+        assert pieces.all_pieces() == [pieces.core, *pieces.rings]
 
     def test_lambda_below_one(self):
         with pytest.raises(LambdaBelowOne):
@@ -157,17 +165,61 @@ class TestWeylMeasure:
         assert parts == pytest.approx(total, rel=3e-3)
 
     def test_deltas_decrease(self, f1):
-        res = weyl_measure(f1, Rectangle(-0.5, 0.5, -0.5, 0.5),
-                           QuadOptions(tol_rel=5e-4, max_doublings=7))
+        quad = QuadOptions(tol_rel=5e-4)
+        res = weyl_measure(f1, Rectangle(-0.5, 0.5, -0.5, 0.5), quad)
         d = res.deltas
         assert len(d) >= 2
-        assert d[-1] <= d[0]
+        assert all(b < a for a, b in zip(d, d[1:]))
+        assert d[-1] == res.bound <= quad.tol_rel * res.value
+        assert res.grid == quad.base_grid * 2 ** (len(d) - 1)
 
     def test_no_convergence_without_deltas(self, f2):
-        # two grid levels make no delta: the failure is NoConvergence
+        # two levels below the base grid cannot reach 1e-6
         with pytest.raises(NoConvergence):
             weyl_measure(f2, Rectangle(0.1, 0.7, -0.5, 0.5),
-                         QuadOptions(tol_rel=1.0, max_doublings=1))
+                         QuadOptions(tol_rel=1e-6, max_doublings=2))
+
+    @pytest.mark.parametrize("case", ["F1", "F2", "F3", "F3x3", "F4x1",
+                                      "F4x4", "F4x256"])
+    def test_closed_form_within_bound(self, case, f1, f2, f3, f4,
+                                      f2_gamma_measure):
+        square = Rectangle(-0.5, 0.5, -0.5, 0.5)
+        sector = AnnularSector(0.05, TWO_PI - 0.05, 1.0)
+        # three copies of F1 shifted in xi: the count reaches 3, so a
+        # boundary cell's corner mean exceeds its (max - min) and a rule
+        # that left the mixed cells out would miss by more than the bound
+        shifted = MatrixSymbol.from_terms(3, 1, [
+            term for k, c in enumerate((0.0, 0.2, -0.2))
+            for term in ((0, k, k, 1, 1.0), (0, k, k, 0, c), (1, k, k, 0, 1.0))])
+        sym, dom, exact = {
+            "F1": (f1, square, TWO_PI / 3.0),
+            "F2": (f2, Rectangle(0.1, 0.7, -0.5, 0.5), f2_gamma_measure),
+            "F3": (f3, square, 2.0 * TWO_PI / 3.0),
+            "F3x3": (shifted, square, TWO_PI),
+            "F4x1": (f4, sector, (TWO_PI - 0.1) * 2.0),
+            "F4x4": (f4, dilate(sector, 4.0), (TWO_PI - 0.1) * 4.0),
+            "F4x256": (f4, dilate(sector, 256.0), (TWO_PI - 0.1) * 32.0),
+        }[case]
+        res = weyl_measure(sym, dom)
+        assert abs(res.value - exact) <= res.bound
+        assert res.bound <= QuadOptions().tol_rel * res.value
+
+    def test_bound_scales_with_multiplicity(self, f1):
+        # m_Gamma of F1 (+) F1 is twice F1's at every point: the quadtree
+        # refines the same cells, so value and bound double exactly
+        doubled = MatrixSymbol.from_terms(2, 1, [
+            (0, k, k, 1, 1.0) for k in (0, 1)] + [(1, k, k, 0, 1.0)
+                                                  for k in (0, 1)])
+        square = Rectangle(-0.5, 0.5, -0.5, 0.5)
+        one, two = (weyl_measure(s, square) for s in (f1, doubled))
+        assert (two.value, two.bound) == (2.0 * one.value, 2.0 * one.bound)
+        assert (two.grid, two.evaluations) == (one.grid, one.evaluations)
+
+    def test_work_follows_the_boundary(self, f2):
+        # the uniform 8192^2 grid counted 89M cells; the quadtree evaluates
+        # the base lattice and 5 points per mixed cell and level
+        res = weyl_measure(f2, Rectangle(0.1, 0.7, -0.5, 0.5))
+        assert res.evaluations < 1_000_000
 
     def test_matrix_symbol_measure(self, f3):
         # the triangular F3 has symbol spectrum {xi +- e^{ix}}, each

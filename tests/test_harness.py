@@ -111,16 +111,21 @@ class TestFit:
 
 
 class TestSemiclassicalRun:
-    def test_small_run(self, f2):
+    def test_small_run(self, f2, f2_gamma_measure):
         cfg = sc_config(f2, h_list=(0.1, 0.08), trials=3)
         rep = run_semiclassical(cfg)
         assert rep.mode == "semiclassical"
         assert len(rep.records) == 6
+        bound = rep.extras["weyl_measure_bound"]
+        assert isinstance(bound, float) and bound > 0.0
         for h in (0.1, 0.08):
             agg = rep.aggregates[h]
             assert agg["trials"] == 3
             assert agg["W"] == pytest.approx(
                 rep.extras["weyl_measure"] / (2 * math.pi * h))
+            # W +- bound / (2 pi h) holds the closed form
+            assert abs(agg["W"] - f2_gamma_measure / (2 * math.pi * h)) \
+                <= bound / (2 * math.pi * h)
         # finest-h coverage entry exists relative to the coarsest h
         assert 0.08 in rep.coverage
 
@@ -353,9 +358,11 @@ class TestHighEnergyRun:
         cfg = he_config(f4)
         rep = run_highenergy(cfg)
         lam = 4.0
-        measure = weyl_measure(f4, dilate(cfg.domains[0], lam)).value
+        quad = weyl_measure(f4, dilate(cfg.domains[0], lam))
         assert rep.aggregates[lam]["W"] == pytest.approx(
-            measure / (2 * math.pi), rel=1e-9)
+            quad.value / (2 * math.pi), rel=1e-9)
+        assert rep.extras["weyl_bound_by_lambda"][str(lam)] == \
+            pytest.approx(quad.bound / (2 * math.pi), rel=1e-9)
 
 
 class TestEnvelopeSanity:

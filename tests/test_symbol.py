@@ -295,11 +295,13 @@ class TestRegions:
         assert cls.kind in (RegionKind.NEAR_PHI, RegionKind.OUTSIDE_SIGMA)
 
     def test_count_m_gamma_additive(self, f3):
-        from weylab.domains import Rectangle, _count_grid
+        from weylab.domains import Rectangle, m_gamma
         g1 = Rectangle(-2.0, 0.0, -2.0, 2.0)
         g2 = Rectangle(0.0 + 1e-9, 2.0, -2.0, 2.0)
         g12 = Rectangle(-2.0, 2.0, -2.0, 2.0)
-        x = np.linspace(0.0, TWO_PI, 40, endpoint=False)
-        xi = np.linspace(-1.5, 1.5, 25)
-        counts = [_count_grid(f3, g, x, xi) for g in (g1, g2, g12)]
-        assert counts[0] + counts[1] == counts[2] > 0
+        x, xi = np.meshgrid(np.linspace(0.0, TWO_PI, 40, endpoint=False),
+                            np.linspace(-1.5, 1.5, 25))
+        counts = [m_gamma(f3, g, x.ravel(), xi.ravel()).astype(int)
+                  for g in (g1, g2, g12)]
+        assert np.array_equal(counts[0] + counts[1], counts[2])
+        assert counts[2].sum() > 0
