@@ -59,7 +59,6 @@ class FourierTruncation:
 class OperatorMatrix:
     entries: np.ndarray
     trunc: FourierTruncation
-    provenance: str = "unperturbed"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -113,8 +112,7 @@ def assemble_operator(sym: MatrixSymbol,
                         yield i, j, sym.coeffs[a, i, j], xipow
                     xipow = xipow * hk
 
-    return OperatorMatrix(_assemble_bands(terms(), trunc), trunc,
-                          provenance="unperturbed")
+    return OperatorMatrix(_assemble_bands(terms(), trunc), trunc)
 
 
 def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
@@ -128,7 +126,7 @@ def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
         raise ValueError("delta must be >= 0")
     if delta == 0.0:
         return OperatorMatrix(np.zeros((trunc.side, trunc.side), dtype=complex),
-                              trunc, provenance="perturbation(delta=0)")
+                              trunc)
     hk = trunc.h * trunc.modes
     K_q = draw.law.K_q
     kept = min(K_q, 2 * trunc.K)
@@ -136,15 +134,14 @@ def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
     out = _assemble_bands(((i, j, q[a, i, j], hk ** (draw.law.alpha_min + a))
                            for a, i, j in np.ndindex(q.shape[:3])), trunc)
     out *= delta
-    return OperatorMatrix(out, trunc, provenance=f"perturbation(delta={delta!r})")
+    return OperatorMatrix(out, trunc)
 
 
 def perturbed_operator(base: OperatorMatrix, draw: PerturbationDraw,
                        delta: float) -> OperatorMatrix:
     """P - delta*Q_omega on base's truncation: the matrix every driver counts."""
     pert = assemble_perturbation(draw, base.trunc, delta)
-    return OperatorMatrix(base.entries - pert.entries, base.trunc,
-                          provenance=f"combined(delta={delta!r})")
+    return OperatorMatrix(base.entries - pert.entries, base.trunc)
 
 
 def _over_sqrt_2pi(q: np.ndarray) -> np.ndarray:
@@ -201,16 +198,6 @@ def eigenvalues(mat: OperatorMatrix) -> np.ndarray:
     return vals[order]
 
 
-def eigenpairs(mat: OperatorMatrix):
-    """(eigenvalues, right eigenvectors), sorted by (Re, Im)."""
-    try:
-        vals, vecs = scipy.linalg.eig(mat.entries)
-    except np.linalg.LinAlgError as exc:        # pragma: no cover
-        raise NoConvergence(f"QR eigensolver failed: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
-
-
 def sigma_min_map(sym: MatrixSymbol, h: float, trunc: FourierTruncation,
                   z_grid) -> np.ndarray:
     """Smallest singular value of (P - z) per node; 1/sigma_min lower-bounds
@@ -251,4 +238,4 @@ def load_matrix(path) -> OperatorMatrix:
     trunc = FourierTruncation(K=K, n=n, h=h)
     if entries.shape != (side, side) or side != trunc.side:
         raise ValueError(f"corrupt matrix file {path}")
-    return OperatorMatrix(entries, trunc, provenance="loaded")
+    return OperatorMatrix(entries, trunc)

@@ -1,26 +1,26 @@
 """Experiment orchestration: seeded Monte Carlo eigenvalue counts vs the
-phase-space (Weyl) prediction, in two modes.
+phase-space (Weyl) prediction, in two modes that share one trial path,
+_certified_trials: draw omega from the trial's seed stream, assemble
+P - delta Q_omega at a truncation K certified on the stream's first trials
+(the pilots, whose spectra at K are kept), solve, and count in each domain.
 
 semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
-each trial draws a fresh perturbation.  Per h, the truncation K is certified
-on pilot trials: it grows by 1.5 from ceil(xi_window / 4h) + 2 bandwidth
-until their eigenvalues in Gamma settle, never past the rule's
-ceil(c_K xi_window / h) + 2 bandwidth, where every trial runs if they do not.
+one stream per h.  K grows by 1.5 from ceil(xi_window / 4h) + 2 bandwidth
+until the pilots' eigenvalues in Gamma settle, never past the rule's
+ceil(C_K xi_window / h) + 2 bandwidth, where every trial runs if they do not.
 
 highenergy: fixed unit sector Gamma, growing dilation lambda, classical
 (h = 1) assembly with an order-zero-to-alpha1 perturbation; each trajectory
 draws ONE realization omega and reuses it across every lambda, which the
 addressable sampler makes exact.  The h = 1 matrix does not depend on
 lambda, so one eigensolve per trajectory counts every rung, at a truncation
-certified on a pilot trajectory.
-
-Both modes certify with certify_truncation; each records its choice in
-extras["truncation"].
+certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -39,6 +39,11 @@ CSV_HEADER = "mode,h_or_lambda,trial,seed,N,W,residual,K,millis"
 # Stages of one trial, timed into TrialRecord.stage_ms in this order.
 STAGES = ("draw", "assemble", "eigensolve", "count")
 
+# The rule's truncation K = ceil(C_K xi_window / h) + 2 bandwidth, and the
+# quantile of the coarsest h's scaled residuals that calibrates c_hat.
+C_K = 2.0
+CALIBRATION_QUANTILE = 1.0
+
 
 # -- configuration -----------------------------------------------------------
 
@@ -55,8 +60,6 @@ class ExperimentConfig:
     N0: float = 3.0
     delta_override: float | None = None
     seed: int = 0
-    c_K: float = 2.0
-    calibration_quantile: float = 1.0
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -141,11 +144,8 @@ class ExperimentConfig:
         _check_shared_bases(inv)
 
     # ------------------------------------------------------------------
-    def truncation_K(self, h: float, z_sup: float,
-                     c_K: float | None = None) -> int:
-        """ceil(c_K xi_window / h) + 2 bandwidth; c_K defaults to the
-        config's."""
-        c_K = self.c_K if c_K is None else c_K
+    def truncation_K(self, h: float, z_sup: float, c_K: float = C_K) -> int:
+        """ceil(c_K xi_window / h) + 2 bandwidth."""
         window = symbol.xi_window(self.sym, z_sup)
         return int(math.ceil(c_K * window / h)) + 2 * self.sym.max_bandwidth()
 
@@ -161,7 +161,6 @@ class ExperimentConfig:
             "N0": self.N0,
             "delta_override": self.delta_override,
             "seed": self.seed,
-            "c_K": self.c_K,
         }
 
 
@@ -254,6 +253,8 @@ class TrialRecord:
     W: float
     residual: float         # N - W
     K: int
+    # count, plus an equal share over the trial's records of its draw,
+    # assemble and eigensolve; a pilot's solve at K is in pilot_millis
     millis: float
     eigenvalues: np.ndarray | None = None
     stage_ms: dict = field(default_factory=dict)    # STAGES timed, in ms
@@ -294,20 +295,10 @@ def _aggregate(records, param) -> dict:
     return out
 
 
-def _stage_ms(*marks) -> dict:
-    """Milliseconds between consecutive perf_counter marks, one per stage."""
-    return {s: (b - a) * 1e3 for s, a, b in zip(STAGES, marks, marks[1:])}
-
-
 def _stage_medians(records, param) -> dict:
-    """Median milliseconds per stage over the trials at param that timed it."""
-    out = {}
-    for stage in STAGES:
-        ms = [r.stage_ms[stage] for r in records
-              if r.param == param and stage in r.stage_ms]
-        if ms:
-            out[stage] = float(np.median(ms))
-    return out
+    """Median milliseconds per stage over the trials at param."""
+    rows = [r.stage_ms for r in records if r.param == param]
+    return {s: float(np.median([ms[s] for ms in rows])) for s in STAGES}
 
 
 def fit_power_law(pairs) -> tuple:
@@ -392,6 +383,84 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
     return K, spectra, [False] * len(doms), tuple(tried)
 
 
+# -- the trial path ------------------------------------------------------------
+
+def _certified_trials(config: ExperimentConfig, stream: str, h: float,
+                      delta: float, rungs, *, K0: int, cap: int,
+                      fallback: int | None, pilots: int, growth: float,
+                      tol: float, keep_eigs: bool, rule_base=None) -> tuple:
+    """Every trial of one seed stream, at a truncation K certified on the
+    first ``pilots`` trials.
+
+    ``rungs`` lists (param, domain, W), nested domains smallest first; each
+    trial yields one record per rung, all counted from one spectrum of
+    P - delta Q_omega.  K comes from certify_truncation(K0, growth, tol,
+    cap); if the first domain does not settle, the trials run at
+    ``fallback``, or at the last K solved when it is None.  The pilots keep
+    their draws and their spectra at K.  ``rule_base``, an assembled P, is
+    reused at its own K.  Returns (records, each trial's spectrum, the
+    pilots' draws, K, per-domain verdicts, every K solved, pilot_millis:
+    the time of every pilot solve and of the assembly at K).
+    """
+    def base(K):
+        if rule_base is not None and rule_base.trunc.K == K:
+            return rule_base
+        return discretize.assemble_operator(
+            config.sym, discretize.FourierTruncation(K=K, n=config.sym.n, h=h))
+
+    def draw(trial):
+        t0 = time.perf_counter()
+        d = randomness.sample_draw(
+            config.law, randomness.SeedSpec(config.seed, stream, trial), h)
+        return d, (time.perf_counter() - t0) * 1e3
+
+    def solve(mat, d):
+        t0 = time.perf_counter()
+        mat = discretize.perturbed_operator(mat, d, delta)
+        t1 = time.perf_counter()
+        eigs = discretize.eigenvalues(mat)
+        return eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
+
+    drawn = [draw(t) for t in range(min(pilots, config.trials))]
+    solved = {}     # K -> (eigenvalues, assemble ms, eigensolve ms) per pilot
+
+    def solve_pilots(K):
+        mat = base(K)
+        solved[K] = [solve(mat, d) for d, _ in drawn]
+        return [run[0] for run in solved[K]]
+
+    t0 = time.perf_counter()
+    K, _, verdicts, K_tried = certify_truncation(
+        solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
+    if not verdicts[0] and fallback is not None:
+        K = fallback
+    at_K = base(K)
+    pilot_ms = (time.perf_counter() - t0) * 1e3
+
+    records, spectra = [], []
+    for trial in range(config.trials):
+        d, draw_ms = drawn[trial] if trial < len(drawn) else draw(trial)
+        reused = trial < len(drawn) and K in solved
+        eigs, assemble_ms, eig_ms = (solved[K][trial] if reused
+                                     else solve(at_K, d))
+        spectra.append(eigs)
+        share = (draw_ms + (0.0 if reused else assemble_ms + eig_ms)) \
+            / len(rungs)
+        for param, dom, W in rungs:
+            t1 = time.perf_counter()
+            N = int(np.count_nonzero(dom.contains_many(eigs)))
+            count_ms = (time.perf_counter() - t1) * 1e3
+            records.append(TrialRecord(
+                mode=config.mode, param=param, trial=trial,
+                seed_label=f"{config.seed}/{stream}/{trial}",
+                N=N, W=W, residual=N - W, K=K, millis=share + count_ms,
+                eigenvalues=eigs if keep_eigs else None,
+                stage_ms=dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
+                                           count_ms)))))
+    return (records, spectra, [d for d, _ in drawn], K, verdicts, K_tried,
+            pilot_ms)
+
+
 # -- semiclassical experiment --------------------------------------------------
 
 def _delta_floor(mat_norm: float) -> float:
@@ -404,87 +473,6 @@ def _coupling(config: ExperimentConfig, h: float) -> float:
     return default_delta(h, config.law.rho_decay, config.gamma1, config.N0)
 
 
-def _semiclassical_h(config: ExperimentConfig, h: float, W: float,
-                     keep_eigs: bool) -> tuple:
-    """Every trial at one h, at a truncation K certified on the pilots.
-
-    The pilots keep their draws and their spectra at the chosen K; if they
-    never settle below the rule's K_rule, every trial runs at K_rule.  The
-    rounding-floor guard on delta reads the norm at K_rule whatever K is
-    chosen.  Returns (records, the truncation record of extras).
-    """
-    sym, gamma = config.sym, config.domains[0]
-
-    def truncation(K):
-        return discretize.FourierTruncation(K=K, n=sym.n, h=h)
-
-    K_rule = config.truncation_K(h, gamma.bound_radius())
-    rule_base = discretize.assemble_operator(sym, truncation(K_rule))
-    delta = _coupling(config, h)
-    if delta != 0.0:
-        floor = _delta_floor(float(np.linalg.norm(rule_base.entries, 2)))
-        if delta < floor:
-            raise EmptyWindow(
-                f"delta = {delta:.3e} is below the rounding floor "
-                f"{floor:.3e} at h = {h}; the intentional perturbation "
-                f"would drown in eigensolver noise")
-
-    def draw(trial):
-        t0 = time.perf_counter()
-        d = randomness.sample_draw(
-            config.law, randomness.SeedSpec(config.seed, f"sc:{h!r}", trial),
-            h)
-        return d, (time.perf_counter() - t0) * 1e3
-
-    def solve(base, d):
-        t0 = time.perf_counter()
-        mat = discretize.perturbed_operator(base, d, delta)
-        t1 = time.perf_counter()
-        eigs = discretize.eigenvalues(mat)
-        return eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
-
-    pilots = [draw(t) for t in range(min(SC_PILOTS, config.trials))]
-    solved = {}     # K -> (eigenvalues, assemble ms, eigensolve ms) per pilot
-
-    def solve_pilots(K):
-        base = (rule_base if K == K_rule
-                else discretize.assemble_operator(sym, truncation(K)))
-        solved[K] = [solve(base, d) for d, _ in pilots]
-        return [run[0] for run in solved[K]]
-
-    K0 = min(K_rule, config.truncation_K(h, gamma.bound_radius(), SC_C_START))
-    t0 = time.perf_counter()
-    K, _, (certified,), K_tried = certify_truncation(
-        solve_pilots, [gamma], K0, SC_GROWTH, SC_SETTLE_TOL, K_rule)
-    pilot_ms = (time.perf_counter() - t0) * 1e3
-    if not certified:
-        K = K_rule
-    base = (rule_base if K == K_rule
-            else discretize.assemble_operator(sym, truncation(K)))
-
-    records = []
-    for trial in range(config.trials):
-        d, draw_ms = pilots[trial] if trial < len(pilots) else draw(trial)
-        # a pilot's solve at K is timed in pilot_millis, not in its millis
-        reused = trial < len(pilots) and K in solved
-        eigs, assemble_ms, eig_ms = (solved[K][trial] if reused
-                                     else solve(base, d))
-        t0 = time.perf_counter()
-        N = int(np.count_nonzero(gamma.contains_many(eigs)))
-        count_ms = (time.perf_counter() - t0) * 1e3
-        stage_ms = dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms, count_ms)))
-        millis = draw_ms + count_ms + (0.0 if reused else assemble_ms + eig_ms)
-        records.append(TrialRecord(
-            mode="semiclassical", param=h, trial=trial,
-            seed_label=f"{config.seed}/sc:{h!r}/{trial}",
-            N=N, W=W, residual=N - W, K=K, millis=millis,
-            eigenvalues=eigs if keep_eigs else None, stage_ms=stage_ms))
-    return records, {"K": K, "K_rule": K_rule, "K_tried": list(K_tried),
-                     "pilot_trials": len(pilots),
-                     "settle_tol": SC_SETTLE_TOL, "certified": certified,
-                     "pilot_millis": pilot_ms}
-
-
 def run_semiclassical(config: ExperimentConfig,
                       keep_eigs: bool = False) -> ExperimentReport:
     sym = config.sym
@@ -495,9 +483,33 @@ def run_semiclassical(config: ExperimentConfig,
     records = []
     truncation = {}
     for h in config.h_list:
-        rows, truncation[h] = _semiclassical_h(
-            config, h, measure / (TWO_PI * h), keep_eigs)
+        # the rounding-floor guard on delta reads the norm at K_rule
+        # whatever K is certified
+        K_rule = config.truncation_K(h, gamma.bound_radius())
+        rule_base = discretize.assemble_operator(
+            sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
+        delta = _coupling(config, h)
+        if delta != 0.0:
+            floor = _delta_floor(float(np.linalg.norm(rule_base.entries, 2)))
+            if delta < floor:
+                raise EmptyWindow(
+                    f"delta = {delta:.3e} is below the rounding floor "
+                    f"{floor:.3e} at h = {h}; the intentional perturbation "
+                    f"would drown in eigensolver noise")
+        rows, _, pilots, K, (certified,), K_tried, pilot_ms = \
+            _certified_trials(
+                config, f"sc:{h!r}", h, delta,
+                [(h, gamma, measure / (TWO_PI * h))],
+                K0=min(K_rule, config.truncation_K(h, gamma.bound_radius(),
+                                                   SC_C_START)),
+                cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
+                growth=SC_GROWTH, tol=SC_SETTLE_TOL, keep_eigs=keep_eigs,
+                rule_base=rule_base)
         records += rows
+        truncation[h] = {
+            "K": K, "K_rule": K_rule, "K_tried": list(K_tried),
+            "pilot_trials": len(pilots), "settle_tol": SC_SETTLE_TOL,
+            "certified": certified, "pilot_millis": pilot_ms}
 
     params = tuple(config.h_list)
     aggregates = {h: _aggregate(records, h) for h in params}
@@ -518,7 +530,7 @@ def run_semiclassical(config: ExperimentConfig,
     h_cal = max(params)
     cal = [abs(r.residual) / scale(h_cal) for r in records
            if r.param == h_cal]
-    c_hat = float(np.quantile(cal, config.calibration_quantile))
+    c_hat = float(np.quantile(cal, CALIBRATION_QUANTILE))
     coverage = {}
     for h in params:
         if h >= h_cal:
@@ -561,7 +573,7 @@ def run_highenergy(config: ExperimentConfig,
     the per-rung verdicts go into ``extras["truncation"]`` and the
     aggregates.
     """
-    sym, law = config.sym, config.law
+    sym = config.sym
     sector = config.domains[0]
     m = sym.m
 
@@ -571,39 +583,33 @@ def run_highenergy(config: ExperimentConfig,
     weyls = [domains.weyl_measure(sym, dom) for dom in rungs]
     weyl_by_lam = {lam: w.value / TWO_PI for lam, w in zip(lam_sorted, weyls)}
 
-    def draw_of(trial):
-        return randomness.sample_draw(
-            law, randomness.SeedSpec(config.seed, "he", trial), 1.0)
-
-    def truncation(K, h=1.0):
-        return discretize.FourierTruncation(K=K, n=sym.n, h=h)
-
-    t0 = time.perf_counter()
-    pilot = draw_of(0)
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
-    K, (pilot_eigs,), certified, K_tried = certify_truncation(
-        lambda k: [discretize.eigenvalues(discretize.perturbed_operator(
-            discretize.assemble_operator(sym, truncation(k)), pilot, 1.0))],
-        rungs, K0, HE_GROWTH, HE_SETTLE_TOL, HE_K_CAP)
-    trunc = truncation(K)
-    base = discretize.assemble_operator(sym, trunc)
+    records, spectra, (pilot,), K, certified, K_tried, pilot_ms = \
+        _certified_trials(
+            config, "he", 1.0, 1.0,
+            [(float(lam), dom, weyl_by_lam[lam])
+             for lam, dom in zip(lam_sorted, rungs)],
+            K0=K0, cap=HE_K_CAP, fallback=None, pilots=1, growth=HE_GROWTH,
+            tol=HE_SETTLE_TOL, keep_eigs=keep_eigs)
 
     # lambda^{-1} (P - Q) assembled semiclassically at h = lambda^{-1/m},
     # same draw and K, counted in the undilated sector: it equals N in exact
-    # arithmetic, so a mismatch exposes a count that rounding can move
-    q_pilot = discretize.assemble_perturbation(pilot, trunc, 1.0).entries
+    # arithmetic, so a mismatch exposes a count that rounding can move.
+    # Records run trial by trial, rung by rung: trial 0's come first.
+    t0 = time.perf_counter()
+    q_pilot = discretize.assemble_perturbation(
+        pilot, discretize.FourierTruncation(K=K, n=sym.n, h=1.0), 1.0).entries
     rescaling_ok = {}
-    for lam, dom in zip(lam_sorted, rungs):
+    for lam, r in zip(lam_sorted, records):
         h = lam ** (-1.0 / m)
-        scaled = discretize.assemble_operator(_rescaled_symbol(sym, h),
-                                              truncation(K, h))
+        scaled = discretize.assemble_operator(
+            _rescaled_symbol(sym, h),
+            discretize.FourierTruncation(K=K, n=sym.n, h=h))
         eigs = discretize.eigenvalues(discretize.OperatorMatrix(
-            scaled.entries - q_pilot / lam, scaled.trunc,
-            provenance=f"rescaled(lambda={lam!r})"))
+            scaled.entries - q_pilot / lam, scaled.trunc))
         rescaling_ok[(lam, 0)] = bool(
-            np.count_nonzero(sector.contains_many(eigs))
-            == np.count_nonzero(dom.contains_many(pilot_eigs)))
-    pilot_ms = (time.perf_counter() - t0) * 1e3
+            np.count_nonzero(sector.contains_many(eigs)) == r.N)
+    pilot_ms += (time.perf_counter() - t0) * 1e3
 
     und = _undilated(sector)
     pieces_by_lam = {}
@@ -613,42 +619,17 @@ def run_highenergy(config: ExperimentConfig,
         except (ValueError, LambdaBelowOne):
             pass
 
-    records = []
     dyadic_info = {}
-    for trial in range(config.trials):
-        # the pilot's spectrum comes from certification (pilot_millis)
-        stages = {}
-        t1 = time.perf_counter()
-        if trial == 0:
-            eigs = pilot_eigs
-        else:
-            draw = draw_of(trial)
-            t2 = time.perf_counter()
-            mat = discretize.perturbed_operator(base, draw, 1.0)
-            t3 = time.perf_counter()
-            eigs = discretize.eigenvalues(mat)
-            stages = _stage_ms(t1, t2, t3, time.perf_counter())
-        ms = (time.perf_counter() - t1) * 1e3 / len(lam_sorted)
-        for lam, dom in zip(lam_sorted, rungs):
-            tc = time.perf_counter()
-            N = int(np.count_nonzero(dom.contains_many(eigs)))
-            if lam in pieces_by_lam:
-                piece_counts = [
-                    int(np.count_nonzero(p.contains_many(eigs)))
-                    for p in pieces_by_lam[lam].all_pieces()]
-                dyadic_info[(lam, trial)] = {
-                    "piece_counts": piece_counts,
-                    "total": N,
-                    "sum_matches": sum(piece_counts) == N,
-                }
-            W = weyl_by_lam[lam]
-            records.append(TrialRecord(
-                mode="highenergy", param=float(lam), trial=trial,
-                seed_label=f"{config.seed}/he/{trial}",
-                N=N, W=W, residual=N - W, K=K, millis=ms,
-                eigenvalues=eigs if keep_eigs else None,
-                stage_ms={**stages,
-                          "count": (time.perf_counter() - tc) * 1e3}))
+    for r, lam in zip(records, itertools.cycle(lam_sorted)):
+        if lam in pieces_by_lam:
+            eigs = spectra[r.trial]
+            piece_counts = [int(np.count_nonzero(p.contains_many(eigs)))
+                            for p in pieces_by_lam[lam].all_pieces()]
+            dyadic_info[(lam, r.trial)] = {
+                "piece_counts": piece_counts,
+                "total": r.N,
+                "sum_matches": sum(piece_counts) == r.N,
+            }
 
     params = tuple(float(l) for l in lam_sorted)
     aggregates = {lam: _aggregate(records, lam) for lam in params}
@@ -854,7 +835,5 @@ def load_config(path) -> ExperimentConfig:
         delta_override=(None if exp.get("delta") is None
                         else float(exp["delta"])),
         seed=int(raw.get("seed", 0)),
-        c_K=float(exp.get("c_K", 2.0)),
-        calibration_quantile=float(exp.get("calibration_quantile", 1.0)),
         raw=raw,
     )

@@ -46,7 +46,6 @@ class EigenBranch:
     sym: MatrixSymbol
     root: ClassifiedRoot
     z: complex
-    gap: float
 
     def _pick(self, p: np.ndarray):
         """lambda and adj(p - lambda) for each matrix p."""
@@ -96,7 +95,7 @@ def locate_branch(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
         raise MultipleEigenvalue(
             f"eigenvalue gap {gap:.2e} at the root is below gap_tol "
             f"{gap_tol:.2e}")
-    return EigenBranch(sym=sym, root=root, z=complex(z), gap=float(gap))
+    return EigenBranch(sym=sym, root=root, z=complex(z))
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,7 @@ class Phase:
     xi: np.ndarray                # xi(x), complex continuation
     phi: np.ndarray               # int_{x_root}^x xi(s) ds
     phi_second_at_root: complex
-    x_root: float
-    xi_root: float
     root_index: int
-    z: complex
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -199,9 +195,7 @@ def solve_eikonal(branch: EigenBranch, x_interval) -> Phase:
     # phi'' at the root from implicit differentiation of the eikonal
     phi2 = -complex(branch.dx(x0, xi0)) / dlam
     return Phase(x_grid=x_grid, xi=xi_vals, phi=phi,
-                 phi_second_at_root=complex(phi2), x_root=x0,
-                 xi_root=float(xi0.real), root_index=root_index,
-                 z=branch.z)
+                 phi_second_at_root=complex(phi2), root_index=root_index)
 
 
 def leading_amplitude(branch: EigenBranch, phase: Phase) -> np.ndarray:
@@ -244,13 +238,8 @@ class Quasimode:
     center: ClassifiedRoot
     z: complex
     h: float
-    plateau_radius: float
     support_radius: float
     c0_edge: float
-    norm_record: float
-
-    def component(self, i: int = 0) -> np.ndarray:
-        return self.samples[:, i]
 
     def l2_norm(self) -> float:
         dx = TWO_PI / len(self.x)
@@ -361,8 +350,7 @@ def _build(sym, z, root, h, grid_size, opts, inventory) -> Quasimode:
         raise CutoffTooWide("cutoff support missed every grid point")
     samples /= norm
     return Quasimode(samples=samples, x=xs, center=root, z=complex(z), h=h,
-                     plateau_radius=r0, support_radius=w, c0_edge=c0,
-                     norm_record=norm)
+                     support_radius=w, c0_edge=c0)
 
 
 # -- Fourier projection and residuals ----------------------------------------

@@ -224,15 +224,15 @@ class RegionClassification:
     inventory: RootInventory
 
 
-@dataclass(frozen=True)
-class RootOptions:
-    grid_nx: int = 256
-    grid_nxi: int = 256
-    newton_tol: float = 1e-12
-    max_newton: int = 60
-    dedup_radius: float = 1e-6
-    eps_phi_rel: float = 1e-6
-    xi_window: float | None = None
+# The root scan: a GRID_NX x GRID_NXI seed grid over the xi window, damped
+# Newton on each seed, roots merged within DEDUP_RADIUS, and a bracket within
+# EPS_PHI_REL |grad q_z|^2 of zero marked degenerate.
+GRID_NX = 256
+GRID_NXI = 256
+NEWTON_TOL = 1e-12
+MAX_NEWTON = 60
+DEDUP_RADIUS = 1e-6
+EPS_PHI_REL = 1e-6
 
 
 # -- q_z and its gradient ------------------------------------------------------
@@ -304,12 +304,11 @@ def _local_minima(absq: np.ndarray) -> list:
     return list(zip(*np.nonzero(is_min)))
 
 
-def _newton_refine(sym: MatrixSymbol, z: complex, x0: float, xi0: float,
-                   opts: RootOptions):
+def _newton_refine(sym: MatrixSymbol, z: complex, x0: float, xi0: float):
     """Damped Newton on (Re q, Im q); returns (x, xi, |q|) or None."""
     x, xi = float(x0), float(xi0)
     q = qz(sym, PhaseSpacePoint(x, xi), z)
-    for _ in range(opts.max_newton):
+    for _ in range(MAX_NEWTON):
         dqx, dqxi = qz_gradient(sym, PhaseSpacePoint(x, xi), z)
         jac = np.array([[dqx.real, dqxi.real], [dqx.imag, dqxi.imag]])
         rhs = np.array([q.real, q.imag])
@@ -319,7 +318,7 @@ def _newton_refine(sym: MatrixSymbol, z: complex, x0: float, xi0: float,
             return None
         if not np.all(np.isfinite(step)):
             return None
-        if np.hypot(*step) < opts.newton_tol:
+        if np.hypot(*step) < NEWTON_TOL:
             return x, xi, abs(q)
         lam = 1.0
         for _ in range(25):
@@ -331,20 +330,19 @@ def _newton_refine(sym: MatrixSymbol, z: complex, x0: float, xi0: float,
         else:
             return None
         x, xi, q = xn, xin, qn
-        if lam * np.hypot(*step) < opts.newton_tol:
+        if lam * np.hypot(*step) < NEWTON_TOL:
             return x, xi, abs(q)
     return None
 
 
-def find_roots(sym: MatrixSymbol, z: complex,
-               opts: RootOptions = RootOptions()) -> RootInventory:
+def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
     """All zeros of q_z in the ellipticity-derived xi window, classified."""
-    window = opts.xi_window if opts.xi_window is not None else xi_window(sym, abs(z))
+    window = xi_window(sym, abs(z))
     if window == 0.0:
         return RootInventory(z=complex(z), roots=(), beta=0, gamma=0,
                              degenerate=False)
-    x = np.linspace(0.0, TWO_PI, opts.grid_nx, endpoint=False)
-    xi = np.linspace(-window, window, opts.grid_nxi)
+    x = np.linspace(0.0, TWO_PI, GRID_NX, endpoint=False)
+    xi = np.linspace(-window, window, GRID_NXI)
     q = _qz(sym, x[:, None], xi, z)
     absq = np.abs(q)
     qscale = max(float(np.median(absq)), 1e-300)
@@ -357,7 +355,7 @@ def find_roots(sym: MatrixSymbol, z: complex,
         seed_val = absq[ix, ixi]
         if seed_val > 0.75 * qscale:
             continue
-        res = _newton_refine(sym, z, x[ix], xi[ixi], opts)
+        res = _newton_refine(sym, z, x[ix], xi[ixi])
         if res is None:
             dqx, dqxi = qz_gradient(sym, PhaseSpacePoint(x[ix], xi[ixi]), z)
             grad = math.hypot(abs(dqx), abs(dqxi))
@@ -379,7 +377,7 @@ def find_roots(sym: MatrixSymbol, z: complex,
         dup = False
         for xu, xiu in unique:
             ddx = min(abs(xr - xu), TWO_PI - abs(xr - xu))
-            if math.hypot(ddx, xir - xiu) < max(opts.dedup_radius, 10 * dx * 1e-4):
+            if math.hypot(ddx, xir - xiu) < max(DEDUP_RADIUS, 10 * dx * 1e-4):
                 dup = True
                 break
         if not dup:
@@ -391,7 +389,7 @@ def find_roots(sym: MatrixSymbol, z: complex,
         pt = PhaseSpacePoint(xr, xir)
         bracket = poisson_bracket_indicator(sym, pt, z)
         dqx, dqxi = qz_gradient(sym, pt, z)
-        eps_phi = opts.eps_phi_rel * (abs(dqx) ** 2 + abs(dqxi) ** 2)
+        eps_phi = EPS_PHI_REL * (abs(dqx) ** 2 + abs(dqxi) ** 2)
         if abs(bracket) <= eps_phi:
             degenerate = True
         sign = "plus" if bracket > 0 else "minus"
@@ -403,9 +401,8 @@ def find_roots(sym: MatrixSymbol, z: complex,
                          gamma=gamma, degenerate=degenerate)
 
 
-def classify_region(sym: MatrixSymbol, z: complex,
-                    opts: RootOptions = RootOptions()) -> RegionClassification:
-    inv = find_roots(sym, z, opts)
+def classify_region(sym: MatrixSymbol, z: complex) -> RegionClassification:
+    inv = find_roots(sym, z)
     if not inv.roots:
         kind = RegionKind.OUTSIDE_SIGMA
     elif inv.degenerate:

@@ -57,7 +57,7 @@ def shifted(sym, z, h):
         + 2 * sym.max_bandwidth()
     t = FourierTruncation(K=K, n=sym.n, h=h)
     mat = assemble_operator(sym, t)
-    return OperatorMatrix(mat.entries - z * np.eye(t.side), t, "shifted")
+    return OperatorMatrix(mat.entries - z * np.eye(t.side), t)
 
 
 def f1_symbolic_roots(z):

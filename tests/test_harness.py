@@ -405,8 +405,11 @@ class TestReports:
 
     @pytest.mark.parametrize("mode", ["semiclassical", "highenergy"])
     def test_stage_timings(self, f2, f4, mode, tmp_path):
+        # one trial past the pilots, so some trials reuse a pilot's solve
+        # and some do not
         if mode == "semiclassical":
-            rep = run_semiclassical(sc_config(f2, trials=2))
+            rep = run_semiclassical(
+                sc_config(f2, trials=harness.SC_PILOTS + 1))
         else:
             rep = run_highenergy(he_config(f4))
         write_report(rep, tmp_path)
@@ -417,8 +420,32 @@ class TestReports:
             assert set(medians) == set(harness.STAGES)
             assert all(v >= 0.0 for v in medians.values())
         for r in rep.records:
+            assert set(r.stage_ms) == set(harness.STAGES)
             assert all(v >= 0.0 for v in r.stage_ms.values())
-            assert "count" in r.stage_ms
+        # summed over a trial's records, millis is its draw and counts, plus
+        # its assemble and eigensolve unless it is a pilot solved at K
+        trials = {}
+        for r in rep.records:
+            trials.setdefault(r.seed_label, []).append(r)
+        reuses = set()
+        for rows in trials.values():
+            first = rows[0]
+            assert all(r.stage_ms[s] == first.stage_ms[s] for r in rows
+                       for s in ("draw", "assemble", "eigensolve"))
+            if mode == "semiclassical":
+                t = rep.extras["truncation"][first.param]
+                pilots = t["pilot_trials"]
+            else:
+                t, pilots = rep.extras["truncation"], 1
+            reused = first.trial < pilots and first.K in t["K_tried"]
+            reuses.add(reused)
+            expected = first.stage_ms["draw"] + sum(
+                r.stage_ms["count"] for r in rows)
+            if not reused:
+                expected += (first.stage_ms["assemble"]
+                             + first.stage_ms["eigensolve"])
+            assert sum(r.millis for r in rows) == pytest.approx(expected)
+        assert reuses == {True, False}
         # certification time is part of the total in both modes
         trunc = summary["extras"]["truncation"]
         runs = trunc.values() if mode == "semiclassical" else [trunc]

@@ -33,7 +33,7 @@ def shifted(sym, z, h, K=None):
             + 2 * sym.max_bandwidth()
     t = FourierTruncation(K=K, n=sym.n, h=h)
     mat = assemble_operator(sym, t)
-    return OperatorMatrix(mat.entries - z * np.eye(t.side), t, "shifted")
+    return OperatorMatrix(mat.entries - z * np.eye(t.side), t)
 
 
 class TestBranch:
@@ -197,7 +197,7 @@ class TestResidual:
             K = int(math.ceil(2 * symbol.xi_window(f2, 0.5) / h)) + 2
             t = FourierTruncation(K=K, n=1, h=h)
             adj = assemble_operator(discretize.formal_adjoint(f2, h), t)
-            mat = OperatorMatrix(adj.entries - zbar * np.eye(t.side), t, "adj")
+            mat = OperatorMatrix(adj.entries - zbar * np.eye(t.side), t)
             q = build_adjoint_quasimode(f2, 0.5, mroot, h, 8 * (2 * K + 1))
             vals.append(residual(mat, q))
         assert vals[0] < 5e-2
