@@ -55,24 +55,35 @@ def _inventory_json(inv: symbol.RootInventory) -> dict:
 
 
 def cmd_symbol_scan(args) -> int:
+    """Region map over a z grid; a point whose scan fails numerically is
+    written with the error's name as its region, and the run exits 3."""
     cfg = harness.load_config(args.config)
     nx, ny = (int(v) for v in args.grid.split("x"))
     if args.zbox:
         re0, re1, im0, im1 = (float(v) for v in args.zbox.split(","))
     else:
-        r = cfg.domains[0].bound_radius() if cfg.domains else 2.0
+        r = cfg.domains[0].bound_radius()
         re0, re1, im0, im1 = -r, r, -r, r
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "region_map.csv")
+    failed = 0
     with open(path, "w") as fh:
         fh.write("re,im,region,beta,gamma\n")
         for re in np.linspace(re0, re1, nx):
             for im in np.linspace(im0, im1, ny):
-                cls = symbol.classify_region(cfg.sym, complex(re, im))
-                fh.write(f"{float(re)!r},{float(im)!r},{cls.kind.value},"
-                         f"{cls.inventory.beta},{cls.inventory.gamma}\n")
+                try:
+                    cls = symbol.classify_region(cfg.sym, complex(re, im))
+                    row = (f"{cls.kind.value},{cls.inventory.beta},"
+                           f"{cls.inventory.gamma}")
+                except _NUMERICAL_ERRORS as exc:
+                    failed += 1
+                    row = f"{type(exc).__name__},,"
+                fh.write(f"{float(re)!r},{float(im)!r},{row}\n")
     print(path)
-    return 0
+    if failed:
+        print(f"numerical failure at {failed} of {nx * ny} points",
+              file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_roots(args) -> int:
@@ -112,8 +123,7 @@ def cmd_assemble(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = harness.load_config(args.config)
     h = float(args.h)
-    K = cfg.truncation_K(h, cfg.domains[0].bound_radius()
-                         if cfg.domains else 1.0)
+    K = cfg.truncation_K(h, cfg.domains[0].bound_radius())
     trunc = discretize.FourierTruncation(K=K, n=cfg.sym.n, h=h)
     mat = discretize.assemble_operator(cfg.sym, trunc)
     if args.delta is not None and float(args.delta) != 0.0:
@@ -135,8 +145,7 @@ def cmd_spectrum(args) -> int:
 def cmd_pseudospec(args) -> int:
     cfg = harness.load_config(args.config)
     h = float(args.h)
-    K = cfg.truncation_K(h, cfg.domains[0].bound_radius()
-                         if cfg.domains else 1.0)
+    K = cfg.truncation_K(h, cfg.domains[0].bound_radius())
     trunc = discretize.FourierTruncation(K=K, n=cfg.sym.n, h=h)
     grid = _parse_grid(args.grid)
     smap = discretize.sigma_min_map(cfg.sym, h, trunc, grid)
@@ -185,6 +194,9 @@ def cmd_mc(args, mode: str) -> int:
     return 0
 
 
+Z_HELP = "--z=RE,IM; a value that starts with '-' needs '='"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="weylab",
@@ -198,13 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("symbol-scan", help="map of the spectral regions")
     common(sp)
     sp.add_argument("--grid", default="40x40")
-    sp.add_argument("--zbox", help="re0,re1,im0,im1 (default: domain box)")
+    sp.add_argument("--zbox", help="--zbox=re0,re1,im0,im1 (default: "
+                    "domain box); a value that starts with '-' needs '='")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_symbol_scan)
 
     sp = sub.add_parser("roots", help="root inventory at one z")
     common(sp)
-    sp.add_argument("--z", required=True, help="RE,IM")
+    sp.add_argument("--z", required=True, help=Z_HELP)
     sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("weyl", help="phase-space measure and prediction")
@@ -232,13 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--h", required=True)
     sp.add_argument("--grid", required=True,
-                    help="re0:re1:n,im0:im1:n")
+                    help="--grid=re0:re1:n,im0:im1:n; a value that "
+                    "starts with '-' needs '='")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_pseudospec)
 
     sp = sub.add_parser("quasimode", help="WKB quasimode tables at one z")
     common(sp)
-    sp.add_argument("--z", required=True, help="RE,IM")
+    sp.add_argument("--z", required=True, help=Z_HELP)
     sp.add_argument("--h", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_quasimode)

@@ -87,7 +87,6 @@ class ExperimentConfig:
             if self.delta_override is None:
                 for h in self.h_list:
                     delta_window(h, self.law.rho_decay, self.gamma1, self.N0)
-            self._validate_roots_semiclassical()
         else:
             if not self.lambda_list:
                 raise ValueError("highenergy mode needs lambda_list")
@@ -108,39 +107,28 @@ class ExperimentConfig:
                               domains.AnnularSector):
                 raise ValueError("highenergy mode needs an annular-sector "
                                  "domain reaching the origin")
-            self._validate_roots_highenergy()
+        self._validate_roots()
 
-    def _validate_roots_semiclassical(self):
+    def _validate_roots(self):
+        """Check the root inventory at the probe z: of the symbol, or in
+        high-energy mode of its principal part (at 1 if the probe is ~0)."""
         z = _probe_z(self.domains[0])
-        inv = symbol.find_roots(self.sym, z)
-        if not inv.roots:
-            raise HypothesisViolation(
-                f"no phase-space roots at probe z = {z}: the domain is "
-                f"outside the symbol's spectral region")
-        if inv.degenerate:
-            raise HypothesisViolation(
-                f"degenerate bracket at probe z = {z} (boundary of the good "
-                f"region)")
-        if inv.beta != inv.gamma:
-            raise HypothesisViolation(
-                f"unbalanced root counts beta={inv.beta}, gamma={inv.gamma} "
-                f"at probe z = {z}")
-        _check_shared_bases(inv)
-        for r in inv.roots:
-            if abs(r.point.xi) < 1e-9:
-                raise HypothesisViolation(
-                    f"root at x={r.point.x:.4f} has xi = 0")
-
-    def _validate_roots_highenergy(self):
-        z = _probe_z(self.domains[0])
-        if abs(z) < 1e-12:
-            z = 1.0 + 0.0j
-        principal = _principal_part(self.sym)
-        inv = symbol.find_roots(principal, z)
-        if not inv.roots or inv.degenerate or inv.beta != inv.gamma:
-            raise HypothesisViolation(
-                f"principal symbol fails the root/bracket requirements at "
-                f"probe z = {z}")
+        sym = self.sym
+        if self.mode == "highenergy":
+            z = 1.0 + 0.0j if abs(z) < 1e-12 else z
+            sym = _principal_part(self.sym)
+        inv = symbol.find_roots(sym, z)
+        for failed, what in (
+                (not inv.roots, "no phase-space roots (the domain is outside "
+                                "the symbol's spectral region)"),
+                (inv.degenerate, "degenerate bracket (boundary of the good "
+                                 "region)"),
+                (inv.beta != inv.gamma, f"unbalanced root counts "
+                                        f"beta={inv.beta}, gamma={inv.gamma}"),
+                (any(abs(r.point.xi) < 1e-9 for r in inv.roots),
+                 "a root on xi = 0")):
+            if failed:
+                raise HypothesisViolation(f"{what} at probe z = {z}")
         _check_shared_bases(inv)
 
     # ------------------------------------------------------------------
@@ -188,24 +176,20 @@ def _probe_z(domain) -> complex:
 def _check_shared_bases(inv, tol: float = 1e-6):
     """Each plus-root must share its base x with exactly one minus-root, and
     distinct pairs must have distinct bases."""
+    def same_base(r, s):
+        d = abs(r.point.x - s.point.x)
+        return min(d, TWO_PI - d) < tol
+
     plus = [r for r in inv.roots if r.sign == "plus"]
     minus = [r for r in inv.roots if r.sign == "minus"]
-    bases = []
-    for p in plus:
-        match = [q for q in minus
-                 if min(abs(q.point.x - p.point.x),
-                        TWO_PI - abs(q.point.x - p.point.x)) < tol]
-        if len(match) != 1:
+    for i, p in enumerate(plus):
+        if sum(same_base(p, q) for q in minus) != 1:
             raise HypothesisViolation(
                 f"plus-root at x={p.point.x:.4f} does not pair with exactly "
                 f"one minus-root at the same base point")
-        bases.append(p.point.x)
-    for a in range(len(bases)):
-        for b in range(a + 1, len(bases)):
-            d = abs(bases[a] - bases[b])
-            if min(d, TWO_PI - d) < tol:
-                raise HypothesisViolation(
-                    "two root pairs share the same base point")
+        if any(same_base(p, o) for o in plus[:i]):
+            raise HypothesisViolation(
+                "two root pairs share the same base point")
 
 
 def _principal_part(sym: symbol.MatrixSymbol) -> symbol.MatrixSymbol:
@@ -776,7 +760,27 @@ def _versions() -> dict:
 
 # -- JSON config loading ---------------------------------------------------------
 
+# The keys load_config reads, per block and per domain type; any other key
+# is a config error, so that a misspelt one cannot silently run a default.
+_TOP_KEYS = ("symbol", "perturbation", "domains", "experiment", "seed")
+_SYMBOL_KEYS = ("n", "m", "coeffs", "semiclassical")
+_LAW_KEYS = ("alpha_min", "alpha_max", "rho", "c_tilde", "K_q")
+_EXPERIMENT_KEYS = ("mode", "h_list", "lambda_list", "trials", "gamma1", "N0",
+                    "delta")
+_DOMAIN_KEYS = {"rectangle": ("re_min", "re_max", "im_min", "im_max"),
+                "polygon": ("vertices",),
+                "disk": ("center", "radius", "vertices"),
+                "sector": ("theta_min", "theta_max", "r_out", "r_in")}
+
+
+def _check_keys(block: str, spec: dict, known) -> None:
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {block}")
+
+
 def parse_symbol(spec: dict) -> symbol.MatrixSymbol:
+    _check_keys("symbol", spec, _SYMBOL_KEYS)
     return symbol.MatrixSymbol.from_terms(
         int(spec["n"]), int(spec["m"]),
         ((int(alpha), int(i), int(j), int(k), complex(float(re), float(im)))
@@ -787,6 +791,9 @@ def parse_symbol(spec: dict) -> symbol.MatrixSymbol:
 
 def parse_domain(spec: dict):
     kind = spec["type"]
+    if kind not in _DOMAIN_KEYS:
+        raise ValueError(f"unknown domain type {kind!r}")
+    _check_keys(f"{kind} domain", spec, ("type",) + _DOMAIN_KEYS[kind])
     if kind == "rectangle":
         return domains.Rectangle(spec["re_min"], spec["re_max"],
                                  spec["im_min"], spec["im_max"])
@@ -797,15 +804,12 @@ def parse_domain(spec: dict):
         c = spec.get("center", (0.0, 0.0))
         return domains.regular_polygon(complex(c[0], c[1]), spec["radius"],
                                        int(spec.get("vertices", 128)))
-    if kind == "sector":
-        r_out = spec.get("r_out", 1.0)
-        r_in = spec.get("r_in")
-        return domains.AnnularSector(spec["theta_min"], spec["theta_max"],
-                                     r_out, r_in)
-    raise ValueError(f"unknown domain type {kind!r}")
+    return domains.AnnularSector(spec["theta_min"], spec["theta_max"],
+                                 spec.get("r_out", 1.0), spec.get("r_in"))
 
 
 def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
+    _check_keys("perturbation", spec, _LAW_KEYS)
     return randomness.CoefficientLaw(
         alpha_min=int(spec["alpha_min"]),
         alpha_max=int(spec["alpha_max"]),
@@ -819,11 +823,13 @@ def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    _check_keys("the config", raw, _TOP_KEYS)
     sym = parse_symbol(raw["symbol"])
     law = (parse_law(raw["perturbation"], sym.n)
            if "perturbation" in raw else None)
     doms = [parse_domain(d) for d in raw.get("domains", [])]
     exp = raw.get("experiment", {})
+    _check_keys("experiment", exp, _EXPERIMENT_KEYS)
     return ExperimentConfig(
         sym=sym, law=law, domains=doms,
         mode=exp.get("mode", "semiclassical"),

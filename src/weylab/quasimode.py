@@ -81,8 +81,8 @@ def _slope(adj: np.ndarray, dp: np.ndarray):
             / np.trace(adj, axis1=-2, axis2=-1))
 
 
-def locate_branch(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
-                  gap_tol: float = _GAP_TOL) -> EigenBranch:
+def locate_branch(sym: MatrixSymbol, z: complex,
+                  root: ClassifiedRoot) -> EigenBranch:
     """Attach the simple eigenvalue branch through the root to work on."""
     p = polynomial(coefficient_values(sym, root.point.x), root.point.xi)
     vals = det_or_eigvals(p, det=False)
@@ -91,10 +91,9 @@ def locate_branch(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
         raise ValueError(f"no eigenvalue of p(root) matches z to 1e-10: "
                          f"|diff| = {abs(vals[order[0]] - z):.2e}")
     gap = abs(vals[order[1]] - vals[order[0]]) if len(vals) > 1 else np.inf
-    if gap <= gap_tol:
+    if gap <= _GAP_TOL:
         raise MultipleEigenvalue(
-            f"eigenvalue gap {gap:.2e} at the root is below gap_tol "
-            f"{gap_tol:.2e}")
+            f"eigenvalue gap {gap:.2e} at the root is below {_GAP_TOL:.2e}")
     return EigenBranch(sym=sym, root=root, z=complex(z))
 
 

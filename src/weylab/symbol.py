@@ -14,7 +14,11 @@ its (len(x), n, n) coefficients before broadcasting against xi.
 
 The scalarization ``q_z = det(p - z)`` organizes everything: its zeros in
 phase space are classified by the sign of the real bracket
-``(1/2i){q_z, conj(q_z)}``.
+``(1/2i){q_z, conj(q_z)}``.  ``_jet`` gives q_z and its gradient on arrays
+of points.  ``find_roots`` seeds at the local minima of |q_z| on a grid and
+moves all seeds together by one undamped Newton iteration on (Re q_z,
+Im q_z), whose Jacobian determinant Im(conj(d_x q_z) d_xi q_z) is the
+bracket: the last evaluation at a root also classifies it.
 """
 
 from __future__ import annotations
@@ -224,8 +228,9 @@ class RegionClassification:
     inventory: RootInventory
 
 
-# The root scan: a GRID_NX x GRID_NXI seed grid over the xi window, damped
-# Newton on each seed, roots merged within DEDUP_RADIUS, and a bracket within
+# The root scan: a GRID_NX x GRID_NXI seed grid over the xi window, at most
+# MAX_NEWTON Newton steps on all seeds at once, each seed stopping at a step
+# below NEWTON_TOL, roots merged within DEDUP_RADIUS, and a bracket within
 # EPS_PHI_REL |grad q_z|^2 of zero marked degenerate.
 GRID_NX = 256
 GRID_NXI = 256
@@ -233,38 +238,51 @@ NEWTON_TOL = 1e-12
 MAX_NEWTON = 60
 DEDUP_RADIUS = 1e-6
 EPS_PHI_REL = 1e-6
+# winding_number refines its samples in at most WINDING_REFINE passes, and
+# takes |q_z| < WINDING_ZERO_TOL max|q_z| on the contour for a zero there
+WINDING_REFINE = 18
+WINDING_ZERO_TOL = 1e-13
 
 
 # -- q_z and its gradient ------------------------------------------------------
 
-def _qz(sym: MatrixSymbol, x, xi, z: complex) -> np.ndarray:
-    """det(p - z) at the points (x, xi), broadcast."""
-    p = polynomial(coefficient_values(sym, x), xi)
-    return det_or_eigvals(p - z * np.eye(sym.n), det=True)
+def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True):
+    """q_z = det(p - z) at the points (x, xi), broadcast; with ``grad``, the
+    triple (q_z, d_x q_z, d_xi q_z), the derivatives by the Jacobi formula
+    dq = tr(adj(p - z) dp)."""
+    if not grad:
+        p = polynomial(coefficient_values(sym, x), xi)
+        return det_or_eigvals(p - z * np.eye(sym.n), det=True)
+    A, dA = coefficient_values(sym, x, dx=True)
+    p, dpxi = polynomial(A, xi, dxi=True)
+    pz = p - z * np.eye(sym.n)
+    adj = adjugate(pz)
+    return (det_or_eigvals(pz, det=True),
+            np.trace(adj @ polynomial(dA, xi), axis1=-2, axis2=-1),
+            np.trace(adj @ dpxi, axis1=-2, axis2=-1))
+
+
+def _bracket(dqx, dqxi):
+    """(1/2i)(d_xi q d_x conj(q) - d_x q d_xi conj(q)), which equals
+    Im(conj(d_x q) d_xi q), the Jacobian determinant of (Re q, Im q)."""
+    return (np.conj(dqx) * dqxi).imag
 
 
 def qz(sym: MatrixSymbol, pt: PhaseSpacePoint, z: complex) -> complex:
-    return complex(_qz(sym, pt.x, pt.xi, z))
+    return complex(_jet(sym, pt.x, pt.xi, z, grad=False))
 
 
 def qz_gradient(sym: MatrixSymbol, pt: PhaseSpacePoint, z: complex):
-    """(d_x q_z, d_xi q_z) via the Jacobi formula dq = tr(adj(p-z) dp)."""
-    A, dA = coefficient_values(sym, pt.x, dx=True)
-    p, dpxi = polynomial(A, pt.xi, dxi=True)
-    dpx = polynomial(dA, pt.xi)
-    adj = adjugate(p - z * np.eye(sym.n))
-    return complex(np.trace(adj @ dpx)), complex(np.trace(adj @ dpxi))
+    """(d_x q_z, d_xi q_z) at pt."""
+    _, dqx, dqxi = _jet(sym, pt.x, pt.xi, z)
+    return complex(dqx), complex(dqxi)
 
 
 def poisson_bracket_indicator(sym: MatrixSymbol, pt: PhaseSpacePoint,
                               z: complex) -> float:
-    """(1/2i)(d_xi q d_x conj(q) - d_x q d_xi conj(q)); real by construction."""
-    dqx, dqxi = qz_gradient(sym, pt, z)
-    value = (dqxi * np.conj(dqx) - dqx * np.conj(dqxi)) / 2j
-    if abs(value.imag) > 1e-12 * (1.0 + abs(value)):
-        raise ArithmeticError("bracket indicator has a non-negligible "
-                              f"imaginary residue: {value!r}")
-    return float(value.real)
+    """The real bracket (1/2i){q_z, conj(q_z)} at pt."""
+    _, dqx, dqxi = _jet(sym, pt.x, pt.xi, z)
+    return float(_bracket(dqx, dqxi))
 
 
 # -- xi window --------------------------------------------------------------
@@ -286,53 +304,23 @@ def xi_window(sym: MatrixSymbol, z_sup: float) -> float:
 
 # -- grid machinery ---------------------------------------------------------
 
-def _local_minima(absq: np.ndarray) -> list:
-    """Indices of strict-ish local minima, with x wrapped periodically."""
+def _local_minima(absq: np.ndarray, cap: float):
+    """Index arrays (ix, ixi) of the strict-ish local minima at most cap, x
+    wrapped periodically, in row-major order."""
     nx, nxi = absq.shape
     padded = np.full((nx + 2, nxi + 2), np.inf)
     padded[1:-1, 1:-1] = absq
     padded[0, 1:-1] = absq[-1]
     padded[-1, 1:-1] = absq[0]
     center = padded[1:-1, 1:-1]
-    is_min = np.ones(absq.shape, dtype=bool)
+    is_min = absq <= cap
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
             neigh = padded[1 + di:nx + 1 + di, 1 + dj:nxi + 1 + dj]
             is_min &= center <= neigh
-    return list(zip(*np.nonzero(is_min)))
-
-
-def _newton_refine(sym: MatrixSymbol, z: complex, x0: float, xi0: float):
-    """Damped Newton on (Re q, Im q); returns (x, xi, |q|) or None."""
-    x, xi = float(x0), float(xi0)
-    q = qz(sym, PhaseSpacePoint(x, xi), z)
-    for _ in range(MAX_NEWTON):
-        dqx, dqxi = qz_gradient(sym, PhaseSpacePoint(x, xi), z)
-        jac = np.array([[dqx.real, dqxi.real], [dqx.imag, dqxi.imag]])
-        rhs = np.array([q.real, q.imag])
-        try:
-            step = np.linalg.solve(jac, -rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        if np.hypot(*step) < NEWTON_TOL:
-            return x, xi, abs(q)
-        lam = 1.0
-        for _ in range(25):
-            xn, xin = x + lam * step[0], xi + lam * step[1]
-            qn = qz(sym, PhaseSpacePoint(xn, xin), z)
-            if abs(qn) < abs(q):
-                break
-            lam *= 0.5
-        else:
-            return None
-        x, xi, q = xn, xin, qn
-        if lam * np.hypot(*step) < NEWTON_TOL:
-            return x, xi, abs(q)
-    return None
+    return np.nonzero(is_min)
 
 
 def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
@@ -343,62 +331,60 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
                              degenerate=False)
     x = np.linspace(0.0, TWO_PI, GRID_NX, endpoint=False)
     xi = np.linspace(-window, window, GRID_NXI)
-    q = _qz(sym, x[:, None], xi, z)
-    absq = np.abs(q)
+    absq = np.abs(_jet(sym, x[:, None], xi, z, grad=False))
     qscale = max(float(np.median(absq)), 1e-300)
-    accept = 1e-9 * qscale
-    dx = x[1] - x[0]
-    dxi = xi[1] - xi[0]
+    dx, dxi = x[1] - x[0], xi[1] - xi[0]
 
-    found = []
-    for ix, ixi in _local_minima(absq):
-        seed_val = absq[ix, ixi]
-        if seed_val > 0.75 * qscale:
-            continue
-        res = _newton_refine(sym, z, x[ix], xi[ixi])
-        if res is None:
-            dqx, dqxi = qz_gradient(sym, PhaseSpacePoint(x[ix], xi[ixi]), z)
-            grad = math.hypot(abs(dqx), abs(dqxi))
-            if seed_val < 0.25 * min(dx, dxi) * grad:
-                raise NonConvergence(
-                    f"Newton failed from near-root seed at x={x[ix]:.6f}, "
-                    f"xi={xi[ixi]:.6f}, |q|={seed_val:.3e}")
-            continue
-        xr, xir, qr = res
-        if qr > accept:
-            continue
-        if abs(xir) > window * (1.0 + 1e-9):
-            continue
-        found.append((xr % TWO_PI, xir))
-
-    # deduplicate with x distance taken mod 2*pi
-    unique = []
-    for xr, xir in found:
-        dup = False
-        for xu, xiu in unique:
-            ddx = min(abs(xr - xu), TWO_PI - abs(xr - xu))
-            if math.hypot(ddx, xir - xiu) < max(DEDUP_RADIUS, 10 * dx * 1e-4):
-                dup = True
+    # undamped Newton on (Re q, Im q) from every seed at once; a seed stops
+    # at a step below NEWTON_TOL or not finite
+    ix, ixi = _local_minima(absq, 0.75 * qscale)
+    seed_val = absq[ix, ixi]
+    xr, xir = x[ix], xi[ixi]
+    q, qx, qxi = _jet(sym, xr, xir, z)
+    seed_grad = np.hypot(np.abs(qx), np.abs(qxi))
+    live = np.ones(len(xr), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_NEWTON):
+            # Cramer's rule; the Jacobian determinant is the bracket
+            jac = _bracket(qx, qxi)
+            sx = -(np.conj(q) * qxi).imag / jac
+            sxi = -(np.conj(qx) * q).imag / jac
+            size = np.hypot(sx, sxi)
+            live &= (size >= NEWTON_TOL) & (size < np.inf)
+            if not live.any():
                 break
-        if not dup:
-            unique.append((xr, xir))
+            xr[live] = (xr[live] + sx[live]) % TWO_PI
+            xir[live] += sxi[live]
+            q[live], qx[live], qxi[live] = _jet(sym, xr[live], xir[live], z)
+    is_root = np.abs(q) <= 1e-9 * qscale
+    stuck = ~is_root & (seed_val < 0.25 * min(dx, dxi) * seed_grad)
+    if stuck.any():
+        k = np.flatnonzero(stuck)[0]
+        raise NonConvergence(
+            f"Newton failed from near-root seed at x={x[ix[k]]:.6f}, "
+            f"xi={xi[ixi[k]]:.6f}, |q|={seed_val[k]:.3e}")
+    is_root &= np.abs(xir) <= window * (1.0 + 1e-9)
 
-    roots = []
-    degenerate = False
-    for xr, xir in sorted(unique):
-        pt = PhaseSpacePoint(xr, xir)
-        bracket = poisson_bracket_indicator(sym, pt, z)
-        dqx, dqxi = qz_gradient(sym, pt, z)
-        eps_phi = EPS_PHI_REL * (abs(dqx) ** 2 + abs(dqxi) ** 2)
-        if abs(bracket) <= eps_phi:
-            degenerate = True
-        sign = "plus" if bracket > 0 else "minus"
-        roots.append(ClassifiedRoot(point=pt, sign=sign, bracket=bracket))
+    # deduplicate with x distance taken mod 2*pi, then sort by (x, xi)
+    unique = []
+    for k in np.flatnonzero(is_root):
+        ddx = np.abs(xr[unique] - xr[k])
+        ddx = np.minimum(ddx, TWO_PI - ddx)
+        near = np.hypot(ddx, xir[unique] - xir[k])
+        if not (near < max(DEDUP_RADIUS, 10 * dx * 1e-4)).any():
+            unique.append(k)
+    unique.sort(key=lambda k: (xr[k], xir[k]))
 
-    beta = sum(1 for r in roots if r.sign == "plus")
-    gamma = len(roots) - beta
-    return RootInventory(z=complex(z), roots=tuple(roots), beta=beta,
-                         gamma=gamma, degenerate=degenerate)
+    bracket = _bracket(qx[unique], qxi[unique])
+    grad2 = np.abs(qx[unique]) ** 2 + np.abs(qxi[unique]) ** 2
+    roots = tuple(ClassifiedRoot(point=PhaseSpacePoint(xr[k], xir[k]),
+                                 sign="plus" if b > 0 else "minus",
+                                 bracket=float(b))
+                  for k, b in zip(unique, bracket))
+    beta = int(np.sum(bracket > 0))
+    degenerate = bool(np.any(np.abs(bracket) <= EPS_PHI_REL * grad2))
+    return RootInventory(z=complex(z), roots=roots, beta=beta,
+                         gamma=len(roots) - beta, degenerate=degenerate)
 
 
 def classify_region(sym: MatrixSymbol, z: complex) -> RegionClassification:
@@ -414,8 +400,7 @@ def classify_region(sym: MatrixSymbol, z: complex) -> RegionClassification:
 
 # -- winding numbers --------------------------------------------------------
 
-def winding_number(sym: MatrixSymbol, z: complex, loop: Sequence,
-                   max_refine: int = 18, zero_tol: float = 1e-13) -> int:
+def winding_number(sym: MatrixSymbol, z: complex, loop: Sequence) -> int:
     """Argument-variation count of q_z along a closed polyline in (x, xi).
 
     The polyline is traversed in the order given (counterclockwise for the
@@ -425,30 +410,24 @@ def winding_number(sym: MatrixSymbol, z: complex, loop: Sequence,
     pts = [np.asarray(p, dtype=float) for p in loop]
     if not np.allclose(pts[0], pts[-1]):
         pts.append(pts[0])
-    samples = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg_n = 16
-        samples.append(np.linspace(a, b, seg_n, endpoint=False))
-    samples = np.concatenate(samples + [pts[-1][None, :]])
+    samples = np.concatenate([np.linspace(a, b, 16, endpoint=False)
+                              for a, b in zip(pts[:-1], pts[1:])]
+                             + [pts[-1][None, :]])
 
     def q_of(arr):
-        return _qz(sym, arr[:, 0] % TWO_PI, arr[:, 1], z)
+        return _jet(sym, arr[:, 0] % TWO_PI, arr[:, 1], z, grad=False)
 
     qvals = q_of(samples)
     scale = max(float(np.max(np.abs(qvals))), 1e-300)
-    for _ in range(max_refine):
-        if np.min(np.abs(qvals)) < zero_tol * scale:
+    for _ in range(WINDING_REFINE):
+        if np.min(np.abs(qvals)) < WINDING_ZERO_TOL * scale:
             raise ZeroOnContour("q_z vanishes on the contour within tolerance")
         jumps = np.angle(qvals[1:] / qvals[:-1])
         bad = np.abs(jumps) >= 0.5 * math.pi
         if not bad.any():
-            total = float(np.sum(jumps))
-            wind = total / TWO_PI
-            return int(round(wind))
+            return int(round(float(np.sum(jumps)) / TWO_PI))
         mids = 0.5 * (samples[:-1][bad] + samples[1:][bad])
-        qmids = q_of(mids)
         insert_at = np.nonzero(bad)[0] + 1
         samples = np.insert(samples, insert_at, mids, axis=0)
-        qvals = np.insert(qvals, insert_at, qmids, axis=0)
+        qvals = np.insert(qvals, insert_at, q_of(mids), axis=0)
     raise ZeroOnContour("contour refinement exhausted; q_z too close to zero")
-

@@ -1,11 +1,15 @@
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from weylab import cli
+from weylab import cli, symbol
 from weylab.discretize import load_matrix
-from weylab.errors import BranchLoss
+from weylab.errors import BranchLoss, NonConvergence
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -73,6 +77,27 @@ class TestSubcommands:
         rows = lines.split("\n")
         assert rows[0] == "re,im,region,beta,gamma"
         assert len(rows) == 17
+
+    def test_symbol_scan_writes_failed_points(self, config_path, tmp_path,
+                                              monkeypatch, capsys):
+        find_roots = symbol.find_roots
+        bad = complex(0.4, 0.0)
+
+        def flaky(sym, z):
+            if z == bad:
+                raise NonConvergence("stalled")
+            return find_roots(sym, z)
+        monkeypatch.setattr(symbol, "find_roots", flaky)
+        rc = cli.main(["symbol-scan", "--config", config_path,
+                       "--grid", "3x3", "--zbox=0.2,0.6,-0.3,0.3",
+                       "--out", str(tmp_path / "scan")])
+        assert rc == 3
+        assert "1 of 9 points" in capsys.readouterr().err
+        rows = (tmp_path / "scan" / "region_map.csv").read_text().split()
+        assert len(rows) == 10
+        assert rows[5] == "0.4,0.0,NonConvergence,,"
+        assert all(row.split(",")[2] == "InLambda"
+                   for row in rows[1:] if row != rows[5])
 
     def test_assemble_and_reload(self, config_path, tmp_path, capsys):
         out = tmp_path / "mat.txt"
@@ -146,6 +171,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert cli.main(["roots", "--config", str(bad), "--z", "0,0"]) == 2
 
+    def test_unknown_config_key(self, config_path, tmp_path, capsys):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        raw["experiment"]["trails"] = 5
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "'trails' in experiment" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_mode_mismatch(self, config_path, tmp_path, capsys):
         rc = cli.main(["mc-highenergy", "--config", config_path,
                        "--out", str(tmp_path / "x")])
@@ -165,3 +200,16 @@ class TestExitCodes:
         rc = cli.main(["quasimode", "--config", config_path, "--z", "0.5,0.0",
                        "--h", "0.1", "--out", str(tmp_path / "qm")])
         assert rc == 3
+
+
+def test_readme_cli_lines_parse():
+    """Every `weylab ...` line of the README's CLI block parses."""
+    text = README.read_text()
+    block = text[text.index("```sh\nweylab "):]
+    block = block[:block.index("```", 3)]
+    lines = [ln for ln in block.splitlines() if ln.startswith("weylab ")]
+    assert len(lines) == 9
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.func is not None, line

@@ -463,20 +463,24 @@ class TestReports:
         assert len(lines) > 10
 
 
+def file_config():
+    return {
+        "symbol": {"n": 1, "m": 2,
+                   "coeffs": {"0": [[0, 0, 1, 0.0, 1.0]],
+                              "2": [[0, 0, 0, 1.0, 0.0]]}},
+        "perturbation": {"alpha_min": 0, "alpha_max": 0, "rho": 1.2,
+                         "K_q": 16},
+        "domains": [{"type": "rectangle", "re_min": 0.1, "re_max": 0.7,
+                     "im_min": -0.5, "im_max": 0.5}],
+        "experiment": {"mode": "semiclassical", "h_list": [0.1],
+                       "trials": 2},
+        "seed": 9,
+    }
+
+
 class TestConfigFile:
     def test_load_config_roundtrip(self, tmp_path):
-        raw = {
-            "symbol": {"n": 1, "m": 2,
-                       "coeffs": {"0": [[0, 0, 1, 0.0, 1.0]],
-                                  "2": [[0, 0, 0, 1.0, 0.0]]}},
-            "perturbation": {"alpha_min": 0, "alpha_max": 0, "rho": 1.2,
-                             "K_q": 16},
-            "domains": [{"type": "rectangle", "re_min": 0.1, "re_max": 0.7,
-                         "im_min": -0.5, "im_max": 0.5}],
-            "experiment": {"mode": "semiclassical", "h_list": [0.1],
-                           "trials": 2},
-            "seed": 9,
-        }
+        raw = file_config()
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         cfg = load_config(path)
@@ -485,6 +489,27 @@ class TestConfigFile:
         assert cfg.seed == 9
         assert cfg.h_list == (0.1,)
         assert cfg.echo() == raw
+
+    @pytest.mark.parametrize("block, key, where", [
+        (None, "sed", "the config"), ("symbol", "order", "symbol"),
+        ("perturbation", "c_K", "perturbation"),
+        ("experiment", "trails", "experiment"),
+        ("experiment", "calibration_quantile", "experiment")])
+    def test_unknown_key_rejected(self, tmp_path, block, key, where):
+        raw = file_config()
+        (raw[block] if block else raw)[key] = 5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"'{key}' in {where}"):
+            load_config(path)
+
+    def test_unknown_domain_key_rejected(self, tmp_path):
+        raw = file_config()
+        raw["domains"][0]["radius"] = 1.0      # a disk's key
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="'radius' in rectangle domain"):
+            load_config(path)
 
     def test_parse_domains(self):
         sector = harness.parse_domain(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weylab import symbol
-from weylab.errors import ZeroOnContour
+from weylab.errors import NonConvergence, ZeroOnContour
 from weylab.symbol import PhaseSpacePoint, RegionKind, TWO_PI
 
 
@@ -217,6 +217,13 @@ class TestRoots:
         assert abs(got[1].point.xi - xi_star) < 1e-9
         assert got[1].sign == "plus"
 
+    def test_newton_failure_near_a_root_raises(self, f2, monkeypatch):
+        # with no Newton step, the seeds beside F2's roots at z = 0.5 stay
+        # above the acceptance threshold within a quarter cell of a zero
+        monkeypatch.setattr(symbol, "MAX_NEWTON", 0)
+        with pytest.raises(NonConvergence, match="near-root seed"):
+            symbol.find_roots(f2, 0.5)
+
     def test_beta_equals_gamma_random_scalars(self, rng):
         checked = 0
         attempts = 0
@@ -291,6 +298,15 @@ class TestRegions:
     def test_near_phi_at_sigma_boundary(self, f1):
         # |Im z| = 1 is the boundary of Sigma for F1: the bracket degenerates
         assert symbol.classify_region(f1, 1j).kind is RegionKind.NEAR_PHI
+
+    @pytest.mark.parametrize("im", [1.0, -1.0])
+    def test_f3_sigma_boundary_rows(self, f3, im):
+        # det(p - z) = (xi + e^{ix} - z)(xi - e^{ix} - z): on the rows
+        # |Im z| = 1 the imaginary part +-sin x - Im z of each factor has
+        # double zeros in x, so the bracket degenerates at every root
+        for re in np.linspace(-1.0, 1.0, 9):
+            cls = symbol.classify_region(f3, complex(re, im))
+            assert cls.kind is RegionKind.NEAR_PHI, re
 
     def test_count_m_gamma_additive(self, f3):
         from weylab.domains import Rectangle, m_gamma
