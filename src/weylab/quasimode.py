@@ -212,14 +212,32 @@ def leading_amplitude(branch: EigenBranch, phase: Phase) -> np.ndarray:
     log_g[:phase.root_index] = -np.cumsum(inc[:phase.root_index][::-1])[::-1]
     a0 = np.exp(-0.5 * log_g)
 
-    # eigenvector phases continued from the root outward
+    # eigenvector phases continued from the root outward: each vector is
+    # turned to overlap its turned inner neighbour positively
     vecs = branch.eigvec(phase.x_grid, phase.xi)
     r = phase.root_index
-    for idx in [*range(r + 1, len(vecs)), *range(r - 1, -1, -1)]:
-        ph = np.vdot(vecs[idx - 1 if idx > r else idx + 1], vecs[idx])
-        if ph != 0:
-            vecs[idx] *= abs(ph) / ph
-    return a0[:, None] * vecs
+    c = np.einsum("ij,ij->i", np.conj(vecs[:-1]), vecs[1:])
+    turn = np.ones(len(vecs), dtype=complex)
+    turn[r + 1:] = _continued_phase(c[r:])
+    turn[:r] = _continued_phase(np.conj(c[:r])[::-1])[::-1]
+    return a0[:, None] * turn[:, None] * vecs
+
+
+def _continued_phase(c: np.ndarray) -> np.ndarray:
+    """u_k = u_{k-1} |c_k| / c_k from u_{-1} = 1, and u_k = 1 where c_k = 0.
+
+    With c_k the overlap of raw neighbour vectors v_{k-1}, v_k, the overlap
+    of u_{k-1} v_{k-1} with v_k is conj(u_{k-1}) c_k, so u_k v_k overlaps the
+    turned neighbour positively: one cumulative product does the sequential
+    continuation.  A zero overlap leaves its vector unturned and restarts
+    the product.
+    """
+    nonzero = c != 0
+    w = np.ones(len(c), dtype=complex)
+    w[nonzero] = np.abs(c[nonzero]) / c[nonzero]
+    u = np.cumprod(w)
+    restart = np.maximum.accumulate(np.where(nonzero, -1, np.arange(len(c))))
+    return np.where(restart < 0, u, u / u[restart])
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,35 @@ class TestAmplitude:
         assert np.max(np.abs(amp - expect)) < 1e-8
 
 
+    def test_matrix_phases_match_sequential_loop(self, f3):
+        z = 0.2 + 0.3j
+        _, root = plus_root(f3, z)
+        br = locate_branch(f3, z, root)
+        ph = solve_eikonal(br, (root.point.x - 0.4, root.point.x + 0.4))
+        # reference: the half-density factor and the eigenvector phases
+        # continued one point at a time outward from the root
+        g = br.value_dxi(ph.x_grid, ph.xi)[1]
+        inc = np.log(g[1:] / g[:-1])
+        r = ph.root_index
+        log_g = np.zeros(len(g), dtype=complex)
+        log_g[r + 1:] = np.cumsum(inc[r:])
+        log_g[:r] = -np.cumsum(inc[:r][::-1])[::-1]
+        vecs = br.eigvec(ph.x_grid, ph.xi)
+        for idx in [*range(r + 1, len(vecs)), *range(r - 1, -1, -1)]:
+            c = np.vdot(vecs[idx - 1 if idx > r else idx + 1], vecs[idx])
+            if c != 0:
+                vecs[idx] *= abs(c) / c
+        expect = np.exp(-0.5 * log_g)[:, None] * vecs
+        amp = leading_amplitude(br, ph)
+        assert amp.shape == (len(ph.x_grid), 2)
+        assert np.max(np.abs(amp - expect)) < 1e-12
+
+    def test_phase_continuation_restarts_at_zero_overlap(self):
+        c = np.array([1j, -1.0, 0.0, 2j, 1.0 + 1j])
+        expect = [-1j, 1j, 1.0, -1j, (1 - 1j) / math.sqrt(2) * -1j]
+        assert np.allclose(quasimode._continued_phase(c), expect,
+                           atol=1e-15)
+
 class TestBuild:
     def test_normalized_and_positive_phase(self, f2):
         inv, root = plus_root(f2, 0.5)

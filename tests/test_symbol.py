@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -145,6 +146,49 @@ def _grid_sum(A, xi, dxi=False):
     return mats
 
 
+def _conjugated(rng, diag):
+    """S diag(diag) S^-1 for a seeded random complex 2 x 2 S per row."""
+    S = rng.normal(size=(len(diag), 2, 2)) + 1j * rng.normal(
+        size=(len(diag), 2, 2))
+    return S @ (diag[..., None] * np.linalg.inv(S))
+
+
+class TestSmallMatrixKernels:
+    """det_or_eigvals and adjugate against LAPACK; n <= 2 takes closed
+    forms, n = 3 the LAPACK and cofactor path."""
+
+    @staticmethod
+    def _stack(rng, name):
+        lam = rng.normal(size=40) + 1j * rng.normal(size=40)
+        if name == "tiny":
+            return _conjugated(rng, np.stack([lam, np.full(40, 1e-14)], -1))
+        if name == "near-double":
+            return _conjugated(rng, np.stack([lam, lam + 1e-9], -1))
+        n = int(name)
+        return (rng.normal(size=(200, n, n))
+                + 1j * rng.normal(size=(200, n, n)))
+
+    @pytest.mark.parametrize("name", ["1", "2", "3", "tiny", "near-double"])
+    def test_against_lapack(self, rng, name):
+        M = self._stack(rng, name)
+        n = M.shape[-1]
+        norm = np.linalg.norm(M, 2, axis=(-2, -1))
+        det = symbol.det_or_eigvals(M, det=True)
+        assert np.all(np.abs(det - np.linalg.det(M)) <= 1e-13 * norm ** n)
+        vals = symbol.det_or_eigvals(M, det=False)
+        for got, ref, bound in zip(vals, np.linalg.eigvals(M), norm):
+            gap = min(np.abs(got[list(perm)] - ref).max()
+                      for perm in itertools.permutations(range(n)))
+            assert gap <= 1e-13 * bound
+        residual = symbol.adjugate(M) @ M - det[:, None, None] * np.eye(n)
+        assert np.all(np.abs(residual).max(axis=(-2, -1))
+                      <= 1e-13 * norm ** n)
+
+    def test_empty_minor_determinant_is_one(self):
+        assert np.array_equal(
+            symbol.det_or_eigvals(np.empty((3, 0, 0)), det=True), np.ones(3))
+
+
 class TestEvaluatorIdentity:
     @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -216,6 +260,30 @@ class TestRoots:
         assert got[0].sign == "minus"
         assert abs(got[1].point.xi - xi_star) < 1e-9
         assert got[1].sign == "plus"
+
+    def test_f2_newton_evaluations(self, f2, monkeypatch):
+        # F2 = xi^2 - sin x + i cos x - z: at z = 0.5 the zeros are
+        # cos x = 0, xi^2 = 0.5 + sin x, so (pi/2, +-sqrt(1.5)), with bracket
+        # Im(conj(d_x q) d_xi q) = 2 xi there.  Seeds that leave the xi
+        # window stop; the two saddle seeds near xi = 0 used to step until
+        # MAX_NEWTON, 61 gradient evaluations in all.
+        calls = []
+        jet = symbol._jet
+
+        def counted(sym, x, xi, z, grad=True):
+            calls.append(grad)
+            return jet(sym, x, xi, z, grad)
+
+        monkeypatch.setattr(symbol, "_jet", counted)
+        inv = symbol.find_roots(f2, 0.5)
+        assert sum(calls) <= 10
+        got = sorted(inv.roots, key=lambda r: r.point.xi)
+        assert len(got) == 2 and not inv.degenerate
+        for r, xi in zip(got, (-math.sqrt(1.5), math.sqrt(1.5))):
+            assert abs(r.point.x - math.pi / 2) < 1e-9
+            assert abs(r.point.xi - xi) < 1e-9
+            assert r.sign == ("plus" if xi > 0 else "minus")
+            assert np.sign(r.bracket) == np.sign(2.0 * xi)
 
     def test_newton_failure_near_a_root_raises(self, f2, monkeypatch):
         # with no Newton step, the seeds beside F2's roots at z = 0.5 stay
