@@ -150,23 +150,6 @@ def _over_sqrt_2pi(q: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(q).view(float) / SQRT_2PI).view(complex)
 
 
-def _padded(coeffs: np.ndarray, B: int) -> np.ndarray:
-    """A coefficient array widened with zeros to bandwidth B."""
-    pad = B - coeffs.shape[-1] // 2
-    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(pad, pad)])
-
-
-def perturbed_symbol(sym: MatrixSymbol, draw: PerturbationDraw,
-                     delta: float) -> MatrixSymbol:
-    """The symbol of P + delta*Q_omega (for linearity cross-checks)."""
-    law = draw.law
-    B = max(sym.max_bandwidth(), law.K_q)
-    coeffs = _padded(sym.coeffs, B)
-    coeffs[law.alpha_min:law.alpha_max + 1] += _padded(
-        _over_sqrt_2pi(delta * draw.q), B)
-    return MatrixSymbol(sym.n, sym.m, coeffs, sym.semiclassical)
-
-
 def formal_adjoint(sym: MatrixSymbol, h: float) -> MatrixSymbol:
     """P* = sum_beta B_beta (hD)^beta with
     B_beta = sum_{alpha >= beta} C(alpha,beta) h^{alpha-beta} D^{alpha-beta} A_alpha^*.
@@ -224,18 +207,3 @@ def save_matrix(mat: OperatorMatrix, path) -> None:
             fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}"
                               for v in row) + "\n")
 
-
-def load_matrix(path) -> OperatorMatrix:
-    with open(path) as fh:
-        side, n, K, h = fh.readline().split()
-        side, n, K, h = int(side), int(n), int(K), float(h)
-        rows = []
-        for line in fh:
-            parts = [float(p) for p in line.split()]
-            rows.append([complex(parts[2 * i], parts[2 * i + 1])
-                         for i in range(len(parts) // 2)])
-    entries = np.array(rows, dtype=complex)
-    trunc = FourierTruncation(K=K, n=n, h=h)
-    if entries.shape != (side, side) or side != trunc.side:
-        raise ValueError(f"corrupt matrix file {path}")
-    return OperatorMatrix(entries, trunc)

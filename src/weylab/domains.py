@@ -49,9 +49,10 @@ class RadialProfile:
         object.__setattr__(self, "_spline", CubicSpline(grid, s))
 
     @classmethod
-    def constant(cls, value: float, theta_min: float, theta_max: float,
-                 nodes: int = 257) -> "RadialProfile":
-        return cls(theta_min, theta_max, np.full(nodes, float(value)))
+    def constant(cls, value: float, theta_min: float,
+                 theta_max: float) -> "RadialProfile":
+        """r = value, sampled at 257 nodes."""
+        return cls(theta_min, theta_max, np.full(257, float(value)))
 
     def __call__(self, theta):
         th = np.clip(theta, self.theta_min, self.theta_max)
@@ -267,7 +268,6 @@ def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
 @dataclass(frozen=True)
 class QuadOptions:
     tol_rel: float = 1e-3
-    tol_abs: float = 1e-6
     base_grid: int = 128
     max_doublings: int = 12     # quadtree levels below the base grid
 
@@ -348,7 +348,7 @@ def weyl_measure(sym, domain: SpectralDomain,
     the next level, which evaluates its edge midpoints and centre.  After
     each level the cells still mixed take the mean of their corners, and
     the sum over them of area * (max - min corner) is the error bound.  The
-    first level whose bound is within max(tol_abs, tol_rel * |value|)
+    first level whose bound is within max(1e-6, tol_rel * |value|)
     returns; the work follows the boundary of {p in Gamma}, not its area.
 
     The bound holds only if no component of {p in Gamma}, or of its
@@ -386,7 +386,7 @@ def weyl_measure(sym, domain: SpectralDomain,
         bound = cell * int((corners.max(axis=1) - corners.min(axis=1))
                            .sum(dtype=np.int64))
         deltas.append(bound)
-        if bound <= max(quad.tol_abs, quad.tol_rel * abs(value)):
+        if bound <= max(1e-6, quad.tol_rel * abs(value)):
             return QuadratureResult(value, bound, tuple(deltas), grid,
                                     evaluations)
         if level == quad.max_doublings:

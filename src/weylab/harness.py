@@ -173,12 +173,12 @@ def _probe_z(domain) -> complex:
     raise ValueError(f"unsupported domain type {type(domain).__name__}")
 
 
-def _check_shared_bases(inv, tol: float = 1e-6):
-    """Each plus-root must share its base x with exactly one minus-root, and
-    distinct pairs must have distinct bases."""
+def _check_shared_bases(inv):
+    """Each plus-root must share its base x, to 1e-6, with exactly one
+    minus-root, and distinct pairs must have distinct bases."""
     def same_base(r, s):
         d = abs(r.point.x - s.point.x)
-        return min(d, TWO_PI - d) < tol
+        return min(d, TWO_PI - d) < 1e-6
 
     plus = [r for r in inv.roots if r.sign == "plus"]
     minus = [r for r in inv.roots if r.sign == "minus"]
@@ -372,7 +372,7 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
 def _certified_trials(config: ExperimentConfig, stream: str, h: float,
                       delta: float, rungs, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
-                      tol: float, keep_eigs: bool, rule_base=None) -> tuple:
+                      tol: float, keep_eigs: bool) -> tuple:
     """Every trial of one seed stream, at a truncation K certified on the
     first ``pilots`` trials.
 
@@ -381,14 +381,11 @@ def _certified_trials(config: ExperimentConfig, stream: str, h: float,
     P - delta Q_omega.  K comes from certify_truncation(K0, growth, tol,
     cap); if the first domain does not settle, the trials run at
     ``fallback``, or at the last K solved when it is None.  The pilots keep
-    their draws and their spectra at K.  ``rule_base``, an assembled P, is
-    reused at its own K.  Returns (records, each trial's spectrum, the
-    pilots' draws, K, per-domain verdicts, every K solved, pilot_millis:
-    the time of every pilot solve and of the assembly at K).
+    their draws and their spectra at K.  Returns (records, each trial's
+    spectrum, the pilots' draws, K, per-domain verdicts, every K solved,
+    pilot_millis: the time of every pilot solve and of the assembly at K).
     """
     def base(K):
-        if rule_base is not None and rule_base.trunc.K == K:
-            return rule_base
         return discretize.assemble_operator(
             config.sym, discretize.FourierTruncation(K=K, n=config.sym.n, h=h))
 
@@ -467,14 +464,14 @@ def run_semiclassical(config: ExperimentConfig,
     records = []
     truncation = {}
     for h in config.h_list:
-        # the rounding-floor guard on delta reads the norm at K_rule
-        # whatever K is certified
         K_rule = config.truncation_K(h, gamma.bound_radius())
-        rule_base = discretize.assemble_operator(
-            sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
         delta = _coupling(config, h)
         if delta != 0.0:
-            floor = _delta_floor(float(np.linalg.norm(rule_base.entries, 2)))
+            # the rounding-floor guard reads the norm at K_rule whatever K
+            # is certified
+            rule_P = discretize.assemble_operator(
+                sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
+            floor = _delta_floor(float(np.linalg.norm(rule_P.entries, 2)))
             if delta < floor:
                 raise EmptyWindow(
                     f"delta = {delta:.3e} is below the rounding floor "
@@ -487,8 +484,7 @@ def run_semiclassical(config: ExperimentConfig,
                 K0=min(K_rule, config.truncation_K(h, gamma.bound_radius(),
                                                    SC_C_START)),
                 cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
-                growth=SC_GROWTH, tol=SC_SETTLE_TOL, keep_eigs=keep_eigs,
-                rule_base=rule_base)
+                growth=SC_GROWTH, tol=SC_SETTLE_TOL, keep_eigs=keep_eigs)
         records += rows
         truncation[h] = {
             "K": K, "K_rule": K_rule, "K_tried": list(K_tried),

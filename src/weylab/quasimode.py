@@ -240,12 +240,13 @@ def _continued_phase(c: np.ndarray) -> np.ndarray:
     return np.where(restart < 0, u, u / u[restart])
 
 
-@dataclass(frozen=True)
-class CutoffOptions:
-    support_radius: float | None = None   # None -> auto from root separation
-    plateau_fraction: float = 0.5
-    c0_min: float = 1e-9
-    max_radius: float = math.pi / 2
+# The cutoff chi: its support radius is MAX_RADIUS or half the x distance
+# to the nearest other root, whichever is smaller; it is 1 on the inner
+# PLATEAU_FRACTION of that radius, and Im(phase) at the support's edge must
+# exceed C0_MIN.
+MAX_RADIUS = math.pi / 2
+PLATEAU_FRACTION = 0.5
+C0_MIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -257,10 +258,6 @@ class Quasimode:
     h: float
     support_radius: float
     c0_edge: float
-
-    def l2_norm(self) -> float:
-        dx = TWO_PI / len(self.x)
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * dx))
 
 
 def _bump(d: np.ndarray, r0: float, w: float) -> np.ndarray:
@@ -276,9 +273,9 @@ def _bump(d: np.ndarray, r0: float, w: float) -> np.ndarray:
 
 
 def _auto_radius(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
-                 opts: CutoffOptions, inventory=None) -> float:
+                 inventory=None) -> float:
     inv = inventory if inventory is not None else find_roots(sym, z)
-    w = opts.max_radius
+    w = MAX_RADIUS
     for other in inv.roots:
         dx = abs(other.point.x - root.point.x)
         dx = min(dx, TWO_PI - dx)
@@ -289,19 +286,17 @@ def _auto_radius(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
 
 def build_quasimode(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
                     h: float, grid_size: int,
-                    opts: CutoffOptions = CutoffOptions(),
                     inventory=None) -> Quasimode:
     """Normalized samples of chi(x) a0(x) e^{i phi(x)/h} on a uniform grid."""
     if root.sign != "plus":
         raise ValueError("forward quasimodes are built at plus-roots; build "
                          "the adjoint-side mode via build_adjoint_quasimode")
-    return _build(sym, z, root, h, grid_size, opts, inventory)
+    return _build(sym, z, root, h, grid_size, inventory)
 
 
 def build_adjoint_quasimode(sym: MatrixSymbol, z: complex,
                             minus_root: ClassifiedRoot, h: float,
                             grid_size: int,
-                            opts: CutoffOptions = CutoffOptions(),
                             inventory=None) -> Quasimode:
     """Quasimode of the adjoint at conj(z), centered at a minus-root of p.
 
@@ -323,12 +318,11 @@ def build_adjoint_quasimode(sym: MatrixSymbol, z: complex,
     if target is None or target.sign != "plus":
         raise ValueError("could not match the minus-root to a plus-root of "
                          "the adjoint symbol")
-    return _build(adj, zbar, target, h, grid_size, opts, adj_inv)
+    return _build(adj, zbar, target, h, grid_size, adj_inv)
 
 
-def _build(sym, z, root, h, grid_size, opts, inventory) -> Quasimode:
-    w = (opts.support_radius if opts.support_radius is not None
-         else _auto_radius(sym, z, root, opts, inventory))
+def _build(sym, z, root, h, grid_size, inventory) -> Quasimode:
+    w = _auto_radius(sym, z, root, inventory)
     branch = locate_branch(sym, z, root)
     x0 = root.point.x
     phase = solve_eikonal(branch, (x0 - w, x0 + w))
@@ -337,15 +331,14 @@ def _build(sym, z, root, h, grid_size, opts, inventory) -> Quasimode:
     im_phi = phase.phi.imag
     if np.min(im_phi) < -1e-10:
         raise CutoffTooWide(
-            f"Im(phase) dips to {np.min(im_phi):.3e} inside radius {w:.4f}; "
-            f"shrink support_radius")
+            f"Im(phase) dips to {np.min(im_phi):.3e} inside radius {w:.4f}")
     c0 = float(min(im_phi[0], im_phi[-1]))
-    if c0 <= opts.c0_min:
+    if c0 <= C0_MIN:
         raise CutoffTooWide(
             f"Im(phase) = {c0:.3e} at the support edge (radius {w:.4f}) "
             f"is not positive")
 
-    r0 = opts.plateau_fraction * w
+    r0 = PLATEAU_FRACTION * w
     # interpolate the continuation data onto the circle grid
     sp_phi = CubicSpline(phase.x_grid, phase.phi)
     sp_amp = [CubicSpline(phase.x_grid, amp[:, i]) for i in range(sym.n)]

@@ -126,17 +126,6 @@ def sample_draw(law: CoefficientLaw, spec: SeedSpec,
                             tail_mass=law.tail_mass())
 
 
-def sup_norm_estimate(draw: PerturbationDraw) -> float:
-    """sum |q| / sqrt(2*pi); bounds sum_alpha sup_x |Q_alpha^{i,j}(x)|."""
-    return _abs_sum(draw) / SQRT_2PI
-
-
-def _abs_sum(draw: PerturbationDraw) -> float:
-    # Python's abs and a left-to-right sum in (alpha, i, j, k) order: np.abs
-    # and np.sum round differently
-    return sum(abs(q) for q in draw.q.ravel().tolist())
-
-
 @dataclass(frozen=True)
 class TailReport:
     thresholds: tuple
@@ -148,8 +137,7 @@ class TailReport:
 
 
 def empirical_tail(law: CoefficientLaw, seed: int, trials: int,
-                   thresholds, h: float = 1.0,
-                   experiment: str = "tail") -> TailReport:
+                   thresholds) -> TailReport:
     """Exceedance fractions of sum|q| vs the sub-Gaussian analytic bound.
 
     The bound constant C0 is unspecified by the theory; it is fitted as the
@@ -160,12 +148,15 @@ def empirical_tail(law: CoefficientLaw, seed: int, trials: int,
         raise ValueError("need at least 100 trials")
     stats = np.empty(trials)
     for t in range(trials):
-        draw = sample_draw(law, SeedSpec(seed, experiment, t), h)
-        stats[t] = _abs_sum(draw)
+        q = sample_draw(law, SeedSpec(seed, "tail", t)).q
+        # Python's abs and a left-to-right sum in (alpha, i, j, k) order:
+        # np.abs and np.sum round differently
+        stats[t] = sum(abs(v) for v in q.ravel().tolist())
 
     slots = (law.alpha_max - law.alpha_min + 1) * law.n * law.n
     sigmas = np.tile(law.sigma_rule(law.alpha_min, 0, 0,
-                                    np.arange(-law.K_q, law.K_q + 1), h), slots)
+                                    np.arange(-law.K_q, law.K_q + 1), 1.0),
+                     slots)
     l1 = float(np.sum(sigmas))
     linf = float(np.max(sigmas))
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,20 +110,6 @@ class MatrixSymbol:
         return MatrixSymbol(self.n, self.m,
                             np.conj(self.coeffs[..., ::-1]).swapaxes(1, 2),
                             self.semiclassical)
-
-
-def scalar_symbol(m: int, coeff_maps: Mapping[int, Mapping[int, complex]],
-                  semiclassical: bool = True) -> MatrixSymbol:
-    """Convenience constructor for n = 1 symbols.
-
-    ``coeff_maps[alpha]`` maps Fourier frequency -> coefficient of A_alpha.
-    Accepts either a dict keyed by alpha or a length-(m+1) sequence.
-    """
-    if not hasattr(coeff_maps, "get"):
-        coeff_maps = dict(enumerate(coeff_maps))
-    return MatrixSymbol.from_terms(
-        1, m, ((a, 0, 0, f, c) for a, cmap in coeff_maps.items()
-               for f, c in cmap.items()), semiclassical)
 
 
 # -- the evaluator -------------------------------------------------------------
@@ -313,13 +299,6 @@ def qz_gradient(sym: MatrixSymbol, pt: PhaseSpacePoint, z: complex):
     return complex(dqx), complex(dqxi)
 
 
-def poisson_bracket_indicator(sym: MatrixSymbol, pt: PhaseSpacePoint,
-                              z: complex) -> float:
-    """The real bracket (1/2i){q_z, conj(q_z)} at pt."""
-    _, dqx, dqxi = _jet(sym, pt.x, pt.xi, z)
-    return float(_bracket(dqx, dqxi))
-
-
 # -- xi window --------------------------------------------------------------
 
 def xi_window(sym: MatrixSymbol, z_sup: float) -> float:
@@ -396,12 +375,22 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
             xir[live] += sxi[live]
             q[live], qx[live], qxi[live] = _jet(sym, xr[live], xir[live], z)
     is_root = np.abs(q) <= 1e-9 * qscale
+    # a seed within a quarter cell of a zero whose Newton failed holds a
+    # zero only if q_z winds around its +-1-cell square: just outside Sigma
+    # a small minimum of |q_z| with no zero winds 0 and is no root
     stuck = ~is_root & (seed_val < 0.25 * min(dx, dxi) * seed_grad)
-    if stuck.any():
-        k = np.flatnonzero(stuck)[0]
-        raise NonConvergence(
-            f"Newton failed from near-root seed at x={x[ix[k]]:.6f}, "
-            f"xi={xi[ixi[k]]:.6f}, |q|={seed_val[k]:.3e}")
+    for k in np.flatnonzero(stuck):
+        x0, xi0 = x[ix[k]], xi[ixi[k]]
+        square = [(x0 - dx, xi0 - dxi), (x0 + dx, xi0 - dxi),
+                  (x0 + dx, xi0 + dxi), (x0 - dx, xi0 + dxi)]
+        try:
+            winds = winding_number(sym, z, square) != 0
+        except ZeroOnContour:
+            winds = True
+        if winds:
+            raise NonConvergence(
+                f"Newton failed from near-root seed at x={x0:.6f}, "
+                f"xi={xi0:.6f}, |q|={seed_val[k]:.3e}")
     is_root &= np.abs(xir) <= window * (1.0 + 1e-9)
 
     # deduplicate with x distance taken mod 2*pi, then sort by (x, xi)

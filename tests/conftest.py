@@ -17,17 +17,19 @@ from weylab import symbol
 
 @pytest.fixture(scope="session")
 def f1():
-    return symbol.scalar_symbol(1, {0: {1: 1.0}, 1: {0: 1.0}})
+    # terms (alpha, i, j, frequency, coefficient)
+    return symbol.MatrixSymbol.from_terms(1, 1, [(0, 0, 0, 1, 1.0),
+                                                 (1, 0, 0, 0, 1.0)])
 
 
 @pytest.fixture(scope="session")
 def f2():
-    return symbol.scalar_symbol(2, {0: {1: 1j}, 2: {0: 1.0}})
+    return symbol.MatrixSymbol.from_terms(1, 2, [(0, 0, 0, 1, 1j),
+                                                 (2, 0, 0, 0, 1.0)])
 
 
 @pytest.fixture(scope="session")
 def f3():
-    # terms (alpha, i, j, frequency, coefficient)
     return symbol.MatrixSymbol.from_terms(2, 1, [
         (0, 0, 0, 1, 1.0), (0, 0, 1, 0, 1.0), (0, 1, 1, 1, -1.0),
         (1, 0, 0, 0, 1.0), (1, 1, 1, 0, 1.0)])
@@ -35,7 +37,8 @@ def f3():
 
 @pytest.fixture(scope="session")
 def f4():
-    return symbol.scalar_symbol(2, {2: {1: 1.0}}, semiclassical=False)
+    return symbol.MatrixSymbol.from_terms(1, 2, [(2, 0, 0, 1, 1.0)],
+                                          semiclassical=False)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,35 @@
+"""Builders the tests share that the package itself has no use for."""
+
+import numpy as np
+
+from weylab.discretize import FourierTruncation, OperatorMatrix, _over_sqrt_2pi
+from weylab.symbol import MatrixSymbol
+
+
+def _padded(coeffs, B):
+    """A coefficient array widened with zeros to bandwidth B."""
+    pad = B - coeffs.shape[-1] // 2
+    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(pad, pad)])
+
+
+def perturbed_symbol(sym, draw, delta):
+    """The symbol of P + delta Q_omega, its coefficients scaled as
+    assemble_perturbation scales them."""
+    law = draw.law
+    B = max(sym.max_bandwidth(), law.K_q)
+    coeffs = _padded(sym.coeffs, B)
+    coeffs[law.alpha_min:law.alpha_max + 1] += _padded(
+        _over_sqrt_2pi(delta * draw.q), B)
+    return MatrixSymbol(sym.n, sym.m, coeffs, sym.semiclassical)
+
+
+def read_matrix(path):
+    """The OperatorMatrix of a save_matrix file: a header (side, n, K, h),
+    then one row of 'Re Im' pairs per matrix row."""
+    with open(path) as fh:
+        side, n, K, h = fh.readline().split()
+        pairs = np.array([line.split() for line in fh], dtype=float)
+    trunc = FourierTruncation(K=int(K), n=int(n), h=float(h))
+    assert pairs.shape == (trunc.side, 2 * trunc.side) and \
+        trunc.side == int(side)
+    return OperatorMatrix(pairs.view(complex), trunc)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from weylab import cli, symbol
-from weylab.discretize import load_matrix
 from weylab.errors import BranchLoss, NonConvergence
+
+from helpers import read_matrix
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -104,7 +105,7 @@ class TestSubcommands:
         rc = cli.main(["assemble", "--config", config_path, "--h", "0.2",
                        "--K", "8", "--out", str(out)])
         assert rc == 0
-        mat = load_matrix(out)
+        mat = read_matrix(out)
         assert mat.trunc.K == 8
 
     def test_spectrum_deterministic(self, config_path, tmp_path):

@@ -7,11 +7,12 @@ from weylab import discretize, harness, randomness
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
                                assemble_operator, assemble_perturbation,
                                eigenvalues, formal_adjoint,
-                               load_matrix, perturbed_operator,
-                               perturbed_symbol, save_matrix, sigma_min_map)
+                               perturbed_operator, save_matrix, sigma_min_map)
 from weylab.domains import Rectangle
 from weylab.errors import BandwidthExceeded
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
+
+from helpers import perturbed_symbol, read_matrix
 
 
 def small_law(n=1, K_q=3, rho=1.5):
@@ -321,6 +322,6 @@ class TestConvergenceAndMaps:
         mat = assemble_operator(f3, t)
         path = tmp_path / "mat.txt"
         save_matrix(mat, path)
-        back = load_matrix(path)
+        back = read_matrix(path)
         assert back.trunc == t
         assert np.array_equal(back.entries, mat.entries)

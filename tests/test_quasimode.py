@@ -6,7 +6,7 @@ import pytest
 from weylab import discretize, quasimode, symbol
 from weylab.discretize import FourierTruncation, OperatorMatrix, assemble_operator
 from weylab.errors import CutoffTooWide, MultipleEigenvalue
-from weylab.quasimode import (CutoffOptions, build_adjoint_quasimode,
+from weylab.quasimode import (build_adjoint_quasimode,
                               build_quasimode, fourier_coefficients,
                               leading_amplitude, locate_branch,
                               overlap_profile, overlap_variance, residual,
@@ -24,6 +24,10 @@ def plus_root(sym, z):
 def minus_root(sym, z):
     inv = symbol.find_roots(sym, z)
     return inv, [r for r in inv.roots if r.sign == "minus"][0]
+
+
+def l2_norm(q):
+    return math.sqrt(np.sum(np.abs(q.samples) ** 2) * (TWO_PI / len(q.x)))
 
 
 def shifted(sym, z, h, K=None):
@@ -158,7 +162,7 @@ class TestBuild:
     def test_normalized_and_positive_phase(self, f2):
         inv, root = plus_root(f2, 0.5)
         q = build_quasimode(f2, 0.5, root, 0.1, 2048, inventory=inv)
-        assert q.l2_norm() == pytest.approx(1.0, abs=1e-12)
+        assert l2_norm(q) == pytest.approx(1.0, abs=1e-12)
         assert q.c0_edge > 0.0
         assert q.support_radius <= math.pi / 2
 
@@ -167,17 +171,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_quasimode(f2, 0.5, mroot, 0.1, 1024, inventory=inv)
 
-    def test_cutoff_too_wide(self, f1):
+    def test_cutoff_too_wide(self, f1, monkeypatch):
         z = 0.9j
         inv, root = plus_root(f1, z)
+        monkeypatch.setattr(quasimode, "_auto_radius", lambda *a: 2.0)
         with pytest.raises(CutoffTooWide):
-            build_quasimode(f1, z, root, 0.1, 1024,
-                            CutoffOptions(support_radius=2.0), inventory=inv)
+            build_quasimode(f1, z, root, 0.1, 1024, inventory=inv)
 
     def test_adjoint_mode_from_minus_root(self, f2):
         inv, mroot = minus_root(f2, 0.5)
         q = build_adjoint_quasimode(f2, 0.5, mroot, 0.1, 2048)
-        assert q.l2_norm() == pytest.approx(1.0, abs=1e-12)
+        assert l2_norm(q) == pytest.approx(1.0, abs=1e-12)
         # centered at the shared base point of F2
         assert abs(q.center.point.x - math.pi / 2) < 1e-6
 

@@ -6,7 +6,7 @@ import pytest
 from weylab import randomness
 from weylab.discretize import FourierTruncation, assemble_perturbation
 from weylab.randomness import (CoefficientLaw, SeedSpec, empirical_tail,
-                               sample_draw, sup_norm_estimate)
+                               sample_draw)
 
 
 def law(rho=1.5, K_q=8, n=1, alpha_max=0, **kw):
@@ -79,14 +79,6 @@ class TestSampling:
         assert abs(np.mean(im ** 2) - sigma2 / 2) < 3 * se
         assert abs(np.mean(re * im)) < 3 * se
 
-    def test_sup_norm_estimate_bounds_sup(self):
-        lw = law(K_q=8)
-        d = sample_draw(lw, SeedSpec(4, "sup", 0), 1.0)
-        xs = np.linspace(0, 2 * math.pi, 512)
-        vals = sum(q * np.exp(1j * k * xs) / math.sqrt(2 * math.pi)
-                   for (_, _, _, k), q in d.coeffs.items())
-        assert np.max(np.abs(vals)) <= sup_norm_estimate(d) + 1e-12
-
     def test_assembled_coefficient_scaling(self):
         # Q = sum_k q_k e^{ikx} / sqrt(2 pi): frequency 1 maps mode 0 to 1
         lw = law(K_q=2)
@@ -135,7 +127,6 @@ class TestReplay:
                                            law=lw, h=0.5,
                                            tail_mass=d.tail_mass)
         assert back.q.tobytes() == d.q.tobytes()
-        assert sup_norm_estimate(back) == sup_norm_estimate(d)
         t = FourierTruncation(K=5, n=2, h=0.5)
         assert assemble_perturbation(back, t, 0.3).entries.tobytes() \
             == assemble_perturbation(d, t, 0.3).entries.tobytes()
