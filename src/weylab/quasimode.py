@@ -8,11 +8,19 @@ eigenvector of a matrix symbol turns with x.  For a scalar p with
 d_x d_xi p = 0 the half-density amplitude solves the first transport
 equation of the left quantization exactly and the residual is O(h^2), from
 h^2 D^2 a0; when p is also first order in xi only the cutoff contributes.
+
+Neither the phase nor the amplitude depends on h: the cutoff radius, the
+eikonal continuation, the transport amplitude, the checks on Im(phase) and
+their splines are computed once per (symbol, z, root, inventory) and kept
+for as long as the symbol lives; each h only samples chi a0 e^{i phi/h} on
+its grid and normalizes.  The adjoint side keeps its adjoint symbol, root
+inventory at conj(z) and matched root the same way.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +292,22 @@ def _auto_radius(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
     return w
 
 
+# The h-independent part of each mode, per (symbol, z, root, inventory),
+# and the adjoint side's symbol, target root and inventory, per (symbol, z,
+# minus-root, inventory).  Keyed weakly on the symbol (hashed by identity),
+# so the entries die with it; no entry refers back to its symbol.
+_MEMO: "weakref.WeakKeyDictionary[MatrixSymbol, dict]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _memoised(sym: MatrixSymbol, key: tuple, make):
+    """make(), computed once per (sym, key); an exception is not stored."""
+    entries = _MEMO.setdefault(sym, {})
+    if key not in entries:
+        entries[key] = make()
+    return entries[key]
+
+
 def build_quasimode(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
                     h: float, grid_size: int,
                     inventory=None) -> Quasimode:
@@ -291,7 +315,7 @@ def build_quasimode(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
     if root.sign != "plus":
         raise ValueError("forward quasimodes are built at plus-roots; build "
                          "the adjoint-side mode via build_adjoint_quasimode")
-    return _build(sym, z, root, h, grid_size, inventory)
+    return _mode(sym, z, root, inventory).sample(h, grid_size)
 
 
 def build_adjoint_quasimode(sym: MatrixSymbol, z: complex,
@@ -302,10 +326,20 @@ def build_adjoint_quasimode(sym: MatrixSymbol, z: complex,
 
     The bracket flips sign under p -> p*, z -> conj(z), so the minus-root
     becomes a plus-root of the adjoint principal symbol and the same
-    construction applies.
+    construction applies.  ``inventory``, when given, is the root inventory
+    of that adjoint symbol at conj(z), not p's inventory at z.
     """
     if minus_root.sign != "minus":
         raise ValueError("adjoint-side quasimodes are built at minus-roots")
+    adj, zbar, target, adj_inv = _memoised(
+        sym, ("adjoint", complex(z), minus_root, inventory),
+        lambda: _adjoint_target(sym, z, minus_root, inventory))
+    return _mode(adj, zbar, target, adj_inv).sample(h, grid_size)
+
+
+def _adjoint_target(sym, z, minus_root, inventory):
+    """The adjoint symbol, conj(z), the plus-root of the adjoint matching
+    the minus-root of p, and the adjoint's inventory."""
     adj = sym.adjoint_principal()
     zbar = complex(z).conjugate()
     adj_inv = find_roots(adj, zbar) if inventory is None else inventory
@@ -318,10 +352,52 @@ def build_adjoint_quasimode(sym: MatrixSymbol, z: complex,
     if target is None or target.sign != "plus":
         raise ValueError("could not match the minus-root to a plus-root of "
                          "the adjoint symbol")
-    return _build(adj, zbar, target, h, grid_size, adj_inv)
+    return adj, zbar, target, adj_inv
 
 
-def _build(sym, z, root, h, grid_size, inventory) -> Quasimode:
+@dataclass(frozen=True)
+class _Mode:
+    """What a quasimode at one root keeps for every h: the cutoff radius,
+    Im(phase) at the support's edge and splines of the phase and of each
+    amplitude component on the continuation grid."""
+
+    root: ClassifiedRoot
+    z: complex
+    radius: float
+    c0_edge: float
+    phi: CubicSpline
+    amp: tuple
+
+    def sample(self, h: float, grid_size: int) -> Quasimode:
+        """chi a0 e^{i phi/h} on the uniform circle grid, L2-normalized."""
+        w, x0 = self.radius, self.root.point.x
+        N = int(grid_size)
+        xs = TWO_PI * np.arange(N) / N
+        d = np.mod(xs - x0 + math.pi, TWO_PI) - math.pi
+        inside = np.abs(d) < w
+        samples = np.zeros((N, len(self.amp)), dtype=complex)
+        if np.any(inside):
+            xloc = x0 + d[inside]
+            chi = _bump(d[inside], PLATEAU_FRACTION * w, w)
+            osc = np.exp(1j * self.phi(xloc) / h)
+            for i, sp in enumerate(self.amp):
+                samples[inside, i] = chi * sp(xloc) * osc
+        dx = TWO_PI / N
+        norm = float(np.sqrt(np.sum(np.abs(samples) ** 2) * dx))
+        if norm == 0.0:
+            raise CutoffTooWide("cutoff support missed every grid point")
+        samples /= norm
+        return Quasimode(samples=samples, x=xs, center=self.root, z=self.z,
+                         h=h, support_radius=w, c0_edge=self.c0_edge)
+
+
+def _mode(sym, z, root, inventory) -> _Mode:
+    return _memoised(sym, ("mode", complex(z), root, inventory),
+                     lambda: _solve_mode(sym, z, root, inventory))
+
+
+def _solve_mode(sym, z, root, inventory) -> _Mode:
+    """Eikonal, transport and cutoff checks at one root, independent of h."""
     w = _auto_radius(sym, z, root, inventory)
     branch = locate_branch(sym, z, root)
     x0 = root.point.x
@@ -337,30 +413,11 @@ def _build(sym, z, root, h, grid_size, inventory) -> Quasimode:
         raise CutoffTooWide(
             f"Im(phase) = {c0:.3e} at the support edge (radius {w:.4f}) "
             f"is not positive")
-
-    r0 = PLATEAU_FRACTION * w
-    # interpolate the continuation data onto the circle grid
-    sp_phi = CubicSpline(phase.x_grid, phase.phi)
-    sp_amp = [CubicSpline(phase.x_grid, amp[:, i]) for i in range(sym.n)]
-
-    N = int(grid_size)
-    xs = TWO_PI * np.arange(N) / N
-    d = np.mod(xs - x0 + math.pi, TWO_PI) - math.pi
-    inside = np.abs(d) < w
-    samples = np.zeros((N, sym.n), dtype=complex)
-    if np.any(inside):
-        xloc = x0 + d[inside]
-        chi = _bump(d[inside], r0, w)
-        osc = np.exp(1j * sp_phi(xloc) / h)
-        for i in range(sym.n):
-            samples[inside, i] = chi * sp_amp[i](xloc) * osc
-    dx = TWO_PI / N
-    norm = float(np.sqrt(np.sum(np.abs(samples) ** 2) * dx))
-    if norm == 0.0:
-        raise CutoffTooWide("cutoff support missed every grid point")
-    samples /= norm
-    return Quasimode(samples=samples, x=xs, center=root, z=complex(z), h=h,
-                     support_radius=w, c0_edge=c0)
+    # splines of the continuation data, sampled on each circle grid
+    return _Mode(root=root, z=complex(z), radius=w, c0_edge=c0,
+                 phi=CubicSpline(phase.x_grid, phase.phi),
+                 amp=tuple(CubicSpline(phase.x_grid, amp[:, i])
+                           for i in range(sym.n)))
 
 
 # -- Fourier projection and residuals ----------------------------------------

@@ -359,6 +359,7 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
     xr, xir = x[ix], xi[ixi]
     q, qx, qxi = _jet(sym, xr, xir, z)
     seed_grad = np.hypot(np.abs(qx), np.abs(qxi))
+    seed_flat = np.abs(_bracket(qx, qxi)) <= EPS_PHI_REL * seed_grad ** 2
     live = np.ones(len(xr), dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(MAX_NEWTON):
@@ -377,9 +378,12 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
     is_root = np.abs(q) <= 1e-9 * qscale
     # a seed within a quarter cell of a zero whose Newton failed holds a
     # zero only if q_z winds around its +-1-cell square: just outside Sigma
-    # a small minimum of |q_z| with no zero winds 0 and is no root
+    # a small minimum of |q_z| with no zero winds 0 and is no root.  One
+    # whose bracket is already degenerate, as at a double zero on the
+    # boundary of Sigma, marks the inventory degenerate instead
     stuck = ~is_root & (seed_val < 0.25 * min(dx, dxi) * seed_grad)
-    for k in np.flatnonzero(stuck):
+    degenerate = bool(np.any(stuck & seed_flat))
+    for k in np.flatnonzero(stuck & ~seed_flat):
         x0, xi0 = x[ix[k]], xi[ixi[k]]
         square = [(x0 - dx, xi0 - dxi), (x0 + dx, xi0 - dxi),
                   (x0 + dx, xi0 + dxi), (x0 - dx, xi0 + dxi)]
@@ -410,17 +414,17 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
                                  bracket=float(b))
                   for k, b in zip(unique, bracket))
     beta = int(np.sum(bracket > 0))
-    degenerate = bool(np.any(np.abs(bracket) <= EPS_PHI_REL * grad2))
+    degenerate |= bool(np.any(np.abs(bracket) <= EPS_PHI_REL * grad2))
     return RootInventory(z=complex(z), roots=roots, beta=beta,
                          gamma=len(roots) - beta, degenerate=degenerate)
 
 
 def classify_region(sym: MatrixSymbol, z: complex) -> RegionClassification:
     inv = find_roots(sym, z)
-    if not inv.roots:
-        kind = RegionKind.OUTSIDE_SIGMA
-    elif inv.degenerate:
+    if inv.degenerate:
         kind = RegionKind.NEAR_PHI
+    elif not inv.roots:
+        kind = RegionKind.OUTSIDE_SIGMA
     else:
         kind = RegionKind.IN_LAMBDA
     return RegionClassification(kind=kind, inventory=inv)

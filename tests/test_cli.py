@@ -79,6 +79,18 @@ class TestSubcommands:
         assert rows[0] == "re,im,region,beta,gamma"
         assert len(rows) == 17
 
+    def test_symbol_scan_through_double_zero(self, config_path, tmp_path):
+        # the 3 x 3 grid over [-1, 1]^2 holds z = i, where q_z has a double
+        # zero on the boundary of Sigma
+        rc = cli.main(["symbol-scan", "--config", config_path,
+                       "--grid", "3x3", "--zbox=-1,1,-1,1",
+                       "--out", str(tmp_path / "scan")])
+        assert rc == 0
+        rows = (tmp_path / "scan" / "region_map.csv").read_text().split()
+        assert len(rows) == 10
+        assert [r.split(",")[2] for r in rows
+                if r.startswith("0.0,1.0,")] == ["NearPhi"]
+
     def test_symbol_scan_writes_failed_points(self, config_path, tmp_path,
                                               monkeypatch, capsys):
         find_roots = symbol.find_roots

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -171,10 +173,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_quasimode(f2, 0.5, mroot, 0.1, 1024, inventory=inv)
 
-    def test_cutoff_too_wide(self, f1, monkeypatch):
+    def test_cutoff_too_wide(self, monkeypatch):
+        # a fresh F1, so that no memoised mode of the session's F1 at this
+        # z can bypass the patched radius
+        f1 = symbol.MatrixSymbol.from_terms(1, 1, [(0, 0, 0, 1, 1.0),
+                                                   (1, 0, 0, 0, 1.0)])
         z = 0.9j
         inv, root = plus_root(f1, z)
         monkeypatch.setattr(quasimode, "_auto_radius", lambda *a: 2.0)
+        with pytest.raises(CutoffTooWide):
+            build_quasimode(f1, z, root, 0.1, 1024, inventory=inv)
+        # a failed build is not memoised: it raises again
         with pytest.raises(CutoffTooWide):
             build_quasimode(f1, z, root, 0.1, 1024, inventory=inv)
 
@@ -193,6 +202,60 @@ class TestBuild:
         data = np.loadtxt(path, skiprows=1)
         assert data.shape == (512, 3)
         assert np.allclose(data[:, 1] + 1j * data[:, 2], q.samples[:, 0])
+
+
+def fresh_f2():
+    """F2 built again: value-equal to the fixture, but a new memo key."""
+    return symbol.MatrixSymbol.from_terms(1, 2, [(0, 0, 0, 1, 1j),
+                                                 (2, 0, 0, 0, 1.0)])
+
+
+HS = (0.1, 0.07, 0.05, 0.035, 0.025)
+
+
+def sweep(sym, z=0.5, grid=2048):
+    """Forward and adjoint modes at every h of HS."""
+    inv, proot = plus_root(sym, z)
+    mroot = [r for r in inv.roots if r.sign == "minus"][0]
+    return [(build_quasimode(sym, z, proot, h, grid, inventory=inv),
+             build_adjoint_quasimode(sym, z, mroot, h, grid)) for h in HS]
+
+
+class TestMemo:
+    def test_one_eikonal_per_root_across_h(self, monkeypatch):
+        calls = []
+        solve = quasimode.solve_eikonal
+
+        def counted(branch, x_interval):
+            calls.append(branch.root)
+            return solve(branch, x_interval)
+
+        monkeypatch.setattr(quasimode, "solve_eikonal", counted)
+        modes = sweep(fresh_f2())
+        assert len(calls) == 2
+        assert [q.h for q, _ in modes] == list(HS)
+
+    def test_memo_hits_match_fresh_builds(self):
+        sym = fresh_f2()
+        sweep(sym)                          # fills the memo
+        for (fwd, adj), (fwd0, adj0) in zip(sweep(sym), sweep(fresh_f2())):
+            assert fwd.samples.tobytes() == fwd0.samples.tobytes()
+            assert adj.samples.tobytes() == adj0.samples.tobytes()
+            assert (fwd.support_radius, fwd.c0_edge) \
+                == (fwd0.support_radius, fwd0.c0_edge)
+
+    def test_entries_die_with_the_symbol(self):
+        gc.collect()
+        before = len(quasimode._MEMO)
+        sym = fresh_f2()
+        ref = weakref.ref(sym)
+        sweep(sym, grid=512)
+        # the symbol and its adjoint principal symbol
+        assert len(quasimode._MEMO) == before + 2
+        del sym
+        gc.collect()
+        assert ref() is None
+        assert len(quasimode._MEMO) == before
 
 
 class TestResidual:

@@ -383,6 +383,13 @@ class TestRegions:
         # |Im z| = 1 is the boundary of Sigma for F1: the bracket degenerates
         assert symbol.classify_region(f1, 1j).kind is RegionKind.NEAR_PHI
 
+    def test_near_phi_at_double_zero(self, f2):
+        # q_i = xi^2 + i e^{ix} - i has a double zero at (0, 0) on the
+        # boundary of Sigma: Newton stalls from the seed beside it, whose
+        # bracket is already degenerate, so the point is NearPhi, not a
+        # NonConvergence
+        assert symbol.classify_region(f2, 1j).kind is RegionKind.NEAR_PHI
+
     @pytest.mark.parametrize("im", [1.0, -1.0])
     def test_f3_sigma_boundary_rows(self, f3, im):
         # det(p - z) = (xi + e^{ix} - z)(xi - e^{ix} - z): on the rows
