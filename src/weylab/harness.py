@@ -16,14 +16,27 @@ draws ONE realization omega and reuses it across every lambda, which the
 addressable sampler makes exact.  The h = 1 matrix does not depend on
 lambda, so one eigensolve per trajectory counts every rung, at a truncation
 certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
+
+Every trial is a pure function of its seed label, so the solves of a stream
+(the pilots' at each K, then the other trials') are split into WORKERS
+interleaved shares, trial t in share t mod WORKERS.  The parent solves
+share 0 and forked helpers the others; the parent gathers the spectra in
+trial order and certifies, counts and records as one process would, so the
+outputs are byte-identical for any WORKERS.  A record's millis and
+stage_ms are work times, which sum to more than the wall time when
+WORKERS > 1; pilot_millis is a wall time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -369,6 +382,61 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
 
 # -- the trial path ------------------------------------------------------------
 
+# Processes that solve one stream's trials: the parent and WORKERS - 1 forked
+# helpers, one per CPU this process may run on.  Each process runs one BLAS
+# thread (see the package's __init__).  ``taskset -c 0`` gives a serial run.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
+def _draw(config: ExperimentConfig, spec: randomness.SeedSpec,
+          h: float) -> tuple:
+    """(the draw at spec, its ms)."""
+    t0 = time.perf_counter()
+    d = randomness.sample_draw(config.law, spec, h)
+    return d, (time.perf_counter() - t0) * 1e3
+
+
+def _solve(config: ExperimentConfig, h: float, delta: float, K: int,
+           draws) -> list:
+    """Spectra of P - delta Q_omega at truncation K, P assembled once.
+
+    An entry of ``draws`` is a PerturbationDraw, or the SeedSpec of one,
+    drawn here just before its solve.  Returns (eigenvalues, assemble ms,
+    eigensolve ms, draw ms) per entry, in order; draw ms is 0 for a given
+    draw.
+    """
+    mat = discretize.assemble_operator(
+        config.sym, discretize.FourierTruncation(K=K, n=config.sym.n, h=h))
+    rows = []
+    for d in draws:
+        d, draw_ms = (_draw(config, d, h) if isinstance(d, randomness.SeedSpec)
+                      else (d, 0.0))
+        t0 = time.perf_counter()
+        perturbed = discretize.perturbed_operator(mat, d, delta)
+        t1 = time.perf_counter()
+        eigs = discretize.eigenvalues(perturbed)
+        rows.append((eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3,
+                     draw_ms))
+    return rows
+
+
+def _solve_shared(pool, config: ExperimentConfig, h: float, delta: float,
+                  K: int, draws: dict) -> dict:
+    """_solve over ``draws`` (trial -> draw or SeedSpec) in WORKERS
+    interleaved shares, trial t in share t mod WORKERS: share 0 here, the
+    others in ``pool``'s helpers.  Returns trial -> _solve's row."""
+    shares = [[t for t in sorted(draws) if t % WORKERS == s]
+              for s in range(WORKERS)]
+    futures = [pool.submit(_solve, config, h, delta, K,
+                           [draws[t] for t in share])
+               for share in shares[1:] if share]
+    rows = _solve(config, h, delta, K, [draws[t] for t in shares[0]])
+    for fut in futures:
+        rows += fut.result()
+    return dict(zip(itertools.chain.from_iterable(shares), rows))
+
+
 def _certified_trials(config: ExperimentConfig, stream: str, h: float,
                       delta: float, rungs, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
@@ -381,52 +449,52 @@ def _certified_trials(config: ExperimentConfig, stream: str, h: float,
     P - delta Q_omega.  K comes from certify_truncation(K0, growth, tol,
     cap); if the first domain does not settle, the trials run at
     ``fallback``, or at the last K solved when it is None.  The pilots keep
-    their draws and their spectra at K.  Returns (records, each trial's
+    their draws and their spectra at K.  Every solve, the pilots' at each K
+    and the other trials', is shared out over WORKERS processes; each
+    process draws its own non-pilot trials.  Returns (records, each trial's
     spectrum, the pilots' draws, K, per-domain verdicts, every K solved,
-    pilot_millis: the time of every pilot solve and of the assembly at K).
+    pilot_millis: the wall time of the pilot solves at every K tried).
     """
-    def base(K):
-        return discretize.assemble_operator(
-            config.sym, discretize.FourierTruncation(K=K, n=config.sym.n, h=h))
+    def spec(trial):
+        return randomness.SeedSpec(config.seed, stream, trial)
 
-    def draw(trial):
+    drawn = [_draw(config, spec(t), h)
+             for t in range(min(pilots, config.trials))]
+    solved = {}     # K -> trial -> _solve's row, per pilot
+
+    # fork, not spawn: helpers start with every module loaded, and no
+    # resource tracker starts that could outlive this process.  The pool
+    # forks all its helpers on its first submit, before it starts a thread.
+    helpers = min(WORKERS, config.trials) - 1
+    with (ProcessPoolExecutor(helpers,
+                              mp_context=multiprocessing.get_context("fork"))
+          if helpers else contextlib.nullcontext()) as pool:
+        def solve_pilots(K):
+            solved[K] = _solve_shared(pool, config, h, delta, K,
+                                      dict(enumerate(d for d, _ in drawn)))
+            return [solved[K][t][0] for t in range(len(drawn))]
+
         t0 = time.perf_counter()
-        d = randomness.sample_draw(
-            config.law, randomness.SeedSpec(config.seed, stream, trial), h)
-        return d, (time.perf_counter() - t0) * 1e3
+        K, _, verdicts, K_tried = certify_truncation(
+            solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
+        if not verdicts[0] and fallback is not None:
+            K = fallback
+        pilot_ms = (time.perf_counter() - t0) * 1e3
 
-    def solve(mat, d):
-        t0 = time.perf_counter()
-        mat = discretize.perturbed_operator(mat, d, delta)
-        t1 = time.perf_counter()
-        eigs = discretize.eigenvalues(mat)
-        return eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3
-
-    drawn = [draw(t) for t in range(min(pilots, config.trials))]
-    solved = {}     # K -> (eigenvalues, assemble ms, eigensolve ms) per pilot
-
-    def solve_pilots(K):
-        mat = base(K)
-        solved[K] = [solve(mat, d) for d, _ in drawn]
-        return [run[0] for run in solved[K]]
-
-    t0 = time.perf_counter()
-    K, _, verdicts, K_tried = certify_truncation(
-        solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
-    if not verdicts[0] and fallback is not None:
-        K = fallback
-    at_K = base(K)
-    pilot_ms = (time.perf_counter() - t0) * 1e3
+        reused = solved.get(K, {})
+        rest = _solve_shared(pool, config, h, delta, K, {
+            t: drawn[t][0] if t < len(drawn) else spec(t)
+            for t in range(config.trials) if t not in reused})
 
     records, spectra = [], []
     for trial in range(config.trials):
-        d, draw_ms = drawn[trial] if trial < len(drawn) else draw(trial)
-        reused = trial < len(drawn) and K in solved
-        eigs, assemble_ms, eig_ms = (solved[K][trial] if reused
-                                     else solve(at_K, d))
+        eigs, assemble_ms, eig_ms, draw_ms = (reused[trial] if trial in reused
+                                              else rest[trial])
+        if trial < len(drawn):
+            draw_ms = drawn[trial][1]
         spectra.append(eigs)
-        share = (draw_ms + (0.0 if reused else assemble_ms + eig_ms)) \
-            / len(rungs)
+        share = (draw_ms + (0.0 if trial in reused
+                            else assemble_ms + eig_ms)) / len(rungs)
         for param, dom, W in rungs:
             t1 = time.perf_counter()
             N = int(np.count_nonzero(dom.contains_many(eigs)))
@@ -527,7 +595,8 @@ def run_semiclassical(config: ExperimentConfig,
                 "weyl_measure_bound": weyl.bound,
                 "delta": {h: _coupling(config, h) for h in params},
                 "truncation": truncation,
-                "stage_ms": {h: _stage_medians(records, h) for h in params}},
+                "stage_ms": {h: _stage_medians(records, h) for h in params},
+                "workers": WORKERS},
         config_echo=config.echo())
 
 
@@ -668,6 +737,7 @@ def run_highenergy(config: ExperimentConfig,
             "trajectory_fits": fits,
             "relative_residuals": rel_residuals,
             "stage_ms": {lam: _stage_medians(records, lam) for lam in params},
+            "workers": WORKERS,
         },
         config_echo=config.echo())
 
@@ -681,8 +751,6 @@ def write_report(report: ExperimentReport, out_dir,
     The millis column is fixed to 0 so identical (config, seed) reruns are
     byte-identical; wall-clock totals live in summary.json instead.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     rows = sorted(report.records, key=lambda r: (r.param, r.trial))

@@ -8,11 +8,13 @@ F4  e^{ix} xi^2                 scalar, homogeneous (classical scaling)
 
 import math
 
+# weylab first: it sets one BLAS thread, which only takes effect before
+# numpy is imported
+from weylab import symbol
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-
-from weylab import symbol
 
 
 @pytest.fixture(scope="session")

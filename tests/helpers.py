@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from weylab import discretize
 from weylab.discretize import FourierTruncation, OperatorMatrix, _over_sqrt_2pi
+from weylab.errors import NoConvergence
 from weylab.symbol import MatrixSymbol
 
 
@@ -33,3 +35,22 @@ def read_matrix(path):
     assert pairs.shape == (trunc.side, 2 * trunc.side) and \
         trunc.side == int(side)
     return OperatorMatrix(pairs.view(complex), trunc)
+
+
+def fail_at_trial(monkeypatch, trial):
+    """Make discretize.eigenvalues raise NoConvergence on ``trial``'s solve,
+    in whichever process solves it: fork carries the patches to helpers."""
+    solving = {}
+    perturbed, eigenvalues = (discretize.perturbed_operator,
+                              discretize.eigenvalues)
+
+    def perturbed_op(mat, draw, delta):
+        solving["trial"] = draw.seed_record.trial
+        return perturbed(mat, draw, delta)
+
+    def eigs(mat):
+        if solving.get("trial") == trial:
+            raise NoConvergence(f"trial {trial}")
+        return eigenvalues(mat)
+    monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
+    monkeypatch.setattr(discretize, "eigenvalues", eigs)

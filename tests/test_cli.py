@@ -1,14 +1,15 @@
 import json
+import multiprocessing
 import pathlib
 import shlex
 
 import numpy as np
 import pytest
 
-from weylab import cli, symbol
+from weylab import cli, harness, symbol
 from weylab.errors import BranchLoss, NonConvergence
 
-from helpers import read_matrix
+from helpers import fail_at_trial, read_matrix
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -213,6 +214,29 @@ class TestExitCodes:
         rc = cli.main(["quasimode", "--config", config_path, "--z", "0.5,0.0",
                        "--h", "0.1", "--out", str(tmp_path / "qm")])
         assert rc == 3
+
+    def test_helper_solver_failure_maps_to_three(self, config_path, tmp_path,
+                                                 monkeypatch, capsys):
+        # trial 9 is past the 8 pilots and in the helper's share
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        raw["experiment"]["trials"] = 10
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        fail_at_trial(monkeypatch, 9)
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "trial 9" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_empty_window_maps_to_two(self, config_path, tmp_path, capsys):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        raw["experiment"]["delta"] = 1e-18
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "rounding floor" in capsys.readouterr().err
 
 
 def test_readme_cli_lines_parse():

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from weylab import discretize, harness
 from weylab.domains import AnnularSector, Rectangle, dilate
 from weylab.errors import (DegenerateFit, EmptyWindow, HypothesisViolation,
-                           WindowViolation)
+                           NoConvergence, WindowViolation)
 from weylab.harness import (ExperimentConfig, default_delta, delta_window,
                             fit_power_law, load_config, run_highenergy,
                             run_semiclassical, write_report)
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
+
+from helpers import fail_at_trial
 
 
 def sc_law(rho=1.2, K_q=16):
@@ -143,10 +146,11 @@ class TestSemiclassicalRun:
 @pytest.fixture(scope="module")
 def sc_two_h(f2):
     # criterion 7's law, 12 trials at two h: 8 pilots, and 4 trials solved
-    # at the certified K only; sample_draw is counted
+    # at the certified K only; sample_draw is counted, in one process
     cfg = sc_config(f2, law=sc_law(K_q=128), h_list=(0.1, 0.07), trials=12)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "WORKERS", 1)
         draw = harness.randomness.sample_draw
         mp.setattr(harness.randomness, "sample_draw",
                    lambda *a: calls.append(a) or draw(*a))
@@ -461,6 +465,65 @@ class TestReports:
         lines = eigs.strip().split("\n")
         assert lines[0] == "mode,h_or_lambda,trial,re,im"
         assert len(lines) > 10
+
+
+@pytest.fixture(scope="module")
+def outputs_by_workers(f2, f4, tmp_path_factory):
+    """Report files of one semiclassical and one high-energy run per
+    WORKERS in 1, 2, 3: 3 makes the shares uneven (8 pilots, 12 trials)."""
+    out = {}
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "WORKERS", workers)
+            for mode, rep in (
+                    ("sc", run_semiclassical(sc_config(f2, trials=12),
+                                             keep_eigs=True)),
+                    ("he", run_highenergy(he_config(f4, trials=5),
+                                          keep_eigs=True))):
+                path = tmp_path_factory.mktemp(f"{mode}{workers}")
+                write_report(rep, path, dump_eigs=True)
+                summary = json.loads((path / "summary.json").read_text())
+                out[mode, workers] = {
+                    "trials": (path / "trials.csv").read_bytes(),
+                    "eigenvalues": (path / "eigenvalues.csv").read_bytes(),
+                    "truncation": summary["extras"]["truncation"],
+                    "workers": summary["extras"]["workers"]}
+    return out
+
+
+def without_pilot_millis(trunc):
+    if "pilot_millis" in trunc:
+        return {k: v for k, v in trunc.items() if k != "pilot_millis"}
+    return {k: without_pilot_millis(v) for k, v in trunc.items()}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("mode", ["sc", "he"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_outputs_byte_identical(self, outputs_by_workers, mode, workers):
+        one, many = (outputs_by_workers[mode, 1],
+                     outputs_by_workers[mode, workers])
+        assert (one["workers"], many["workers"]) == (1, workers)
+        assert many["trials"] == one["trials"]
+        assert many["eigenvalues"] == one["eigenvalues"]
+        assert len(one["eigenvalues"].split(b"\n")) > 100
+        assert without_pilot_millis(many["truncation"]) == \
+            without_pilot_millis(one["truncation"])
+
+    def test_clean_run_leaves_no_helper(self, f2, monkeypatch):
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        run_semiclassical(sc_config(f2, trials=harness.SC_PILOTS + 2))
+        assert multiprocessing.active_children() == []
+
+    # trial 8 is in the parent's share at 2 workers, trial 9 in the helper's
+    @pytest.mark.parametrize("workers,trial", [(1, 9), (2, 8), (2, 9)])
+    def test_solver_error_reraised_as_its_type(self, f2, monkeypatch,
+                                               workers, trial):
+        monkeypatch.setattr(harness, "WORKERS", workers)
+        fail_at_trial(monkeypatch, trial)
+        with pytest.raises(NoConvergence, match=f"trial {trial}"):
+            run_semiclassical(sc_config(f2, trials=harness.SC_PILOTS + 2))
+        assert multiprocessing.active_children() == []
 
 
 def file_config():
