@@ -96,6 +96,8 @@ def cmd_roots(args) -> int:
 
 def cmd_weyl(args) -> int:
     cfg = harness.load_config(args.config)
+    if int(args.domain) not in range(len(cfg.domains)):
+        raise ValueError(f"--domain {args.domain}: no such domain in config")
     dom = cfg.domains[int(args.domain)]
     res = domains.weyl_measure(cfg.sym, dom)
     out = {"measure": res.value, "bound": res.bound, "grid": res.grid,
@@ -187,8 +189,7 @@ def cmd_mc(args, mode: str) -> int:
                          f"runs {mode!r}")
     runner = (harness.run_semiclassical if mode == "semiclassical"
               else harness.run_highenergy)
-    report = runner(cfg, keep_eigs=args.dump_eigs)
-    written = harness.write_report(report, args.out,
+    written = harness.write_report(runner(cfg), args.out,
                                    dump_eigs=args.dump_eigs)
     print("\n".join(written.values()))
     return 0

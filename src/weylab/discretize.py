@@ -119,8 +119,8 @@ def assemble_perturbation(draw: PerturbationDraw, trunc: FourierTruncation,
                           delta: float) -> OperatorMatrix:
     """delta * (matrix of Q_omega); Q_alpha = sum_k q_k e^{ikx}/sqrt(2 pi).
 
-    Coefficients with |frequency| > 2K cannot act inside the truncation and
-    are dropped; their total sigma-mass is already reported on the draw.
+    Coefficients with |frequency| > 2K couple no two modes of the
+    truncation, so dropping them changes no entry.
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
@@ -164,7 +164,7 @@ def formal_adjoint(sym: MatrixSymbol, h: float) -> MatrixSymbol:
             for _ in range(alpha - beta):
                 term = f * term
             out[beta] += (comb(alpha, beta) * h ** (alpha - beta)) * term
-    return MatrixSymbol(sym.n, sym.m, out, sym.semiclassical)
+    return MatrixSymbol(sym.n, sym.m, out)
 
 
 def eigenvalues(mat: OperatorMatrix) -> np.ndarray:

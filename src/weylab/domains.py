@@ -284,9 +284,6 @@ class QuadratureResult:
     grid: int
     evaluations: int
 
-    def __float__(self):
-        return self.value
-
 
 # Points per m_gamma batch and cells per split batch.  Between levels the
 # mixed cells are kept as int32 lattice indices and small-integer corner

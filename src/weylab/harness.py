@@ -2,7 +2,8 @@
 phase-space (Weyl) prediction, in two modes that share one trial path,
 _certified_trials: draw omega from the trial's seed stream, assemble
 P - delta Q_omega at a truncation K certified on the stream's first trials
-(the pilots, whose spectra at K are kept), solve, and count in each domain.
+(the pilots, whose spectra at K are reused), solve, and count in each
+domain; every TrialRecord keeps its trial's spectrum.
 
 semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
@@ -208,7 +209,7 @@ def _check_shared_bases(inv):
 def _principal_part(sym: symbol.MatrixSymbol) -> symbol.MatrixSymbol:
     coeffs = np.zeros_like(sym.coeffs)
     coeffs[sym.m] = sym.coeffs[sym.m]
-    return symbol.MatrixSymbol(sym.n, sym.m, coeffs, sym.semiclassical)
+    return symbol.MatrixSymbol(sym.n, sym.m, coeffs)
 
 
 # -- delta window -------------------------------------------------------------
@@ -253,7 +254,7 @@ class TrialRecord:
     # count, plus an equal share over the trial's records of its draw,
     # assemble and eigensolve; a pilot's solve at K is in pilot_millis
     millis: float
-    eigenvalues: np.ndarray | None = None
+    eigenvalues: np.ndarray     # the trial's spectrum, shared by its rungs
     stage_ms: dict = field(default_factory=dict)    # STAGES timed, in ms
 
     def __post_init__(self):
@@ -440,7 +441,7 @@ def _solve_shared(pool, config: ExperimentConfig, h: float, delta: float,
 def _certified_trials(config: ExperimentConfig, stream: str, h: float,
                       delta: float, rungs, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
-                      tol: float, keep_eigs: bool) -> tuple:
+                      tol: float) -> tuple:
     """Every trial of one seed stream, at a truncation K certified on the
     first ``pilots`` trials.
 
@@ -451,9 +452,9 @@ def _certified_trials(config: ExperimentConfig, stream: str, h: float,
     ``fallback``, or at the last K solved when it is None.  The pilots keep
     their draws and their spectra at K.  Every solve, the pilots' at each K
     and the other trials', is shared out over WORKERS processes; each
-    process draws its own non-pilot trials.  Returns (records, each trial's
-    spectrum, the pilots' draws, K, per-domain verdicts, every K solved,
-    pilot_millis: the wall time of the pilot solves at every K tried).
+    process draws its own non-pilot trials.  Returns (records, each with
+    its trial's spectrum, the pilots' draws, K, per-domain verdicts, every
+    K solved, pilot_millis: the wall time of the pilot solves at every K).
     """
     def spec(trial):
         return randomness.SeedSpec(config.seed, stream, trial)
@@ -486,13 +487,12 @@ def _certified_trials(config: ExperimentConfig, stream: str, h: float,
             t: drawn[t][0] if t < len(drawn) else spec(t)
             for t in range(config.trials) if t not in reused})
 
-    records, spectra = [], []
+    records = []
     for trial in range(config.trials):
         eigs, assemble_ms, eig_ms, draw_ms = (reused[trial] if trial in reused
                                               else rest[trial])
         if trial < len(drawn):
             draw_ms = drawn[trial][1]
-        spectra.append(eigs)
         share = (draw_ms + (0.0 if trial in reused
                             else assemble_ms + eig_ms)) / len(rungs)
         for param, dom, W in rungs:
@@ -503,11 +503,10 @@ def _certified_trials(config: ExperimentConfig, stream: str, h: float,
                 mode=config.mode, param=param, trial=trial,
                 seed_label=f"{config.seed}/{stream}/{trial}",
                 N=N, W=W, residual=N - W, K=K, millis=share + count_ms,
-                eigenvalues=eigs if keep_eigs else None,
+                eigenvalues=eigs,
                 stage_ms=dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
                                            count_ms)))))
-    return (records, spectra, [d for d, _ in drawn], K, verdicts, K_tried,
-            pilot_ms)
+    return records, [d for d, _ in drawn], K, verdicts, K_tried, pilot_ms
 
 
 # -- semiclassical experiment --------------------------------------------------
@@ -522,8 +521,7 @@ def _coupling(config: ExperimentConfig, h: float) -> float:
     return default_delta(h, config.law.rho_decay, config.gamma1, config.N0)
 
 
-def run_semiclassical(config: ExperimentConfig,
-                      keep_eigs: bool = False) -> ExperimentReport:
+def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     sym = config.sym
     gamma = config.domains[0]
     weyl = domains.weyl_measure(sym, gamma)
@@ -545,14 +543,14 @@ def run_semiclassical(config: ExperimentConfig,
                     f"delta = {delta:.3e} is below the rounding floor "
                     f"{floor:.3e} at h = {h}; the intentional perturbation "
                     f"would drown in eigensolver noise")
-        rows, _, pilots, K, (certified,), K_tried, pilot_ms = \
+        rows, pilots, K, (certified,), K_tried, pilot_ms = \
             _certified_trials(
                 config, f"sc:{h!r}", h, delta,
                 [(h, gamma, measure / (TWO_PI * h))],
                 K0=min(K_rule, config.truncation_K(h, gamma.bound_radius(),
                                                    SC_C_START)),
                 cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
-                growth=SC_GROWTH, tol=SC_SETTLE_TOL, keep_eigs=keep_eigs)
+                growth=SC_GROWTH, tol=SC_SETTLE_TOL)
         records += rows
         truncation[h] = {
             "K": K, "K_rule": K_rule, "K_tried": list(K_tried),
@@ -608,12 +606,10 @@ def _rescaled_symbol(sym: symbol.MatrixSymbol,
     A_alpha D^alpha / lambda = h^{m - alpha} A_alpha (hD)^alpha."""
     scale = np.array([h ** (sym.m - a) for a in range(sym.m + 1)])
     return symbol.MatrixSymbol(sym.n, sym.m,
-                               sym.coeffs * scale[:, None, None, None],
-                               semiclassical=True)
+                               sym.coeffs * scale[:, None, None, None])
 
 
-def run_highenergy(config: ExperimentConfig,
-                   keep_eigs: bool = False) -> ExperimentReport:
+def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     """Count every rung of the lambda ladder from one eigensolve per trial.
 
     At h = 1 the matrix of P - Q_omega does not depend on lambda and the
@@ -633,13 +629,13 @@ def run_highenergy(config: ExperimentConfig,
     weyl_by_lam = {lam: w.value / TWO_PI for lam, w in zip(lam_sorted, weyls)}
 
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
-    records, spectra, (pilot,), K, certified, K_tried, pilot_ms = \
+    records, (pilot,), K, certified, K_tried, pilot_ms = \
         _certified_trials(
             config, "he", 1.0, 1.0,
             [(float(lam), dom, weyl_by_lam[lam])
              for lam, dom in zip(lam_sorted, rungs)],
             K0=K0, cap=HE_K_CAP, fallback=None, pilots=1, growth=HE_GROWTH,
-            tol=HE_SETTLE_TOL, keep_eigs=keep_eigs)
+            tol=HE_SETTLE_TOL)
 
     # lambda^{-1} (P - Q) assembled semiclassically at h = lambda^{-1/m},
     # same draw and K, counted in the undilated sector: it equals N in exact
@@ -671,9 +667,8 @@ def run_highenergy(config: ExperimentConfig,
     dyadic_info = {}
     for r, lam in zip(records, itertools.cycle(lam_sorted)):
         if lam in pieces_by_lam:
-            eigs = spectra[r.trial]
-            piece_counts = [int(np.count_nonzero(p.contains_many(eigs)))
-                            for p in pieces_by_lam[lam].all_pieces()]
+            piece_counts = [int(np.count_nonzero(p.contains_many(
+                r.eigenvalues))) for p in pieces_by_lam[lam].all_pieces()]
             dyadic_info[(lam, r.trial)] = {
                 "piece_counts": piece_counts,
                 "total": r.N,
@@ -785,8 +780,6 @@ def write_report(report: ExperimentReport, out_dir,
         with open(eig_path, "w") as fh:
             fh.write("mode,h_or_lambda,trial,re,im\n")
             for r in rows:
-                if r.eigenvalues is None:
-                    continue
                 for z in r.eigenvalues:
                     fh.write(f"{r.mode},{r.param!r},{r.trial},"
                              f"{float(z.real)!r},{float(z.imag)!r}\n")
@@ -826,9 +819,10 @@ def _versions() -> dict:
 
 # The keys load_config reads, per block and per domain type; any other key
 # is a config error, so that a misspelt one cannot silently run a default.
+# "semiclassical" is read and ignored: the mode sets the scaling.
 _TOP_KEYS = ("symbol", "perturbation", "domains", "experiment", "seed")
 _SYMBOL_KEYS = ("n", "m", "coeffs", "semiclassical")
-_LAW_KEYS = ("alpha_min", "alpha_max", "rho", "c_tilde", "K_q")
+_LAW_KEYS = ("alpha_min", "alpha_max", "rho", "K_q")
 _EXPERIMENT_KEYS = ("mode", "h_list", "lambda_list", "trials", "gamma1", "N0",
                     "delta")
 _DOMAIN_KEYS = {"rectangle": ("re_min", "re_max", "im_min", "im_max"),
@@ -849,8 +843,7 @@ def parse_symbol(spec: dict) -> symbol.MatrixSymbol:
         int(spec["n"]), int(spec["m"]),
         ((int(alpha), int(i), int(j), int(k), complex(float(re), float(im)))
          for alpha, entries in spec["coeffs"].items()
-         for i, j, k, re, im in entries),
-        bool(spec.get("semiclassical", True)))
+         for i, j, k, re, im in entries))
 
 
 def parse_domain(spec: dict):
@@ -879,7 +872,6 @@ def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
         alpha_max=int(spec["alpha_max"]),
         n=n,
         rho_decay=float(spec["rho"]),
-        c_tilde=float(spec.get("c_tilde", 1.0)),
         K_q=int(spec.get("K_q", 64)),
     )
 
@@ -887,23 +879,30 @@ def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    _check_keys("the config", raw, _TOP_KEYS)
-    sym = parse_symbol(raw["symbol"])
-    law = (parse_law(raw["perturbation"], sym.n)
-           if "perturbation" in raw else None)
-    doms = [parse_domain(d) for d in raw.get("domains", [])]
-    exp = raw.get("experiment", {})
-    _check_keys("experiment", exp, _EXPERIMENT_KEYS)
-    return ExperimentConfig(
-        sym=sym, law=law, domains=doms,
-        mode=exp.get("mode", "semiclassical"),
-        h_list=tuple(exp.get("h_list", ())),
-        lambda_list=tuple(exp.get("lambda_list", ())),
-        trials=int(exp.get("trials", 20)),
-        gamma1=float(exp.get("gamma1", 0.25)),
-        N0=float(exp.get("N0", 3.0)),
-        delta_override=(None if exp.get("delta") is None
-                        else float(exp["delta"])),
-        seed=int(raw.get("seed", 0)),
-        raw=raw,
-    )
+    block = "the config"    # the block being read, named by a type error
+    try:
+        _check_keys(block, raw, _TOP_KEYS)
+        seed = int(raw.get("seed", 0))
+        block = "symbol"
+        sym = parse_symbol(raw["symbol"])
+        block = "perturbation"
+        law = (parse_law(raw["perturbation"], sym.n)
+               if "perturbation" in raw else None)
+        block = "domains"
+        doms = [parse_domain(d) for d in raw.get("domains", [])]
+        block = "experiment"
+        exp = raw.get("experiment", {})
+        _check_keys(block, exp, _EXPERIMENT_KEYS)
+        fields = dict(
+            mode=exp.get("mode", "semiclassical"),
+            h_list=tuple(float(v) for v in exp.get("h_list", ())),
+            lambda_list=tuple(float(v) for v in exp.get("lambda_list", ())),
+            trials=int(exp.get("trials", 20)),
+            gamma1=float(exp.get("gamma1", 0.25)),
+            N0=float(exp.get("N0", 3.0)),
+            delta_override=(None if exp.get("delta") is None
+                            else float(exp["delta"])))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {block}: {exc}") from exc
+    return ExperimentConfig(sym=sym, law=law, domains=doms, seed=seed,
+                            raw=raw, **fields)

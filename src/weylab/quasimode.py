@@ -119,11 +119,6 @@ class Phase:
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral on a uniform grid, third-order at every node."""
     out = np.zeros(len(y), dtype=y.dtype)
-    if len(y) < 2:
-        return out
-    if len(y) == 2:
-        out[1] = 0.5 * dx * (y[0] + y[1])
-        return out
     # local quadratic through (y[k-1], y[k], y[k+1]) integrated over one step
     inc = np.empty(len(y) - 1, dtype=y.dtype)
     inc[0] = dx * (5 * y[0] + 8 * y[1] - y[2]) / 12.0

@@ -40,7 +40,6 @@ class CoefficientLaw:
     alpha_max: int
     n: int
     rho_decay: float
-    c_tilde: float = 1.0
     K_q: int = 32
 
     def __post_init__(self):
@@ -48,33 +47,14 @@ class CoefficientLaw:
             raise ValueError("need 0 <= alpha_min <= alpha_max")
         if self.rho_decay <= 1.0:
             raise ValueError("rho_decay must exceed 1")
-        if self.c_tilde < 1.0:
-            raise ValueError("c_tilde must be >= 1")
 
     def sigma_rule(self, alpha, i, j, k, h):
-        """sigma = <k>^{-rho}, the same for every alpha, i, j and h; k may be
-        an array.  With c_tilde >= 1 it meets the cap c_tilde <k>^{-rho} and
-        the top-order floor <k>^{-rho} / c_tilde.  np.float_power rounds as
-        Python's float power does, where np.power can differ by one ulp."""
+        """sigma = <k>^{-rho} for every alpha, i, j and h; k may be an array.
+        It meets the paper's bounds <k>^{-rho} / C~ <= sigma <= C~ <k>^{-rho}
+        for every C~ >= 1: C~ is the paper's constant, not a parameter.
+        np.float_power rounds as Python's ** does; np.power can differ."""
         k = np.asarray(k, dtype=float)
         return np.float_power(1.0 + k * k, -self.rho_decay / 2.0)
-
-    def tail_mass(self, cutoff: int | None = None) -> float:
-        """Exact bound C~ * sum_{|k| > cutoff} <k>^{-rho} per (alpha, i, j),
-        summed over the coefficient slots."""
-        slots = (self.alpha_max - self.alpha_min + 1) * self.n * self.n
-        return _tail_mass(self.rho_decay, self.c_tilde, slots,
-                          self.K_q if cutoff is None else cutoff)
-
-
-@functools.lru_cache(maxsize=64)
-def _tail_mass(rho: float, c_tilde: float, slots: int, cut: int) -> float:
-    # sum a long head explicitly, bound the remainder by an integral
-    head_k = np.arange(cut + 1, cut + 100001)
-    head = 2.0 * np.sum((1.0 + head_k.astype(float) ** 2) ** (-rho / 2.0))
-    kmax = cut + 100000
-    integral_tail = 2.0 * kmax ** (1.0 - rho) / (rho - 1.0)
-    return c_tilde * slots * float(head + integral_tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +64,6 @@ class PerturbationDraw:
     q: np.ndarray
     seed_record: SeedSpec
     law: CoefficientLaw
-    h: float
-    tail_mass: float
 
     @functools.cached_property
     def coeffs(self) -> Mapping:
@@ -122,8 +100,7 @@ def sample_draw(law: CoefficientLaw, spec: SeedSpec,
         # (Re, Im) pairs scaled as (normal * sigma) / sqrt(2)
         q[a, i, j] = (normals.reshape(-1, 2) * sig * inv_sqrt2).view(complex)[:, 0]
     q.flags.writeable = False
-    return PerturbationDraw(q=q, seed_record=spec, law=law, h=h,
-                            tail_mass=law.tail_mass())
+    return PerturbationDraw(q=q, seed_record=spec, law=law)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ class MatrixSymbol:
     n: int
     m: int
     coeffs: np.ndarray
-    semiclassical: bool = True
     ellipticity_margin: float = field(init=False, repr=False)
     sup_norms: tuple = field(init=False, repr=False)    # per alpha
 
@@ -86,8 +85,7 @@ class MatrixSymbol:
                              "min_x sigma_min(A_m(x)) <= 0")
 
     @classmethod
-    def from_terms(cls, n: int, m: int, terms,
-                   semiclassical: bool = True) -> "MatrixSymbol":
+    def from_terms(cls, n: int, m: int, terms) -> "MatrixSymbol":
         """The symbol whose A_alpha^{i,j} sums c e^{ifx} over the terms
         (alpha, i, j, f, c)."""
         terms = list(terms)
@@ -95,7 +93,7 @@ class MatrixSymbol:
         c = np.zeros((m + 1, n, n, 2 * B + 1), dtype=complex)
         for alpha, i, j, f, value in terms:
             c[alpha, i, j, int(f) + B] += value
-        return cls(n, m, c, semiclassical)
+        return cls(n, m, c)
 
     def max_bandwidth(self) -> int:
         return self.coeffs.shape[3] // 2
@@ -108,8 +106,7 @@ class MatrixSymbol:
         """Pointwise conjugate-transpose symbol p*(x, xi): conj(A_alpha^{j,i}),
         whose e^{ifx} coefficient is the conjugate of the e^{-ifx} one."""
         return MatrixSymbol(self.n, self.m,
-                            np.conj(self.coeffs[..., ::-1]).swapaxes(1, 2),
-                            self.semiclassical)
+                            np.conj(self.coeffs[..., ::-1]).swapaxes(1, 2))
 
 
 # -- the evaluator -------------------------------------------------------------

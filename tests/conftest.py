@@ -39,8 +39,7 @@ def f3():
 
 @pytest.fixture(scope="session")
 def f4():
-    return symbol.MatrixSymbol.from_terms(1, 2, [(2, 0, 0, 1, 1.0)],
-                                          semiclassical=False)
+    return symbol.MatrixSymbol.from_terms(1, 2, [(2, 0, 0, 1, 1.0)])
 
 
 @pytest.fixture(scope="session")

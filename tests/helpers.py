@@ -22,7 +22,7 @@ def perturbed_symbol(sym, draw, delta):
     coeffs = _padded(sym.coeffs, B)
     coeffs[law.alpha_min:law.alpha_max + 1] += _padded(
         _over_sqrt_2pi(delta * draw.q), B)
-    return MatrixSymbol(sym.n, sym.m, coeffs, sym.semiclassical)
+    return MatrixSymbol(sym.n, sym.m, coeffs)
 
 
 def read_matrix(path):

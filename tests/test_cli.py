@@ -229,6 +229,27 @@ class TestExitCodes:
         assert "trial 9" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("experiment", "h_list", 0.1), ("experiment", "h_list", [0.1, None]),
+        (None, "experiment", [])],
+        ids=["h_list-number", "h_list-null-entry", "experiment-list"])
+    def test_malformed_block_maps_to_two(self, config_path, tmp_path,
+                                         capsys, block, key, value):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        (raw[block] if block else raw)[key] = value
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "malformed experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_domain_out_of_range_maps_to_two(self, config_path, capsys,
+                                             index):
+        rc = cli.main(["weyl", "--config", config_path, f"--domain={index}"])
+        assert rc == 2
+        assert f"--domain {index}" in capsys.readouterr().err
+
     def test_empty_window_maps_to_two(self, config_path, tmp_path, capsys):
         raw = json.loads(pathlib.Path(config_path).read_text())
         raw["experiment"]["delta"] = 1e-18

@@ -94,7 +94,7 @@ class TestPerturbation:
         trimmed = randomness.PerturbationDraw(
             q=draw.q[..., law.K_q - kept:law.K_q + kept + 1],
             seed_record=draw.seed_record,
-            law=small_law(K_q=kept), h=0.5, tail_mass=draw.tail_mass)
+            law=small_law(K_q=kept))
         assert np.allclose(full,
                            assemble_perturbation(trimmed, t, 1.0).entries)
 

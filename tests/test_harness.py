@@ -154,7 +154,7 @@ def sc_two_h(f2):
         draw = harness.randomness.sample_draw
         mp.setattr(harness.randomness, "sample_draw",
                    lambda *a: calls.append(a) or draw(*a))
-        rep = run_semiclassical(cfg, keep_eigs=True)
+        rep = run_semiclassical(cfg)
     return cfg, rep, len(calls)
 
 
@@ -458,13 +458,19 @@ class TestReports:
         assert summary["total_millis"] == pytest.approx(
             sum(r.millis for r in rep.records) + pilot_ms)
 
-    def test_eigen_dump(self, f2, tmp_path):
-        rep = run_semiclassical(sc_config(f2, trials=1), keep_eigs=True)
-        write_report(rep, tmp_path / "out", dump_eigs=True)
-        eigs = (tmp_path / "out" / "eigenvalues.csv").read_text()
-        lines = eigs.strip().split("\n")
-        assert lines[0] == "mode,h_or_lambda,trial,re,im"
-        assert len(lines) > 10
+    def test_eigen_dump(self, f2, f4, tmp_path):
+        # both drivers at their defaults: every record keeps its spectrum,
+        # and the dump holds one row per eigenvalue of every record
+        for rep in (run_semiclassical(sc_config(f2, trials=1)),
+                    run_highenergy(he_config(f4))):
+            write_report(rep, tmp_path, dump_eigs=True)
+            lines = (tmp_path / "eigenvalues.csv").read_text().split("\n")
+            assert lines[0] == "mode,h_or_lambda,trial,re,im"
+            dumped = [complex(float(re), float(im)) for *_, re, im
+                      in (line.split(",") for line in lines[1:-1])]
+            rows = sorted(rep.records, key=lambda r: (r.param, r.trial))
+            assert dumped == [z for r in rows for z in r.eigenvalues]
+            assert len(dumped) > 10
 
 
 @pytest.fixture(scope="module")
@@ -476,10 +482,8 @@ def outputs_by_workers(f2, f4, tmp_path_factory):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "WORKERS", workers)
             for mode, rep in (
-                    ("sc", run_semiclassical(sc_config(f2, trials=12),
-                                             keep_eigs=True)),
-                    ("he", run_highenergy(he_config(f4, trials=5),
-                                          keep_eigs=True))):
+                    ("sc", run_semiclassical(sc_config(f2, trials=12))),
+                    ("he", run_highenergy(he_config(f4, trials=5)))):
                 path = tmp_path_factory.mktemp(f"{mode}{workers}")
                 write_report(rep, path, dump_eigs=True)
                 summary = json.loads((path / "summary.json").read_text())
@@ -556,6 +560,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("block, key, where", [
         (None, "sed", "the config"), ("symbol", "order", "symbol"),
         ("perturbation", "c_K", "perturbation"),
+        ("perturbation", "c_tilde", "perturbation"),
         ("experiment", "trails", "experiment"),
         ("experiment", "calibration_quantile", "experiment")])
     def test_unknown_key_rejected(self, tmp_path, block, key, where):

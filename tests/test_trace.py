@@ -1,7 +1,9 @@
-"""The benchmark's tracer (perfbench/spans.py) against the package: every
-function it wraps must exist, so that a traced benchmark run does not stop
-at AttributeError, and uninstalling must restore each one."""
+"""The benchmark (perfbench/) against the package: every function the
+tracer wraps must exist, so that a traced benchmark run does not stop at
+AttributeError, uninstalling must restore each one, and every workload must
+set up, so that a config key or function it uses cannot go missing unseen."""
 
+import importlib
 import os
 import sys
 import time
@@ -14,17 +16,16 @@ PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def _spans():
+def _perfbench(name):
     sys.path.insert(0, PERFBENCH)
     try:
-        import spans
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
-    return spans
 
 
 def test_tracer_installs_and_uninstalls(f2):
-    spans = _spans()
+    spans = _perfbench("spans")
     wrapped = spans.SPANS + spans.COUNTED
     before = [getattr(sys.modules[f"weylab.{mod}"], fn) for mod, fn in wrapped]
     tracer = spans.Tracer(types.SimpleNamespace(now=time.perf_counter))
@@ -38,3 +39,8 @@ def test_tracer_installs_and_uninstalls(f2):
         tracer.uninstall()
     assert all(getattr(sys.modules[f"weylab.{mod}"], fn) is orig
                for (mod, fn), orig in zip(wrapped, before))
+
+
+def test_workloads_set_up(tmp_path):
+    for workload in _perfbench("workloads").WORKLOADS.values():
+        workload(1, str(tmp_path)).setup()
