@@ -18,14 +18,14 @@ addressable sampler makes exact.  The h = 1 matrix does not depend on
 lambda, so one eigensolve per trajectory counts every rung, at a truncation
 certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
 
-Every trial is a pure function of its seed label, so the solves of a stream
-(the pilots' at each K, then the other trials') are split into WORKERS
-interleaved shares, trial t in share t mod WORKERS.  The parent solves
-share 0 and forked helpers the others; the parent gathers the spectra in
-trial order and certifies, counts and records as one process would, so the
-outputs are byte-identical for any WORKERS.  A record's millis and
-stage_ms are work times, which sum to more than the wall time when
-WORKERS > 1; pilot_millis is a wall time.
+Each run forks one pool of helpers.  A stream's solves (the pilots' at each
+K, then the other trials') go in WORKERS interleaved shares, trial t in
+share t mod WORKERS: share 0 in the parent, the others in the helpers.  A
+high-energy run hands the helpers the rungs' Weyl measures while the parent
+climbs the pilot's K ladder, then shares out its rescaling-identity solves
+likewise.  The parent certifies, counts and records in trial order, so the
+outputs are byte-identical for any WORKERS.  A record's millis and stage_ms
+are work times, summed over processes; pilot_millis is a wall time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +87,9 @@ class ExperimentConfig:
             raise ValueError("at least one spectral domain is required")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.law is not None and self.law.alpha_max > self.sym.m - 1:
+        if self.law is None:
+            raise ValueError(f"{self.mode} mode needs a perturbation law")
+        if self.law.alpha_max > self.sym.m - 1:
             raise HypothesisViolation(
                 f"perturbation order alpha_max={self.law.alpha_max} must stay "
                 f"below the operator order m={self.sym.m}")
@@ -96,8 +98,6 @@ class ExperimentConfig:
                 raise ValueError("semiclassical mode needs h_list")
             if any(not 0.0 < h < 1.0 for h in self.h_list):
                 raise ValueError("every h must lie in (0, 1)")
-            if self.law is None:
-                raise ValueError("semiclassical mode needs a perturbation law")
             if self.delta_override is None:
                 for h in self.h_list:
                     delta_window(h, self.law.rho_decay, self.gamma1, self.N0)
@@ -106,8 +106,6 @@ class ExperimentConfig:
                 raise ValueError("highenergy mode needs lambda_list")
             if any(lam < 1.0 for lam in self.lambda_list):
                 raise ValueError("every lambda must be >= 1")
-            if self.law is None:
-                raise ValueError("highenergy mode needs a perturbation law")
             margin = (self.sym.m - self.law.alpha_max
                       - self.law.rho_decay - 0.75)
             if margin <= 0.0:
@@ -390,6 +388,26 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
+def _helpers(config: ExperimentConfig):
+    """A context giving min(WORKERS, trials) - 1 forked helpers, or None."""
+    helpers = min(WORKERS, config.trials) - 1
+    # fork, not spawn: helpers start with every module loaded, and no
+    # resource tracker starts that could outlive this process.  The pool
+    # forks all its helpers on its first submit, before it starts a thread.
+    return (ProcessPoolExecutor(helpers,
+                                mp_context=multiprocessing.get_context("fork"))
+            if helpers else contextlib.nullcontext())
+
+
+def _submit(pool, fn, *args) -> Future:
+    """fn(*args) in one of ``pool``'s helpers, or here and now if None."""
+    if pool is not None:
+        return pool.submit(fn, *args)
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
 def _draw(config: ExperimentConfig, spec: randomness.SeedSpec,
           h: float) -> tuple:
     """(the draw at spec, its ms)."""
@@ -422,39 +440,37 @@ def _solve(config: ExperimentConfig, h: float, delta: float, K: int,
     return rows
 
 
-def _solve_shared(pool, config: ExperimentConfig, h: float, delta: float,
-                  K: int, draws: dict) -> dict:
-    """_solve over ``draws`` (trial -> draw or SeedSpec) in WORKERS
-    interleaved shares, trial t in share t mod WORKERS: share 0 here, the
-    others in ``pool``'s helpers.  Returns trial -> _solve's row."""
-    shares = [[t for t in sorted(draws) if t % WORKERS == s]
+def _shared(pool, fn, args: tuple, items: dict) -> dict:
+    """fn(*args, share) over ``items`` (t -> item) in WORKERS interleaved
+    shares, t in share t mod WORKERS: share 0 here, the others in ``pool``'s
+    helpers.  fn gives one row per item of its share; returns t -> row."""
+    shares = [[t for t in sorted(items) if t % WORKERS == s]
               for s in range(WORKERS)]
-    futures = [pool.submit(_solve, config, h, delta, K,
-                           [draws[t] for t in share])
+    futures = [_submit(pool, fn, *args, [items[t] for t in share])
                for share in shares[1:] if share]
-    rows = _solve(config, h, delta, K, [draws[t] for t in shares[0]])
+    rows = fn(*args, [items[t] for t in shares[0]])
     for fut in futures:
         rows += fut.result()
     return dict(zip(itertools.chain.from_iterable(shares), rows))
 
 
-def _certified_trials(config: ExperimentConfig, stream: str, h: float,
+def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                       delta: float, rungs, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
                       tol: float) -> tuple:
     """Every trial of one seed stream, at a truncation K certified on the
     first ``pilots`` trials.
 
-    ``rungs`` lists (param, domain, W), nested domains smallest first; each
-    trial yields one record per rung, all counted from one spectrum of
-    P - delta Q_omega.  K comes from certify_truncation(K0, growth, tol,
-    cap); if the first domain does not settle, the trials run at
-    ``fallback``, or at the last K solved when it is None.  The pilots keep
-    their draws and their spectra at K.  Every solve, the pilots' at each K
-    and the other trials', is shared out over WORKERS processes; each
-    process draws its own non-pilot trials.  Returns (records, each with
-    its trial's spectrum, the pilots' draws, K, per-domain verdicts, every
-    K solved, pilot_millis: the wall time of the pilot solves at every K).
+    ``rungs`` lists (param, domain, W), nested domains smallest first, W a
+    callable called once the trials are solved; each trial yields one record
+    per rung, all counted from one spectrum of P - delta Q_omega.  K comes
+    from certify_truncation(K0, growth, tol, cap); if the first domain does
+    not settle, the trials run at ``fallback``, or at the last K solved when
+    it is None.  The pilots keep their draws and their spectra at K.  Every
+    solve is shared out with ``pool``'s helpers; each process draws its own
+    non-pilot trials.  Returns (records, each with its trial's spectrum, the
+    pilots' draws, K, per-domain verdicts, every K solved, pilot_millis: the
+    wall time of the pilot solves at every K).
     """
     def spec(trial):
         return randomness.SeedSpec(config.seed, stream, trial)
@@ -463,30 +479,24 @@ def _certified_trials(config: ExperimentConfig, stream: str, h: float,
              for t in range(min(pilots, config.trials))]
     solved = {}     # K -> trial -> _solve's row, per pilot
 
-    # fork, not spawn: helpers start with every module loaded, and no
-    # resource tracker starts that could outlive this process.  The pool
-    # forks all its helpers on its first submit, before it starts a thread.
-    helpers = min(WORKERS, config.trials) - 1
-    with (ProcessPoolExecutor(helpers,
-                              mp_context=multiprocessing.get_context("fork"))
-          if helpers else contextlib.nullcontext()) as pool:
-        def solve_pilots(K):
-            solved[K] = _solve_shared(pool, config, h, delta, K,
-                                      dict(enumerate(d for d, _ in drawn)))
-            return [solved[K][t][0] for t in range(len(drawn))]
+    def solve_pilots(K):
+        solved[K] = _shared(pool, _solve, (config, h, delta, K),
+                            dict(enumerate(d for d, _ in drawn)))
+        return [solved[K][t][0] for t in range(len(drawn))]
 
-        t0 = time.perf_counter()
-        K, _, verdicts, K_tried = certify_truncation(
-            solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
-        if not verdicts[0] and fallback is not None:
-            K = fallback
-        pilot_ms = (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    K, _, verdicts, K_tried = certify_truncation(
+        solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
+    if not verdicts[0] and fallback is not None:
+        K = fallback
+    pilot_ms = (time.perf_counter() - t0) * 1e3
 
-        reused = solved.get(K, {})
-        rest = _solve_shared(pool, config, h, delta, K, {
-            t: drawn[t][0] if t < len(drawn) else spec(t)
-            for t in range(config.trials) if t not in reused})
+    reused = solved.get(K, {})
+    rest = _shared(pool, _solve, (config, h, delta, K), {
+        t: drawn[t][0] if t < len(drawn) else spec(t)
+        for t in range(config.trials) if t not in reused})
 
+    rungs = [(param, dom, W()) for param, dom, W in rungs]
     records = []
     for trial in range(config.trials):
         eigs, assemble_ms, eig_ms, draw_ms = (reused[trial] if trial in reused
@@ -529,33 +539,34 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
 
     records = []
     truncation = {}
-    for h in config.h_list:
-        K_rule = config.truncation_K(h, gamma.bound_radius())
-        delta = _coupling(config, h)
-        if delta != 0.0:
-            # the rounding-floor guard reads the norm at K_rule whatever K
-            # is certified
-            rule_P = discretize.assemble_operator(
-                sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
-            floor = _delta_floor(float(np.linalg.norm(rule_P.entries, 2)))
-            if delta < floor:
-                raise EmptyWindow(
-                    f"delta = {delta:.3e} is below the rounding floor "
-                    f"{floor:.3e} at h = {h}; the intentional perturbation "
-                    f"would drown in eigensolver noise")
-        rows, pilots, K, (certified,), K_tried, pilot_ms = \
-            _certified_trials(
-                config, f"sc:{h!r}", h, delta,
-                [(h, gamma, measure / (TWO_PI * h))],
-                K0=min(K_rule, config.truncation_K(h, gamma.bound_radius(),
-                                                   SC_C_START)),
-                cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
-                growth=SC_GROWTH, tol=SC_SETTLE_TOL)
-        records += rows
-        truncation[h] = {
-            "K": K, "K_rule": K_rule, "K_tried": list(K_tried),
-            "pilot_trials": len(pilots), "settle_tol": SC_SETTLE_TOL,
-            "certified": certified, "pilot_millis": pilot_ms}
+    with _helpers(config) as pool:
+        for h in config.h_list:
+            K_rule = config.truncation_K(h, gamma.bound_radius())
+            delta = _coupling(config, h)
+            if delta != 0.0:
+                # the rounding-floor guard reads the norm at K_rule whatever
+                # K is certified
+                rule_P = discretize.assemble_operator(
+                    sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
+                floor = _delta_floor(float(np.linalg.norm(rule_P.entries, 2)))
+                if delta < floor:
+                    raise EmptyWindow(
+                        f"delta = {delta:.3e} is below the rounding floor "
+                        f"{floor:.3e} at h = {h}; the intentional "
+                        f"perturbation would drown in eigensolver noise")
+            rows, pilots, K, (certified,), K_tried, pilot_ms = \
+                _certified_trials(
+                    pool, config, f"sc:{h!r}", h, delta,
+                    [(h, gamma, lambda: measure / (TWO_PI * h))],
+                    K0=min(K_rule, config.truncation_K(
+                        h, gamma.bound_radius(), SC_C_START)),
+                    cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
+                    growth=SC_GROWTH, tol=SC_SETTLE_TOL)
+            records += rows
+            truncation[h] = {
+                "K": K, "K_rule": K_rule, "K_tried": list(K_tried),
+                "pilot_trials": len(pilots), "settle_tol": SC_SETTLE_TOL,
+                "certified": certified, "pilot_millis": pilot_ms}
 
     params = tuple(config.h_list)
     aggregates = {h: _aggregate(records, h) for h in params}
@@ -563,14 +574,11 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     def scale(h):
         return h ** -0.5 * abs(math.log(h)) ** 0.5
 
+    res = {h: max(aggregates[h]["mean_abs_residual"], 1e-12) for h in params}
     env = env_h = None
     if len(params) >= 3:
-        pairs = [(scale(h), max(aggregates[h]["mean_abs_residual"], 1e-12))
-                 for h in params]
-        env = fit_power_law(pairs)
-        pairs_h = [(h, max(aggregates[h]["mean_abs_residual"], 1e-12))
-                   for h in params]
-        env_h = fit_power_law(pairs_h)
+        env = fit_power_law([(scale(h), res[h]) for h in params])
+        env_h = fit_power_law([(h, res[h]) for h in params])
 
     # envelope calibration at the coarsest h, coverage at finer h
     h_cal = max(params)
@@ -609,6 +617,28 @@ def _rescaled_symbol(sym: symbol.MatrixSymbol,
                                sym.coeffs * scale[:, None, None, None])
 
 
+def _rung_weyl(sym: symbol.MatrixSymbol, dom) -> tuple:
+    """(W, its bound): the Weyl measure of dom over 2 pi."""
+    weyl = domains.weyl_measure(sym, dom)
+    return weyl.value / TWO_PI, weyl.bound / TWO_PI
+
+
+def _rescaled_eigs(sym: symbol.MatrixSymbol, K: int, pilot, lams) -> list:
+    """Spectra of lambda^{-1} (P - Q) at K for each lambda in lams: P of the
+    pilot's draw assembled at h = lambda^{-1/m}, Q once, at h = 1."""
+    q_pilot = discretize.assemble_perturbation(
+        pilot, discretize.FourierTruncation(K=K, n=sym.n, h=1.0), 1.0).entries
+    spectra = []
+    for lam in lams:
+        h = lam ** (-1.0 / sym.m)
+        scaled = discretize.assemble_operator(
+            _rescaled_symbol(sym, h),
+            discretize.FourierTruncation(K=K, n=sym.n, h=h))
+        spectra.append(discretize.eigenvalues(discretize.OperatorMatrix(
+            scaled.entries - q_pilot / lam, scaled.trunc)))
+    return spectra
+
+
 def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     """Count every rung of the lambda ladder from one eigensolve per trial.
 
@@ -620,41 +650,34 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     """
     sym = config.sym
     sector = config.domains[0]
-    m = sym.m
 
     lam_sorted = tuple(sorted(config.lambda_list))
     rungs = [domains.dilate(sector, lam) if lam != 1.0 else sector
              for lam in lam_sorted]
-    weyls = [domains.weyl_measure(sym, dom) for dom in rungs]
-    weyl_by_lam = {lam: w.value / TWO_PI for lam, w in zip(lam_sorted, weyls)}
-
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
-    records, (pilot,), K, certified, K_tried, pilot_ms = \
-        _certified_trials(
-            config, "he", 1.0, 1.0,
-            [(float(lam), dom, weyl_by_lam[lam])
-             for lam, dom in zip(lam_sorted, rungs)],
-            K0=K0, cap=HE_K_CAP, fallback=None, pilots=1, growth=HE_GROWTH,
-            tol=HE_SETTLE_TOL)
+    with _helpers(config) as pool:
+        # the helpers measure the rungs while the pilot climbs its K ladder
+        weyls = [_submit(pool, _rung_weyl, sym, dom) for dom in rungs]
+        records, (pilot,), K, certified, K_tried, pilot_ms = \
+            _certified_trials(
+                pool, config, "he", 1.0, 1.0,
+                [(float(lam), dom, lambda w=w: w.result()[0])
+                 for lam, dom, w in zip(lam_sorted, rungs, weyls)],
+                K0=K0, cap=HE_K_CAP, fallback=None, pilots=1,
+                growth=HE_GROWTH, tol=HE_SETTLE_TOL)
 
-    # lambda^{-1} (P - Q) assembled semiclassically at h = lambda^{-1/m},
-    # same draw and K, counted in the undilated sector: it equals N in exact
-    # arithmetic, so a mismatch exposes a count that rounding can move.
-    # Records run trial by trial, rung by rung: trial 0's come first.
-    t0 = time.perf_counter()
-    q_pilot = discretize.assemble_perturbation(
-        pilot, discretize.FourierTruncation(K=K, n=sym.n, h=1.0), 1.0).entries
-    rescaling_ok = {}
-    for lam, r in zip(lam_sorted, records):
-        h = lam ** (-1.0 / m)
-        scaled = discretize.assemble_operator(
-            _rescaled_symbol(sym, h),
-            discretize.FourierTruncation(K=K, n=sym.n, h=h))
-        eigs = discretize.eigenvalues(discretize.OperatorMatrix(
-            scaled.entries - q_pilot / lam, scaled.trunc))
-        rescaling_ok[(lam, 0)] = bool(
-            np.count_nonzero(sector.contains_many(eigs)) == r.N)
-    pilot_ms += (time.perf_counter() - t0) * 1e3
+        # lambda^{-1} (P - Q) at h = lambda^{-1/m}, same draw and K, counted
+        # in the undilated sector: it equals N in exact arithmetic, so a
+        # mismatch exposes a count that rounding can move.  Rung j is in
+        # share j mod WORKERS; trial 0's records, one per rung, come first.
+        t0 = time.perf_counter()
+        rescaled = _shared(pool, _rescaled_eigs, (sym, K, pilot),
+                           dict(enumerate(lam_sorted)))
+        rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
+            sector.contains_many(rescaled[j])) == r.N)
+            for j, (lam, r) in enumerate(zip(lam_sorted, records))}
+        pilot_ms += (time.perf_counter() - t0) * 1e3
+    weyls = {str(lam): w.result() for lam, w in zip(lam_sorted, weyls)}
 
     und = _undilated(sector)
     pieces_by_lam = {}
@@ -669,11 +692,9 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         if lam in pieces_by_lam:
             piece_counts = [int(np.count_nonzero(p.contains_many(
                 r.eigenvalues))) for p in pieces_by_lam[lam].all_pieces()]
-            dyadic_info[(lam, r.trial)] = {
-                "piece_counts": piece_counts,
-                "total": r.N,
-                "sum_matches": sum(piece_counts) == r.N,
-            }
+            dyadic_info[f"{lam}/{r.trial}"] = {
+                "piece_counts": piece_counts, "total": r.N,
+                "sum_matches": sum(piece_counts) == r.N}
 
     params = tuple(float(l) for l in lam_sorted)
     aggregates = {lam: _aggregate(records, lam) for lam in params}
@@ -696,7 +717,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         if len(rows) < 2:
             fits[trial] = None
             continue
-        b = np.array([r.param ** (1.0 / (2 * m))
+        b = np.array([r.param ** (1.0 / (2 * sym.m))
                       * math.sqrt(max(math.log(r.param), 1e-12))
                       for r in rows])
         y = np.array([abs(r.residual) for r in rows])
@@ -715,9 +736,8 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         aggregates=aggregates, envelope_fit=env, envelope_fit_h=None,
         c_hat=None, coverage={},
         extras={
-            "weyl_by_lambda": {str(k): v for k, v in weyl_by_lam.items()},
-            "weyl_bound_by_lambda": {str(lam): w.bound / TWO_PI
-                                     for lam, w in zip(lam_sorted, weyls)},
+            "weyl_by_lambda": {k: W for k, (W, _) in weyls.items()},
+            "weyl_bound_by_lambda": {k: b for k, (_, b) in weyls.items()},
             "truncation": {
                 "K": K, "K_start": K0, "K_tried": list(K_tried),
                 "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,
@@ -726,9 +746,8 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
                 "pilot_millis": pilot_ms,
                 "fit_rungs": fit_rungs,
             },
-            "rescaling_identity": {f"{k[0]}/{k[1]}": v
-                                   for k, v in rescaling_ok.items()},
-            "dyadic": {f"{k[0]}/{k[1]}": v for k, v in dyadic_info.items()},
+            "rescaling_identity": rescaling_ok,
+            "dyadic": dyadic_info,
             "trajectory_fits": fits,
             "relative_residuals": rel_residuals,
             "stage_ms": {lam: _stage_medians(records, lam) for lam in params},
@@ -837,13 +856,23 @@ def _check_keys(block: str, spec: dict, known) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in {block}")
 
 
+def _whole(value, what: str, top: int | None = None) -> int:
+    """int(value) for a whole number, in 0..top if ``top`` is given."""
+    span = "" if top is None else f" in 0..{top}"
+    if not float(value).is_integer() or span and not 0 <= int(value) <= top:
+        raise ValueError(f"{what} must be an integer{span}, not {value!r}")
+    return int(value)
+
+
 def parse_symbol(spec: dict) -> symbol.MatrixSymbol:
     _check_keys("symbol", spec, _SYMBOL_KEYS)
-    return symbol.MatrixSymbol.from_terms(
-        int(spec["n"]), int(spec["m"]),
-        ((int(alpha), int(i), int(j), int(k), complex(float(re), float(im)))
-         for alpha, entries in spec["coeffs"].items()
-         for i, j, k, re, im in entries))
+    n, m = _whole(spec["n"], "symbol n"), _whole(spec["m"], "symbol m")
+    return symbol.MatrixSymbol.from_terms(n, m, (
+        (_whole(alpha, "symbol order", m), _whole(i, "symbol slot", n - 1),
+         _whole(j, "symbol slot", n - 1), _whole(k, "symbol frequency"),
+         complex(float(re), float(im)))
+        for alpha, entries in spec["coeffs"].items()
+        for i, j, k, re, im in entries))
 
 
 def parse_domain(spec: dict):
@@ -860,7 +889,8 @@ def parse_domain(spec: dict):
     if kind == "disk":
         c = spec.get("center", (0.0, 0.0))
         return domains.regular_polygon(complex(c[0], c[1]), spec["radius"],
-                                       int(spec.get("vertices", 128)))
+                                       _whole(spec.get("vertices", 128),
+                                              "disk vertices"))
     return domains.AnnularSector(spec["theta_min"], spec["theta_max"],
                                  spec.get("r_out", 1.0), spec.get("r_in"))
 
@@ -868,11 +898,11 @@ def parse_domain(spec: dict):
 def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
     _check_keys("perturbation", spec, _LAW_KEYS)
     return randomness.CoefficientLaw(
-        alpha_min=int(spec["alpha_min"]),
-        alpha_max=int(spec["alpha_max"]),
+        alpha_min=_whole(spec["alpha_min"], "perturbation alpha_min"),
+        alpha_max=_whole(spec["alpha_max"], "perturbation alpha_max"),
         n=n,
         rho_decay=float(spec["rho"]),
-        K_q=int(spec.get("K_q", 64)),
+        K_q=_whole(spec.get("K_q", 64), "perturbation K_q"),
     )
 
 
@@ -882,7 +912,7 @@ def load_config(path) -> ExperimentConfig:
     block = "the config"    # the block being read, named by a type error
     try:
         _check_keys(block, raw, _TOP_KEYS)
-        seed = int(raw.get("seed", 0))
+        seed = _whole(raw.get("seed", 0), "seed")
         block = "symbol"
         sym = parse_symbol(raw["symbol"])
         block = "perturbation"
@@ -897,7 +927,7 @@ def load_config(path) -> ExperimentConfig:
             mode=exp.get("mode", "semiclassical"),
             h_list=tuple(float(v) for v in exp.get("h_list", ())),
             lambda_list=tuple(float(v) for v in exp.get("lambda_list", ())),
-            trials=int(exp.get("trials", 20)),
+            trials=_whole(exp.get("trials", 20), "experiment trials"),
             gamma1=float(exp.get("gamma1", 0.25)),
             N0=float(exp.get("N0", 3.0)),
             delta_override=(None if exp.get("delta") is None

@@ -1,8 +1,10 @@
 """Builders the tests share that the package itself has no use for."""
 
+import os
+
 import numpy as np
 
-from weylab import discretize
+from weylab import discretize, domains
 from weylab.discretize import FourierTruncation, OperatorMatrix, _over_sqrt_2pi
 from weylab.errors import NoConvergence
 from weylab.symbol import MatrixSymbol
@@ -54,3 +56,21 @@ def fail_at_trial(monkeypatch, trial):
         return eigenvalues(mat)
     monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
     monkeypatch.setattr(discretize, "eigenvalues", eigs)
+
+
+def fail_in_helper(monkeypatch, work):
+    """Make a helper process, never the parent, raise NoConvergence in
+    ``work``: "weyl" for a Weyl measure, "rescaled" for a rescaling-identity
+    eigensolve (the only solves of a matrix assembled at h != 1)."""
+    parent = os.getpid()
+    module, name, hit = {
+        "weyl": (domains, "weyl_measure", lambda *args: True),
+        "rescaled": (discretize, "eigenvalues",
+                     lambda mat: mat.trunc.h != 1.0)}[work]
+    real = getattr(module, name)
+
+    def failing(*args):
+        if os.getpid() != parent and hit(*args):
+            raise NoConvergence(f"{work} in a helper")
+        return real(*args)
+    monkeypatch.setattr(module, name, failing)

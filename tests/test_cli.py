@@ -9,7 +9,7 @@ import pytest
 from weylab import cli, harness, symbol
 from weylab.errors import BranchLoss, NonConvergence
 
-from helpers import fail_at_trial, read_matrix
+from helpers import fail_at_trial, fail_in_helper, read_matrix
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -242,6 +242,43 @@ class TestExitCodes:
                        "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "malformed experiment" in capsys.readouterr().err
+
+    # int() used to truncate these (2.7 trials ran 2) or wrap them (an
+    # order key "-1" wrote the top order)
+    @pytest.mark.parametrize("path, value", [
+        (("experiment", "trials"), 2.7), (("seed",), 42.9),
+        (("perturbation", "K_q"), 16.5), (("perturbation", "alpha_min"), 0.5),
+        (("perturbation", "alpha_max"), 0.5), (("symbol", "n"), 1.5),
+        (("symbol", "m"), 2.5),
+        (("symbol", "coeffs", "1.5"), [[0, 0, 0, 1.0, 0.0]]),
+        (("symbol", "coeffs", "-1"), [[0, 0, 0, 1.0, 0.0]]),
+        (("symbol", "coeffs", "2"), [[0.5, 0, 0, 1.0, 0.0]]),
+        (("domains", 0), {"type": "disk", "radius": 0.3, "vertices": 12.5})],
+        ids=["trials", "seed", "K_q", "alpha_min", "alpha_max", "n", "m",
+             "order", "order-minus-1", "slot", "vertices"])
+    def test_non_integral_field_maps_to_two(self, config_path, tmp_path,
+                                            capsys, path, value):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        *outer, last = path
+        block = raw
+        for key in outer:
+            block = block[key]
+        block[last] = value
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_helper_failure_in_highenergy_maps_to_three(
+            self, he_config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        fail_in_helper(monkeypatch, "rescaled")
+        rc = cli.main(["mc-highenergy", "--config", he_config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "rescaled in a helper" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("index", ["3", "-1"])
     def test_domain_out_of_range_maps_to_two(self, config_path, capsys,

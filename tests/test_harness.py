@@ -14,7 +14,7 @@ from weylab.harness import (ExperimentConfig, default_delta, delta_window,
                             run_semiclassical, write_report)
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
 
-from helpers import fail_at_trial
+from helpers import fail_at_trial, fail_in_helper
 
 
 def sc_law(rho=1.2, K_q=16):
@@ -361,12 +361,14 @@ class TestHighEnergyRun:
         from weylab.domains import dilate, weyl_measure
         cfg = he_config(f4)
         rep = run_highenergy(cfg)
-        lam = 4.0
-        quad = weyl_measure(f4, dilate(cfg.domains[0], lam))
-        assert rep.aggregates[lam]["W"] == pytest.approx(
-            quad.value / (2 * math.pi), rel=1e-9)
-        assert rep.extras["weyl_bound_by_lambda"][str(lam)] == \
-            pytest.approx(quad.bound / (2 * math.pi), rel=1e-9)
+        for lam in cfg.lambda_list:
+            quad = weyl_measure(f4, dilate(cfg.domains[0], lam))
+            assert rep.aggregates[lam]["W"] == pytest.approx(
+                quad.value / (2 * math.pi), rel=1e-9)
+            assert {r.W for r in rep.records if r.param == lam} == \
+                {rep.aggregates[lam]["W"]}
+            assert rep.extras["weyl_bound_by_lambda"][str(lam)] == \
+                pytest.approx(quad.bound / (2 * math.pi), rel=1e-9)
 
 
 class TestEnvelopeSanity:
@@ -473,46 +475,57 @@ class TestReports:
             assert len(dumped) > 10
 
 
+# summary.json keys that hold wall or work times, or the library versions
+TIMES = ("total_millis", "stage_ms", "pilot_millis", "versions")
+
+
+def without(obj, keys):
+    """obj with every dict entry under one of keys removed, at any depth."""
+    if isinstance(obj, dict):
+        return {k: without(v, keys) for k, v in obj.items() if k not in keys}
+    return obj
+
+
 @pytest.fixture(scope="module")
 def outputs_by_workers(f2, f4, tmp_path_factory):
-    """Report files of one semiclassical and one high-energy run per
-    WORKERS in 1, 2, 3: 3 makes the shares uneven (8 pilots, 12 trials)."""
+    """Report files of one semiclassical and two high-energy runs per
+    WORKERS in 1, 2, 3: 3 makes the shares uneven (8 pilots, 12 trials), and
+    the single-trajectory run has no helper at all."""
     out = {}
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "WORKERS", workers)
             for mode, rep in (
                     ("sc", run_semiclassical(sc_config(f2, trials=12))),
-                    ("he", run_highenergy(he_config(f4, trials=5)))):
+                    ("he", run_highenergy(he_config(f4, trials=5))),
+                    ("he1", run_highenergy(he_config(f4, trials=1)))):
                 path = tmp_path_factory.mktemp(f"{mode}{workers}")
                 write_report(rep, path, dump_eigs=True)
-                summary = json.loads((path / "summary.json").read_text())
                 out[mode, workers] = {
                     "trials": (path / "trials.csv").read_bytes(),
                     "eigenvalues": (path / "eigenvalues.csv").read_bytes(),
-                    "truncation": summary["extras"]["truncation"],
-                    "workers": summary["extras"]["workers"]}
+                    "summary": json.loads(
+                        (path / "summary.json").read_text())}
     return out
 
 
-def without_pilot_millis(trunc):
-    if "pilot_millis" in trunc:
-        return {k: v for k, v in trunc.items() if k != "pilot_millis"}
-    return {k: without_pilot_millis(v) for k, v in trunc.items()}
-
-
 class TestWorkers:
-    @pytest.mark.parametrize("mode", ["sc", "he"])
+    @pytest.mark.parametrize("mode", ["sc", "he", "he1"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_outputs_byte_identical(self, outputs_by_workers, mode, workers):
         one, many = (outputs_by_workers[mode, 1],
                      outputs_by_workers[mode, workers])
-        assert (one["workers"], many["workers"]) == (1, workers)
+        assert (one["summary"]["extras"]["workers"],
+                many["summary"]["extras"]["workers"]) == (1, workers)
         assert many["trials"] == one["trials"]
         assert many["eigenvalues"] == one["eigenvalues"]
         assert len(one["eigenvalues"].split(b"\n")) > 100
-        assert without_pilot_millis(many["truncation"]) == \
-            without_pilot_millis(one["truncation"])
+        if mode != "sc":
+            assert {"weyl_by_lambda", "weyl_bound_by_lambda",
+                    "rescaling_identity", "dyadic"} <= set(
+                        one["summary"]["extras"])
+        assert without(many["summary"], TIMES + ("workers",)) == \
+            without(one["summary"], TIMES + ("workers",))
 
     def test_clean_run_leaves_no_helper(self, f2, monkeypatch):
         monkeypatch.setattr(harness, "WORKERS", 2)
@@ -527,6 +540,35 @@ class TestWorkers:
         fail_at_trial(monkeypatch, trial)
         with pytest.raises(NoConvergence, match=f"trial {trial}"):
             run_semiclassical(sc_config(f2, trials=harness.SC_PILOTS + 2))
+        assert multiprocessing.active_children() == []
+
+    # at 2 workers both Weyl measures run in the helper, and rung 1's
+    # rescaling-identity solve
+    @pytest.mark.parametrize("work", ["weyl", "rescaled"])
+    def test_helper_error_in_moved_work(self, f4, monkeypatch, work):
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        fail_in_helper(monkeypatch, work)
+        with pytest.raises(NoConvergence, match=f"{work} in a helper"):
+            run_highenergy(he_config(f4))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("run, trials, pools", [
+        ("sc", 2, 1), ("he", 2, 1), ("he", 1, 0)])
+    def test_one_pool_per_run(self, f2, f4, monkeypatch, run, trials, pools):
+        built = []
+
+        class Counted(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        if run == "sc":
+            run_semiclassical(sc_config(f2, h_list=(0.1, 0.07),
+                                        trials=trials))
+        else:
+            run_highenergy(he_config(f4, trials=trials))
+        assert len(built) == pools
         assert multiprocessing.active_children() == []
 
 
@@ -570,6 +612,22 @@ class TestConfigFile:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=f"'{key}' in {where}"):
             load_config(path)
+
+    # a negative order or slot used to wrap to the top order or last row,
+    # and an order above m raised IndexError
+    @pytest.mark.parametrize("order, entry, what", [
+        ("-1", [0, 0, 1, 0.0, 1.0], "order"),
+        ("0", [-1, 0, 1, 0.0, 1.0], "slot"),
+        ("0", [0, 1, 1, 0.0, 1.0], "slot"),
+        ("5", [0, 0, 1, 0.0, 1.0], "order")],
+        ids=["order-minus-1", "slot-minus-1", "slot-n", "order-5"])
+    def test_symbol_index_out_of_range(self, order, entry, what):
+        spec = file_config()["symbol"]
+        spec["coeffs"][order] = [entry]
+        top = 2 if what == "order" else 0
+        with pytest.raises(ValueError, match=f"symbol {what} must be an "
+                                             f"integer in 0..{top}"):
+            harness.parse_symbol(spec)
 
     def test_unknown_domain_key_rejected(self, tmp_path):
         raw = file_config()
