@@ -131,7 +131,7 @@ def cmd_spectrum(args) -> int:
     if args.delta is not None and float(args.delta) != 0.0:
         seed = int(args.seed) if args.seed is not None else cfg.seed
         spec = randomness.SeedSpec(seed, "spectrum", int(args.trial))
-        draw = randomness.sample_draw(cfg.law, spec, h)
+        draw = randomness.sample_draw(cfg.require_law(), spec, h)
         mat = discretize.perturbed_operator(mat, draw, float(args.delta))
     eigs = discretize.eigenvalues(mat)
     os.makedirs(args.out, exist_ok=True)

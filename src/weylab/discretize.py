@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BandwidthExceeded, NoConvergence
 from .randomness import SQRT_2PI, PerturbationDraw
@@ -171,11 +170,17 @@ def eigenvalues(mat: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of the dense truncation, sorted by (Re, Im).
 
     LAPACK's zgeev (balancing + Hessenberg + shifted QR) provides the
-    backward-stable contract; failures surface as NoConvergence.
+    backward-stable contract; failures surface as NoConvergence, and a
+    non-finite entry, which only a bad input makes, as ValueError.  numpy's
+    wrapper releases the GIL during the solve, where scipy's holds it, so
+    the pool's feeder thread keeps the helpers busy meanwhile; both call
+    the same zgeev and give the same spectra.
     """
     try:
-        vals = scipy.linalg.eigvals(mat.entries)
-    except np.linalg.LinAlgError as exc:        # pragma: no cover
+        vals = np.linalg.eigvals(mat.entries)
+    except np.linalg.LinAlgError as exc:
+        if not np.isfinite(mat.entries).all():
+            raise ValueError("matrix entries must be finite") from exc
         raise NoConvergence(f"QR eigensolver failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]

@@ -1,14 +1,14 @@
 """Spectral domains in the complex plane and the phase-space Weyl measure.
 
-Domains are rectangles, polygons, annular sectors with smooth radial
-profiles, and dilations thereof.  ``weyl_measure`` integrates the
-eigenvalue-count function m_Gamma(x, xi) = #(sigma(p(x, xi)) in Gamma) by
-a corner quadtree: m_Gamma is evaluated (``m_gamma``) at the corners of a
-base lattice, cells whose corners disagree are split until the summed
-area * (max - min corner) of the cells still mixed, which bounds the
-error, meets the tolerance.  The result is W +- bound.  The bound assumes
-the base lattice resolves {p in Gamma}: no component of it or of its
-complement lies inside one base cell without touching a corner.
+Domains are rectangles, polygons, annular sectors and dilations thereof.
+``weyl_measure`` integrates the eigenvalue-count function m_Gamma(x, xi) =
+#(sigma(p(x, xi)) in Gamma) by a corner quadtree: m_Gamma is evaluated
+(``m_gamma``) at the corners of a base lattice, cells whose corners
+disagree are split until the summed area * (max - min corner) of the cells
+still mixed, which bounds the error, meets the tolerance.  The result is
+W +- bound.  The bound assumes the base lattice resolves {p in Gamma}: no
+component of it or of its complement lies inside one base cell without
+touching a corner.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import LambdaBelowOne, NonPositiveLambda, NoConvergence
 from .symbol import (coefficient_values, det_or_eigvals, polynomial,
@@ -28,47 +27,6 @@ TWO_PI = 2.0 * math.pi
 # points within this distance of a boundary count as inside (shared with
 # the eigenvalue-count routines)
 BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """C^2 radial profile r(theta), cubically interpolated samples."""
-
-    theta_min: float
-    theta_max: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if not self.theta_min < self.theta_max:
-            raise ValueError("theta_min must be < theta_max")
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or len(s) < 2:
-            raise ValueError("need at least two profile samples")
-        object.__setattr__(self, "samples", s)
-        grid = np.linspace(self.theta_min, self.theta_max, len(s))
-        object.__setattr__(self, "_spline", CubicSpline(grid, s))
-
-    @classmethod
-    def constant(cls, value: float, theta_min: float,
-                 theta_max: float) -> "RadialProfile":
-        """r = value, sampled at 257 nodes."""
-        return cls(theta_min, theta_max, np.full(257, float(value)))
-
-    def __call__(self, theta):
-        th = np.clip(theta, self.theta_min, self.theta_max)
-        return self._spline(th)
-
-    def min_value(self) -> float:
-        fine = np.linspace(self.theta_min, self.theta_max, 4097)
-        return float(np.min(self(fine)))
-
-    def max_value(self) -> float:
-        fine = np.linspace(self.theta_min, self.theta_max, 4097)
-        return float(np.max(self(fine)))
-
-    def scaled(self, factor: float) -> "RadialProfile":
-        return RadialProfile(self.theta_min, self.theta_max,
-                             self.samples * factor)
 
 
 class SpectralDomain:
@@ -158,26 +116,21 @@ class AnnularSector(SpectralDomain):
 
     theta_min: float
     theta_max: float
-    r_out: RadialProfile
-    r_in: RadialProfile | None = None
+    r_out: float
+    r_in: float | None = None
 
     def __post_init__(self):
         if not self.theta_min < self.theta_max:
             raise ValueError("theta_min must be < theta_max")
         if self.theta_max - self.theta_min > TWO_PI + 1e-12:
             raise ValueError("angular width exceeds 2*pi")
-        if isinstance(self.r_out, (int, float)):
-            object.__setattr__(self, "r_out", RadialProfile.constant(
-                float(self.r_out), self.theta_min, self.theta_max))
-        if isinstance(self.r_in, (int, float)):
-            object.__setattr__(self, "r_in", RadialProfile.constant(
-                float(self.r_in), self.theta_min, self.theta_max))
-        if self.r_out.min_value() <= 0.0:
-            raise ValueError("outer profile must be strictly positive")
+        object.__setattr__(self, "r_out", float(self.r_out))
         if self.r_in is not None:
-            fine = np.linspace(self.theta_min, self.theta_max, 1025)
-            if np.any(self.r_in(fine) > self.r_out(fine)):
-                raise ValueError("inner profile must stay below outer profile")
+            object.__setattr__(self, "r_in", float(self.r_in))
+        if self.r_out <= 0.0:
+            raise ValueError("outer radius must be strictly positive")
+        if self.r_in is not None and self.r_in > self.r_out:
+            raise ValueError("inner radius must stay below outer radius")
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
         r = np.abs(z)
@@ -186,16 +139,15 @@ class AnnularSector(SpectralDomain):
         theta = self.theta_min + np.mod(theta - self.theta_min, TWO_PI)
         ang_tol = BOUNDARY_TOL / np.maximum(r, BOUNDARY_TOL)
         in_angle = theta <= self.theta_max + ang_tol
-        th = np.clip(theta, self.theta_min, self.theta_max)
-        hi = self.r_out(th) + BOUNDARY_TOL
-        lo = (self.r_in(th) - BOUNDARY_TOL) if self.r_in is not None else -1.0
-        ok = in_angle & (r <= hi) & (r >= lo)
+        ok = in_angle & (r <= self.r_out + BOUNDARY_TOL)
         if self.r_in is None:
             ok |= r <= BOUNDARY_TOL   # origin belongs to every full sector
+        else:
+            ok &= r >= self.r_in - BOUNDARY_TOL
         return ok
 
     def bound_radius(self) -> float:
-        return self.r_out.max_value()
+        return self.r_out
 
 
 @dataclass(frozen=True)
@@ -243,23 +195,20 @@ def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
     """Split Gamma(0, lam*r_out) into a unit core, dyadic rings, and a cap."""
     if lam < 1.0:
         raise LambdaBelowOne(f"lambda must be >= 1, got {lam}")
-    if sector.r_in is not None and sector.r_in.max_value() > BOUNDARY_TOL:
+    if sector.r_in is not None and sector.r_in > BOUNDARY_TOL:
         raise ValueError("dyadic decomposition needs a sector reaching r = 0")
-    if abs(sector.r_out.min_value() - 1.0) > 1e-9:
-        raise ValueError("normalize the sector so inf r_out = 1 first")
+    if abs(sector.r_out - 1.0) > 1e-9:
+        raise ValueError("normalize the sector so r_out = 1 first")
 
     k0 = int(math.floor(math.log2(lam) + 1e-12))
     tmin, tmax = sector.theta_min, sector.theta_max
-    core = AnnularSector(tmin, tmax, RadialProfile.constant(1.0, tmin, tmax))
-    ring_base = AnnularSector(tmin, tmax,
-                              RadialProfile.constant(2.0, tmin, tmax),
-                              RadialProfile.constant(1.0, tmin, tmax))
+    core = AnnularSector(tmin, tmax, 1.0)
+    ring_base = AnnularSector(tmin, tmax, 2.0, 1.0)
     rings = tuple(Dilated(float(2 ** k), ring_base) for k in range(k0))
-    cap_out = sector.r_out.scaled(lam / 2 ** k0)
+    cap_out = sector.r_out * (lam / 2 ** k0)
     cap = None
-    if cap_out.max_value() > 1.0 + BOUNDARY_TOL:
-        cap = Dilated(float(2 ** k0), AnnularSector(
-            tmin, tmax, cap_out, RadialProfile.constant(1.0, tmin, tmax)))
+    if cap_out > 1.0 + BOUNDARY_TOL:
+        cap = Dilated(float(2 ** k0), AnnularSector(tmin, tmax, cap_out, 1.0))
     return DyadicPieces(core=core, rings=rings, cap=cap, k0=k0)
 
 

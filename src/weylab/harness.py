@@ -23,14 +23,19 @@ K, then the other trials') go in WORKERS interleaved shares, trial t in
 share t mod WORKERS: share 0 in the parent, the others in the helpers.  A
 high-energy run hands the helpers the rungs' Weyl measures while the parent
 climbs the pilot's K ladder, then shares out its rescaling-identity solves
-likewise.  The parent certifies, counts and records in trial order, so the
-outputs are byte-identical for any WORKERS.  A record's millis and stage_ms
-are work times, summed over processes; pilot_millis is a wall time.
+likewise.  Helpers that the pilots leave idle (fewer pilots than WORKERS)
+solve the other trials at the K being checked while the pilots are solved
+at the next K; a solve that started before the verdict is kept if that K is
+used, and dropped with its result or error if not.  The parent certifies,
+counts and records in trial order, so the outputs are byte-identical for
+any WORKERS.  A record's millis and stage_ms are work times, summed over
+processes; pilot_millis is a wall time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -87,9 +92,8 @@ class ExperimentConfig:
             raise ValueError("at least one spectral domain is required")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.law is None:
-            raise ValueError(f"{self.mode} mode needs a perturbation law")
-        if self.law.alpha_max > self.sym.m - 1:
+        # the law is optional here: only require_law's callers read it
+        if self.law is not None and self.law.alpha_max > self.sym.m - 1:
             raise HypothesisViolation(
                 f"perturbation order alpha_max={self.law.alpha_max} must stay "
                 f"below the operator order m={self.sym.m}")
@@ -98,7 +102,7 @@ class ExperimentConfig:
                 raise ValueError("semiclassical mode needs h_list")
             if any(not 0.0 < h < 1.0 for h in self.h_list):
                 raise ValueError("every h must lie in (0, 1)")
-            if self.delta_override is None:
+            if self.law is not None and self.delta_override is None:
                 for h in self.h_list:
                     delta_window(h, self.law.rho_decay, self.gamma1, self.N0)
         else:
@@ -106,20 +110,27 @@ class ExperimentConfig:
                 raise ValueError("highenergy mode needs lambda_list")
             if any(lam < 1.0 for lam in self.lambda_list):
                 raise ValueError("every lambda must be >= 1")
-            margin = (self.sym.m - self.law.alpha_max
-                      - self.law.rho_decay - 0.75)
-            if margin <= 0.0:
-                raise WindowViolation(
-                    f"m - alpha1 - rho - 3/4 = {margin:.3f} must be positive")
-            if self.sym.m - self.law.alpha_max <= (self.law.rho_decay
-                                                   + self.gamma1 + 0.5):
-                raise WindowViolation(
-                    "m - alpha1 must exceed rho + gamma1 + 1/2")
+            if self.law is not None:
+                margin = (self.sym.m - self.law.alpha_max
+                          - self.law.rho_decay - 0.75)
+                if margin <= 0.0:
+                    raise WindowViolation(f"m - alpha1 - rho - 3/4 = "
+                                          f"{margin:.3f} must be positive")
+                if self.sym.m - self.law.alpha_max <= (self.law.rho_decay
+                                                       + self.gamma1 + 0.5):
+                    raise WindowViolation(
+                        "m - alpha1 must exceed rho + gamma1 + 1/2")
             if not isinstance(_undilated(self.domains[0]),
                               domains.AnnularSector):
                 raise ValueError("highenergy mode needs an annular-sector "
                                  "domain reaching the origin")
         self._validate_roots()
+
+    def require_law(self) -> randomness.CoefficientLaw:
+        """The perturbation law, which the Monte-Carlo paths need."""
+        if self.law is None:
+            raise ValueError(f"{self.mode} mode needs a perturbation law")
+        return self.law
 
     def _validate_roots(self):
         """Check the root inventory at the probe z: of the symbol, or in
@@ -180,8 +191,8 @@ def _probe_z(domain) -> complex:
         return complex(np.mean(np.asarray(domain.vertices)))
     if isinstance(domain, domains.AnnularSector):
         mid = 0.5 * (domain.theta_min + domain.theta_max)
-        lo = domain.r_in(mid) if domain.r_in is not None else 0.0
-        return complex(0.5 * (lo + domain.r_out(mid)) * np.exp(1j * mid))
+        lo = domain.r_in if domain.r_in is not None else 0.0
+        return complex(0.5 * (lo + domain.r_out) * np.exp(1j * mid))
     raise ValueError(f"unsupported domain type {type(domain).__name__}")
 
 
@@ -428,11 +439,13 @@ def _solve(config: ExperimentConfig, h: float, delta: float, K: int,
     mat = discretize.assemble_operator(
         config.sym, discretize.FourierTruncation(K=K, n=config.sym.n, h=h))
     rows = []
-    for d in draws:
+    for i, d in enumerate(draws):
         d, draw_ms = (_draw(config, d, h) if isinstance(d, randomness.SeedSpec)
                       else (d, 0.0))
         t0 = time.perf_counter()
         perturbed = discretize.perturbed_operator(mat, d, delta)
+        if i == len(draws) - 1:
+            del mat     # the last solve need not hold P beside its copies
         t1 = time.perf_counter()
         eigs = discretize.eigenvalues(perturbed)
         rows.append((eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3,
@@ -440,14 +453,17 @@ def _solve(config: ExperimentConfig, h: float, delta: float, K: int,
     return rows
 
 
-def _shared(pool, fn, args: tuple, items: dict) -> dict:
+def _shared(pool, fn, args: tuple, items: dict, meanwhile=None) -> dict:
     """fn(*args, share) over ``items`` (t -> item) in WORKERS interleaved
     shares, t in share t mod WORKERS: share 0 here, the others in ``pool``'s
-    helpers.  fn gives one row per item of its share; returns t -> row."""
+    helpers.  fn gives one row per item of its share; returns t -> row.
+    ``meanwhile()``, if given, runs once the helpers' shares are queued."""
     shares = [[t for t in sorted(items) if t % WORKERS == s]
               for s in range(WORKERS)]
     futures = [_submit(pool, fn, *args, [items[t] for t in share])
                for share in shares[1:] if share]
+    if meanwhile is not None:
+        meanwhile()
     rows = fn(*args, [items[t] for t in shares[0]])
     for fut in futures:
         rows += fut.result()
@@ -468,7 +484,11 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     not settle, the trials run at ``fallback``, or at the last K solved when
     it is None.  The pilots keep their draws and their spectra at K.  Every
     solve is shared out with ``pool``'s helpers; each process draws its own
-    non-pilot trials.  Returns (records, each with its trial's spectrum, the
+    non-pilot trials.  While the pilots are solved at a finer K, helpers they
+    leave idle solve the non-pilot trials at the K being checked, one future
+    each; the verdict cancels those not started, and the started ones are
+    collected after the parent's share if that K is used, and dropped
+    otherwise.  Returns (records, each with its trial's spectrum, the
     pilots' draws, K, per-domain verdicts, every K solved, pilot_millis: the
     wall time of the pilot solves at every K).
     """
@@ -478,23 +498,45 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     drawn = [_draw(config, spec(t), h)
              for t in range(min(pilots, config.trials))]
     solved = {}     # K -> trial -> _solve's row, per pilot
+    # guesses at the candidate K, queued behind the pilots' helper shares
+    guess_K, guesses = None, {}     # guesses: trial -> future, at guess_K
+
+    def guess(K):
+        nonlocal guess_K, guesses
+        guess_K, guesses = K, {
+            t: pool.submit(_solve, config, h, delta, K, [spec(t)])
+            for t in range(len(drawn), config.trials)}
 
     def solve_pilots(K):
+        for fut in guesses.values():
+            fut.cancel()        # guess_K failed its check
+        speculate = None
+        if solved and pool is not None and len(drawn) < WORKERS:
+            speculate = functools.partial(guess, max(solved))
         solved[K] = _shared(pool, _solve, (config, h, delta, K),
-                            dict(enumerate(d for d, _ in drawn)))
+                            dict(enumerate(d for d, _ in drawn)), speculate)
         return [solved[K][t][0] for t in range(len(drawn))]
 
     t0 = time.perf_counter()
-    K, _, verdicts, K_tried = certify_truncation(
-        solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
+    try:
+        K, _, verdicts, K_tried = certify_truncation(
+            solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
+    finally:
+        for fut in guesses.values():
+            fut.cancel()
     if not verdicts[0] and fallback is not None:
         K = fallback
     pilot_ms = (time.perf_counter() - t0) * 1e3
 
     reused = solved.get(K, {})
+    # a guess already started at K is kept; any other guess's result or
+    # error is dropped, since a serial run never makes that solve
+    started = {t: fut for t, fut in guesses.items()
+               if guess_K == K and not fut.cancelled()}
     rest = _shared(pool, _solve, (config, h, delta, K), {
         t: drawn[t][0] if t < len(drawn) else spec(t)
-        for t in range(config.trials) if t not in reused})
+        for t in range(config.trials) if t not in reused and t not in started})
+    rest.update((t, fut.result()[0]) for t, fut in started.items())
 
     rungs = [(param, dom, W()) for param, dom, W in rungs]
     records = []
@@ -532,6 +574,7 @@ def _coupling(config: ExperimentConfig, h: float) -> float:
 
 
 def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
+    config.require_law()
     sym = config.sym
     gamma = config.domains[0]
     weyl = domains.weyl_measure(sym, gamma)
@@ -648,6 +691,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     the per-rung verdicts go into ``extras["truncation"]`` and the
     aggregates.
     """
+    config.require_law()
     sym = config.sym
     sector = config.domains[0]
 

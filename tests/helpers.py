@@ -1,6 +1,8 @@
 """Builders the tests share that the package itself has no use for."""
 
+import itertools
 import os
+import time
 
 import numpy as np
 
@@ -74,3 +76,45 @@ def fail_in_helper(monkeypatch, work):
             raise NoConvergence(f"{work} in a helper")
         return real(*args)
     monkeypatch.setattr(module, name, failing)
+
+
+def log_trial_solves(monkeypatch, folder, hold=None, fail=None):
+    """Touch folder/"K-trial-pid-n" as each trial's eigensolve starts, in
+    whichever process makes it.  With hold = (K, K_mark) the parent's solve
+    of trial 0 at K first waits until a helper has started a solve at
+    K_mark; with fail = (K, trial) a helper's solve of that trial at K
+    raises NoConvergence."""
+    folder.mkdir()
+    parent = os.getpid()
+    solving = {}
+    count = itertools.count()
+    perturbed, eigenvalues = (discretize.perturbed_operator,
+                              discretize.eigenvalues)
+
+    def perturbed_op(mat, draw, delta):
+        solving["trial"] = draw.seed_record.trial
+        return perturbed(mat, draw, delta)
+
+    def eigs(mat):
+        trial, K, pid = solving.pop("trial", None), mat.trunc.K, os.getpid()
+        if trial is not None:
+            (folder / f"{K}-{trial}-{pid}-{next(count)}").touch()
+            if pid != parent and (K, trial) == fail:
+                raise NoConvergence(f"trial {trial} at K = {K}")
+            if pid == parent and hold is not None and (K, trial) == (
+                    hold[0], 0):
+                deadline = time.monotonic() + 30.0
+                while not any(k == hold[1] and p != parent
+                              for k, _, p in trial_solves(folder)):
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(f"no helper solve at K = {hold[1]}")
+                    time.sleep(0.01)
+        return eigenvalues(mat)
+    monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
+    monkeypatch.setattr(discretize, "eigenvalues", eigs)
+
+
+def trial_solves(folder):
+    """(K, trial, pid) of each solve that log_trial_solves logged."""
+    return [tuple(int(v) for v in path.name.split("-")[:3])
+            for path in folder.iterdir()]

@@ -195,6 +195,22 @@ class TestExitCodes:
         assert "'trails' in experiment" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_law_needed_only_by_monte_carlo(self, config_path, tmp_path,
+                                            capsys):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        del raw["perturbation"]
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        assert cli.main(["roots", "--config", config_path,
+                         "--z", "0.5,0.0"]) == 0
+        assert cli.main(["weyl", "--config", config_path]) == 0
+        capsys.readouterr()
+        for argv in (["mc-semiclassical", "--out", str(tmp_path / "run")],
+                     ["spectrum", "--h", "0.1", "--delta", "2e-4",
+                      "--out", str(tmp_path / "spec")]):
+            assert cli.main([*argv, "--config", config_path]) == 2
+            assert "needs a perturbation law" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_mode_mismatch(self, config_path, tmp_path, capsys):
         rc = cli.main(["mc-highenergy", "--config", config_path,
                        "--out", str(tmp_path / "x")])

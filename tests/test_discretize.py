@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weylab import discretize, harness, randomness
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
@@ -244,6 +245,37 @@ class TestEigen:
         a = eigenvalues(assemble_operator(f2, t))
         b = eigenvalues(assemble_operator(f2, t))
         assert np.array_equal(a, b)
+
+    def test_non_finite_entry_is_value_error(self):
+        entries = np.eye(3, dtype=complex)
+        entries[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues(OperatorMatrix(entries,
+                                       FourierTruncation(K=1, n=1, h=1.0)))
+
+    # trial matrices of the README run (F2, rho = 1.2, K_q = 128, at its
+    # certified K) and of the high-energy ladder (F4, rho = 1.1, K_q = 32,
+    # its certified K and the finer pilot solve); perfbench re-solves trials
+    # with scipy, so its checks rely on this too
+    @pytest.mark.parametrize("sym, rho, K_q, h, K", [
+        ("f2", 1.2, 128, 0.1, 32), ("f2", 1.2, 128, 0.07, 41),
+        ("f2", 1.2, 128, 0.05, 54), ("f4", 1.1, 32, 1.0, 160),
+        ("f4", 1.1, 32, 1.0, 320)])
+    def test_same_spectrum_as_scipy(self, request, sym, rho, K_q, h, K):
+        law = CoefficientLaw(alpha_min=0, alpha_max=0, n=1, rho_decay=rho,
+                             K_q=K_q)
+        if h < 1.0:
+            spec, delta = (SeedSpec(42, f"sc:{h!r}", 0),
+                           harness.default_delta(h, rho, 0.25, 3.0))
+        else:
+            spec, delta = SeedSpec(1, "he", 0), 1.0
+        mat = perturbed_operator(
+            assemble_operator(request.getfixturevalue(sym),
+                              FourierTruncation(K=K, n=1, h=h)),
+            sample_draw(law, spec, h), delta)
+        ref = scipy.linalg.eigvals(mat.entries)
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert eigenvalues(mat).tobytes() == ref.tobytes()
 
 
 class TestNorms:

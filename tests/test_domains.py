@@ -5,7 +5,7 @@ import pytest
 
 from weylab import domains
 from weylab.domains import (AnnularSector, Dilated, Polygon, QuadOptions,
-                            RadialProfile, Rectangle, dilate, dyadic_decompose,
+                            Rectangle, dilate, dyadic_decompose,
                             regular_polygon, weyl_measure)
 from weylab.errors import LambdaBelowOne, NoConvergence, NonPositiveLambda
 from weylab.symbol import MatrixSymbol
@@ -66,12 +66,12 @@ class TestAnnularSector:
         s = AnnularSector(0.1, 1.0, 1.0)
         assert s.contains(0.0)
 
-    def test_profile_sector(self):
-        prof = RadialProfile(0.0, math.pi,
-                             1.0 + 0.25 * np.sin(np.linspace(0, math.pi, 65)))
-        s = AnnularSector(0.0, math.pi, prof)
-        assert s.contains(1.2 * np.exp(1j * math.pi / 2))
-        assert not s.contains(1.2 * np.exp(0.01j))
+    def test_radii_slack(self):
+        s = AnnularSector(0.0, math.pi, 2, 1)
+        assert (s.r_out, s.r_in) == (2.0, 1.0)
+        assert isinstance(s.r_out, float) and isinstance(s.r_in, float)
+        r = np.array([1.0 - 1e-13, 1.0 - 1e-6, 2.0 + 1e-13, 2.0 + 1e-6])
+        assert list(s.contains_many(r * 1j)) == [True, False, True, False]
 
     def test_inner_must_stay_below_outer(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,8 @@ from weylab.harness import (ExperimentConfig, default_delta, delta_window,
                             run_semiclassical, write_report)
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
 
-from helpers import fail_at_trial, fail_in_helper
+from helpers import (fail_at_trial, fail_in_helper, log_trial_solves,
+                     trial_solves)
 
 
 def sc_law(rho=1.2, K_q=16):
@@ -486,6 +487,14 @@ def without(obj, keys):
     return obj
 
 
+def report_files(rep, path):
+    """The trials.csv and eigenvalues.csv bytes and the summary of rep."""
+    write_report(rep, path, dump_eigs=True)
+    return {"trials": (path / "trials.csv").read_bytes(),
+            "eigenvalues": (path / "eigenvalues.csv").read_bytes(),
+            "summary": json.loads((path / "summary.json").read_text())}
+
+
 @pytest.fixture(scope="module")
 def outputs_by_workers(f2, f4, tmp_path_factory):
     """Report files of one semiclassical and two high-energy runs per
@@ -499,13 +508,8 @@ def outputs_by_workers(f2, f4, tmp_path_factory):
                     ("sc", run_semiclassical(sc_config(f2, trials=12))),
                     ("he", run_highenergy(he_config(f4, trials=5))),
                     ("he1", run_highenergy(he_config(f4, trials=1)))):
-                path = tmp_path_factory.mktemp(f"{mode}{workers}")
-                write_report(rep, path, dump_eigs=True)
-                out[mode, workers] = {
-                    "trials": (path / "trials.csv").read_bytes(),
-                    "eigenvalues": (path / "eigenvalues.csv").read_bytes(),
-                    "summary": json.loads(
-                        (path / "summary.json").read_text())}
+                out[mode, workers] = report_files(
+                    rep, tmp_path_factory.mktemp(f"{mode}{workers}"))
     return out
 
 
@@ -550,6 +554,52 @@ class TestWorkers:
         fail_in_helper(monkeypatch, work)
         with pytest.raises(NoConvergence, match=f"{work} in a helper"):
             run_highenergy(he_config(f4))
+        assert multiprocessing.active_children() == []
+
+    # While the pilot is solved at a finer K, the helper solves trials 1-4
+    # at the K being checked.  The pilot's finer solve waits until the
+    # helper has started one, so some guess always starts before the verdict.
+    def test_error_in_dropped_guess(self, f4, monkeypatch, tmp_path,
+                                    outputs_by_workers):
+        serial = outputs_by_workers["he", 1]
+        K_tried = serial["summary"]["extras"]["truncation"]["K_tried"]
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        log_trial_solves(monkeypatch, tmp_path / "log", hold=K_tried[1::-1],
+                         fail=(K_tried[0], 1))
+        rep = run_highenergy(he_config(f4, trials=5))
+        assert (K_tried[0], 1) in {
+            (k, t) for k, t, _ in trial_solves(tmp_path / "log")}
+        out = report_files(rep, tmp_path / "out")
+        assert (out["trials"], out["eigenvalues"]) == (serial["trials"],
+                                                       serial["eigenvalues"])
+        assert without(out["summary"], TIMES + ("workers",)) == \
+            without(serial["summary"], TIMES + ("workers",))
+
+    def test_guess_at_certified_K_kept(self, f4, monkeypatch, tmp_path,
+                                       outputs_by_workers):
+        serial = outputs_by_workers["he", 1]
+        trunc = serial["summary"]["extras"]["truncation"]
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        log_trial_solves(monkeypatch, tmp_path / "log",
+                         hold=(trunc["K_tried"][-1], trunc["K"]))
+        out = report_files(run_highenergy(he_config(f4, trials=5)),
+                           tmp_path / "out")
+        assert (out["trials"], out["eigenvalues"]) == (serial["trials"],
+                                                       serial["eigenvalues"])
+        # every trial solved once at K: the started guesses were kept
+        assert sorted(t for k, t, _ in trial_solves(tmp_path / "log")
+                      if k == trunc["K"]) == list(range(5))
+
+    def test_error_in_kept_guess_raised(self, f4, monkeypatch, tmp_path,
+                                        outputs_by_workers):
+        trunc = outputs_by_workers["he", 1]["summary"]["extras"]["truncation"]
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        log_trial_solves(monkeypatch, tmp_path / "log",
+                         hold=(trunc["K_tried"][-1], trunc["K"]),
+                         fail=(trunc["K"], 1))
+        with pytest.raises(NoConvergence,
+                           match=f"trial 1 at K = {trunc['K']}"):
+            run_highenergy(he_config(f4, trials=5))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("run, trials, pools", [
