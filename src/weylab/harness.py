@@ -7,8 +7,9 @@ domain; every TrialRecord keeps its trial's spectrum.
 
 semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
-one stream per h.  K grows by 1.5 from ceil(xi_window / 4h) + 2 bandwidth
-until the pilots' eigenvalues in Gamma settle, never past the rule's
+one stream per h.  K is the first of the candidates sqrt(1.5) apart from
+ceil(xi_window / 4h) + 2 bandwidth at which the pilots' eigenvalues in Gamma
+settle against ceil(1.5 K), never past the rule's
 ceil(C_K xi_window / h) + 2 bandwidth, where every trial runs if they do not.
 
 highenergy: fixed unit sector Gamma, growing dilation lambda, classical
@@ -24,17 +25,18 @@ share t mod WORKERS: share 0 in the parent, the others in the helpers.  A
 high-energy run hands the helpers the rungs' Weyl measures while the parent
 climbs the pilot's K ladder, then shares out its rescaling-identity solves
 likewise.  Helpers that the pilots leave idle (fewer pilots than WORKERS)
-solve the other trials at the K being checked while the pilots are solved
-at the next K; a solve that started before the verdict is kept if that K is
-used, and dropped with its result or error if not.  The parent certifies,
-counts and records in trial order, so the outputs are byte-identical for
-any WORKERS.  A record's millis and stage_ms are work times, summed over
-processes; pilot_millis is a wall time.
+solve the other trials at the candidate K being checked while the pilots
+are solved at larger K; a solve that started before the verdict is kept if
+that K is used, and dropped with its result or error if not.  The parent
+certifies, counts and records in trial order, so the outputs are
+byte-identical for any WORKERS.  A record's millis and stage_ms are work
+times, summed over processes; pilot_millis is a wall time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import itertools
 import json
@@ -92,6 +94,10 @@ class ExperimentConfig:
             raise ValueError("at least one spectral domain is required")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name, value in (("gamma1", self.gamma1), ("N0", self.N0),
+                            ("delta", self.delta_override)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         # the law is optional here: only require_law's callers read it
         if self.law is not None and self.law.alpha_max > self.sym.m - 1:
             raise HypothesisViolation(
@@ -108,8 +114,8 @@ class ExperimentConfig:
         else:
             if not self.lambda_list:
                 raise ValueError("highenergy mode needs lambda_list")
-            if any(lam < 1.0 for lam in self.lambda_list):
-                raise ValueError("every lambda must be >= 1")
+            if any(not 1.0 <= lam < math.inf for lam in self.lambda_list):
+                raise ValueError("every lambda must be finite and >= 1")
             if self.law is not None:
                 margin = (self.sym.m - self.law.alpha_max
                           - self.law.rho_decay - 0.75)
@@ -329,23 +335,29 @@ def fit_power_law(pairs) -> tuple:
 
 # -- truncation certification --------------------------------------------------
 
-# K grows by a per-mode factor until the pilot spectra settle: inside a domain
-# their eigenvalues at K and at the next K coincide one to one within a
+# K is the first candidate at which the pilot spectra settle: inside a domain
+# their eigenvalues at K and at ceil(growth K) coincide one to one within a
 # per-mode fraction of the domain's radius.  Integer counts of an unresolved
-# truncation often agree by chance; eigenvalue positions do not.
+# truncation often agree by chance; eigenvalue positions do not.  The
+# candidates interleave a per-mode number of chains, each growing by the
+# per-mode factor, so that ceil(growth K) is a later candidate.
 #
 # semiclassical: the first SC_PILOTS trials of each h, from
-# K = ceil(SC_C_START xi_window / h) + 2 bandwidth, never beyond the rule's K.
-# Between K and 1.5K an unresolved truncation moves Gamma's eigenvalues by
-# 4e-3 R or more, a resolved one (c_K >= 0.9) by at most about 6e-6 R, and
-# rounding at the rule's K by 3e-10 R; at 1e-4 R, K can stop near c_K = 0.66,
-# too close to c_K = 0.5, where counts change.
+# K = ceil(SC_C_START xi_window / h) + 2 bandwidth, never beyond the rule's K;
+# two chains put the candidates sqrt(1.5) apart.  Between K and 1.5K an
+# unresolved truncation moves Gamma's eigenvalues by 4e-3 R or more, and
+# rounding at the rule's K by 3e-10 R.  With c_K = (K - 2 bandwidth) h /
+# xi_window, sc-weyl's pilots first settle at c_K = 0.66-0.84, and K stops
+# at c_K = 0.79-0.92, where they move by at most 4e-6 R; counts change near
+# c_K = 0.5.  At 1e-4 R, K could stop near c_K = 0.66 or below.
 SC_PILOTS = 8
 SC_C_START = 0.25
 SC_GROWTH = 1.5
+SC_CHAINS = 2
 SC_SETTLE_TOL = 1e-5
 # highenergy: the pilot trajectory, doubling up to a dense side of 2049.
 HE_GROWTH = 2
+HE_CHAINS = 1
 HE_SETTLE_TOL = 1e-8
 HE_K_CAP = 1024
 
@@ -363,31 +375,45 @@ def _settled(coarse: np.ndarray, fine: np.ndarray, dom, tol: float) -> bool:
 
 
 def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
-                       cap: int) -> tuple:
-    """Smallest K in K0, ceil(growth K0), ... at which the pilots settle in
-    the first domain.
+                       cap: int, chains: int = 1) -> tuple:
+    """Smallest candidate K at which the pilots settle in the first domain.
 
-    ``solve(K)`` returns the pilot spectra at truncation K, one array per
-    pilot trial; ``doms`` are nested domains, smallest first.  K grows only
-    while the smallest domain is unsettled on some pilot: large eigenvalues
-    can be exponentially ill-conditioned, so a domain that rounding alone can
-    move is not settled by any larger K.  Every domain takes its verdict from
-    the same pair (K, ceil(growth K)), and is settled when every pilot is.
+    The candidates interleave ``chains`` chains K, ceil(growth K), ...
+    started at ceil(growth^(j / chains) K0), j < chains, duplicates skipped;
+    a candidate K is settled against ceil(growth K), the next K of its
+    chain.  ``solve(K, checking)`` returns the pilot spectra at truncation
+    K, one array per pilot trial, where ``checking`` is the candidate whose
+    verdict waits on that solve; every K is solved once, in increasing
+    order.  ``doms`` are nested domains, smallest first.  K grows only while
+    the smallest domain is unsettled on some pilot: large eigenvalues can be
+    exponentially ill-conditioned, so a domain that rounding alone can move
+    is not settled by any larger K.  Every domain takes its verdict from the
+    same pair (K, ceil(growth K)), and is settled when every pilot is.
     Returns (K, pilot spectra at K, per-domain verdicts, every K solved); if
-    the next K would exceed cap first, every verdict is False and K is the
-    last K solved.
+    a candidate's partner would exceed cap first, every verdict is False and
+    K is the last K solved.
     """
-    K, spectra = K0, solve(K0)
-    tried = [K0]
-    while (finer_K := math.ceil(growth * K)) <= cap:
-        finer = solve(finer_K)
-        tried.append(finer_K)
+    ladder = set()
+    for j in range(chains):
+        c = math.ceil(growth ** (j / chains) * K0)
+        while c <= cap:
+            ladder.add(c)
+            c = math.ceil(growth * c)
+    ladder = sorted(ladder)
+    spectra = {K0: solve(K0, K0)}
+    for K in ladder:
+        if (finer_K := math.ceil(growth * K)) > cap:
+            break
+        for k in ladder:
+            if max(spectra) < k <= finer_K:
+                spectra[k] = solve(k, K)
         verdicts = [all(_settled(a, b, dom, tol)
-                        for a, b in zip(spectra, finer)) for dom in doms]
+                        for a, b in zip(spectra[K], spectra[finer_K]))
+                    for dom in doms]
         if verdicts[0]:
-            return K, spectra, verdicts, tuple(tried)
-        K, spectra = finer_K, finer
-    return K, spectra, [False] * len(doms), tuple(tried)
+            return K, spectra[K], verdicts, tuple(spectra)
+    last = max(spectra)
+    return last, spectra[last], [False] * len(doms), tuple(spectra)
 
 
 # -- the trial path ------------------------------------------------------------
@@ -470,31 +496,37 @@ def _shared(pool, fn, args: tuple, items: dict, meanwhile=None) -> dict:
     return dict(zip(itertools.chain.from_iterable(shares), rows))
 
 
+@dataclass(frozen=True)
+class StreamTrials:
+    records: list           # per trial and rung, each with its spectrum
+    pilots: list            # the pilots' draws
+    K: int
+    verdicts: list          # per domain, smallest first: settled at K
+    K_tried: tuple          # every K the pilots were solved at
+    pilot_millis: float     # wall time of the pilot solves at every K
+
+
 def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                       delta: float, rungs, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
-                      tol: float) -> tuple:
+                      chains: int, tol: float) -> StreamTrials:
     """Every trial of one seed stream, at a truncation K certified on the
     first ``pilots`` trials.
 
     ``rungs`` lists (param, domain, W), nested domains smallest first, W a
     callable called once the trials are solved; each trial yields one record
     per rung, all counted from one spectrum of P - delta Q_omega.  K comes
-    from certify_truncation(K0, growth, tol, cap); if the first domain does
-    not settle, the trials run at ``fallback``, or at the last K solved when
-    it is None.  The pilots keep their draws and their spectra at K.  Every
-    solve is shared out with ``pool``'s helpers; each process draws its own
-    non-pilot trials.  While the pilots are solved at a finer K, helpers they
-    leave idle solve the non-pilot trials at the K being checked, one future
-    each; the verdict cancels those not started, and the started ones are
-    collected after the parent's share if that K is used, and dropped
-    otherwise.  Returns (records, each with its trial's spectrum, the
-    pilots' draws, K, per-domain verdicts, every K solved, pilot_millis: the
-    wall time of the pilot solves at every K).
+    from certify_truncation(K0, growth, tol, cap, chains); if the first
+    domain does not settle, the trials run at ``fallback``, or at the last K
+    solved when it is None.  The pilots keep their draws and their spectra
+    at K.  Every solve is shared out with ``pool``'s helpers; each process
+    draws its own non-pilot trials.  While the pilots are solved at a finer
+    K, helpers they leave idle solve the non-pilot trials at the candidate K
+    being checked, one future each, requeued behind each pilot solve; the
+    verdict cancels those not started, and the started ones are collected
+    after the parent's share if that K is used, and dropped otherwise.
     """
-    def spec(trial):
-        return randomness.SeedSpec(config.seed, stream, trial)
-
+    spec = functools.partial(randomness.SeedSpec, config.seed, stream)
     drawn = [_draw(config, spec(t), h)
              for t in range(min(pilots, config.trials))]
     solved = {}     # K -> trial -> _solve's row, per pilot
@@ -503,16 +535,19 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
 
     def guess(K):
         nonlocal guess_K, guesses
-        guess_K, guesses = K, {
-            t: pool.submit(_solve, config, h, delta, K, [spec(t)])
-            for t in range(len(drawn), config.trials)}
+        if guess_K != K:
+            guess_K, guesses = K, {}
+        guesses.update(
+            (t, pool.submit(_solve, config, h, delta, K, [spec(t)]))
+            for t in range(len(drawn), config.trials)
+            if t not in guesses or guesses[t].cancelled())
 
-    def solve_pilots(K):
+    def solve_pilots(K, checking):
         for fut in guesses.values():
-            fut.cancel()        # guess_K failed its check
+            fut.cancel()        # requeued below if still checking guess_K
         speculate = None
-        if solved and pool is not None and len(drawn) < WORKERS:
-            speculate = functools.partial(guess, max(solved))
+        if checking in solved and pool is not None and len(drawn) < WORKERS:
+            speculate = functools.partial(guess, checking)
         solved[K] = _shared(pool, _solve, (config, h, delta, K),
                             dict(enumerate(d for d, _ in drawn)), speculate)
         return [solved[K][t][0] for t in range(len(drawn))]
@@ -520,7 +555,8 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     t0 = time.perf_counter()
     try:
         K, _, verdicts, K_tried = certify_truncation(
-            solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap)
+            solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap,
+            chains)
     finally:
         for fut in guesses.values():
             fut.cancel()
@@ -541,10 +577,8 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     rungs = [(param, dom, W()) for param, dom, W in rungs]
     records = []
     for trial in range(config.trials):
-        eigs, assemble_ms, eig_ms, draw_ms = (reused[trial] if trial in reused
-                                              else rest[trial])
-        if trial < len(drawn):
-            draw_ms = drawn[trial][1]
+        eigs, assemble_ms, eig_ms, draw_ms = reused.get(trial) or rest[trial]
+        draw_ms = drawn[trial][1] if trial < len(drawn) else draw_ms
         share = (draw_ms + (0.0 if trial in reused
                             else assemble_ms + eig_ms)) / len(rungs)
         for param, dom, W in rungs:
@@ -558,7 +592,8 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                 eigenvalues=eigs,
                 stage_ms=dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
                                            count_ms)))))
-    return records, [d for d, _ in drawn], K, verdicts, K_tried, pilot_ms
+    return StreamTrials(records, [d for d, _ in drawn], K, verdicts, K_tried,
+                        pilot_ms)
 
 
 # -- semiclassical experiment --------------------------------------------------
@@ -597,19 +632,18 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
                         f"delta = {delta:.3e} is below the rounding floor "
                         f"{floor:.3e} at h = {h}; the intentional "
                         f"perturbation would drown in eigensolver noise")
-            rows, pilots, K, (certified,), K_tried, pilot_ms = \
-                _certified_trials(
-                    pool, config, f"sc:{h!r}", h, delta,
-                    [(h, gamma, lambda: measure / (TWO_PI * h))],
-                    K0=min(K_rule, config.truncation_K(
-                        h, gamma.bound_radius(), SC_C_START)),
-                    cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
-                    growth=SC_GROWTH, tol=SC_SETTLE_TOL)
-            records += rows
+            run = _certified_trials(
+                pool, config, f"sc:{h!r}", h, delta,
+                [(h, gamma, lambda: measure / (TWO_PI * h))],
+                K0=min(K_rule, config.truncation_K(
+                    h, gamma.bound_radius(), SC_C_START)),
+                cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
+                growth=SC_GROWTH, chains=SC_CHAINS, tol=SC_SETTLE_TOL)
+            records += run.records
             truncation[h] = {
-                "K": K, "K_rule": K_rule, "K_tried": list(K_tried),
-                "pilot_trials": len(pilots), "settle_tol": SC_SETTLE_TOL,
-                "certified": certified, "pilot_millis": pilot_ms}
+                "K": run.K, "K_rule": K_rule, "K_tried": list(run.K_tried),
+                "pilot_trials": len(run.pilots), "settle_tol": SC_SETTLE_TOL,
+                "certified": run.verdicts[0], "pilot_millis": run.pilot_millis}
 
     params = tuple(config.h_list)
     aggregates = {h: _aggregate(records, h) for h in params}
@@ -628,13 +662,9 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     cal = [abs(r.residual) / scale(h_cal) for r in records
            if r.param == h_cal]
     c_hat = float(np.quantile(cal, CALIBRATION_QUANTILE))
-    coverage = {}
-    for h in params:
-        if h >= h_cal:
-            continue
-        rows = [r for r in records if r.param == h]
-        ok = sum(1 for r in rows if abs(r.residual) <= c_hat * scale(h))
-        coverage[h] = ok / len(rows)
+    coverage = {h: float(np.mean([abs(r.residual) <= c_hat * scale(h)
+                                  for r in records if r.param == h]))
+                for h in params if h < h_cal}
 
     return ExperimentReport(
         mode="semiclassical", records=records, params=params,
@@ -702,25 +732,25 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     with _helpers(config) as pool:
         # the helpers measure the rungs while the pilot climbs its K ladder
         weyls = [_submit(pool, _rung_weyl, sym, dom) for dom in rungs]
-        records, (pilot,), K, certified, K_tried, pilot_ms = \
-            _certified_trials(
-                pool, config, "he", 1.0, 1.0,
-                [(float(lam), dom, lambda w=w: w.result()[0])
-                 for lam, dom, w in zip(lam_sorted, rungs, weyls)],
-                K0=K0, cap=HE_K_CAP, fallback=None, pilots=1,
-                growth=HE_GROWTH, tol=HE_SETTLE_TOL)
+        run = _certified_trials(
+            pool, config, "he", 1.0, 1.0,
+            [(float(lam), dom, lambda w=w: w.result()[0])
+             for lam, dom, w in zip(lam_sorted, rungs, weyls)],
+            K0=K0, cap=HE_K_CAP, fallback=None, pilots=1,
+            growth=HE_GROWTH, chains=HE_CHAINS, tol=HE_SETTLE_TOL)
+        records, certified = run.records, run.verdicts
 
         # lambda^{-1} (P - Q) at h = lambda^{-1/m}, same draw and K, counted
         # in the undilated sector: it equals N in exact arithmetic, so a
         # mismatch exposes a count that rounding can move.  Rung j is in
         # share j mod WORKERS; trial 0's records, one per rung, come first.
         t0 = time.perf_counter()
-        rescaled = _shared(pool, _rescaled_eigs, (sym, K, pilot),
+        rescaled = _shared(pool, _rescaled_eigs, (sym, run.K, run.pilots[0]),
                            dict(enumerate(lam_sorted)))
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
             sector.contains_many(rescaled[j])) == r.N)
             for j, (lam, r) in enumerate(zip(lam_sorted, records))}
-        pilot_ms += (time.perf_counter() - t0) * 1e3
+        pilot_ms = run.pilot_millis + (time.perf_counter() - t0) * 1e3
     weyls = {str(lam): w.result() for lam, w in zip(lam_sorted, weyls)}
 
     und = _undilated(sector)
@@ -783,7 +813,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
             "weyl_by_lambda": {k: W for k, (W, _) in weyls.items()},
             "weyl_bound_by_lambda": {k: b for k, (_, b) in weyls.items()},
             "truncation": {
-                "K": K, "K_start": K0, "K_tried": list(K_tried),
+                "K": run.K, "K_start": K0, "K_tried": list(run.K_tried),
                 "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,
                 "certified": {str(lam): ok
                               for lam, ok in zip(lam_sorted, certified)},
@@ -832,6 +862,7 @@ def write_report(report: ExperimentReport, out_dir,
         "total_millis": float(sum(r.millis for r in report.records))
         + _pilot_millis(report),
         "versions": _versions(),
+        "blas_threads": _blas_threads(),
     }
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -868,6 +899,29 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return obj
+
+
+def _blas_threads() -> dict:
+    """Threads of each OpenBLAS loaded here (numpy and scipy bring one
+    each), asked of the library: the variables that set them act only if
+    set before numpy loads.  Empty where /proc/self/maps is missing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:
+        return {}
+    threads = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if (get := getattr(lib, name, None)) is not None:
+                threads[os.path.basename(path)] = get()
+                break
+    return threads
 
 
 def _versions() -> dict:

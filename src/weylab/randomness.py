@@ -45,8 +45,9 @@ class CoefficientLaw:
     def __post_init__(self):
         if self.alpha_min > self.alpha_max or self.alpha_min < 0:
             raise ValueError("need 0 <= alpha_min <= alpha_max")
-        if self.rho_decay <= 1.0:
-            raise ValueError("rho_decay must exceed 1")
+        if not 1.0 < self.rho_decay < math.inf:
+            raise ValueError(f"rho_decay must be finite and exceed 1, not "
+                             f"{self.rho_decay!r}")
 
     def sigma_rule(self, alpha, i, j, k, h):
         """sigma = <k>^{-rho} for every alpha, i, j and h; k may be an array.

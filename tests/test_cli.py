@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import pathlib
 import shlex
@@ -285,6 +286,38 @@ class TestExitCodes:
                        "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    # every range check compares false with NaN, so these ran to the first
+    # eigensolve or further
+    @pytest.mark.parametrize("block, key, name", [
+        ("perturbation", "rho", "rho_decay"), ("experiment", "gamma1", None),
+        ("experiment", "N0", None), ("experiment", "delta", None)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_maps_to_two(self, config_path, tmp_path,
+                                          capsys, monkeypatch, block, key,
+                                          name, value):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        raw[block][key] = value
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        solves = []
+        monkeypatch.setattr(harness.discretize, "eigenvalues",
+                            lambda mat: solves.append(mat))
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{name or key} must be finite" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_lambda_maps_to_two(self, he_config_path, tmp_path,
+                                           capsys, value):
+        raw = json.loads(pathlib.Path(he_config_path).read_text())
+        raw["experiment"]["lambda_list"].append(value)
+        pathlib.Path(he_config_path).write_text(json.dumps(raw))
+        rc = cli.main(["mc-highenergy", "--config", he_config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "every lambda must be finite" in capsys.readouterr().err
 
     def test_helper_failure_in_highenergy_maps_to_three(
             self, he_config_path, tmp_path, monkeypatch, capsys):

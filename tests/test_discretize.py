@@ -302,7 +302,7 @@ class TestConvergenceAndMaps:
         draws = [sample_draw(small_law(), SeedSpec(3, "tc", t), h)
                  for t in range(3)]
 
-        def solve(K):
+        def solve(K, checking=None):
             base = assemble_operator(f1, FourierTruncation(K=K, n=1, h=h))
             return [eigenvalues(perturbed_operator(base, d, delta))
                     for d in draws]

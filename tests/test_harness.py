@@ -1,6 +1,9 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,7 +208,8 @@ class TestSemiclassicalTruncation:
 
     def test_pilots_settle_first_at_K(self, sc_two_h):
         # the pilots' eigenvalues in Gamma coincide one to one at K and
-        # ceil(1.5 K), and at the K tried before K they do not
+        # ceil(1.5 K), and at the candidate tried before K and its own
+        # ceil(1.5 .) partner they do not
         cfg, rep, _ = sc_two_h
         gamma = cfg.domains[0]
         tol = harness.SC_SETTLE_TOL * gamma.bound_radius()
@@ -230,8 +234,10 @@ class TestSemiclassicalTruncation:
             t = rep.extras["truncation"][h]
             delta = rep.extras["delta"][h]
             tried = t["K_tried"]
+            before = tried[tried.index(t["K"]) - 1]
+            assert before < t["K"]
             assert settled(h, delta, t["K"], tried[-1])
-            assert not settled(h, delta, tried[-3], tried[-2])
+            assert not settled(h, delta, before, math.ceil(1.5 * before))
 
     def test_counts_equal_counts_at_rule_K(self, sc_two_h):
         cfg, rep, _ = sc_two_h
@@ -263,6 +269,114 @@ class TestSemiclassicalTruncation:
         assert t["K_tried"][-1] <= t["K_rule"] < math.ceil(
             1.5 * t["K_tried"][-1])
         assert all(r.K == t["K_rule"] for r in rep.records)
+
+
+def run_ladder(monkeypatch, K0, cap, growth=harness.SC_GROWTH,
+               chains=harness.SC_CHAINS, settle_at=math.inf):
+    """certify_truncation on one synthetic pilot, no eigensolve: its one
+    eigenvalue in Gamma moves with K below ``settle_at`` and stays put from
+    there on.  Returns (the result, (K, checking) of every solve, (K, K') of
+    every compared pair)."""
+    solves, compared, K_of = [], [], {}
+    settled = harness._settled
+
+    def solve(K, checking):
+        solves.append((K, checking))
+        eigs = np.array([0.4 + 0.1j + (0.0 if K >= settle_at else 0.1 / K)])
+        K_of[id(eigs)] = K
+        return [eigs]
+
+    def compare(coarse, fine, dom, tol):
+        compared.append((K_of[id(coarse)], K_of[id(fine)]))
+        return settled(coarse, fine, dom, tol)
+    monkeypatch.setattr(harness, "_settled", compare)
+    result = harness.certify_truncation(
+        solve, [Rectangle(0.1, 0.7, -0.5, 0.5)], K0, growth,
+        harness.SC_SETTLE_TOL, cap, chains)
+    return result, solves, compared
+
+
+class TestCandidateLadder:
+    def test_semiclassical_candidates(self, monkeypatch):
+        (K, spectra, verdicts, tried), solves, compared = run_ladder(
+            monkeypatch, 16, 200, settle_at=45)
+        assert tried == (16, 20, 24, 30, 36, 45, 54, 68)
+        assert (K, verdicts) == (45, [True])
+        assert spectra[0][0] == 0.4 + 0.1j
+        # each candidate is compared with its own ceil(1.5 c), never with
+        # the next candidate; every K is solved once, in increasing order
+        assert compared == [(c, math.ceil(1.5 * c))
+                            for c in (16, 20, 24, 30, 36, 45)]
+        assert [k for k, _ in solves] == list(tried)
+        # each solve names the candidate whose verdict waits on it
+        assert [c for _, c in solves] == [16, 16, 16, 20, 24, 30, 36, 45]
+
+    def test_highenergy_chain_unchanged(self, monkeypatch):
+        (K, _, verdicts, tried), solves, compared = run_ladder(
+            monkeypatch, 10, harness.HE_K_CAP, harness.HE_GROWTH,
+            harness.HE_CHAINS)
+        assert tried == (10, 20, 40, 80, 160, 320, 640)
+        assert compared == list(zip(tried, tried[1:]))
+        assert solves == [(10, 10)] + [(b, a) for a, b in compared]
+        assert (K, verdicts) == (640, [False])
+
+    def test_duplicates_skipped(self, monkeypatch):
+        # from K0 = 2 the chain from ceil(sqrt(1.5) 2) = 3 is the first
+        # chain's tail, so the candidates form one chain
+        (K, _, verdicts, tried), solves, compared = run_ladder(
+            monkeypatch, 2, 40)
+        assert tried == (2, 3, 5, 8, 12, 18, 27)
+        assert [k for k, _ in solves] == list(tried)
+        assert compared == list(zip(tried, tried[1:]))
+        assert (K, verdicts) == (27, [False])
+
+    @pytest.mark.parametrize("cap", [67, 68, 100, 101, 102])
+    def test_cap_gives_up(self, monkeypatch, cap):
+        # no partner beyond the cap is solved; K is the last K solved
+        (K, spectra, verdicts, tried), _, compared = run_ladder(
+            monkeypatch, 16, cap)
+        assert verdicts == [False]
+        assert K == tried[-1] == compared[-1][1] <= cap
+        assert spectra[0][0] == 0.4 + 0.1j + 0.1 / K
+        # the candidate after the last one checked has its partner past cap
+        last = max(c for c, _ in compared)
+        assert math.ceil(1.5 * min(c for c in tried if c > last)) > cap
+
+    def test_guess_kept_across_its_candidate_solves(self, f2, monkeypatch,
+                                                    tmp_path):
+        # one pilot leaves the helper idle, and the first candidate waits on
+        # two pilot solves: a guess started during the first is not queued
+        # again for the second, and the outputs equal a serial run's
+        monkeypatch.setattr(harness, "SC_PILOTS", 1)
+        cfg = sc_config(f2, trials=4)
+        monkeypatch.setattr(harness, "WORKERS", 1)
+        serial = report_files(run_semiclassical(cfg), tmp_path / "serial")
+        tried = serial["summary"]["extras"]["truncation"]["0.1"]["K_tried"]
+        assert tried[1:3] == [math.ceil(math.sqrt(1.5) * tried[0]),
+                              math.ceil(1.5 * tried[0])]
+        queued, requeued_live = {}, []
+
+        class Checked(harness.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                fut = super().submit(fn, *args)
+                for d in args[-1] if fn is harness._solve else ():
+                    if isinstance(d, SeedSpec):
+                        prior = queued.setdefault((args[3], d.trial), [])
+                        if not all(f.cancelled() for f in prior):
+                            requeued_live.append((args[3], d.trial))
+                        prior.append(fut)
+                return fut
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Checked)
+        monkeypatch.setattr(harness, "WORKERS", 2)
+        log_trial_solves(monkeypatch, tmp_path / "log",
+                         hold=(tried[1], tried[0]))
+        out = report_files(run_semiclassical(cfg), tmp_path / "out")
+        assert (out["trials"], out["eigenvalues"]) == (serial["trials"],
+                                                       serial["eigenvalues"])
+        assert any(k == tried[0] and t > 0
+                   for k, t, _ in trial_solves(tmp_path / "log"))
+        assert len(queued[tried[0], 1]) >= 1 and requeued_live == []
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +466,7 @@ class TestHighEnergyRun:
         sector = AnnularSector(0.05, 2 * math.pi - 0.05, 1.0)
         rungs = [sector, dilate(sector, 4.0)]
         K, _, verdicts, tried = harness.certify_truncation(
-            lambda K: [np.full(3, 0.5 + 0.1j + 1e-4 * K)], rungs, 10,
+            lambda K, _: [np.full(3, 0.5 + 0.1j + 1e-4 * K)], rungs, 10,
             harness.HE_GROWTH, harness.HE_SETTLE_TOL, harness.HE_K_CAP)
         assert verdicts == [False, False]
         assert max(tried) <= harness.HE_K_CAP < 2 * max(tried)
@@ -401,6 +515,20 @@ class TestReports:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["mode"] == "semiclassical"
         assert "versions" in summary
+        assert summary["blas_threads"] == harness._blas_threads() != {}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_threads_read_from_library(self, threads):
+        # each loaded OpenBLAS reports the count it runs, whatever set it
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import json; from weylab import harness; "
+             "print(json.dumps(harness._blas_threads()))"],
+            env=dict(os.environ, PYTHONPATH=src,
+                     OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True, text=True, check=True).stdout
+        counts = json.loads(out)
+        assert len(counts) >= 1 and set(counts.values()) == {threads}
 
     def test_rerun_byte_identical(self, f2, tmp_path):
         for sub in ("a", "b"):
