@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BandwidthExceeded, NoConvergence
+from .errors import BandwidthExceeded, NonConvergence
 from .randomness import SQRT_2PI, PerturbationDraw
 from .symbol import MatrixSymbol
 
@@ -170,7 +170,7 @@ def eigenvalues(mat: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of the dense truncation, sorted by (Re, Im).
 
     LAPACK's zgeev (balancing + Hessenberg + shifted QR) provides the
-    backward-stable contract; failures surface as NoConvergence, and a
+    backward-stable contract; failures surface as NonConvergence, and a
     non-finite entry, which only a bad input makes, as ValueError.  numpy's
     wrapper releases the GIL during the solve, where scipy's holds it, so
     the pool's feeder thread keeps the helpers busy meanwhile; both call
@@ -181,7 +181,7 @@ def eigenvalues(mat: OperatorMatrix) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         if not np.isfinite(mat.entries).all():
             raise ValueError("matrix entries must be finite") from exc
-        raise NoConvergence(f"QR eigensolver failed: {exc}") from exc
+        raise NonConvergence(f"QR eigensolver failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 

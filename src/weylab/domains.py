@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LambdaBelowOne, NonPositiveLambda, NoConvergence
+from .errors import NonConvergence
 from .symbol import (coefficient_values, det_or_eigvals, polynomial,
                      xi_window)
 
@@ -157,7 +157,7 @@ class Dilated(SpectralDomain):
 
     def __post_init__(self):
         if self.lam <= 0.0:
-            raise NonPositiveLambda(f"lambda must be positive, got {self.lam}")
+            raise ValueError(f"lambda must be positive, got {self.lam}")
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
         return self.base.contains_many(z / self.lam)
@@ -168,7 +168,7 @@ class Dilated(SpectralDomain):
 
 def dilate(domain: SpectralDomain, lam: float) -> SpectralDomain:
     if lam <= 0.0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+        raise ValueError(f"lambda must be positive, got {lam}")
     if isinstance(domain, Dilated):
         return Dilated(lam * domain.lam, domain.base)
     return Dilated(lam, domain)
@@ -194,7 +194,7 @@ class DyadicPieces:
 def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
     """Split Gamma(0, lam*r_out) into a unit core, dyadic rings, and a cap."""
     if lam < 1.0:
-        raise LambdaBelowOne(f"lambda must be >= 1, got {lam}")
+        raise ValueError(f"lambda must be >= 1, got {lam}")
     if sector.r_in is not None and sector.r_in > BOUNDARY_TOL:
         raise ValueError("dyadic decomposition needs a sector reaching r = 0")
     if abs(sector.r_out - 1.0) > 1e-9:
@@ -344,6 +344,6 @@ def weyl_measure(sym, domain: SpectralDomain,
         count = sum(p[0] for p in parts)
         ij = np.concatenate([p[1] for p in parts])
         corners = np.concatenate([p[2] for p in parts])
-    raise NoConvergence(
+    raise NonConvergence(
         f"weyl_measure did not converge in {quad.max_doublings} quadtree "
         f"levels (bound {deltas[-1]:.3e} at grid {grid})")

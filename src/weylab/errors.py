@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The types hold the CLI's exit-code policy: an error that is also a
+ValueError is a bad config or a violated hypothesis (exit 2), any other
+WeylabError is a numerical failure (exit 3).  Bad input with no type of its
+own, such as a dilation factor below 1, raises a plain ValueError.
+"""
 
 
 class WeylabError(Exception):
@@ -6,27 +12,12 @@ class WeylabError(Exception):
 
 
 class NonConvergence(WeylabError):
-    """Newton refinement failed from a seed that should have converged."""
+    """An iteration did not converge: Newton refinement from a seed that
+    should have converged, the Weyl quadtree, or the QR eigensolver."""
 
 
 class ZeroOnContour(WeylabError):
     """|q_z| fell below tolerance on a winding-number contour sample."""
-
-
-class NonPositiveLambda(WeylabError):
-    """Dilation factor must be strictly positive."""
-
-
-class LambdaBelowOne(WeylabError):
-    """Dyadic decomposition requires lambda >= 1."""
-
-
-class NoConvergence(WeylabError):
-    """Iteration budget exhausted without meeting the tolerance."""
-
-
-class BandwidthExceeded(WeylabError):
-    """Fourier truncation too small for the coefficient bandwidth."""
 
 
 class MultipleEigenvalue(WeylabError):
@@ -41,17 +32,17 @@ class CutoffTooWide(WeylabError):
     """Requested cutoff support reaches a region where Im(phase) <= 0."""
 
 
-class EmptyWindow(WeylabError):
+class BandwidthExceeded(WeylabError, ValueError):
+    """Fourier truncation too small for the coefficient bandwidth."""
+
+
+class EmptyWindow(WeylabError, ValueError):
     """The admissible coupling window (lower, upper) is empty."""
 
 
-class HypothesisViolation(WeylabError):
+class HypothesisViolation(WeylabError, ValueError):
     """An experiment precondition on the symbol/law/domain failed."""
 
 
-class WindowViolation(WeylabError):
+class WindowViolation(WeylabError, ValueError):
     """Order/decay exponents violate the high-energy admissibility condition."""
-
-
-class DegenerateFit(WeylabError):
-    """Power-law fit is degenerate (all abscissae equal)."""

@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discretize, domains, randomness, symbol
-from .errors import (DegenerateFit, EmptyWindow, HypothesisViolation,
-                     LambdaBelowOne, WindowViolation)
+from .errors import EmptyWindow, HypothesisViolation, WindowViolation
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +107,8 @@ class ExperimentConfig:
                 raise ValueError("semiclassical mode needs h_list")
             if any(not 0.0 < h < 1.0 for h in self.h_list):
                 raise ValueError("every h must lie in (0, 1)")
+            if len(set(self.h_list)) < len(self.h_list):
+                raise ValueError("h_list repeats a value")
             if self.law is not None and self.delta_override is None:
                 for h in self.h_list:
                     delta_window(h, self.law.rho_decay, self.gamma1, self.N0)
@@ -116,6 +117,8 @@ class ExperimentConfig:
                 raise ValueError("highenergy mode needs lambda_list")
             if any(not 1.0 <= lam < math.inf for lam in self.lambda_list):
                 raise ValueError("every lambda must be finite and >= 1")
+            if len(set(self.lambda_list)) < len(self.lambda_list):
+                raise ValueError("lambda_list repeats a value")
             if self.law is not None:
                 margin = (self.sym.m - self.law.alpha_max
                           - self.law.rho_decay - 0.75)
@@ -126,8 +129,7 @@ class ExperimentConfig:
                                                        + self.gamma1 + 0.5):
                     raise WindowViolation(
                         "m - alpha1 must exceed rho + gamma1 + 1/2")
-            if not isinstance(_undilated(self.domains[0]),
-                              domains.AnnularSector):
+            if not isinstance(self.domains[0], domains.AnnularSector):
                 raise ValueError("highenergy mode needs an annular-sector "
                                  "domain reaching the origin")
         self._validate_roots()
@@ -181,15 +183,7 @@ class ExperimentConfig:
         }
 
 
-def _undilated(domain):
-    while isinstance(domain, domains.Dilated):
-        domain = domain.base
-    return domain
-
-
 def _probe_z(domain) -> complex:
-    if isinstance(domain, domains.Dilated):
-        return domain.lam * _probe_z(domain.base)
     if isinstance(domain, domains.Rectangle):
         return complex(0.5 * (domain.re_min + domain.re_max),
                        0.5 * (domain.im_min + domain.im_max))
@@ -324,7 +318,7 @@ def fit_power_law(pairs) -> tuple:
     s = np.log([p[0] for p in pairs])
     y = np.log([p[1] for p in pairs])
     if np.ptp(s) == 0.0:
-        raise DegenerateFit("all abscissae equal")
+        raise ValueError("all abscissae equal")
     slope, intercept = np.polyfit(s, y, 1)
     pred = slope * s + intercept
     ss_res = float(np.sum((y - pred) ** 2))
@@ -726,6 +720,9 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     sector = config.domains[0]
 
     lam_sorted = tuple(sorted(config.lambda_list))
+    # this also checks the sector: it must reach the origin with r_out = 1
+    pieces = [domains.dyadic_decompose(lam, sector).all_pieces()
+              for lam in lam_sorted]
     rungs = [domains.dilate(sector, lam) if lam != 1.0 else sector
              for lam in lam_sorted]
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
@@ -753,22 +750,14 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         pilot_ms = run.pilot_millis + (time.perf_counter() - t0) * 1e3
     weyls = {str(lam): w.result() for lam, w in zip(lam_sorted, weyls)}
 
-    und = _undilated(sector)
-    pieces_by_lam = {}
-    for lam in lam_sorted:
-        try:
-            pieces_by_lam[lam] = domains.dyadic_decompose(lam, und)
-        except (ValueError, LambdaBelowOne):
-            pass
-
     dyadic_info = {}
-    for r, lam in zip(records, itertools.cycle(lam_sorted)):
-        if lam in pieces_by_lam:
-            piece_counts = [int(np.count_nonzero(p.contains_many(
-                r.eigenvalues))) for p in pieces_by_lam[lam].all_pieces()]
-            dyadic_info[f"{lam}/{r.trial}"] = {
-                "piece_counts": piece_counts, "total": r.N,
-                "sum_matches": sum(piece_counts) == r.N}
+    for r, lam, rung_pieces in zip(records, itertools.cycle(lam_sorted),
+                                   itertools.cycle(pieces)):
+        piece_counts = [int(np.count_nonzero(p.contains_many(r.eigenvalues)))
+                        for p in rung_pieces]
+        dyadic_info[f"{lam}/{r.trial}"] = {
+            "piece_counts": piece_counts, "total": r.N,
+            "sum_matches": sum(piece_counts) == r.N}
 
     params = tuple(float(l) for l in lam_sorted)
     aggregates = {lam: _aggregate(records, lam) for lam in params}

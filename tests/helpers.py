@@ -8,7 +8,7 @@ import numpy as np
 
 from weylab import discretize, domains
 from weylab.discretize import FourierTruncation, OperatorMatrix, _over_sqrt_2pi
-from weylab.errors import NoConvergence
+from weylab.errors import NonConvergence
 from weylab.symbol import MatrixSymbol
 
 
@@ -42,7 +42,7 @@ def read_matrix(path):
 
 
 def fail_at_trial(monkeypatch, trial):
-    """Make discretize.eigenvalues raise NoConvergence on ``trial``'s solve,
+    """Make discretize.eigenvalues raise NonConvergence on ``trial``'s solve,
     in whichever process solves it: fork carries the patches to helpers."""
     solving = {}
     perturbed, eigenvalues = (discretize.perturbed_operator,
@@ -54,14 +54,14 @@ def fail_at_trial(monkeypatch, trial):
 
     def eigs(mat):
         if solving.get("trial") == trial:
-            raise NoConvergence(f"trial {trial}")
+            raise NonConvergence(f"trial {trial}")
         return eigenvalues(mat)
     monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
     monkeypatch.setattr(discretize, "eigenvalues", eigs)
 
 
 def fail_in_helper(monkeypatch, work):
-    """Make a helper process, never the parent, raise NoConvergence in
+    """Make a helper process, never the parent, raise NonConvergence in
     ``work``: "weyl" for a Weyl measure, "rescaled" for a rescaling-identity
     eigensolve (the only solves of a matrix assembled at h != 1)."""
     parent = os.getpid()
@@ -73,7 +73,7 @@ def fail_in_helper(monkeypatch, work):
 
     def failing(*args):
         if os.getpid() != parent and hit(*args):
-            raise NoConvergence(f"{work} in a helper")
+            raise NonConvergence(f"{work} in a helper")
         return real(*args)
     monkeypatch.setattr(module, name, failing)
 
@@ -83,7 +83,7 @@ def log_trial_solves(monkeypatch, folder, hold=None, fail=None):
     whichever process makes it.  With hold = (K, K_mark) the parent's solve
     of trial 0 at K first waits until a helper has started a solve at
     K_mark; with fail = (K, trial) a helper's solve of that trial at K
-    raises NoConvergence."""
+    raises NonConvergence."""
     folder.mkdir()
     parent = os.getpid()
     solving = {}
@@ -100,7 +100,7 @@ def log_trial_solves(monkeypatch, folder, hold=None, fail=None):
         if trial is not None:
             (folder / f"{K}-{trial}-{pid}-{next(count)}").touch()
             if pid != parent and (K, trial) == fail:
-                raise NoConvergence(f"trial {trial} at K = {K}")
+                raise NonConvergence(f"trial {trial} at K = {K}")
             if pid == parent and hold is not None and (K, trial) == (
                     hold[0], 0):
                 deadline = time.monotonic() + 30.0

@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from weylab import cli, harness, symbol
+from weylab import cli, errors, harness, symbol
 from weylab.errors import BranchLoss, NonConvergence
 
 from helpers import fail_at_trial, fail_in_helper, read_matrix
@@ -175,7 +175,39 @@ class TestSubcommands:
         assert {int(row.split(",")[7]) for row in rows} == {K}
 
 
+# the exit code of every package error type: a ValueError is a bad config
+# or a violated hypothesis, any other error a numerical failure
+EXIT_CODES = {"BandwidthExceeded": 2, "EmptyWindow": 2,
+              "HypothesisViolation": 2, "WindowViolation": 2,
+              "NonConvergence": 3, "ZeroOnContour": 3, "MultipleEigenvalue": 3,
+              "BranchLoss": 3, "CutoffTooWide": 3}
+
+
+def count_solves(monkeypatch):
+    """The matrices passed to discretize.eigenvalues, which solves none."""
+    solves = []
+    monkeypatch.setattr(harness.discretize, "eigenvalues",
+                        lambda mat: solves.append(mat))
+    return solves
+
+
 class TestExitCodes:
+    def test_every_error_type_has_its_code(self, config_path, monkeypatch,
+                                           capsys):
+        types = {name: t for name, t in vars(errors).items()
+                 if isinstance(t, type) and issubclass(t, errors.WeylabError)
+                 and t is not errors.WeylabError}
+        assert set(types) == set(EXIT_CODES)
+        for name, error in types.items():
+            def fail(*args, error=error):
+                raise error(name)
+            monkeypatch.setattr(symbol, "find_roots", fail)
+            rc = cli.main(["roots", "--config", config_path, "--z", "0.5,0"])
+            assert rc == EXIT_CODES[name], name
+            prefix = {2: "config/hypothesis violation",
+                      3: "numerical failure"}[rc]
+            assert capsys.readouterr().err == f"{prefix}: {name}\n"
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["roots", "--config", str(tmp_path / "nope.json"),
                        "--z", "0,0"])
@@ -299,9 +331,7 @@ class TestExitCodes:
         raw = json.loads(pathlib.Path(config_path).read_text())
         raw[block][key] = value
         pathlib.Path(config_path).write_text(json.dumps(raw))
-        solves = []
-        monkeypatch.setattr(harness.discretize, "eigenvalues",
-                            lambda mat: solves.append(mat))
+        solves = count_solves(monkeypatch)
         rc = cli.main(["mc-semiclassical", "--config", config_path,
                        "--out", str(tmp_path / "run")])
         assert rc == 2
@@ -318,6 +348,45 @@ class TestExitCodes:
                        "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "every lambda must be finite" in capsys.readouterr().err
+
+    # these ran every trial and then exited 3, or wrote a repeated value's
+    # rows twice
+    @pytest.mark.parametrize("config, key, values", [
+        ("config_path", "h_list", [0.1, 0.1, 0.1]),
+        ("config_path", "h_list", [0.1, 0.1, 0.07]),
+        ("he_config_path", "lambda_list", [4, 4, 16])],
+        ids=["h-thrice", "h-twice", "lambda-twice"])
+    def test_repeated_ladder_value_maps_to_two(self, request, tmp_path,
+                                               monkeypatch, capsys, config,
+                                               key, values):
+        path = pathlib.Path(request.getfixturevalue(config))
+        raw = json.loads(path.read_text())
+        raw["experiment"][key] = values
+        path.write_text(json.dumps(raw))
+        solves = count_solves(monkeypatch)
+        rc = cli.main([f"mc-{raw['experiment']['mode']}", "--config",
+                       str(path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{key} repeats a value" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "run").exists()
+
+    # these exited 0 with an empty extras.dyadic
+    @pytest.mark.parametrize("key, value, message", [
+        ("r_in", 0.5, "a sector reaching r = 0"),
+        ("r_out", 2.0, "so r_out = 1")])
+    def test_sector_off_the_unit_origin_maps_to_two(
+            self, he_config_path, tmp_path, monkeypatch, capsys, key, value,
+            message):
+        raw = json.loads(pathlib.Path(he_config_path).read_text())
+        raw["domains"][0][key] = value
+        pathlib.Path(he_config_path).write_text(json.dumps(raw))
+        solves = count_solves(monkeypatch)
+        rc = cli.main(["mc-highenergy", "--config", he_config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "run").exists()
+        assert multiprocessing.active_children() == []
 
     def test_helper_failure_in_highenergy_maps_to_three(
             self, he_config_path, tmp_path, monkeypatch, capsys):

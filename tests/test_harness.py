@@ -10,8 +10,8 @@ import pytest
 
 from weylab import discretize, harness
 from weylab.domains import AnnularSector, Rectangle, dilate
-from weylab.errors import (DegenerateFit, EmptyWindow, HypothesisViolation,
-                           NoConvergence, WindowViolation)
+from weylab.errors import (EmptyWindow, HypothesisViolation, NonConvergence,
+                           WindowViolation)
 from weylab.harness import (ExperimentConfig, default_delta, delta_window,
                             fit_power_law, load_config, run_highenergy,
                             run_semiclassical, write_report)
@@ -113,7 +113,7 @@ class TestFit:
         assert r2 == pytest.approx(1.0)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateFit):
+        with pytest.raises(ValueError, match="all abscissae equal"):
             fit_power_law([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
 
 
@@ -310,6 +310,8 @@ class TestCandidateLadder:
         assert [k for k, _ in solves] == list(tried)
         # each solve names the candidate whose verdict waits on it
         assert [c for _, c in solves] == [16, 16, 16, 20, 24, 30, 36, 45]
+        # a verdict reads every K solved
+        assert set(tried) == {k for pair in compared for k in pair}
 
     def test_highenergy_chain_unchanged(self, monkeypatch):
         (K, _, verdicts, tried), solves, compared = run_ladder(
@@ -319,6 +321,19 @@ class TestCandidateLadder:
         assert compared == list(zip(tried, tried[1:]))
         assert solves == [(10, 10)] + [(b, a) for a, b in compared]
         assert (K, verdicts) == (640, [False])
+        assert set(tried) == {k for pair in compared for k in pair}
+
+    # the K after a candidate that settles is its sqrt(1.5) successor's
+    # partner, so every K solved is read; only a K0 that settles leaves its
+    # successor, solved on the way to ceil(1.5 K0), unread
+    @pytest.mark.parametrize("K0, settle_at, unread", [
+        (9, 25, set()), (12, 30, set()), (16, 39, set()),
+        (16, 16, {20}), (9, 9, {12})])
+    def test_every_solve_read(self, monkeypatch, K0, settle_at, unread):
+        (K, _, verdicts, tried), _, compared = run_ladder(
+            monkeypatch, K0, 200, settle_at=settle_at)
+        assert verdicts == [True] and K >= settle_at
+        assert set(tried) - {k for pair in compared for k in pair} == unread
 
     def test_duplicates_skipped(self, monkeypatch):
         # from K0 = 2 the chain from ceil(sqrt(1.5) 2) = 3 is the first
@@ -670,7 +685,7 @@ class TestWorkers:
                                                workers, trial):
         monkeypatch.setattr(harness, "WORKERS", workers)
         fail_at_trial(monkeypatch, trial)
-        with pytest.raises(NoConvergence, match=f"trial {trial}"):
+        with pytest.raises(NonConvergence, match=f"trial {trial}"):
             run_semiclassical(sc_config(f2, trials=harness.SC_PILOTS + 2))
         assert multiprocessing.active_children() == []
 
@@ -680,7 +695,7 @@ class TestWorkers:
     def test_helper_error_in_moved_work(self, f4, monkeypatch, work):
         monkeypatch.setattr(harness, "WORKERS", 2)
         fail_in_helper(monkeypatch, work)
-        with pytest.raises(NoConvergence, match=f"{work} in a helper"):
+        with pytest.raises(NonConvergence, match=f"{work} in a helper"):
             run_highenergy(he_config(f4))
         assert multiprocessing.active_children() == []
 
@@ -725,7 +740,7 @@ class TestWorkers:
         log_trial_solves(monkeypatch, tmp_path / "log",
                          hold=(trunc["K_tried"][-1], trunc["K"]),
                          fail=(trunc["K"], 1))
-        with pytest.raises(NoConvergence,
+        with pytest.raises(NonConvergence,
                            match=f"trial 1 at K = {trunc['K']}"):
             run_highenergy(he_config(f4, trials=5))
         assert multiprocessing.active_children() == []
