@@ -30,7 +30,7 @@ from .discretize import OperatorMatrix
 from .errors import BranchLoss, CutoffTooWide, MultipleEigenvalue
 from .symbol import (TWO_PI, ClassifiedRoot, MatrixSymbol, adjugate,
                      coefficient_values, det_or_eigvals, find_roots,
-                     polynomial)
+                     polynomial, shift, trace_product)
 
 SQRT_2PI = math.sqrt(TWO_PI)
 
@@ -48,7 +48,8 @@ class EigenBranch:
     adjugate of p - lambda has rank one: its largest column is a right
     eigenvector and d lambda = tr(adj dp) / tr(adj), the left/right
     eigenvector formula.  For n = 1 the adjugate is 1, so lambda = p and its
-    derivatives are exact.  Every method broadcasts over arrays of (x, xi).
+    derivatives are exact.  Every method broadcasts over arrays of (x, xi),
+    and takes and gives matrices in the evaluator's entry planes.
     """
 
     sym: MatrixSymbol
@@ -56,11 +57,12 @@ class EigenBranch:
     z: complex
 
     def _pick(self, p: np.ndarray):
-        """lambda and adj(p - lambda) for each matrix p."""
+        """lambda and adj(p - lambda) for each matrix p; p is shifted by
+        lambda in place."""
         vals = det_or_eigvals(p, det=False)
-        near = np.abs(vals - self.z).argmin(axis=-1)[..., None]
-        lam = np.take_along_axis(vals, near, axis=-1)[..., 0]
-        return lam, adjugate(p - lam[..., None, None] * np.eye(self.sym.n))
+        near = np.abs(vals - self.z).argmin(axis=0)[None]
+        lam = np.take_along_axis(vals, near, axis=0)[0]
+        return lam, adjugate(shift(p, lam))
 
     def value_dxi(self, x, xi, A=None):
         """(lambda, d_xi lambda) at (x, xi); A, the coefficient values at x,
@@ -77,16 +79,15 @@ class EigenBranch:
         return _slope(adj, polynomial(dA, xi))
 
     def eigvec(self, x, xi) -> np.ndarray:
-        """Unit right eigenvectors, shape (..., n)."""
+        """Unit right eigenvectors in component planes, shape (n, ...)."""
         _, adj = self._pick(polynomial(coefficient_values(self.sym, x), xi))
-        col = np.linalg.norm(adj, axis=-2).argmax(axis=-1)[..., None, None]
-        v = np.take_along_axis(adj, col, axis=-1)[..., 0]
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+        col = np.linalg.norm(adj, axis=0).argmax(axis=0)[None, None]
+        v = np.take_along_axis(adj, col, axis=1)[:, 0]
+        return v / np.linalg.norm(v, axis=0, keepdims=True)
 
 
 def _slope(adj: np.ndarray, dp: np.ndarray):
-    return (np.trace(adj @ dp, axis1=-2, axis2=-1)
-            / np.trace(adj, axis1=-2, axis2=-1))
+    return trace_product(adj, dp) / np.trace(adj)
 
 
 def locate_branch(sym: MatrixSymbol, z: complex,
@@ -143,7 +144,7 @@ def _continue_xi(branch: EigenBranch, xs: np.ndarray, xi0: complex,
         xi = last[1] + (last[1] - last[0]) * np.arange(1, len(x) + 1)
         todo = np.arange(len(x))
         for _ in range(60):
-            lam, dp = branch.value_dxi(x[todo], xi[todo], A[:, todo])
+            lam, dp = branch.value_dxi(x[todo], xi[todo], A[..., todo])
             f = lam - branch.z
             moving = np.abs(f) >= _NEWTON_TOL
             todo, f, dp = todo[moving], f[moving], dp[moving]
@@ -219,11 +220,11 @@ def leading_amplitude(branch: EigenBranch, phase: Phase) -> np.ndarray:
     # turned to overlap its turned inner neighbour positively
     vecs = branch.eigvec(phase.x_grid, phase.xi)
     r = phase.root_index
-    c = np.einsum("ij,ij->i", np.conj(vecs[:-1]), vecs[1:])
-    turn = np.ones(len(vecs), dtype=complex)
+    c = np.einsum("ji,ji->i", np.conj(vecs[:, :-1]), vecs[:, 1:])
+    turn = np.ones(len(c) + 1, dtype=complex)
     turn[r + 1:] = _continued_phase(c[r:])
     turn[:r] = _continued_phase(np.conj(c[:r])[::-1])[::-1]
-    return a0[:, None] * turn[:, None] * vecs
+    return (a0 * turn * vecs).T
 
 
 def _continued_phase(c: np.ndarray) -> np.ndarray:

@@ -4,17 +4,29 @@ A symbol p(x, xi) = sum_alpha A_alpha(x) xi^alpha is one dense complex array
 ``coeffs[alpha, i, j, f + B]``: the coefficient of e^{ifx} in the entry
 A_alpha^{i,j}, for |f| <= B, the bandwidth.  Every value of p comes from one
 evaluator in two stages.  ``coefficient_values`` gives A_alpha(x), and with
-them d/dx A_alpha(x), on an array of x, shape (m+1, *x.shape, n, n); each
-entry sums c_f e^{ifx} term by term in increasing f.  ``polynomial`` sums
-A_alpha xi^alpha (real or complex xi, broadcast against x) with powers of xi
-iterated in alpha order, and the xi-derivative with it.  The first stage runs
-once per x: a Newton iteration in xi at fixed x reuses it, and a grid builds
-its (len(x), n, n) coefficients before broadcasting against xi.
-``det_or_eigvals`` turns (..., n, n) values into determinants or
-eigenvalues, and ``adjugate`` into adjugates; they are the only code that
-branches on n.  Both use closed forms for n <= 2: LAPACK's batched LU
-spent 29 ms of an F3 root scan's 38 ms on the 65,536 2 x 2 determinants
-of its seed grid.
+them d/dx A_alpha(x), on an array of x; each entry sums c_f e^{ifx} term by
+term in increasing f.  ``polynomial`` sums A_alpha xi^alpha (real or complex
+xi, broadcast against x) with powers of xi iterated in alpha order, and the
+xi-derivative with it.  The first stage runs once per x: a Newton iteration
+in xi at fixed x reuses it, and a grid builds its coefficients on a column
+of x before broadcasting against a row of xi.  ``det_or_eigvals`` turns the
+values into determinants or eigenvalues, and ``adjugate`` into adjugates;
+they are the only code that branches on n.  Both use closed forms for
+n <= 2: LAPACK's batched LU spent 29 ms of an F3 root scan's 38 ms on the
+65,536 2 x 2 determinants of its seed grid.
+
+Values are laid out in entry planes: the n x n matrix axes come first and
+the point axes last, as in A of shape (m+1, n, n, *x.shape), so that each
+entry (i, j) is one contiguous array over the points.  Every elementwise
+step then runs one long inner loop per entry.  With the matrix axes last,
+each step ran its inner loop over a matrix axis of length n and read the
+entries at a stride of n^2 values: the 256 x 256 seed grid took 12.6 ms
+of a 16 ms F3 root scan.  Eigenvalues come in planes too, shape
+(n, *points), and n >= 3 moves the matrix axes last only for LAPACK.  Only
+the gradient's trace products, tr(adj dp), run through BLAS on matrix-last
+copies, so that gradients and root brackets keep BLAS's rounding: its
+fused multiply-adds round sums of products differently from a product of
+planes for general matrices, and few points take a gradient.
 
 The scalarization ``q_z = det(p - z)`` organizes everything: its zeros in
 phase space are classified by the sign of the real bracket
@@ -42,6 +54,13 @@ TWO_PI = 2.0 * math.pi
 
 # x grid of the construction-time sup/inf estimates of coefficients
 _COEFF_X = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+
+# Points per batch of a large evaluation, so that a batch's entry planes
+# stay in a core's cache (2 MB of L2 here) and few pages are faulted in:
+# an F3 root scan took 9.1-10.4 ms and 1,158 page faults with its 256 x 256
+# seed grid in one batch, and 8.6-8.8 ms and 384 faults in batches of this
+# size.
+POINT_CHUNK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +93,8 @@ class MatrixSymbol:
         c = c[..., B - bw:B + bw + 1].copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-        sv = np.linalg.svd(coefficient_values(self, _COEFF_X),
-                           compute_uv=False)
+        sv = np.linalg.svd(np.moveaxis(coefficient_values(self, _COEFF_X),
+                                       -1, 1), compute_uv=False)
         object.__setattr__(self, "ellipticity_margin",
                            float(sv[self.m, :, -1].min()))
         object.__setattr__(self, "sup_norms",
@@ -112,18 +131,18 @@ class MatrixSymbol:
 # -- the evaluator -------------------------------------------------------------
 
 def coefficient_values(sym: MatrixSymbol, x, dx: bool = False):
-    """A_alpha(x) for every alpha, shape (m+1, *x.shape, n, n); with ``dx``,
-    the pair (A_alpha(x), d/dx A_alpha(x))."""
+    """A_alpha(x) for every alpha in entry planes, shape (m+1, n, n,
+    *x.shape); with ``dx``, the pair (A_alpha(x), d/dx A_alpha(x))."""
     x = np.asarray(x, dtype=float)
     B = sym.max_bandwidth()
-    lead = (sym.m + 1,) + (1,) * x.ndim + (sym.n, sym.n)
-    vals = np.zeros((sym.m + 1,) + x.shape + (sym.n, sym.n), dtype=complex)
+    lead = (sym.m + 1, sym.n, sym.n) + (1,) * x.ndim
+    vals = np.zeros(lead[:3] + x.shape, dtype=complex)
     derivs = np.zeros_like(vals) if dx else None
     for f in range(-B, B + 1):
         c = sym.coeffs[..., f + B]
         if not c.any():
             continue
-        wave = np.exp(1j * f * x)[..., None, None]
+        wave = np.exp(1j * f * x)
         vals += c.reshape(lead) * wave
         if dx:
             derivs += ((1j * f) * c).reshape(lead) * wave
@@ -134,12 +153,15 @@ def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None):
     """sum_alpha A[alpha] xi^alpha over the leading axis of A; with ``dxi``,
     the pair (that sum, sum_alpha alpha A[alpha] xi^(alpha-1)).
 
-    xi broadcasts against A[alpha] without its two matrix axes.  The sum is
-    written into ``out`` when given, so that a loop over grid chunks keeps
-    two chunk-sized arrays alive, not three: with three, the allocator gave
+    xi broadcasts against the point axes of A, those after its two entry
+    axes, and may not have more axes than they do.  The sum is written
+    into ``out`` when given, so that a loop over grid chunks keeps two
+    chunk-sized arrays alive, not three: with three, the allocator gave
     their pages back and faulted them in again on every chunk.
     """
-    xi = np.asarray(xi)[..., None, None]
+    xi = np.asarray(xi)
+    if xi.ndim > A.ndim - 3:
+        raise ValueError("xi has more axes than the points of A")
     shape = np.broadcast_shapes(A.shape[1:], xi.shape)
     if out is None:
         p = np.zeros(shape, dtype=complex)
@@ -147,18 +169,27 @@ def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None):
         p = out
         p.fill(0.0)
     dp = np.zeros(shape, dtype=complex) if dxi else None
+    term = np.empty(shape, dtype=complex)
     xipow = np.ones_like(xi)
     for a in range(len(A)):
-        p += A[a] * xipow
+        p += np.multiply(A[a], xipow, out=term)
         if dxi and a + 1 < len(A):
-            dp += (a + 1) * A[a + 1] * xipow
+            dp += np.multiply((a + 1) * A[a + 1], xipow, out=term)
         xipow = xipow * xi
     return (p, dp) if dxi else p
 
 
+def shift(p: np.ndarray, z) -> np.ndarray:
+    """p - z I written over p's entry planes, z a scalar or an array over
+    the points; returns p."""
+    n = p.shape[0]
+    p -= z * np.eye(n).reshape((n, n) + (1,) * (p.ndim - 2))
+    return p
+
+
 def det_or_eigvals(mats: np.ndarray, det: bool) -> np.ndarray:
-    """Determinants, shape (...), or eigenvalues, shape (..., n), of the
-    n x n matrices on the last two axes of mats.
+    """Determinants, shape (...), or eigenvalue planes, shape (n, ...), of
+    the n x n matrices in the entry planes of mats, shape (n, n, ...).
 
     n = 1 and n = 2 take closed forms, a few products per matrix where
     LAPACK's batched LU or eigensolve costs far more.  With M = [[a, b],
@@ -168,13 +199,16 @@ def det_or_eigvals(mats: np.ndarray, det: bool) -> np.ndarray:
     then the other as d over it.  LAPACK serves n >= 3, and n = 0, whose
     determinant is 1.
     """
-    n = mats.shape[-1]
+    n = mats.shape[0]
     if n == 1:
-        return mats[..., 0, 0] if det else mats[..., 0]
+        return mats[0, 0] if det else mats[0]
     if n != 2:
-        return np.linalg.det(mats) if det else np.linalg.eigvals(mats)
-    a, b = mats[..., 0, 0], mats[..., 0, 1]
-    c, e = mats[..., 1, 0], mats[..., 1, 1]
+        mats = np.moveaxis(mats, (0, 1), (-2, -1))
+        if det:
+            return np.linalg.det(mats)
+        return np.moveaxis(np.linalg.eigvals(mats), -1, 0)
+    a, b = mats[0, 0], mats[0, 1]
+    c, e = mats[1, 0], mats[1, 1]
     d = a * e - b * c
     if det:
         return d
@@ -184,28 +218,37 @@ def det_or_eigvals(mats: np.ndarray, det: bool) -> np.ndarray:
     big = 0.5 * (t + s)
     with np.errstate(all="ignore"):
         small = np.where(big == 0, 0, d / big)
-    return np.stack([big, small], axis=-1)
+    return np.stack([big, small])
 
 
 def adjugate(mats: np.ndarray) -> np.ndarray:
-    """adj(M) on the last two axes: 1 for n = 1, [[e, -b], [-c, a]] for
-    n = 2, and the cofactors of M beyond."""
-    n = mats.shape[-1]
+    """adj(M) in entry planes: 1 for n = 1, [[e, -b], [-c, a]] for n = 2,
+    and the cofactors of M beyond."""
+    n = mats.shape[0]
     if n == 1:
         return np.ones(mats.shape, dtype=complex)
     adj = np.empty(mats.shape, dtype=complex)
     if n == 2:
-        adj[..., 0, 0] = mats[..., 1, 1]
-        adj[..., 1, 1] = mats[..., 0, 0]
-        adj[..., 0, 1] = -mats[..., 0, 1]
-        adj[..., 1, 0] = -mats[..., 1, 0]
+        adj[0, 0] = mats[1, 1]
+        adj[1, 1] = mats[0, 0]
+        adj[0, 1] = -mats[0, 1]
+        adj[1, 0] = -mats[1, 0]
         return adj
     idx = np.arange(n)
     for i in range(n):
         for j in range(n):
-            minor = mats[..., idx != i, :][..., idx != j]
-            adj[..., j, i] = (-1) ** (i + j) * det_or_eigvals(minor, det=True)
+            minor = mats[idx != i][:, idx != j]
+            adj[j, i] = (-1) ** (i + j) * det_or_eigvals(minor, det=True)
     return adj
+
+
+def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a b) at each point of two entry-plane stacks, by BLAS matrix
+    products on matrix-last copies (see the module docstring)."""
+    last = tuple(range(2, a.ndim)) + (0, 1)
+    return np.trace(np.ascontiguousarray(a.transpose(last))
+                    @ np.ascontiguousarray(b.transpose(last)),
+                    axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -270,14 +313,14 @@ def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True):
     dq = tr(adj(p - z) dp)."""
     if not grad:
         p = polynomial(coefficient_values(sym, x), xi)
-        return det_or_eigvals(p - z * np.eye(sym.n), det=True)
+        return det_or_eigvals(shift(p, z), det=True)
     A, dA = coefficient_values(sym, x, dx=True)
     p, dpxi = polynomial(A, xi, dxi=True)
-    pz = p - z * np.eye(sym.n)
+    pz = shift(p, z)
     adj = adjugate(pz)
     return (det_or_eigvals(pz, det=True),
-            np.trace(adj @ polynomial(dA, xi), axis1=-2, axis2=-1),
-            np.trace(adj @ dpxi, axis1=-2, axis2=-1))
+            trace_product(adj, polynomial(dA, xi)),
+            trace_product(adj, dpxi))
 
 
 def _bracket(dqx, dqxi):
@@ -342,7 +385,16 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
                              degenerate=False)
     x = np.linspace(0.0, TWO_PI, GRID_NX, endpoint=False)
     xi = np.linspace(-window, window, GRID_NXI)
-    absq = np.abs(_jet(sym, x[:, None], xi, z, grad=False))
+    # |q_z| on the grid, a batch of whole x rows at a time in one buffer of
+    # entry planes: fresh arrays for each batch were faulted in again on
+    # every batch once the allocator had given their pages back
+    rows = max(POINT_CHUNK // GRID_NXI, 1)
+    absq = np.empty((GRID_NX, GRID_NXI))
+    values = np.empty((sym.n, sym.n, rows, GRID_NXI), dtype=complex)
+    for s in range(0, GRID_NX, rows):
+        A = coefficient_values(sym, x[s:s + rows, None])
+        p = polynomial(A, xi, out=values[:, :, :A.shape[3]])
+        absq[s:s + rows] = np.abs(det_or_eigvals(shift(p, z), det=True))
     qscale = max(float(np.median(absq)), 1e-300)
     dx, dxi = x[1] - x[0], xi[1] - xi[0]
 

@@ -26,8 +26,6 @@ class TestTruncation:
         t = FourierTruncation(K=2, n=2, h=0.5)
         assert t.side == 10
         assert list(t.modes) == [-2, -1, 0, 1, 2]
-        assert t.index(0, -2) == 0
-        assert t.index(1, 2) == 9
 
     def test_bad_h(self):
         with pytest.raises(ValueError):
@@ -54,11 +52,11 @@ class TestAssembly:
         t = FourierTruncation(K=3, n=1, h=0.5)
         mat = assemble_operator(f1, t).entries
         e_k = np.zeros(t.side)
-        e_k[t.index(0, 0)] = 1.0
+        e_k[t.K] = 1.0                # mode k sits at row k + K
         out = mat @ e_k
         expect = np.zeros(t.side, dtype=complex)
-        expect[t.index(0, 1)] = 1.0   # e^{ix} * 1
-        expect[t.index(0, 0)] = 0.0   # (hD) 1 = 0
+        expect[t.K + 1] = 1.0         # e^{ix} * 1
+        expect[t.K] = 0.0             # (hD) 1 = 0
         assert np.allclose(out, expect)
 
     def test_matrix_fixture_block_structure(self, f3):

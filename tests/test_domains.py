@@ -16,9 +16,9 @@ TWO_PI = 2.0 * math.pi
 class TestRectangle:
     def test_membership(self):
         r = Rectangle(-1.0, 1.0, -0.5, 0.5)
-        assert r.contains(0.0)
-        assert r.contains(1.0 + 0.5j)            # boundary counts inside
-        assert not r.contains(1.1)
+        # the boundary counts inside
+        assert list(r.contains_many(np.array([0.0, 1.0 + 0.5j, 1.1]))) \
+            == [True, True, False]
         assert r.bound_radius() == abs(1.0 + 0.5j)
 
     def test_vectorized(self):
@@ -39,15 +39,13 @@ class TestPolygon:
 
     def test_boundary_slack(self):
         sq = Polygon((0, 1, 1 + 1j, 1j))
-        assert sq.contains(0.5 + 0.0j)
-        assert sq.contains(0.5 + 1e-13j)
-        assert not sq.contains(0.5 - 1e-6j)
+        z = np.array([0.5 + 0.0j, 0.5 + 1e-13j, 0.5 - 1e-6j])
+        assert list(sq.contains_many(z)) == [True, True, False]
 
     def test_regular_polygon_approximates_disk(self):
         disk = regular_polygon(1.0 + 1.0j, 0.5, 256)
-        assert disk.contains(1.0 + 1.0j)
-        assert disk.contains(1.49 + 1.0j)
-        assert not disk.contains(1.51 + 1.0j)
+        z = np.array([1.0, 1.49, 1.51]) + 1.0j
+        assert list(disk.contains_many(z)) == [True, True, False]
 
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):
@@ -57,14 +55,13 @@ class TestPolygon:
 class TestAnnularSector:
     def test_membership(self):
         s = AnnularSector(0.0, math.pi / 2, 2.0, 1.0)
-        assert s.contains(1.5 * np.exp(0.4j))
-        assert not s.contains(0.5 * np.exp(0.4j))
-        assert not s.contains(1.5 * np.exp(-0.4j))
+        z = np.array([1.5, 0.5, 1.5]) * np.exp([0.4j, 0.4j, -0.4j])
+        assert list(s.contains_many(z)) == [True, False, False]
         assert s.bound_radius() == pytest.approx(2.0)
 
     def test_origin_in_full_sector(self):
         s = AnnularSector(0.1, 1.0, 1.0)
-        assert s.contains(0.0)
+        assert s.contains_many(np.zeros(1, dtype=complex)).all()
 
     def test_radii_slack(self):
         s = AnnularSector(0.0, math.pi, 2, 1)
@@ -84,8 +81,8 @@ class TestDilation:
         d = dilate(dilate(base, 2.0), 3.0)
         assert isinstance(d, Dilated)
         assert d.lam == pytest.approx(6.0)
-        assert d.contains(5.9 + 0.1j)
-        assert not d.contains(6.1)
+        assert list(d.contains_many(np.array([5.9 + 0.1j, 6.1]))) \
+            == [True, False]
 
     def test_positive_lambda_required(self):
         with pytest.raises(ValueError, match="lambda must be positive"):
@@ -130,6 +127,31 @@ class TestDyadic:
 
 
 class TestWeylMeasure:
+    def test_mixed_and_spread_match_min_max_rule(self, rng, f3):
+        # corner counts of m_gamma's dtype: random cells, cells whose
+        # corners agree, and cells that differ in exactly one corner, at
+        # each of the four positions
+        dtype = domains.m_gamma(f3, Rectangle(0, 1, 0, 1), np.zeros(1),
+                                np.zeros(1)).dtype
+        base = rng.integers(0, 3, size=40)
+        cells = [rng.integers(0, 4, size=(4, 400)), np.tile(base, (4, 1))]
+        for k in range(4):
+            one = np.tile(base, (4, 1))
+            one[k] += 1
+            cells.append(one)
+        corners = np.concatenate(cells, axis=1).astype(dtype)
+        ij = rng.integers(0, 1000, size=(corners.shape[1], 2),
+                          dtype=np.int32)
+        # the reference rule: min and max over the corner axis
+        mixed = corners.min(axis=0) != corners.max(axis=0)
+        count, got_ij, got_corners = domains._mixed(ij, corners)
+        assert count == int(corners[0, ~mixed].sum())
+        assert np.array_equal(got_ij, ij[mixed])
+        assert got_corners.dtype == dtype
+        assert np.array_equal(got_corners, corners[:, mixed])
+        assert np.array_equal(domains._spread(corners),
+                              corners.max(axis=0) - corners.min(axis=0))
+
     def test_f1_rectangle_closed_form(self, f1):
         # for xi + e^{ix} the measure of [-1/2,1/2]^2 is 2*pi/3
         res = weyl_measure(f1, Rectangle(-0.5, 0.5, -0.5, 0.5))

@@ -836,6 +836,6 @@ class TestConfigFile:
              "r_out": 2.0, "r_in": 1.0})
         assert isinstance(sector, AnnularSector)
         disk = harness.parse_domain({"type": "disk", "radius": 1.0})
-        assert disk.contains(0.5)
+        assert disk.contains_many(np.array([0.5])).all()
         with pytest.raises(ValueError):
             harness.parse_domain({"type": "blob"})

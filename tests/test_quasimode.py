@@ -144,7 +144,7 @@ class TestAmplitude:
         log_g = np.zeros(len(g), dtype=complex)
         log_g[r + 1:] = np.cumsum(inc[r:])
         log_g[:r] = -np.cumsum(inc[:r][::-1])[::-1]
-        vecs = br.eigvec(ph.x_grid, ph.xi)
+        vecs = br.eigvec(ph.x_grid, ph.xi).T    # (points, n)
         for idx in [*range(r + 1, len(vecs)), *range(r - 1, -1, -1)]:
             c = np.vdot(vecs[idx - 1 if idx > r else idx + 1], vecs[idx])
             if c != 0:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from weylab import symbol
+from weylab import domains, symbol
+from weylab.domains import Rectangle
 from weylab.errors import NonConvergence, ZeroOnContour
 from weylab.symbol import PhaseSpacePoint, RegionKind, TWO_PI
 
@@ -121,11 +122,12 @@ class TestMatrixSymbol:
 # Per-entry trigonometric evaluation and the powers of xi summed on a grid, as
 # the evaluator replaced them: each entry sums its nonzero c_f e^{ifx} (and
 # (i f) c_f e^{ifx} for d/dx), and the grid adds A_alpha xi^alpha with iterated
-# powers.  The evaluator must reproduce them bit for bit.
+# powers.  The evaluator must reproduce them bit for bit, in its entry-plane
+# layout (m+1, n, n, *points).
 
 def _entry_values(sym, x, dx=False):
     B = sym.max_bandwidth()
-    out = np.zeros((sym.m + 1, len(x), sym.n, sym.n), dtype=complex)
+    out = np.zeros((sym.m + 1, sym.n, sym.n, len(x)), dtype=complex)
     for a in range(sym.m + 1):
         for i in range(sym.n):
             for j in range(sym.n):
@@ -135,18 +137,28 @@ def _entry_values(sym, x, dx=False):
                         f -= B
                         c = 1j * f * c if dx else c
                         vals += c * np.exp(1j * f * x)
-                out[a, :, i, j] = vals
+                out[a, i, j] = vals
     return out
 
 
 def _grid_sum(A, xi, dxi=False):
-    mats = np.zeros((A.shape[1], len(xi)) + A.shape[2:], dtype=complex)
+    mats = np.zeros(A.shape[1:] + (len(xi),), dtype=complex)
     xipow = np.ones_like(xi)
     for a in range(1 if dxi else 0, len(A)):
         coeff = a * A[a] if dxi else A[a]
-        mats += coeff[:, None, :, :] * xipow[None, :, None, None]
+        mats += coeff[..., None] * xipow
         xipow = xipow * xi
     return mats
+
+
+def _coupled_3x3():
+    """An n = 3 symbol with every entry coupled: xi I + C(x)."""
+    return symbol.MatrixSymbol.from_terms(3, 1, [
+        (0, i, j, f, c) for i, j, f, c in (
+            (0, 0, 1, 1.0), (1, 1, -1, 0.8), (2, 2, 0, 0.3j),
+            (0, 1, 1, 0.4), (1, 2, 0, -0.5), (2, 0, -1, 0.6j),
+            (1, 0, 2, 0.2), (0, 2, 0, 0.3), (2, 1, 1, -0.4j))]
+        + [(1, k, k, 0, 1.0) for k in range(3)])
 
 
 def _conjugated(rng, diag):
@@ -175,21 +187,23 @@ class TestSmallMatrixKernels:
     def test_against_lapack(self, rng, name):
         M = self._stack(rng, name)
         n = M.shape[-1]
+        planes = np.moveaxis(M, 0, -1)
         norm = np.linalg.norm(M, 2, axis=(-2, -1))
-        det = symbol.det_or_eigvals(M, det=True)
+        det = symbol.det_or_eigvals(planes, det=True)
         assert np.all(np.abs(det - np.linalg.det(M)) <= 1e-13 * norm ** n)
-        vals = symbol.det_or_eigvals(M, det=False)
-        for got, ref, bound in zip(vals, np.linalg.eigvals(M), norm):
+        vals = symbol.det_or_eigvals(planes, det=False)
+        for got, ref, bound in zip(vals.T, np.linalg.eigvals(M), norm):
             gap = min(np.abs(got[list(perm)] - ref).max()
                       for perm in itertools.permutations(range(n)))
             assert gap <= 1e-13 * bound
-        residual = symbol.adjugate(M) @ M - det[:, None, None] * np.eye(n)
+        adj = np.moveaxis(symbol.adjugate(planes), -1, 0)
+        residual = adj @ M - det[:, None, None] * np.eye(n)
         assert np.all(np.abs(residual).max(axis=(-2, -1))
                       <= 1e-13 * norm ** n)
 
     def test_empty_minor_determinant_is_one(self):
         assert np.array_equal(
-            symbol.det_or_eigvals(np.empty((3, 0, 0)), det=True), np.ones(3))
+            symbol.det_or_eigvals(np.empty((0, 0, 3)), det=True), np.ones(3))
 
 
 class TestEvaluatorIdentity:
@@ -204,11 +218,43 @@ class TestEvaluatorIdentity:
         A, dA = symbol.coefficient_values(sym, x, dx=True)
         assert A.tobytes() == _entry_values(sym, x).tobytes()
         assert dA.tobytes() == _entry_values(sym, x, dx=True).tobytes()
-        p, dpxi = symbol.polynomial(A[:, :, None], xi, dxi=True)
+        p, dpxi = symbol.polynomial(A[..., None], xi, dxi=True)
         assert p.tobytes() == _grid_sum(A, xi).tobytes()
         assert dpxi.tobytes() == _grid_sum(A, xi, dxi=True).tobytes()
-        assert symbol.polynomial(dA[:, :, None], xi).tobytes() \
+        assert symbol.polynomial(dA[..., None], xi).tobytes() \
             == _grid_sum(dA, xi).tobytes()
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4", "n3"])
+    def test_qz_grid_and_counts_match_per_point(self, name, request,
+                                                monkeypatch):
+        # the seed grid's q_z and m_Gamma's counts, batched on entry planes,
+        # against one evaluation per point (a batch of one): byte for byte
+        # for n <= 2, and within 1e-13 of LAPACK's det for n = 3.  Batches of
+        # 100 points leave m_gamma a partial last batch
+        sym = _coupled_3x3() if name == "n3" else request.getfixturevalue(name)
+        z = 0.3 - 0.2j
+        x = np.linspace(0.0, TWO_PI, 24, endpoint=False) + 0.01
+        xi = np.linspace(-2.0, 2.0, 17)
+        points = [(np.array([xk]), np.array([xil])) for xk in x for xil in xi]
+        grid = symbol._jet(sym, x[:, None], xi, z, grad=False)
+        values = [symbol.polynomial(symbol.coefficient_values(sym, xk), xil)
+                  for xk, xil in points]
+        if sym.n <= 2:
+            single = [symbol._jet(sym, xk, xil, z, grad=False)
+                      for xk, xil in points]
+            assert grid.tobytes() == np.concatenate(single).tobytes()
+        else:
+            mats = np.moveaxis(np.concatenate(values, axis=-1), -1, 0)
+            ref = np.linalg.det(mats - z * np.eye(3))
+            assert np.all(np.abs(grid.ravel() - ref) <= 1e-13 * np.abs(ref))
+        dom = Rectangle(-0.5, 1.0, -0.6, 0.6)
+        monkeypatch.setattr(domains, "POINT_CHUNK", 100)
+        counts = domains.m_gamma(sym, dom, np.repeat(x, len(xi)),
+                                 np.tile(xi, len(x)))
+        single = [np.count_nonzero(dom.contains_many(
+            symbol.det_or_eigvals(p, det=False))) for p in values]
+        assert counts.tolist() == single
+        assert 0 < counts.sum() < sym.n * len(single)
 
 class TestGradient:
     def test_gradient_vs_central_differences(self, rng, f1, f2, f3):
