@@ -50,9 +50,6 @@ class FourierTruncation:
     def side(self) -> int:
         return self.n * (2 * self.K + 1)
 
-    def index(self, i: int, k: int) -> int:
-        return i * (2 * self.K + 1) + (k + self.K)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:

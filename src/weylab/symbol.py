@@ -18,10 +18,9 @@ n <= 2: LAPACK's batched LU spent 29 ms of an F3 root scan's 38 ms on the
 Values are laid out in entry planes: the n x n matrix axes come first and
 the point axes last, as in A of shape (m+1, n, n, *x.shape), so that each
 entry (i, j) is one contiguous array over the points.  Every elementwise
-step then runs one long inner loop per entry.  With the matrix axes last,
-each step ran its inner loop over a matrix axis of length n and read the
-entries at a stride of n^2 values: the 256 x 256 seed grid took 12.6 ms
-of a 16 ms F3 root scan.  Eigenvalues come in planes too, shape
+step then runs one long inner loop per entry; with the matrix axes last,
+each step would run its inner loop over a matrix axis of length n and read
+the entries at a stride of n^2 values.  Eigenvalues come in planes too, shape
 (n, *points), and n >= 3 moves the matrix axes last only for LAPACK.  Only
 the gradient's trace products, tr(adj dp), run through BLAS on matrix-last
 copies, so that gradients and root brackets keep BLAS's rounding: its
@@ -56,10 +55,7 @@ TWO_PI = 2.0 * math.pi
 _COEFF_X = np.linspace(0.0, TWO_PI, 512, endpoint=False)
 
 # Points per batch of a large evaluation, so that a batch's entry planes
-# stay in a core's cache (2 MB of L2 here) and few pages are faulted in:
-# an F3 root scan took 9.1-10.4 ms and 1,158 page faults with its 256 x 256
-# seed grid in one batch, and 8.6-8.8 ms and 384 faults in batches of this
-# size.
+# stay in a core's L2 cache and few pages are faulted in
 POINT_CHUNK = 8192
 
 
@@ -307,12 +303,14 @@ WINDING_ZERO_TOL = 1e-13
 
 # -- q_z and its gradient ------------------------------------------------------
 
-def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True):
+def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True,
+         out=None):
     """q_z = det(p - z) at the points (x, xi), broadcast; with ``grad``, the
     triple (q_z, d_x q_z, d_xi q_z), the derivatives by the Jacobi formula
-    dq = tr(adj(p - z) dp)."""
+    dq = tr(adj(p - z) dp).  Without ``grad``, p is written into ``out``
+    when given (see ``polynomial``)."""
     if not grad:
-        p = polynomial(coefficient_values(sym, x), xi)
+        p = polynomial(coefficient_values(sym, x), xi, out=out)
         return det_or_eigvals(shift(p, z), det=True)
     A, dA = coefficient_values(sym, x, dx=True)
     p, dpxi = polynomial(A, xi, dxi=True)
@@ -392,9 +390,9 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
     absq = np.empty((GRID_NX, GRID_NXI))
     values = np.empty((sym.n, sym.n, rows, GRID_NXI), dtype=complex)
     for s in range(0, GRID_NX, rows):
-        A = coefficient_values(sym, x[s:s + rows, None])
-        p = polynomial(A, xi, out=values[:, :, :A.shape[3]])
-        absq[s:s + rows] = np.abs(det_or_eigvals(shift(p, z), det=True))
+        xs = x[s:s + rows, None]
+        absq[s:s + rows] = np.abs(_jet(sym, xs, xi, z, grad=False,
+                                       out=values[:, :, :len(xs)]))
     qscale = max(float(np.median(absq)), 1e-300)
     dx, dxi = x[1] - x[0], xi[1] - xi[0]
 

@@ -247,6 +247,19 @@ class TestEvaluatorIdentity:
             mats = np.moveaxis(np.concatenate(values, axis=-1), -1, 0)
             ref = np.linalg.det(mats - z * np.eye(3))
             assert np.all(np.abs(grid.ravel() - ref) <= 1e-13 * np.abs(ref))
+        # find_roots's seed grid, in batches of 3 rows into one buffer (the
+        # last batch partial), is |q_z| of one evaluation on the same grid
+        seeds = []
+        local_minima = symbol._local_minima
+        monkeypatch.setattr(symbol, "POINT_CHUNK", 3 * symbol.GRID_NXI)
+        monkeypatch.setattr(symbol, "_local_minima", lambda absq, cap: (
+            seeds.append(absq.copy()) or local_minima(absq, cap)))
+        symbol.find_roots(sym, z)
+        window = symbol.xi_window(sym, abs(z))
+        gx = np.linspace(0.0, TWO_PI, symbol.GRID_NX, endpoint=False)
+        gxi = np.linspace(-window, window, symbol.GRID_NXI)
+        assert seeds[0].tobytes() == np.abs(
+            symbol._jet(sym, gx[:, None], gxi, z, grad=False)).tobytes()
         dom = Rectangle(-0.5, 1.0, -0.6, 0.6)
         monkeypatch.setattr(domains, "POINT_CHUNK", 100)
         counts = domains.m_gamma(sym, dom, np.repeat(x, len(xi)),
@@ -255,6 +268,7 @@ class TestEvaluatorIdentity:
             symbol.det_or_eigvals(p, det=False))) for p in values]
         assert counts.tolist() == single
         assert 0 < counts.sum() < sym.n * len(single)
+
 
 class TestGradient:
     def test_gradient_vs_central_differences(self, rng, f1, f2, f3):
@@ -324,9 +338,9 @@ class TestRoots:
         calls = []
         jet = symbol._jet
 
-        def counted(sym, x, xi, z, grad=True):
+        def counted(sym, x, xi, z, grad=True, out=None):
             calls.append(grad)
-            return jet(sym, x, xi, z, grad)
+            return jet(sym, x, xi, z, grad, out)
 
         monkeypatch.setattr(symbol, "_jet", counted)
         inv = symbol.find_roots(f2, 0.5)
