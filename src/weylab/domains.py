@@ -21,6 +21,7 @@ comparisons each, where min and max along the length-4 axis of a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,15 +93,7 @@ class Polygon(SpectralDomain):
             with np.errstate(divide="ignore", invalid="ignore"):
                 xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= crosses & (x < np.where(crosses, xcross, np.inf))
-        # boundary slack
-        near = np.zeros(z.shape, dtype=bool)
-        for k in range(n):
-            a, b = v[k], v[(k + 1) % n]
-            ab = b - a
-            denom = abs(ab) ** 2
-            t = np.clip(((z - a) * np.conj(ab)).real / denom, 0.0, 1.0)
-            near |= np.abs(z - (a + t * ab)) <= BOUNDARY_TOL
-        return inside | near
+        return inside | (boundary_gap(self, z) <= BOUNDARY_TOL)
 
     def bound_radius(self) -> float:
         return max(abs(v) for v in self.vertices)
@@ -169,6 +162,47 @@ class Dilated(SpectralDomain):
 
     def bound_radius(self) -> float:
         return self.lam * self.base.bound_radius()
+
+
+def _segment_gap(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
+    """|z - the nearest point of the segment from a to b|."""
+    ab = b - a
+    t = np.clip(((z - a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
+    return np.abs(z - (a + t * ab))
+
+
+def _arc_gap(z: np.ndarray, sector: AnnularSector, r: float) -> np.ndarray:
+    """|z - the nearest point of the arc of radius r across sector's
+    angles|: the radial gap within those angles, else the nearer end."""
+    theta = sector.theta_min + np.mod(np.angle(z) - sector.theta_min, TWO_PI)
+    ends = np.minimum(np.abs(z - r * np.exp(1j * sector.theta_min)),
+                      np.abs(z - r * np.exp(1j * sector.theta_max)))
+    return np.where(theta <= sector.theta_max, np.abs(np.abs(z) - r), ends)
+
+
+def boundary_gap(dom: SpectralDomain, z) -> np.ndarray:
+    """The distance from each z to the boundary of dom, from inside or out."""
+    z = np.asarray(z, dtype=complex)
+    if isinstance(dom, Dilated):
+        return dom.lam * boundary_gap(dom.base, z / dom.lam)
+    if isinstance(dom, Rectangle):
+        # the signed distance to the box, negative inside
+        dx = np.maximum(dom.re_min - z.real, z.real - dom.re_max)
+        dy = np.maximum(dom.im_min - z.imag, z.imag - dom.im_max)
+        return np.abs(np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+                      + np.minimum(np.maximum(dx, dy), 0.0))
+    if isinstance(dom, Polygon):
+        v = np.asarray(dom.vertices)
+        return functools.reduce(np.minimum, (
+            _segment_gap(z, a, b) for a, b in zip(v, np.roll(v, -1))))
+    if isinstance(dom, AnnularSector):
+        # two rays, from the origin or from r_in, and one or two arcs
+        lo = dom.r_in or 0.0
+        rays = [_segment_gap(z, lo * e, dom.r_out * e) for e in (
+            np.exp(1j * dom.theta_min), np.exp(1j * dom.theta_max))]
+        arcs = [_arc_gap(z, dom, r) for r in (dom.r_out, lo) if r > 0.0]
+        return functools.reduce(np.minimum, rays + arcs)
+    raise ValueError(f"unsupported domain type {type(dom).__name__}")
 
 
 def dilate(domain: SpectralDomain, lam: float) -> SpectralDomain:

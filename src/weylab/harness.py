@@ -3,7 +3,8 @@ phase-space (Weyl) prediction, in two modes that share one trial path,
 _certified_trials: draw omega from the trial's seed stream, assemble
 P - delta Q_omega at a truncation K certified on the stream's first trials
 (the pilots, whose spectra at K are reused), solve, and count in each
-domain; every TrialRecord keeps its trial's spectrum.
+domain; every TrialRecord keeps its trial's spectrum and the K it was
+counted at.
 
 semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
@@ -11,6 +12,9 @@ one stream per h.  K is the first of the candidates sqrt(1.5) apart from
 ceil(xi_window / 4h) + 2 bandwidth at which the pilots' eigenvalues in Gamma
 settle against ceil(1.5 K), never past the rule's
 ceil(C_K xi_window / h) + 2 bandwidth, where every trial runs if they do not.
+The other trials are solved at K_count, the earlier candidate at which the
+pilots' counts settle, and the few with an eigenvalue near Gamma's boundary
+are solved again at K and counted there.
 
 highenergy: fixed unit sector Gamma, growing dilation lambda, classical
 (h = 1) assembly with an order-zero-to-alpha1 perturbation; each trajectory
@@ -139,6 +143,14 @@ class ExperimentConfig:
         if self.law is None:
             raise ValueError(f"{self.mode} mode needs a perturbation law")
         return self.law
+
+    def only_domain(self):
+        """The one domain a Monte-Carlo run counts in: they do not count a
+        config's other domains yet, so a config with more is refused."""
+        if len(self.domains) > 1:
+            raise ValueError(f"{self.mode} runs count in one domain, and the "
+                             f"config has {len(self.domains)}")
+        return self.domains[0]
 
     def _validate_roots(self):
         """Check the root inventory at the probe z: of the symbol, or in
@@ -349,6 +361,20 @@ SC_C_START = 0.25
 SC_GROWTH = 1.5
 SC_CHAINS = 2
 SC_SETTLE_TOL = 1e-5
+# Counts settle before positions do, so the non-pilot trials are solved at
+# K_count (count_truncation), the first candidate below K at which the
+# pilots' eigenvalues within SC_MATCH_BAND R of Gamma match one to one
+# against ceil(1.5 K_count), moving by at most mu, with SC_FLAG_SCALE mu
+# at most SC_FLAG_CAP R.  A trial with an eigenvalue within SC_FLAG_SCALE
+# mu of Gamma's boundary at K_count is solved again at K and counted there.
+# On sc-weyl's config K_count stops at c_K = 0.62-0.70, where
+# SC_FLAG_SCALE mu is at most 3.1e-3 R and flags 3-13 trials of 192; at
+# the candidate below it is 1.4e-2 R or more and flags 73-192, hence the
+# cap.  At every matched candidate, each trial whose count differed from
+# its count at K lay within 2.2 mu of the boundary.
+SC_MATCH_BAND = 0.05
+SC_FLAG_SCALE = 10.0
+SC_FLAG_CAP = 1e-2
 # highenergy: the pilot trajectory, doubling up to a dense side of 2049.
 HE_GROWTH = 2
 HE_CHAINS = 1
@@ -356,16 +382,16 @@ HE_SETTLE_TOL = 1e-8
 HE_K_CAP = 1024
 
 
-def _settled(coarse: np.ndarray, fine: np.ndarray, dom, tol: float) -> bool:
-    a = coarse[dom.contains_many(coarse)]
-    b = fine[dom.contains_many(fine)]
+def _movement(coarse: np.ndarray, fine: np.ndarray, near) -> float:
+    """The Hausdorff distance between the eigenvalues of coarse and of fine
+    that near(z) selects, or inf if their numbers differ."""
+    a, b = coarse[near(coarse)], fine[near(fine)]
     if len(a) != len(b):
-        return False
+        return math.inf
     if len(a) == 0:
-        return True
+        return 0.0
     d = np.abs(a[:, None] - b[None, :])
-    tol = tol * dom.bound_radius()
-    return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
@@ -401,13 +427,38 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
         for k in ladder:
             if max(spectra) < k <= finer_K:
                 spectra[k] = solve(k, K)
-        verdicts = [all(_settled(a, b, dom, tol)
+        verdicts = [all(_movement(a, b, dom.contains_many)
+                        <= tol * dom.bound_radius()
                         for a, b in zip(spectra[K], spectra[finer_K]))
                     for dom in doms]
         if verdicts[0]:
             return K, spectra[K], verdicts, tuple(spectra)
     last = max(spectra)
     return last, spectra[last], [False] * len(doms), tuple(spectra)
+
+
+def count_truncation(spectra: dict, dom, K: int, growth: float) -> tuple:
+    """(K_count, mu / R), R dom's bound radius: K_count is the smallest
+    candidate c < K whose partner ceil(growth c) is in ``spectra`` (K ->
+    the pilot spectra), where the pilots' eigenvalues within SC_MATCH_BAND
+    R of dom, some pilot having one, match one to one between c and that
+    partner, and mu, the largest distance a matched eigenvalue moves, meets
+    SC_FLAG_SCALE mu <= SC_FLAG_CAP R.  (K, None) if no candidate does."""
+    R = dom.bound_radius()
+
+    def near(z):
+        return (dom.contains_many(z)
+                | (domains.boundary_gap(dom, z) <= SC_MATCH_BAND * R))
+
+    for c in sorted(k for k in spectra if k < K):
+        if (partner := math.ceil(growth * c)) not in spectra or not any(
+                near(a).any() for a in spectra[c]):
+            continue
+        mu = max(_movement(a, b, near)
+                 for a, b in zip(spectra[c], spectra[partner])) / R
+        if SC_FLAG_SCALE * mu <= SC_FLAG_CAP:
+            return c, mu
+    return K, None
 
 
 # -- the trial path ------------------------------------------------------------
@@ -484,7 +535,7 @@ def _shared(pool, fn, args: tuple, items: dict, meanwhile=None) -> dict:
                for share in shares[1:] if share]
     if meanwhile is not None:
         meanwhile()
-    rows = fn(*args, [items[t] for t in shares[0]])
+    rows = fn(*args, [items[t] for t in shares[0]]) if shares[0] else []
     for fut in futures:
         rows += fut.result()
     return dict(zip(itertools.chain.from_iterable(shares), rows))
@@ -498,12 +549,16 @@ class StreamTrials:
     verdicts: list          # per domain, smallest first: settled at K
     K_tried: tuple          # every K the pilots were solved at
     pilot_millis: float     # wall time of the pilot solves at every K
+    K_count: int            # the K the non-pilot trials were solved at
+    mu: float | None        # count_truncation's mu / R, if K_count < K
+    resolved: list          # the trials solved again and counted at K
 
 
 def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                       delta: float, rungs, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
-                      chains: int, tol: float) -> StreamTrials:
+                      chains: int, tol: float,
+                      count: bool = False) -> StreamTrials:
     """Every trial of one seed stream, at a truncation K certified on the
     first ``pilots`` trials.
 
@@ -513,32 +568,37 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     from certify_truncation(K0, growth, tol, cap, chains); if the first
     domain does not settle, the trials run at ``fallback``, or at the last K
     solved when it is None.  The pilots keep their draws and their spectra
-    at K.  Every solve is shared out with ``pool``'s helpers; each process
-    draws its own non-pilot trials.  While the pilots are solved at a finer
-    K, helpers they leave idle solve the non-pilot trials at the candidate K
-    being checked, one future each, requeued behind each pilot solve; the
-    verdict cancels those not started, and the started ones are collected
-    after the parent's share if that K is used, and dropped otherwise.
+    at K.  With ``count`` and a settled first domain, the other trials are
+    solved at count_truncation's K_count, and those with an eigenvalue
+    within SC_FLAG_SCALE mu of that domain's boundary are solved again at
+    K and counted there; otherwise at K.  Every solve is shared out with
+    ``pool``'s helpers; each process draws its own non-pilot trials.  While
+    the pilots are solved at a finer K, helpers they leave idle solve the
+    non-pilot trials at the candidate K being checked, one future each,
+    requeued behind each pilot solve; the verdict cancels those not
+    started, and the started ones are collected after the parent's share if
+    the non-pilot trials are solved at that K, and dropped otherwise.
     """
     spec = functools.partial(randomness.SeedSpec, config.seed, stream)
     drawn = [_draw(config, spec(t), h)
              for t in range(min(pilots, config.trials))]
     solved = {}     # K -> trial -> _solve's row, per pilot
-    # guesses at the candidate K, queued behind the pilots' helper shares
-    guess_K, guesses = None, {}     # guesses: trial -> future, at guess_K
+    # guesses at each candidate K, queued behind the pilots' helper shares
+    guesses = {}        # K -> trial -> future
 
     def guess(K):
-        nonlocal guess_K, guesses
-        if guess_K != K:
-            guess_K, guesses = K, {}
-        guesses.update(
-            (t, pool.submit(_solve, config, h, delta, K, [spec(t)]))
-            for t in range(len(drawn), config.trials)
-            if t not in guesses or guesses[t].cancelled())
+        at = guesses.setdefault(K, {})
+        at.update((t, pool.submit(_solve, config, h, delta, K, [spec(t)]))
+                  for t in range(len(drawn), config.trials)
+                  if t not in at or at[t].cancelled())
+
+    def cancel_guesses():
+        for at in guesses.values():
+            for fut in at.values():
+                fut.cancel()
 
     def solve_pilots(K, checking):
-        for fut in guesses.values():
-            fut.cancel()        # requeued below if still checking guess_K
+        cancel_guesses()        # requeued below if still checking that K
         speculate = None
         if checking in solved and pool is not None and len(drawn) < WORKERS:
             speculate = functools.partial(guess, checking)
@@ -552,26 +612,41 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
             solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap,
             chains)
     finally:
-        for fut in guesses.values():
-            fut.cancel()
+        cancel_guesses()
     if not verdicts[0] and fallback is not None:
         K = fallback
+    gamma = rungs[0][1]
+    K_count, mu = K, None
+    if count and verdicts[0]:
+        K_count, mu = count_truncation(
+            {k: [rows[t][0] for t in range(len(drawn))]
+             for k, rows in solved.items()}, gamma, K, growth)
     pilot_ms = (time.perf_counter() - t0) * 1e3
 
     reused = solved.get(K, {})
-    # a guess already started at K is kept; any other guess's result or
-    # error is dropped, since a serial run never makes that solve
-    started = {t: fut for t, fut in guesses.items()
-               if guess_K == K and not fut.cancelled()}
-    rest = _shared(pool, _solve, (config, h, delta, K), {
+    # a guess already started at K_count is kept; any other guess's result
+    # or error is dropped, since a serial run never makes that solve
+    started = {t: fut for t, fut in guesses.get(K_count, {}).items()
+               if not fut.cancelled()}
+    rest = _shared(pool, _solve, (config, h, delta, K_count), {
         t: drawn[t][0] if t < len(drawn) else spec(t)
         for t in range(config.trials) if t not in reused and t not in started})
     rest.update((t, fut.result()[0]) for t, fut in started.items())
+    flagged = [] if mu is None else [
+        t for t in sorted(rest) if domains.boundary_gap(gamma, rest[t][0])
+        .min() <= SC_FLAG_SCALE * mu * gamma.bound_radius()]
+    redone = _shared(pool, _solve, (config, h, delta, K),
+                     dict(enumerate(map(spec, flagged))))
+    again = {t: redone[i] for i, t in enumerate(flagged)}
 
     rungs = [(param, dom, W()) for param, dom, W in rungs]
     records = []
     for trial in range(config.trials):
-        eigs, assemble_ms, eig_ms, draw_ms = reused.get(trial) or rest[trial]
+        row = reused.get(trial) or rest[trial]
+        if trial in again:      # both solves' times, the spectrum at K
+            row = (again[trial][0],
+                   *(a + b for a, b in zip(row[1:], again[trial][1:])))
+        eigs, assemble_ms, eig_ms, draw_ms = row
         draw_ms = drawn[trial][1] if trial < len(drawn) else draw_ms
         share = (draw_ms + (0.0 if trial in reused
                             else assemble_ms + eig_ms)) / len(rungs)
@@ -582,12 +657,14 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
             records.append(TrialRecord(
                 mode=config.mode, param=param, trial=trial,
                 seed_label=f"{config.seed}/{stream}/{trial}",
-                N=N, W=W, residual=N - W, K=K, millis=share + count_ms,
+                N=N, W=W, residual=N - W,
+                K=K if trial in reused or trial in again else K_count,
+                millis=share + count_ms,
                 eigenvalues=eigs,
                 stage_ms=dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
                                            count_ms)))))
     return StreamTrials(records, [d for d, _ in drawn], K, verdicts, K_tried,
-                        pilot_ms)
+                        pilot_ms, K_count, mu, flagged)
 
 
 # -- semiclassical experiment --------------------------------------------------
@@ -605,7 +682,7 @@ def _coupling(config: ExperimentConfig, h: float) -> float:
 def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     config.require_law()
     sym = config.sym
-    gamma = config.domains[0]
+    gamma = config.only_domain()
     weyl = domains.weyl_measure(sym, gamma)
     measure = weyl.value
 
@@ -632,12 +709,16 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
                 K0=min(K_rule, config.truncation_K(
                     h, gamma.bound_radius(), SC_C_START)),
                 cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
-                growth=SC_GROWTH, chains=SC_CHAINS, tol=SC_SETTLE_TOL)
+                growth=SC_GROWTH, chains=SC_CHAINS, tol=SC_SETTLE_TOL,
+                count=True)
             records += run.records
             truncation[h] = {
                 "K": run.K, "K_rule": K_rule, "K_tried": list(run.K_tried),
                 "pilot_trials": len(run.pilots), "settle_tol": SC_SETTLE_TOL,
-                "certified": run.verdicts[0], "pilot_millis": run.pilot_millis}
+                "certified": run.verdicts[0], "pilot_millis": run.pilot_millis,
+                "K_count": run.K_count, "mu": run.mu,
+                "match_band": SC_MATCH_BAND, "flag_scale": SC_FLAG_SCALE,
+                "flag_cap": SC_FLAG_CAP, "resolved": run.resolved}
 
     params = tuple(config.h_list)
     aggregates = {h: _aggregate(records, h) for h in params}
@@ -717,7 +798,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     """
     config.require_law()
     sym = config.sym
-    sector = config.domains[0]
+    sector = config.only_domain()
 
     lam_sorted = tuple(sorted(config.lambda_list))
     # this also checks the sector: it must reach the origin with r_out = 1

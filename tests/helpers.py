@@ -41,9 +41,11 @@ def read_matrix(path):
     return OperatorMatrix(pairs.view(complex), trunc)
 
 
-def fail_at_trial(monkeypatch, trial):
-    """Make discretize.eigenvalues raise NonConvergence on ``trial``'s solve,
-    in whichever process solves it: fork carries the patches to helpers."""
+def _on_trial_solves(monkeypatch, solve):
+    """Send each discretize.eigenvalues call to solve(trial, mat,
+    eigenvalues), ``trial`` the trial whose perturbed operator ``mat`` is,
+    or None, in whichever process solves it: fork carries the patches to
+    helpers."""
     solving = {}
     perturbed, eigenvalues = (discretize.perturbed_operator,
                               discretize.eigenvalues)
@@ -51,13 +53,30 @@ def fail_at_trial(monkeypatch, trial):
     def perturbed_op(mat, draw, delta):
         solving["trial"] = draw.seed_record.trial
         return perturbed(mat, draw, delta)
+    monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
+    monkeypatch.setattr(discretize, "eigenvalues", lambda mat: solve(
+        solving.pop("trial", None), mat, eigenvalues))
 
-    def eigs(mat):
-        if solving.get("trial") == trial:
+
+def fail_at_trial(monkeypatch, trial):
+    """Make discretize.eigenvalues raise NonConvergence on ``trial``'s
+    solve."""
+    def solve(t, mat, eigenvalues):
+        if t == trial:
             raise NonConvergence(f"trial {trial}")
         return eigenvalues(mat)
-    monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
-    monkeypatch.setattr(discretize, "eigenvalues", eigs)
+    _on_trial_solves(monkeypatch, solve)
+
+
+def plant_eigenvalue(monkeypatch, trial, K, z):
+    """Add the eigenvalue z to ``trial``'s spectrum whenever it is solved
+    at truncation K."""
+    def solve(t, mat, eigenvalues):
+        eigs = eigenvalues(mat)
+        if (t, mat.trunc.K) == (trial, K):
+            eigs = np.append(eigs, z)
+        return eigs
+    _on_trial_solves(monkeypatch, solve)
 
 
 def fail_in_helper(monkeypatch, work):
@@ -86,17 +105,10 @@ def log_trial_solves(monkeypatch, folder, hold=None, fail=None):
     raises NonConvergence."""
     folder.mkdir()
     parent = os.getpid()
-    solving = {}
     count = itertools.count()
-    perturbed, eigenvalues = (discretize.perturbed_operator,
-                              discretize.eigenvalues)
 
-    def perturbed_op(mat, draw, delta):
-        solving["trial"] = draw.seed_record.trial
-        return perturbed(mat, draw, delta)
-
-    def eigs(mat):
-        trial, K, pid = solving.pop("trial", None), mat.trunc.K, os.getpid()
+    def eigs(trial, mat, eigenvalues):
+        K, pid = mat.trunc.K, os.getpid()
         if trial is not None:
             (folder / f"{K}-{trial}-{pid}-{next(count)}").touch()
             if pid != parent and (K, trial) == fail:
@@ -110,8 +122,7 @@ def log_trial_solves(monkeypatch, folder, hold=None, fail=None):
                         raise TimeoutError(f"no helper solve at K = {hold[1]}")
                     time.sleep(0.01)
         return eigenvalues(mat)
-    monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
-    monkeypatch.setattr(discretize, "eigenvalues", eigs)
+    _on_trial_solves(monkeypatch, eigs)
 
 
 def trial_solves(folder):

@@ -388,6 +388,36 @@ class TestExitCodes:
         assert solves == [] and not (tmp_path / "run").exists()
         assert multiprocessing.active_children() == []
 
+    # the drivers counted in the first domain and ignored the others
+    def test_second_domain_maps_to_two(self, config_path, he_config_path,
+                                       tmp_path, monkeypatch, capsys):
+        readme = json.loads(pathlib.Path(config_path).read_text())
+        readme["perturbation"]["K_q"] = 128
+        readme["experiment"].update(h_list=[0.1, 0.07, 0.05], trials=200)
+        readme["seed"] = 42
+        readme["domains"].append({"type": "rectangle", "re_min": -5.0,
+                                  "re_max": -4.0, "im_min": 3.0,
+                                  "im_max": 4.0})
+        pathlib.Path(config_path).write_text(json.dumps(readme))
+        he = json.loads(pathlib.Path(he_config_path).read_text())
+        he["domains"].append(dict(he["domains"][0], theta_min=0.5))
+        pathlib.Path(he_config_path).write_text(json.dumps(he))
+        solves = count_solves(monkeypatch)
+        for mode, path in (("semiclassical", config_path),
+                           ("highenergy", he_config_path)):
+            rc = cli.main([f"mc-{mode}", "--config", path,
+                           "--out", str(tmp_path / mode)])
+            assert rc == 2
+            assert (f"{mode} runs count in one domain, and the config has 2"
+                    in capsys.readouterr().err)
+            assert solves == [] and not (tmp_path / mode).exists()
+        # the Weyl measure of either domain is still there to ask for
+        for index in ("0", "1"):
+            assert cli.main(["weyl", "--config", config_path,
+                             "--domain", index]) == 0
+            measure = json.loads(capsys.readouterr().out)["measure"]
+            assert (measure == 0.0) == (index == "1")
+
     def test_helper_failure_in_highenergy_maps_to_three(
             self, he_config_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "WORKERS", 2)

@@ -89,6 +89,61 @@ class TestDilation:
             dilate(Rectangle(0, 1, 0, 1), 0.0)
 
 
+class TestBoundaryGap:
+    """boundary_gap against distances worked out by hand."""
+
+    def test_rectangle(self):
+        gamma = Rectangle(0.1, 0.7, -0.5, 0.5)
+        # inside (the left edge is nearest), on the edge, outside to the
+        # right and below, and off the corner 0.7 + 0.5i along (0.3, 0.4)
+        z = np.array([0.3 + 0.1j, 0.1 + 0.2j, 0.9, 0.4 - 0.8j, 1.0 + 0.9j])
+        assert domains.boundary_gap(gamma, z) == pytest.approx(
+            [0.2, 0.0, 0.2, 0.3, 0.5], abs=1e-15)
+
+    def test_polygon(self):
+        tri = Polygon((0, 2, 2j))
+        # inside, off the hypotenuse's middle, off the vertex 2 past the
+        # end of both its edges, off the vertex 0
+        z = np.array([0.5 + 0.5j, 2 + 2j, 3.0, -1 - 1j])
+        assert domains.boundary_gap(tri, z) == pytest.approx(
+            [0.5, math.sqrt(2), 1.0, math.sqrt(2)], abs=1e-15)
+
+    def test_disk(self):
+        # the centre lies cos(pi/256) r from the 256-gon's edges, and a
+        # vertex sits at angle 0
+        disk = regular_polygon(1 + 1j, 0.5, 256)
+        z = np.array([1 + 1j, 2 + 1j])
+        assert domains.boundary_gap(disk, z) == pytest.approx(
+            [0.5 * math.cos(math.pi / 256), 0.5], abs=1e-12)
+
+    def test_annular_sector(self):
+        s = AnnularSector(0.0, math.pi / 2, 2.0, 1.0)
+        rays_far = 1.5 * np.exp(0.25j * math.pi)      # 0.5 from both arcs
+        z = np.array([rays_far, 1.2 * np.exp(0.25j * math.pi),
+                      3 * np.exp(0.25j * math.pi), 1.5 * np.exp(0.1j),
+                      1.5 - 0.3j, 0.0, 0.5 * np.exp(0.25j * math.pi)])
+        # the arcs, 0.2 from r_in and 1 beyond r_out; 1.5 sin 0.1 and 0.3
+        # from the ray at angle 0, inside and outside; the origin and a
+        # point in the hole, both nearest the inner arc
+        assert domains.boundary_gap(s, z) == pytest.approx(
+            [0.5, 0.2, 1.0, 1.5 * math.sin(0.1), 0.3, 1.0, 0.5], abs=1e-14)
+
+    def test_sector_reaching_the_origin(self):
+        s = AnnularSector(0.05, TWO_PI - 0.05, 1.0)
+        # the rays meet at the origin; 0.5 lies in the cut-out wedge
+        z = np.array([0.0, 0.5, -0.5, 1.5j])
+        assert domains.boundary_gap(s, z) == pytest.approx(
+            [0.0, 0.5 * math.sin(0.05), 0.5, 0.5], abs=1e-15)
+
+    def test_dilated(self):
+        d = dilate(Rectangle(0.0, 1.0, 0.0, 1.0), 3.0)
+        z = np.array([1.5 + 1.5j, 4.0 + 1.5j])
+        # lambda times the base gap at z / lambda: 3 * 0.5 and 3 * (1 / 3)
+        assert domains.boundary_gap(d, z) == pytest.approx(
+            [1.5, 1.0], abs=1e-15)
+        assert domains.boundary_gap(d, z[0]) == pytest.approx(1.5)
+
+
 class TestDyadic:
     def test_decomposition_structure(self):
         sector = AnnularSector(0.2, 1.2, 1.0)

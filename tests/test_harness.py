@@ -18,7 +18,7 @@ from weylab.harness import (ExperimentConfig, default_delta, delta_window,
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
 
 from helpers import (fail_at_trial, fail_in_helper, log_trial_solves,
-                     trial_solves)
+                     plant_eigenvalue, trial_solves)
 
 
 def sc_law(rho=1.2, K_q=16):
@@ -183,7 +183,9 @@ class TestSemiclassicalTruncation:
             t = trunc[repr(h)]
             assert t == rep.extras["truncation"][h]
             assert set(t) == {"K", "K_rule", "K_tried", "pilot_trials",
-                              "settle_tol", "certified", "pilot_millis"}
+                              "settle_tol", "certified", "pilot_millis",
+                              "K_count", "mu", "match_band", "flag_scale",
+                              "flag_cap", "resolved"}
             # every pilot solve at every K tried is timed in pilot_millis;
             # a pilot's millis leaves out its solve at K, counted there
             pilots = [r for r in rep.records
@@ -204,7 +206,18 @@ class TestSemiclassicalTruncation:
             assert all(a < b for a, b in zip(tried, tried[1:]))
             assert t["K"] in tried
             assert tried[-1] == math.ceil(1.5 * t["K"]) <= t["K_rule"]
-            assert {r.K for r in rep.records if r.param == h} == {t["K"]}
+            # the other trials are counted at a smaller solved candidate,
+            # whose partner is solved too, unless re-solved at K
+            assert (t["match_band"], t["flag_scale"], t["flag_cap"]) == (
+                harness.SC_MATCH_BAND, harness.SC_FLAG_SCALE,
+                harness.SC_FLAG_CAP)
+            assert t["K_count"] < t["K"]
+            assert {t["K_count"], math.ceil(1.5 * t["K_count"])} <= set(tried)
+            assert 0.0 < t["flag_scale"] * t["mu"] <= t["flag_cap"]
+            assert set(t["resolved"]) <= set(range(len(pilots), cfg.trials))
+            assert [r.K for r in rep.records if r.param == h] == [
+                t["K"] if r.trial < len(pilots) or r.trial in t["resolved"]
+                else t["K_count"] for r in rep.records if r.param == h]
 
     def test_pilots_settle_first_at_K(self, sc_two_h):
         # the pilots' eigenvalues in Gamma coincide one to one at K and
@@ -257,6 +270,47 @@ class TestSemiclassicalTruncation:
                            rep.extras["delta"][r.param])
             assert eigs.tobytes() == r.eigenvalues.tobytes()
 
+    def test_trial_near_boundary_resolved_at_K(self, sc_two_h, f2,
+                                                monkeypatch):
+        # an eigenvalue planted in a non-pilot trial's spectrum at K_count,
+        # half the flag radius inside Gamma's left edge, has that trial
+        # solved again at K and counted there, with both solves' times
+        cfg, rep, _ = sc_two_h
+        h, trial = 0.1, harness.SC_PILOTS + 1
+        t = rep.extras["truncation"][h]
+        delta = rep.extras["delta"][h]
+        gamma = cfg.domains[0]
+        assert trial not in t["resolved"] and t["K_count"] < t["K"]
+        plant_eigenvalue(monkeypatch, trial, t["K_count"], gamma.re_min + 0.5
+                         * t["flag_scale"] * t["mu"] * gamma.bound_radius())
+        times, solve = {}, harness._solve
+
+        def timed(*args):
+            rows, (K, draws) = solve(*args), args[3:]
+            times.update((K, row[1:]) for d, row in zip(draws, rows)
+                         if getattr(d, "trial", None) == trial)
+            return rows
+        monkeypatch.setattr(harness, "_solve", timed)
+        monkeypatch.setattr(harness, "WORKERS", 1)
+        again = run_semiclassical(sc_config(f2, law=cfg.law, h_list=(h,),
+                                            trials=cfg.trials))
+        t_again = again.extras["truncation"][h]
+        assert (t_again["K_count"], t_again["mu"]) == (t["K_count"], t["mu"])
+        assert t_again["resolved"] == sorted(t["resolved"] + [trial])
+        before = [r for r in rep.records if r.param == h]
+        for old, new in zip(before, again.records):
+            if new.trial != trial:
+                assert (new.N, new.K, new.eigenvalues.tobytes()) == (
+                    old.N, old.K, old.eigenvalues.tobytes())
+                continue
+            eigs = resolve(cfg, h, trial, t["K"], delta)
+            assert new.K == t["K"]
+            assert new.eigenvalues.tobytes() == eigs.tobytes()
+            assert new.N == np.count_nonzero(gamma.contains_many(eigs))
+            assert [new.stage_ms[s] for s in ("assemble", "eigensolve",
+                                              "draw")] == [
+                a + b for a, b in zip(times[t["K_count"]], times[t["K"]])]
+
     def test_unsettled_pilots_fall_back_to_rule_K(self, f2, monkeypatch):
         monkeypatch.setattr(harness, "SC_SETTLE_TOL", 0.0)
         cfg = sc_config(f2, trials=3)
@@ -278,7 +332,7 @@ def run_ladder(monkeypatch, K0, cap, growth=harness.SC_GROWTH,
     there on.  Returns (the result, (K, checking) of every solve, (K, K') of
     every compared pair)."""
     solves, compared, K_of = [], [], {}
-    settled = harness._settled
+    movement = harness._movement
 
     def solve(K, checking):
         solves.append((K, checking))
@@ -286,10 +340,10 @@ def run_ladder(monkeypatch, K0, cap, growth=harness.SC_GROWTH,
         K_of[id(eigs)] = K
         return [eigs]
 
-    def compare(coarse, fine, dom, tol):
+    def compare(coarse, fine, near):
         compared.append((K_of[id(coarse)], K_of[id(fine)]))
-        return settled(coarse, fine, dom, tol)
-    monkeypatch.setattr(harness, "_settled", compare)
+        return movement(coarse, fine, near)
+    monkeypatch.setattr(harness, "_movement", compare)
     result = harness.certify_truncation(
         solve, [Rectangle(0.1, 0.7, -0.5, 0.5)], K0, growth,
         harness.SC_SETTLE_TOL, cap, chains)
@@ -667,7 +721,11 @@ class TestWorkers:
         assert many["trials"] == one["trials"]
         assert many["eigenvalues"] == one["eigenvalues"]
         assert len(one["eigenvalues"].split(b"\n")) > 100
-        if mode != "sc":
+        if mode == "sc":
+            # a trial solved again at K, after the others at K_count
+            trunc = one["summary"]["extras"]["truncation"]["0.1"]
+            assert trunc["resolved"] != [] and trunc["K_count"] < trunc["K"]
+        else:
             assert {"weyl_by_lambda", "weyl_bound_by_lambda",
                     "rescaling_identity", "dyadic"} <= set(
                         one["summary"]["extras"])
