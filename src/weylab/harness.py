@@ -10,11 +10,12 @@ semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
 one stream per h.  K is the first of the candidates sqrt(1.5) apart from
 ceil(xi_window / 4h) + 2 bandwidth at which the pilots' eigenvalues in Gamma
-settle against ceil(1.5 K), never past the rule's
-ceil(C_K xi_window / h) + 2 bandwidth, where every trial runs if they do not.
-The other trials are solved at K_count, the earlier candidate at which the
-pilots' counts settle, and the few with an eigenvalue near Gamma's boundary
-are solved again at K and counted there.
+settle against ceil(1.5 K), or the partner ceil(1.5 K_count) of the
+candidate K_count at which their counts settle, whichever comes first; never
+past the rule's ceil(C_K xi_window / h) + 2 bandwidth, where every trial
+runs if neither does.  Where the counts stop K, the other trials are solved
+at K_count, and the few with an eigenvalue near Gamma's boundary are solved
+again at K and counted there.
 
 highenergy: fixed unit sector Gamma, growing dilation lambda, classical
 (h = 1) assembly with an order-zero-to-alpha1 perturbation; each trajectory
@@ -353,25 +354,27 @@ def fit_power_law(pairs) -> tuple:
 # two chains put the candidates sqrt(1.5) apart.  Between K and 1.5K an
 # unresolved truncation moves Gamma's eigenvalues by 4e-3 R or more, and
 # rounding at the rule's K by 3e-10 R.  With c_K = (K - 2 bandwidth) h /
-# xi_window, sc-weyl's pilots first settle at c_K = 0.66-0.84, and K stops
-# at c_K = 0.79-0.92, where they move by at most 4e-6 R; counts change near
-# c_K = 0.5.  At 1e-4 R, K could stop near c_K = 0.66 or below.
+# xi_window, sc-weyl's pilots' positions first settle at c_K = 0.66-0.84,
+# and would stop K at c_K = 0.79-0.92, where they move by at most 4e-6 R;
+# counts change near c_K = 0.5.
 SC_PILOTS = 8
 SC_C_START = 0.25
 SC_GROWTH = 1.5
 SC_CHAINS = 2
 SC_SETTLE_TOL = 1e-5
-# Counts settle before positions do, so the non-pilot trials are solved at
-# K_count (count_truncation), the first candidate below K at which the
-# pilots' eigenvalues within SC_MATCH_BAND R of Gamma match one to one
-# against ceil(1.5 K_count), moving by at most mu, with SC_FLAG_SCALE mu
-# at most SC_FLAG_CAP R.  A trial with an eigenvalue within SC_FLAG_SCALE
-# mu of Gamma's boundary at K_count is solved again at K and counted there.
-# On sc-weyl's config K_count stops at c_K = 0.62-0.70, where
-# SC_FLAG_SCALE mu is at most 3.1e-3 R and flags 3-13 trials of 192; at
-# the candidate below it is 1.4e-2 R or more and flags 73-192, hence the
+# Counts settle before positions do, so the ladder stops at whichever comes
+# first: a candidate whose positions settle, or the partner of K_count
+# (count_truncation), a candidate at which the pilots' eigenvalues within
+# SC_MATCH_BAND R of Gamma match one to one against ceil(1.5 K_count),
+# moving by at most mu, with SC_FLAG_SCALE mu at most SC_FLAG_CAP R.  Then
+# K is that partner, where the pilots keep their spectra; the other trials
+# are solved at K_count, and one with an eigenvalue within SC_FLAG_SCALE mu
+# of Gamma's boundary at K_count is solved again at K and counted there.
+# On sc-weyl's config K_count stops at c_K = 0.62-0.70 and K at 0.95-1.10,
+# where SC_FLAG_SCALE mu is at most 3.1e-3 R and flags 3-13 trials of 192;
+# at the candidate below it is 1.4e-2 R or more and flags 73-192, hence the
 # cap.  At every matched candidate, each trial whose count differed from
-# its count at K lay within 2.2 mu of the boundary.
+# its count where the positions settle lay within 2.2 mu of the boundary.
 SC_MATCH_BAND = 0.05
 SC_FLAG_SCALE = 10.0
 SC_FLAG_CAP = 1e-2
@@ -395,8 +398,8 @@ def _movement(coarse: np.ndarray, fine: np.ndarray, near) -> float:
 
 
 def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
-                       cap: int, chains: int = 1) -> tuple:
-    """Smallest candidate K at which the pilots settle in the first domain.
+                       cap: int, chains: int = 1, counts=None) -> tuple:
+    """The truncation K at which the pilots first settle in the first domain.
 
     The candidates interleave ``chains`` chains K, ceil(growth K), ...
     started at ceil(growth^(j / chains) K0), j < chains, duplicates skipped;
@@ -409,6 +412,10 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
     exponentially ill-conditioned, so a domain that rounding alone can move
     is not settled by any larger K.  Every domain takes its verdict from the
     same pair (K, ceil(growth K)), and is settled when every pilot is.
+    ``counts(c, coarse, fine)``, if given, is a second rule for the first
+    domain, asked of each candidate c whose positions do not settle, with
+    the pilot spectra at c and at its partner, just solved: where it holds,
+    the ladder stops, K is that partner and the first verdict is True.
     Returns (K, pilot spectra at K, per-domain verdicts, every K solved); if
     a candidate's partner would exceed cap first, every verdict is False and
     K is the last K solved.
@@ -433,32 +440,30 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
                     for dom in doms]
         if verdicts[0]:
             return K, spectra[K], verdicts, tuple(spectra)
+        if counts is not None and counts(K, spectra[K], spectra[finer_K]):
+            return (finer_K, spectra[finer_K], [True, *verdicts[1:]],
+                    tuple(spectra))
     last = max(spectra)
     return last, spectra[last], [False] * len(doms), tuple(spectra)
 
 
-def count_truncation(spectra: dict, dom, K: int, growth: float) -> tuple:
-    """(K_count, mu / R), R dom's bound radius: K_count is the smallest
-    candidate c < K whose partner ceil(growth c) is in ``spectra`` (K ->
-    the pilot spectra), where the pilots' eigenvalues within SC_MATCH_BAND
-    R of dom, some pilot having one, match one to one between c and that
-    partner, and mu, the largest distance a matched eigenvalue moves, meets
-    SC_FLAG_SCALE mu <= SC_FLAG_CAP R.  (K, None) if no candidate does."""
+def count_truncation(coarse: list, fine: list, dom) -> float | None:
+    """mu / R, R dom's bound radius, where the pilots' counts settle
+    between two truncations, else None: their eigenvalues within
+    SC_MATCH_BAND R of dom, some pilot having one, match one to one between
+    ``coarse`` and ``fine`` (one spectrum per pilot each), and mu, the
+    largest distance a matched eigenvalue moves, meets SC_FLAG_SCALE mu <=
+    SC_FLAG_CAP R."""
     R = dom.bound_radius()
 
     def near(z):
         return (dom.contains_many(z)
                 | (domains.boundary_gap(dom, z) <= SC_MATCH_BAND * R))
 
-    for c in sorted(k for k in spectra if k < K):
-        if (partner := math.ceil(growth * c)) not in spectra or not any(
-                near(a).any() for a in spectra[c]):
-            continue
-        mu = max(_movement(a, b, near)
-                 for a, b in zip(spectra[c], spectra[partner])) / R
-        if SC_FLAG_SCALE * mu <= SC_FLAG_CAP:
-            return c, mu
-    return K, None
+    if not any(near(a).any() for a in coarse):
+        return None
+    mu = max(_movement(a, b, near) for a, b in zip(coarse, fine)) / R
+    return mu if SC_FLAG_SCALE * mu <= SC_FLAG_CAP else None
 
 
 # -- the trial path ------------------------------------------------------------
@@ -550,7 +555,7 @@ class StreamTrials:
     K_tried: tuple          # every K the pilots were solved at
     pilot_millis: float     # wall time of the pilot solves at every K
     K_count: int            # the K the non-pilot trials were solved at
-    mu: float | None        # count_truncation's mu / R, if K_count < K
+    mu: float | None        # count_truncation's mu / R, if counts stop K
     resolved: list          # the trials solved again and counted at K
 
 
@@ -568,10 +573,12 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     from certify_truncation(K0, growth, tol, cap, chains); if the first
     domain does not settle, the trials run at ``fallback``, or at the last K
     solved when it is None.  The pilots keep their draws and their spectra
-    at K.  With ``count`` and a settled first domain, the other trials are
-    solved at count_truncation's K_count, and those with an eigenvalue
-    within SC_FLAG_SCALE mu of that domain's boundary are solved again at
-    K and counted there; otherwise at K.  Every solve is shared out with
+    at K.  With ``count``, count_truncation is certify_truncation's second
+    stop rule on the first domain: where it stops the ladder at a candidate
+    K_count, K is K_count's partner, the other trials are solved at
+    K_count, and those with an eigenvalue within SC_FLAG_SCALE mu of that
+    domain's boundary are solved again at K and counted there; otherwise
+    every other trial is solved at K.  Every solve is shared out with
     ``pool``'s helpers; each process draws its own non-pilot trials.  While
     the pilots are solved at a finer K, helpers they leave idle solve the
     non-pilot trials at the candidate K being checked, one future each,
@@ -606,22 +613,26 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                             dict(enumerate(d for d, _ in drawn)), speculate)
         return [solved[K][t][0] for t in range(len(drawn))]
 
+    gamma = rungs[0][1]
+    stop = {}       # K_count -> mu / R, once the pilots' counts stop K
+
+    def counts(c, coarse, fine):
+        mu = count_truncation(coarse, fine, gamma)
+        if mu is not None:
+            stop[c] = mu
+        return mu is not None
+
     t0 = time.perf_counter()
     try:
         K, _, verdicts, K_tried = certify_truncation(
             solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap,
-            chains)
+            chains, counts if count else None)
     finally:
         cancel_guesses()
+    pilot_ms = (time.perf_counter() - t0) * 1e3
     if not verdicts[0] and fallback is not None:
         K = fallback
-    gamma = rungs[0][1]
-    K_count, mu = K, None
-    if count and verdicts[0]:
-        K_count, mu = count_truncation(
-            {k: [rows[t][0] for t in range(len(drawn))]
-             for k, rows in solved.items()}, gamma, K, growth)
-    pilot_ms = (time.perf_counter() - t0) * 1e3
+    K_count, mu = next(iter(stop.items()), (K, None))
 
     reused = solved.get(K, {})
     # a guess already started at K_count is kept; any other guess's result
@@ -715,7 +726,10 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
             truncation[h] = {
                 "K": run.K, "K_rule": K_rule, "K_tried": list(run.K_tried),
                 "pilot_trials": len(run.pilots), "settle_tol": SC_SETTLE_TOL,
-                "certified": run.verdicts[0], "pilot_millis": run.pilot_millis,
+                "certified": run.verdicts[0], "settled_by": (
+                    "counts" if run.mu is not None
+                    else "positions" if run.verdicts[0] else None),
+                "pilot_millis": run.pilot_millis,
                 "K_count": run.K_count, "mu": run.mu,
                 "match_band": SC_MATCH_BAND, "flag_scale": SC_FLAG_SCALE,
                 "flag_cap": SC_FLAG_CAP, "resolved": run.resolved}

@@ -358,21 +358,25 @@ def xi_window(sym: MatrixSymbol, z_sup: float) -> float:
 
 def _local_minima(absq: np.ndarray, cap: float):
     """Index arrays (ix, ixi) of the strict-ish local minima at most cap, x
-    wrapped periodically, in row-major order."""
-    nx, nxi = absq.shape
-    padded = np.full((nx + 2, nxi + 2), np.inf)
-    padded[1:-1, 1:-1] = absq
-    padded[0, 1:-1] = absq[-1]
-    padded[-1, 1:-1] = absq[0]
-    center = padded[1:-1, 1:-1]
+    wrapped periodically, in row-major order: the points at most every value
+    of their 3 x 3 neighbourhood, by a separable minimum filter.  The minimum
+    over each point's xi neighbours is taken on the flat array, in
+    contiguous shifts, and redone in the first and last columns; each row is
+    then compared with it and with its x neighbours'.  np.minimum and the
+    comparisons carry a NaN to False."""
+    lowest = absq.copy()
+    flat, low = absq.ravel(), lowest.ravel()
+    np.minimum(low[1:], flat[:-1], out=low[1:])
+    np.minimum(low[:-1], flat[1:], out=low[:-1])
+    lowest[:, 0] = absq[:, :2].min(axis=1)
+    lowest[:, -1] = absq[:, -2:].min(axis=1)
     is_min = absq <= cap
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neigh = padded[1 + di:nx + 1 + di, 1 + dj:nxi + 1 + dj]
-            is_min &= center <= neigh
-    return np.nonzero(is_min)
+    is_min &= absq <= lowest
+    is_min[1:] &= absq[1:] <= lowest[:-1]
+    is_min[:-1] &= absq[:-1] <= lowest[1:]
+    is_min[0] &= absq[0] <= lowest[-1]
+    is_min[-1] &= absq[-1] <= lowest[0]
+    return np.divmod(np.flatnonzero(is_min), absq.shape[1])
 
 
 def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:

@@ -183,9 +183,9 @@ class TestSemiclassicalTruncation:
             t = trunc[repr(h)]
             assert t == rep.extras["truncation"][h]
             assert set(t) == {"K", "K_rule", "K_tried", "pilot_trials",
-                              "settle_tol", "certified", "pilot_millis",
-                              "K_count", "mu", "match_band", "flag_scale",
-                              "flag_cap", "resolved"}
+                              "settle_tol", "certified", "settled_by",
+                              "pilot_millis", "K_count", "mu", "match_band",
+                              "flag_scale", "flag_cap", "resolved"}
             # every pilot solve at every K tried is timed in pilot_millis;
             # a pilot's millis leaves out its solve at K, counted there
             pilots = [r for r in rep.records
@@ -197,6 +197,7 @@ class TestSemiclassicalTruncation:
                 assert r.millis == pytest.approx(
                     r.stage_ms["draw"] + r.stage_ms["count"])
             assert t["certified"] is True
+            assert t["settled_by"] == "counts"
             assert t["pilot_trials"] == harness.SC_PILOTS
             assert t["settle_tol"] == harness.SC_SETTLE_TOL
             assert t["K_rule"] == cfg.truncation_K(
@@ -204,15 +205,13 @@ class TestSemiclassicalTruncation:
             assert t["K"] < t["K_rule"]
             tried = t["K_tried"]
             assert all(a < b for a, b in zip(tried, tried[1:]))
-            assert t["K"] in tried
-            assert tried[-1] == math.ceil(1.5 * t["K"]) <= t["K_rule"]
-            # the other trials are counted at a smaller solved candidate,
-            # whose partner is solved too, unless re-solved at K
+            # the pilots' counts stop the ladder at K_count's partner, K;
+            # the other trials are counted at K_count unless re-solved at K
             assert (t["match_band"], t["flag_scale"], t["flag_cap"]) == (
                 harness.SC_MATCH_BAND, harness.SC_FLAG_SCALE,
                 harness.SC_FLAG_CAP)
-            assert t["K_count"] < t["K"]
-            assert {t["K_count"], math.ceil(1.5 * t["K_count"])} <= set(tried)
+            assert t["K_count"] in tried
+            assert tried[-1] == t["K"] == math.ceil(1.5 * t["K_count"])
             assert 0.0 < t["flag_scale"] * t["mu"] <= t["flag_cap"]
             assert set(t["resolved"]) <= set(range(len(pilots), cfg.trials))
             assert [r.K for r in rep.records if r.param == h] == [
@@ -220,9 +219,10 @@ class TestSemiclassicalTruncation:
                 else t["K_count"] for r in rep.records if r.param == h]
 
     def test_pilots_settle_first_at_K(self, sc_two_h):
-        # the pilots' eigenvalues in Gamma coincide one to one at K and
-        # ceil(1.5 K), and at the candidate tried before K and its own
-        # ceil(1.5 .) partner they do not
+        # the pilots first settle at K_count, by their counts: their
+        # eigenvalues near Gamma match one to one at K_count and its partner
+        # K, moving by mu, though their positions in Gamma do not settle
+        # there; at the candidate tried before K_count neither rule holds
         cfg, rep, _ = sc_two_h
         gamma = cfg.domains[0]
         tol = harness.SC_SETTLE_TOL * gamma.bound_radius()
@@ -230,10 +230,8 @@ class TestSemiclassicalTruncation:
         def inside(eigs):
             return eigs[gamma.contains_many(eigs)]
 
-        def settled(h, delta, K, finer):
-            for trial in range(harness.SC_PILOTS):
-                a = inside(resolve(cfg, h, trial, K, delta))
-                b = inside(resolve(cfg, h, trial, finer, delta))
+        def settled(coarse, fine):
+            for a, b in zip(map(inside, coarse), map(inside, fine)):
                 if len(a) != len(b):
                     return False
                 if len(a) == 0:
@@ -246,11 +244,18 @@ class TestSemiclassicalTruncation:
         for h in cfg.h_list:
             t = rep.extras["truncation"][h]
             delta = rep.extras["delta"][h]
+
+            def pilots(K):
+                return [resolve(cfg, h, trial, K, delta)
+                        for trial in range(harness.SC_PILOTS)]
             tried = t["K_tried"]
-            before = tried[tried.index(t["K"]) - 1]
-            assert before < t["K"]
-            assert settled(h, delta, t["K"], tried[-1])
-            assert not settled(h, delta, before, math.ceil(1.5 * before))
+            before = tried[tried.index(t["K_count"]) - 1]
+            at, partner = pilots(t["K_count"]), pilots(t["K"])
+            assert not settled(at, partner)
+            assert harness.count_truncation(at, partner, gamma) == t["mu"]
+            at, partner = pilots(before), pilots(math.ceil(1.5 * before))
+            assert not settled(at, partner)
+            assert harness.count_truncation(at, partner, gamma) is None
 
     def test_counts_equal_counts_at_rule_K(self, sc_two_h):
         cfg, rep, _ = sc_two_h
@@ -312,11 +317,14 @@ class TestSemiclassicalTruncation:
                 a + b for a, b in zip(times[t["K_count"]], times[t["K"]])]
 
     def test_unsettled_pilots_fall_back_to_rule_K(self, f2, monkeypatch):
+        # neither rule holds: zero tolerances for positions and for counts
         monkeypatch.setattr(harness, "SC_SETTLE_TOL", 0.0)
+        monkeypatch.setattr(harness, "SC_FLAG_CAP", 0.0)
         cfg = sc_config(f2, trials=3)
         rep = run_semiclassical(cfg)
         t = rep.extras["truncation"][0.1]
-        assert t["certified"] is False
+        assert t["certified"] is False and t["settled_by"] is None
+        assert (t["K_count"], t["mu"], t["resolved"]) == (t["K"], None, [])
         assert t["settle_tol"] == 0.0
         assert t["pilot_trials"] == 3
         assert t["K"] == t["K_rule"]
@@ -324,29 +332,64 @@ class TestSemiclassicalTruncation:
             1.5 * t["K_tried"][-1])
         assert all(r.K == t["K_rule"] for r in rep.records)
 
+    def test_counts_stop_or_fall_back(self, f2):
+        # K_q = 16 at seed 3: at h = 0.07 the pilots' positions never settle
+        # below the rule's K, but their counts settle at 23 against 35, so
+        # the ladder stops there after 6 K and trial 10, near Gamma's
+        # boundary at 23, is counted at 35; at h = 0.05 neither rule holds
+        # and every trial runs at the rule's K.  Every N is the count at the
+        # rule's K.
+        cfg = sc_config(f2, h_list=(0.07, 0.05), trials=11)
+        rep = run_semiclassical(cfg)
+        t = rep.extras["truncation"][0.07]
+        assert (t["certified"], t["settled_by"]) == (True, "counts")
+        assert t["K_tried"] == [12, 15, 18, 23, 27, 35]
+        assert (t["K_count"], t["K"]) == (23, 35)
+        assert 10 in t["resolved"]
+        t = rep.extras["truncation"][0.05]
+        assert (t["certified"], t["settled_by"]) == (False, None)
+        assert len(t["K_tried"]) == 10
+        assert t["K"] == t["K_count"] == t["K_rule"]
+        assert (t["mu"], t["resolved"]) == (None, [])
+        assert {r.K for r in rep.records if r.param == 0.05} == {t["K_rule"]}
+        gamma = cfg.domains[0]
+        K_rule = rep.extras["truncation"][0.07]["K_rule"]
+        for r in rep.records:
+            if r.param == 0.07:
+                eigs = resolve(cfg, 0.07, r.trial, K_rule,
+                               rep.extras["delta"][0.07])
+                assert np.count_nonzero(gamma.contains_many(eigs)) == r.N
+
 
 def run_ladder(monkeypatch, K0, cap, growth=harness.SC_GROWTH,
-               chains=harness.SC_CHAINS, settle_at=math.inf):
+               chains=harness.SC_CHAINS, settle_at=math.inf,
+               count_at=math.inf, counts=False):
     """certify_truncation on one synthetic pilot, no eigensolve: its one
-    eigenvalue in Gamma moves with K below ``settle_at`` and stays put from
-    there on.  Returns (the result, (K, checking) of every solve, (K, K') of
-    every compared pair)."""
+    eigenvalue in Gamma moves by 0.1 / K below ``count_at``, by 1e-3 / K
+    from there on, and stays put from ``settle_at`` on; with ``counts`` the
+    count rule is asked too.  Returns (the result, (K, checking) of every
+    solve, (K, K') of every compared pair)."""
     solves, compared, K_of = [], [], {}
     movement = harness._movement
+    gamma = Rectangle(0.1, 0.7, -0.5, 0.5)
 
     def solve(K, checking):
         solves.append((K, checking))
-        eigs = np.array([0.4 + 0.1j + (0.0 if K >= settle_at else 0.1 / K)])
+        drift = 0.0 if K >= settle_at else 1e-3 if K >= count_at else 0.1
+        eigs = np.array([0.4 + 0.1j + drift / K])
         K_of[id(eigs)] = K
         return [eigs]
 
     def compare(coarse, fine, near):
         compared.append((K_of[id(coarse)], K_of[id(fine)]))
         return movement(coarse, fine, near)
+
+    def count_rule(c, coarse, fine):
+        return harness.count_truncation(coarse, fine, gamma) is not None
     monkeypatch.setattr(harness, "_movement", compare)
     result = harness.certify_truncation(
-        solve, [Rectangle(0.1, 0.7, -0.5, 0.5)], K0, growth,
-        harness.SC_SETTLE_TOL, cap, chains)
+        solve, [gamma], K0, growth, harness.SC_SETTLE_TOL, cap, chains,
+        count_rule if counts else None)
     return result, solves, compared
 
 
@@ -366,6 +409,25 @@ class TestCandidateLadder:
         assert [c for _, c in solves] == [16, 16, 16, 20, 24, 30, 36, 45]
         # a verdict reads every K solved
         assert set(tried) == {k for pair in compared for k in pair}
+
+    def test_counts_stop_before_positions(self, monkeypatch):
+        # from K = 24 the eigenvalue moves by 1e-3 / K: below the count
+        # rule's cap from candidate 24 against 36 on, but above the
+        # positions' tolerance until 45 against 68.  The count rule stops
+        # the ladder at 36, where positions alone climb to 68.
+        (K, spectra, verdicts, tried), solves, compared = run_ladder(
+            monkeypatch, 16, 200, count_at=24, counts=True)
+        assert (K, verdicts) == (36, [True])
+        assert tried == (16, 20, 24, 30, 36)
+        assert spectra[0][0] == 0.4 + 0.1j + 1e-3 / 36
+        assert [c for _, c in solves] == [16, 16, 16, 20, 24]
+        # each candidate is asked the positions, then the counts
+        assert compared == [pair for c in (16, 20, 24)
+                            for pair in [(c, math.ceil(1.5 * c))] * 2]
+        monkeypatch.undo()
+        (K, _, verdicts, tried), *_ = run_ladder(monkeypatch, 16, 200,
+                                                 count_at=24)
+        assert (K, verdicts, tried[-1]) == (45, [True], 68)
 
     def test_highenergy_chain_unchanged(self, monkeypatch):
         (K, _, verdicts, tried), solves, compared = run_ladder(

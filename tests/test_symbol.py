@@ -385,6 +385,36 @@ class TestRoots:
         assert checked >= 20
 
 
+def padded_local_minima(absq, cap):
+    """_local_minima's reference: a padded copy (x rows wrapped, xi edges
+    inf) and eight shifted comparisons."""
+    nx, nxi = absq.shape
+    padded = np.full((nx + 2, nxi + 2), np.inf)
+    padded[1:-1, 1:-1] = absq
+    padded[0, 1:-1] = absq[-1]
+    padded[-1, 1:-1] = absq[0]
+    is_min = absq <= cap
+    for di, dj in itertools.product((-1, 0, 1), repeat=2):
+        if di or dj:
+            is_min &= absq <= padded[1 + di:nx + 1 + di, 1 + dj:nxi + 1 + dj]
+    return np.nonzero(is_min)
+
+
+class TestLocalMinima:
+    @pytest.mark.parametrize("shape", [(256, 256), (7, 5), (2, 3), (1, 4),
+                                       (4, 1)])
+    def test_matches_padded_comparisons(self, rng, shape):
+        # small integers make ties; inf and NaN fill some points
+        for _ in range(40):
+            absq = rng.integers(0, 4, shape).astype(float)
+            absq[rng.random(shape) < 0.05] = np.inf
+            absq[rng.random(shape) < 0.02] = np.nan
+            cap = float(rng.choice([1.0, 2.0, np.inf]))
+            got, ref = symbol._local_minima(absq, cap), padded_local_minima(
+                absq, cap)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 class TestXiWindow:
     def test_positive_and_monotone(self, f1):
         w1 = symbol.xi_window(f1, 0.5)
