@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -95,10 +94,10 @@ def cmd_weyl(args) -> int:
     out = {"measure": res.value, "bound": res.bound, "grid": res.grid,
            "evaluations": res.evaluations}
     if cfg.mode == "semiclassical":
-        out["prediction"] = {repr(h): res.value / (2.0 * math.pi * h)
+        out["prediction"] = {repr(h): res.value / (symbol.TWO_PI * h)
                              for h in cfg.h_list}
     else:
-        out["prediction"] = res.value / (2.0 * math.pi)
+        out["prediction"] = res.value / symbol.TWO_PI
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

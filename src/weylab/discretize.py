@@ -24,8 +24,8 @@ from math import comb
 import numpy as np
 
 from .errors import BandwidthExceeded, NonConvergence
-from .randomness import SQRT_2PI, PerturbationDraw
-from .symbol import MatrixSymbol
+from .randomness import PerturbationDraw
+from .symbol import SQRT_2PI, MatrixSymbol
 
 
 @dataclass(frozen=True)

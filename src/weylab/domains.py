@@ -28,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .symbol import (POINT_CHUNK, coefficient_values, det_or_eigvals,
-                     polynomial, xi_window)
-
-TWO_PI = 2.0 * math.pi
+from .symbol import (POINT_CHUNK, TWO_PI, coefficient_values,
+                     det_or_eigvals, polynomial, xi_window)
 
 # points within this distance of a boundary count as inside (shared with
 # the eigenvalue-count routines)

@@ -25,17 +25,18 @@ lambda, so one eigensolve per trajectory counts every rung, at a truncation
 certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
 
 Each run forks one pool of helpers.  A stream's solves (the pilots' at each
-K, then the other trials') go in WORKERS interleaved shares, trial t in
-share t mod WORKERS: share 0 in the parent, the others in the helpers.  A
-high-energy run hands the helpers the rungs' Weyl measures while the parent
-climbs the pilot's K ladder, then shares out its rescaling-identity solves
-likewise.  Helpers that the pilots leave idle (fewer pilots than WORKERS)
-solve the other trials at the candidate K being checked while the pilots
-are solved at larger K; a solve that started before the verdict is kept if
-that K is used, and dropped with its result or error if not.  The parent
-certifies, counts and records in trial order, so the outputs are
-byte-identical for any WORKERS.  A record's millis and stage_ms are work
-times, summed over processes; pilot_millis is a wall time.
+K, then the other trials') go in WORKERS interleaved shares of trial
+indices, share 0 in the parent and the others in the helpers; each process
+draws a trial from its seed address just before it solves it.  A high-energy
+run hands the helpers the rungs' Weyl measures while the parent climbs the
+pilot's K ladder, then shares out its rescaling-identity solves likewise.
+Helpers that the pilots leave idle (fewer pilots than WORKERS) solve the
+other trials at the candidate K being checked while the pilots are solved
+at larger K; a solve that started before the verdict is kept if that K is
+used, and dropped with its result or error if not.  The parent certifies,
+counts and records in trial order, so the outputs are byte-identical for
+any WORKERS.  A record's millis and stage_ms are work times, summed over
+processes; pilot_millis is a wall time.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ import numpy as np
 
 from . import discretize, domains, randomness, symbol
 from .errors import EmptyWindow, HypothesisViolation, WindowViolation
-
-TWO_PI = 2.0 * math.pi
 
 CSV_HEADER = "mode,h_or_lambda,trial,seed,N,W,residual,K,millis"
 
@@ -114,6 +113,9 @@ class ExperimentConfig:
                 raise ValueError("every h must lie in (0, 1)")
             if len(set(self.h_list)) < len(self.h_list):
                 raise ValueError("h_list repeats a value")
+            if self.delta_override is not None and self.delta_override < 0:
+                raise ValueError(f"delta must be >= 0, not "
+                                 f"{self.delta_override!r}")
             if self.law is not None and self.delta_override is None:
                 for h in self.h_list:
                     delta_window(h, self.law.rho_decay, self.gamma1, self.N0)
@@ -124,6 +126,9 @@ class ExperimentConfig:
                 raise ValueError("every lambda must be finite and >= 1")
             if len(set(self.lambda_list)) < len(self.lambda_list):
                 raise ValueError("lambda_list repeats a value")
+            if self.delta_override is not None:
+                raise ValueError("highenergy mode takes no delta: it counts "
+                                 "P - Q_omega at coupling 1")
             if self.law is not None:
                 margin = (self.sym.m - self.law.alpha_max
                           - self.law.rho_decay - 0.75)
@@ -212,18 +217,14 @@ def _probe_z(domain) -> complex:
 def _check_shared_bases(inv):
     """Each plus-root must share its base x, to 1e-6, with exactly one
     minus-root, and distinct pairs must have distinct bases."""
-    def same_base(r, s):
-        d = abs(r.point.x - s.point.x)
-        return min(d, TWO_PI - d) < 1e-6
-
-    plus = [r for r in inv.roots if r.sign == "plus"]
-    minus = [r for r in inv.roots if r.sign == "minus"]
-    for i, p in enumerate(plus):
-        if sum(same_base(p, q) for q in minus) != 1:
+    plus, minus = ([r.point.x for r in inv.roots if r.sign == sign]
+                   for sign in ("plus", "minus"))
+    for i, x in enumerate(plus):
+        if np.count_nonzero(symbol.circle_distance(x, minus) < 1e-6) != 1:
             raise HypothesisViolation(
-                f"plus-root at x={p.point.x:.4f} does not pair with exactly "
+                f"plus-root at x={x:.4f} does not pair with exactly "
                 f"one minus-root at the same base point")
-        if any(same_base(p, o) for o in plus[:i]):
+        if (symbol.circle_distance(x, plus[:i]) < 1e-6).any():
             raise HypothesisViolation(
                 "two root pairs share the same base point")
 
@@ -274,7 +275,7 @@ class TrialRecord:
     residual: float         # N - W
     K: int
     # count, plus an equal share over the trial's records of its draw,
-    # assemble and eigensolve; a pilot's solve at K is in pilot_millis
+    # assemble and eigensolve, which pilot_millis holds for a pilot at K
     millis: float
     eigenvalues: np.ndarray     # the trial's spectrum, shared by its rungs
     stage_ms: dict = field(default_factory=dict)    # STAGES timed, in ms
@@ -495,52 +496,42 @@ def _submit(pool, fn, *args) -> Future:
     return done
 
 
-def _draw(config: ExperimentConfig, spec: randomness.SeedSpec,
-          h: float) -> tuple:
-    """(the draw at spec, its ms)."""
-    t0 = time.perf_counter()
-    d = randomness.sample_draw(config.law, spec, h)
-    return d, (time.perf_counter() - t0) * 1e3
-
-
-def _solve(config: ExperimentConfig, h: float, delta: float, K: int,
-           draws) -> list:
-    """Spectra of P - delta Q_omega at truncation K, P assembled once.
-
-    An entry of ``draws`` is a PerturbationDraw, or the SeedSpec of one,
-    drawn here just before its solve.  Returns (eigenvalues, assemble ms,
-    eigensolve ms, draw ms) per entry, in order; draw ms is 0 for a given
-    draw.
+def _solve(config: ExperimentConfig, stream: str, h: float, delta: float,
+           K: int, trials: list) -> list:
+    """Spectra of P - delta Q_omega at truncation K, P assembled once, for
+    each trial index of seed stream ``stream``: each trial is drawn here,
+    just before its solve.  Returns (eigenvalues, draw ms, assemble ms,
+    eigensolve ms) per trial, in order.
     """
     mat = discretize.assemble_operator(
         config.sym, discretize.FourierTruncation(K=K, n=config.sym.n, h=h))
     rows = []
-    for i, d in enumerate(draws):
-        d, draw_ms = (_draw(config, d, h) if isinstance(d, randomness.SeedSpec)
-                      else (d, 0.0))
+    for i, t in enumerate(trials):
         t0 = time.perf_counter()
-        perturbed = discretize.perturbed_operator(mat, d, delta)
-        if i == len(draws) - 1:
-            del mat     # the last solve need not hold P beside its copies
+        d = randomness.sample_draw(
+            config.law, randomness.SeedSpec(config.seed, stream, t), h)
         t1 = time.perf_counter()
+        perturbed = discretize.perturbed_operator(mat, d, delta)
+        if i == len(trials) - 1:
+            del mat     # the last solve need not hold P beside its copies
+        t2 = time.perf_counter()
         eigs = discretize.eigenvalues(perturbed)
-        rows.append((eigs, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3,
-                     draw_ms))
+        rows.append((eigs, (t1 - t0) * 1e3, (t2 - t1) * 1e3,
+                     (time.perf_counter() - t2) * 1e3))
     return rows
 
 
-def _shared(pool, fn, args: tuple, items: dict, meanwhile=None) -> dict:
-    """fn(*args, share) over ``items`` (t -> item) in WORKERS interleaved
-    shares, t in share t mod WORKERS: share 0 here, the others in ``pool``'s
-    helpers.  fn gives one row per item of its share; returns t -> row.
+def _shared(pool, fn, args: tuple, items: list, meanwhile=None) -> dict:
+    """fn(*args, share) over ``items`` in WORKERS interleaved shares, the
+    i-th item in share i mod WORKERS: share 0 here, the others in ``pool``'s
+    helpers.  fn gives one row per item of its share; returns item -> row.
     ``meanwhile()``, if given, runs once the helpers' shares are queued."""
-    shares = [[t for t in sorted(items) if t % WORKERS == s]
-              for s in range(WORKERS)]
-    futures = [_submit(pool, fn, *args, [items[t] for t in share])
+    shares = [items[s::WORKERS] for s in range(WORKERS)]
+    futures = [_submit(pool, fn, *args, share)
                for share in shares[1:] if share]
     if meanwhile is not None:
         meanwhile()
-    rows = fn(*args, [items[t] for t in shares[0]]) if shares[0] else []
+    rows = fn(*args, shares[0]) if shares[0] else []
     for fut in futures:
         rows += fut.result()
     return dict(zip(itertools.chain.from_iterable(shares), rows))
@@ -549,7 +540,7 @@ def _shared(pool, fn, args: tuple, items: dict, meanwhile=None) -> dict:
 @dataclass(frozen=True)
 class StreamTrials:
     records: list           # per trial and rung, each with its spectrum
-    pilots: list            # the pilots' draws
+    pilots: int             # the first trials, which certify K
     K: int
     verdicts: list          # per domain, smallest first: settled at K
     K_tried: tuple          # every K the pilots were solved at
@@ -572,31 +563,30 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     per rung, all counted from one spectrum of P - delta Q_omega.  K comes
     from certify_truncation(K0, growth, tol, cap, chains); if the first
     domain does not settle, the trials run at ``fallback``, or at the last K
-    solved when it is None.  The pilots keep their draws and their spectra
-    at K.  With ``count``, count_truncation is certify_truncation's second
-    stop rule on the first domain: where it stops the ladder at a candidate
-    K_count, K is K_count's partner, the other trials are solved at
-    K_count, and those with an eigenvalue within SC_FLAG_SCALE mu of that
-    domain's boundary are solved again at K and counted there; otherwise
-    every other trial is solved at K.  Every solve is shared out with
-    ``pool``'s helpers; each process draws its own non-pilot trials.  While
-    the pilots are solved at a finer K, helpers they leave idle solve the
-    non-pilot trials at the candidate K being checked, one future each,
-    requeued behind each pilot solve; the verdict cancels those not
-    started, and the started ones are collected after the parent's share if
-    the non-pilot trials are solved at that K, and dropped otherwise.
+    solved when it is None.  The pilots keep their spectra at K.  With
+    ``count``, count_truncation is certify_truncation's second stop rule on
+    the first domain: where it stops the ladder at a candidate K_count, K is
+    K_count's partner, the other trials are solved at K_count, and those
+    with an eigenvalue within SC_FLAG_SCALE mu of that domain's boundary are
+    solved again at K and counted there; otherwise every other trial is
+    solved at K.  Every solve is shared out with ``pool``'s helpers by trial
+    index, and each process draws the trials it solves.  While the pilots
+    are solved at a finer K, helpers they leave idle solve the non-pilot
+    trials at the candidate K being checked, one future each, requeued
+    behind each pilot solve; the verdict cancels those not started, and the
+    started ones are collected after the parent's share if the non-pilot
+    trials are solved at that K, and dropped otherwise.
     """
-    spec = functools.partial(randomness.SeedSpec, config.seed, stream)
-    drawn = [_draw(config, spec(t), h)
-             for t in range(min(pilots, config.trials))]
+    pilots = min(pilots, config.trials)
+    args = (config, stream, h, delta)       # _solve's arguments before K
     solved = {}     # K -> trial -> _solve's row, per pilot
     # guesses at each candidate K, queued behind the pilots' helper shares
     guesses = {}        # K -> trial -> future
 
     def guess(K):
         at = guesses.setdefault(K, {})
-        at.update((t, pool.submit(_solve, config, h, delta, K, [spec(t)]))
-                  for t in range(len(drawn), config.trials)
+        at.update((t, pool.submit(_solve, *args, K, [t]))
+                  for t in range(pilots, config.trials)
                   if t not in at or at[t].cancelled())
 
     def cancel_guesses():
@@ -607,11 +597,11 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     def solve_pilots(K, checking):
         cancel_guesses()        # requeued below if still checking that K
         speculate = None
-        if checking in solved and pool is not None and len(drawn) < WORKERS:
+        if checking in solved and pool is not None and pilots < WORKERS:
             speculate = functools.partial(guess, checking)
-        solved[K] = _shared(pool, _solve, (config, h, delta, K),
-                            dict(enumerate(d for d, _ in drawn)), speculate)
-        return [solved[K][t][0] for t in range(len(drawn))]
+        solved[K] = _shared(pool, _solve, (*args, K), list(range(pilots)),
+                            speculate)
+        return [solved[K][t][0] for t in range(pilots)]
 
     gamma = rungs[0][1]
     stop = {}       # K_count -> mu / R, once the pilots' counts stop K
@@ -639,16 +629,14 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     # or error is dropped, since a serial run never makes that solve
     started = {t: fut for t, fut in guesses.get(K_count, {}).items()
                if not fut.cancelled()}
-    rest = _shared(pool, _solve, (config, h, delta, K_count), {
-        t: drawn[t][0] if t < len(drawn) else spec(t)
-        for t in range(config.trials) if t not in reused and t not in started})
+    rest = _shared(pool, _solve, (*args, K_count), [
+        t for t in range(config.trials)
+        if t not in reused and t not in started])
     rest.update((t, fut.result()[0]) for t, fut in started.items())
     flagged = [] if mu is None else [
         t for t in sorted(rest) if domains.boundary_gap(gamma, rest[t][0])
         .min() <= SC_FLAG_SCALE * mu * gamma.bound_radius()]
-    redone = _shared(pool, _solve, (config, h, delta, K),
-                     dict(enumerate(map(spec, flagged))))
-    again = {t: redone[i] for i, t in enumerate(flagged)}
+    again = _shared(pool, _solve, (*args, K), flagged)
 
     rungs = [(param, dom, W()) for param, dom, W in rungs]
     records = []
@@ -657,10 +645,8 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
         if trial in again:      # both solves' times, the spectrum at K
             row = (again[trial][0],
                    *(a + b for a, b in zip(row[1:], again[trial][1:])))
-        eigs, assemble_ms, eig_ms, draw_ms = row
-        draw_ms = drawn[trial][1] if trial < len(drawn) else draw_ms
-        share = (draw_ms + (0.0 if trial in reused
-                            else assemble_ms + eig_ms)) / len(rungs)
+        eigs, *ms = row
+        share = 0.0 if trial in reused else sum(ms) / len(rungs)
         for param, dom, W in rungs:
             t1 = time.perf_counter()
             N = int(np.count_nonzero(dom.contains_many(eigs)))
@@ -672,10 +658,9 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                 K=K if trial in reused or trial in again else K_count,
                 millis=share + count_ms,
                 eigenvalues=eigs,
-                stage_ms=dict(zip(STAGES, (draw_ms, assemble_ms, eig_ms,
-                                           count_ms)))))
-    return StreamTrials(records, [d for d, _ in drawn], K, verdicts, K_tried,
-                        pilot_ms, K_count, mu, flagged)
+                stage_ms=dict(zip(STAGES, (*ms, count_ms)))))
+    return StreamTrials(records, pilots, K, verdicts, K_tried, pilot_ms,
+                        K_count, mu, flagged)
 
 
 # -- semiclassical experiment --------------------------------------------------
@@ -716,7 +701,7 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
                         f"perturbation would drown in eigensolver noise")
             run = _certified_trials(
                 pool, config, f"sc:{h!r}", h, delta,
-                [(h, gamma, lambda: measure / (TWO_PI * h))],
+                [(h, gamma, lambda: measure / (symbol.TWO_PI * h))],
                 K0=min(K_rule, config.truncation_K(
                     h, gamma.bound_radius(), SC_C_START)),
                 cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
@@ -725,7 +710,7 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
             records += run.records
             truncation[h] = {
                 "K": run.K, "K_rule": K_rule, "K_tried": list(run.K_tried),
-                "pilot_trials": len(run.pilots), "settle_tol": SC_SETTLE_TOL,
+                "pilot_trials": run.pilots, "settle_tol": SC_SETTLE_TOL,
                 "certified": run.verdicts[0], "settled_by": (
                     "counts" if run.mu is not None
                     else "positions" if run.verdicts[0] else None),
@@ -782,12 +767,17 @@ def _rescaled_symbol(sym: symbol.MatrixSymbol,
 def _rung_weyl(sym: symbol.MatrixSymbol, dom) -> tuple:
     """(W, its bound): the Weyl measure of dom over 2 pi."""
     weyl = domains.weyl_measure(sym, dom)
-    return weyl.value / TWO_PI, weyl.bound / TWO_PI
+    return weyl.value / symbol.TWO_PI, weyl.bound / symbol.TWO_PI
 
 
-def _rescaled_eigs(sym: symbol.MatrixSymbol, K: int, pilot, lams) -> list:
-    """Spectra of lambda^{-1} (P - Q) at K for each lambda in lams: P of the
-    pilot's draw assembled at h = lambda^{-1/m}, Q once, at h = 1."""
+def _rescaled_eigs(config: ExperimentConfig, stream: str, K: int,
+                   lams) -> list:
+    """Spectra of lambda^{-1} (P - Q) at K for each lambda in lams, Q of
+    the stream's trial 0, drawn here: P assembled at h = lambda^{-1/m}, Q
+    once, at h = 1."""
+    sym = config.sym
+    pilot = randomness.sample_draw(
+        config.law, randomness.SeedSpec(config.seed, stream, 0), 1.0)
     q_pilot = discretize.assemble_perturbation(
         pilot, discretize.FourierTruncation(K=K, n=sym.n, h=1.0), 1.0).entries
     spectra = []
@@ -834,14 +824,14 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
 
         # lambda^{-1} (P - Q) at h = lambda^{-1/m}, same draw and K, counted
         # in the undilated sector: it equals N in exact arithmetic, so a
-        # mismatch exposes a count that rounding can move.  Rung j is in
-        # share j mod WORKERS; trial 0's records, one per rung, come first.
+        # mismatch exposes a count that rounding can move.  Trial 0's
+        # records, one per rung, come first.
         t0 = time.perf_counter()
-        rescaled = _shared(pool, _rescaled_eigs, (sym, run.K, run.pilots[0]),
-                           dict(enumerate(lam_sorted)))
+        rescaled = _shared(pool, _rescaled_eigs, (config, "he", run.K),
+                           list(lam_sorted))
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
-            sector.contains_many(rescaled[j])) == r.N)
-            for j, (lam, r) in enumerate(zip(lam_sorted, records))}
+            sector.contains_many(rescaled[lam])) == r.N)
+            for lam, r in zip(lam_sorted, records)}
         pilot_ms = run.pilot_millis + (time.perf_counter() - t0) * 1e3
     weyls = {str(lam): w.result() for lam, w in zip(lam_sorted, weyls)}
 

@@ -28,11 +28,10 @@ from scipy.interpolate import CubicSpline
 
 from .discretize import OperatorMatrix
 from .errors import BranchLoss, CutoffTooWide, MultipleEigenvalue
-from .symbol import (TWO_PI, ClassifiedRoot, MatrixSymbol, adjugate,
-                     coefficient_values, det_or_eigvals, find_roots,
-                     polynomial, shift, trace_product)
-
-SQRT_2PI = math.sqrt(TWO_PI)
+from .symbol import (SQRT_2PI, TWO_PI, ClassifiedRoot, MatrixSymbol,
+                     adjugate, circle_distance, coefficient_values,
+                     det_or_eigvals, find_roots, polynomial, shift,
+                     trace_product)
 
 _STEP = 1e-3            # continuation step in x
 _BLOCK = 32             # continuation points solved together
@@ -279,13 +278,8 @@ def _bump(d: np.ndarray, r0: float, w: float) -> np.ndarray:
 def _auto_radius(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
                  inventory=None) -> float:
     inv = inventory if inventory is not None else find_roots(sym, z)
-    w = MAX_RADIUS
-    for other in inv.roots:
-        dx = abs(other.point.x - root.point.x)
-        dx = min(dx, TWO_PI - dx)
-        if dx > 1e-9:
-            w = min(w, 0.5 * dx)
-    return w
+    dx = circle_distance([r.point.x for r in inv.roots], root.point.x)
+    return float(np.min(0.5 * dx[dx > 1e-9], initial=MAX_RADIUS))
 
 
 # The h-independent part of each mode, per (symbol, z, root, inventory),
@@ -341,9 +335,8 @@ def _adjoint_target(sym, z, minus_root, inventory):
     adj_inv = find_roots(adj, zbar) if inventory is None else inventory
     target = None
     for r in adj_inv.roots:
-        dx = abs(r.point.x - minus_root.point.x)
-        dx = min(dx, TWO_PI - dx)
-        if dx < 1e-6 and abs(r.point.xi - minus_root.point.xi) < 1e-6:
+        if (circle_distance(r.point.x, minus_root.point.x) < 1e-6
+                and abs(r.point.xi - minus_root.point.xi) < 1e-6):
             target = r
     if target is None or target.sign != "plus":
         raise ValueError("could not match the minus-root to a plus-root of "

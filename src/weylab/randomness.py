@@ -22,8 +22,6 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtri
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class SeedSpec:

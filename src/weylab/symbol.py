@@ -50,6 +50,7 @@ import numpy as np
 from .errors import NonConvergence, ZeroOnContour
 
 TWO_PI = 2.0 * math.pi
+SQRT_2PI = math.sqrt(TWO_PI)
 
 # x grid of the construction-time sup/inf estimates of coefficients
 _COEFF_X = np.linspace(0.0, TWO_PI, 512, endpoint=False)
@@ -57,6 +58,12 @@ _COEFF_X = np.linspace(0.0, TWO_PI, 512, endpoint=False)
 # Points per batch of a large evaluation, so that a batch's entry planes
 # stay in a core's L2 cache and few pages are faulted in
 POINT_CHUNK = 8192
+
+
+def circle_distance(a, b):
+    """|a - b| around the circle, for angles in [0, 2 pi); broadcasts."""
+    d = np.abs(np.subtract(a, b))
+    return np.minimum(d, TWO_PI - d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,9 +458,8 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
     # deduplicate with x distance taken mod 2*pi, then sort by (x, xi)
     unique = []
     for k in np.flatnonzero(is_root):
-        ddx = np.abs(xr[unique] - xr[k])
-        ddx = np.minimum(ddx, TWO_PI - ddx)
-        near = np.hypot(ddx, xir[unique] - xir[k])
+        near = np.hypot(circle_distance(xr[unique], xr[k]),
+                        xir[unique] - xir[k])
         if not (near < max(DEDUP_RADIUS, 10 * dx * 1e-4)).any():
             unique.append(k)
     unique.sort(key=lambda k: (xr[k], xir[k]))

@@ -338,6 +338,29 @@ class TestExitCodes:
         assert f"{name or key} must be finite" in capsys.readouterr().err
         assert solves == [] and not (tmp_path / "run").exists()
 
+    # a negative delta exited 2 as "below the rounding floor" once P was
+    # assembled; a high-energy run took any delta, ran at 1 and echoed it
+    @pytest.mark.parametrize("config, value, message", [
+        ("config_path", -1e-3, "delta must be >= 0"),
+        ("he_config_path", 0.5, "highenergy mode takes no delta"),
+        ("he_config_path", 0.0, "highenergy mode takes no delta")],
+        ids=["negative", "highenergy", "highenergy-zero"])
+    def test_misread_delta_maps_to_two(self, request, tmp_path, monkeypatch,
+                                       capsys, config, value, message):
+        path = pathlib.Path(request.getfixturevalue(config))
+        raw = json.loads(path.read_text())
+        raw["experiment"]["delta"] = value
+        path.write_text(json.dumps(raw))
+        solves = count_solves(monkeypatch)
+        assembled = []
+        monkeypatch.setattr(harness.discretize, "assemble_operator",
+                            lambda *args: assembled.append(args))
+        rc = cli.main([f"mc-{raw['experiment']['mode']}", "--config",
+                       str(path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert solves == assembled == [] and not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_lambda_maps_to_two(self, he_config_path, tmp_path,
                                            capsys, value):

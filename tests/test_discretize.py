@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from weylab import discretize, harness, randomness
+from weylab import discretize, harness, randomness, symbol
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
                                assemble_operator, assemble_perturbation,
                                eigenvalues, formal_adjoint,
@@ -147,7 +147,7 @@ def _mask_perturbation(draw, trunc, delta):
     for (alpha, i, j, k), q in draw.coeffs.items():
         if abs(k) > 2 * trunc.K:
             continue
-        by_entry.setdefault((alpha, i, j), {})[k] = q / randomness.SQRT_2PI
+        by_entry.setdefault((alpha, i, j), {})[k] = q / symbol.SQRT_2PI
     for (alpha, i, j), cmap in by_entry.items():
         band = _mask_band(cmap, modes)
         out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] += \

@@ -150,7 +150,8 @@ class TestSemiclassicalRun:
 @pytest.fixture(scope="module")
 def sc_two_h(f2):
     # criterion 7's law, 12 trials at two h: 8 pilots, and 4 trials solved
-    # at the certified K only; sample_draw is counted, in one process
+    # at K_count and maybe again at K; sample_draw is counted, in one
+    # process
     cfg = sc_config(f2, law=sc_law(K_q=128), h_list=(0.1, 0.07), trials=12)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -174,7 +175,12 @@ def resolve(cfg, h, trial, K, delta):
 class TestSemiclassicalTruncation:
     def test_truncation_record(self, sc_two_h, tmp_path):
         cfg, rep, draws = sc_two_h
-        assert draws == 2 * cfg.trials
+        # a trial is drawn for each solve: the pilots at every K tried
+        trunc = rep.extras["truncation"]
+        assert draws == sum(
+            harness.SC_PILOTS * len(trunc[h]["K_tried"])
+            + cfg.trials - harness.SC_PILOTS + len(trunc[h]["resolved"])
+            for h in cfg.h_list)
         write_report(rep, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         trunc = summary["extras"]["truncation"]
@@ -186,16 +192,15 @@ class TestSemiclassicalTruncation:
                               "settle_tol", "certified", "settled_by",
                               "pilot_millis", "K_count", "mu", "match_band",
                               "flag_scale", "flag_cap", "resolved"}
-            # every pilot solve at every K tried is timed in pilot_millis;
-            # a pilot's millis leaves out its solve at K, counted there
+            # every pilot draw and solve at every K tried is timed in
+            # pilot_millis; a pilot's millis is its count only
             pilots = [r for r in rep.records
                       if r.param == h and r.trial < harness.SC_PILOTS]
             assert t["pilot_millis"] > sum(
-                r.stage_ms["assemble"] + r.stage_ms["eigensolve"]
-                for r in pilots)
+                r.stage_ms["draw"] + r.stage_ms["assemble"]
+                + r.stage_ms["eigensolve"] for r in pilots)
             for r in pilots:
-                assert r.millis == pytest.approx(
-                    r.stage_ms["draw"] + r.stage_ms["count"])
+                assert r.millis == r.stage_ms["count"]
             assert t["certified"] is True
             assert t["settled_by"] == "counts"
             assert t["pilot_trials"] == harness.SC_PILOTS
@@ -291,9 +296,9 @@ class TestSemiclassicalTruncation:
         times, solve = {}, harness._solve
 
         def timed(*args):
-            rows, (K, draws) = solve(*args), args[3:]
-            times.update((K, row[1:]) for d, row in zip(draws, rows)
-                         if getattr(d, "trial", None) == trial)
+            rows, (K, trials) = solve(*args), args[4:]
+            times.update((K, row[1:]) for t, row in zip(trials, rows)
+                         if t == trial)
             return rows
         monkeypatch.setattr(harness, "_solve", timed)
         monkeypatch.setattr(harness, "WORKERS", 1)
@@ -312,8 +317,8 @@ class TestSemiclassicalTruncation:
             assert new.K == t["K"]
             assert new.eigenvalues.tobytes() == eigs.tobytes()
             assert new.N == np.count_nonzero(gamma.contains_many(eigs))
-            assert [new.stage_ms[s] for s in ("assemble", "eigensolve",
-                                              "draw")] == [
+            assert [new.stage_ms[s] for s in ("draw", "assemble",
+                                              "eigensolve")] == [
                 a + b for a, b in zip(times[t["K_count"]], times[t["K"]])]
 
     def test_unsettled_pilots_fall_back_to_rule_K(self, f2, monkeypatch):
@@ -490,12 +495,12 @@ class TestCandidateLadder:
         class Checked(harness.ProcessPoolExecutor):
             def submit(self, fn, *args):
                 fut = super().submit(fn, *args)
-                for d in args[-1] if fn is harness._solve else ():
-                    if isinstance(d, SeedSpec):
-                        prior = queued.setdefault((args[3], d.trial), [])
-                        if not all(f.cancelled() for f in prior):
-                            requeued_live.append((args[3], d.trial))
-                        prior.append(fut)
+                K, trials = args[4:] if fn is harness._solve else (0, ())
+                for t in trials:
+                    prior = queued.setdefault((K, t), [])
+                    if not all(f.cancelled() for f in prior):
+                        requeued_live.append((K, t))
+                    prior.append(fut)
                 return fut
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Checked)
         monkeypatch.setattr(harness, "WORKERS", 2)
@@ -616,6 +621,18 @@ class TestHighEnergyRun:
             assert rep.extras["weyl_bound_by_lambda"][str(lam)] == \
                 pytest.approx(quad.bound / (2 * math.pi), rel=1e-9)
 
+    def test_rescaled_pilot_is_trial_0(self, f4):
+        # at lambda = 1 the rescaling check's matrix is P - Q at h = 1, built
+        # by the same operations as trial 0's: the spectra agree bit for bit
+        # only if the check draws trial 0's omega
+        cfg = he_config(f4, trials=3)
+        rep = run_highenergy(cfg)
+        K = rep.extras["truncation"]["K"]
+        first = next(r for r in rep.records if r.trial == 0)
+        spectra = harness._rescaled_eigs(cfg, "he", K, [1.0])
+        assert len(spectra) == 1
+        assert spectra[0].tobytes() == first.eigenvalues.tobytes()
+
 
 class TestEnvelopeSanity:
     def test_mean_residual_exponent_in_band(self, f2):
@@ -688,8 +705,8 @@ class TestReports:
         for r in rep.records:
             assert set(r.stage_ms) == set(harness.STAGES)
             assert all(v >= 0.0 for v in r.stage_ms.values())
-        # summed over a trial's records, millis is its draw and counts, plus
-        # its assemble and eigensolve unless it is a pilot solved at K
+        # summed over a trial's records, millis is its counts, plus its
+        # draw, assemble and eigensolve unless it is a pilot solved at K
         trials = {}
         for r in rep.records:
             trials.setdefault(r.seed_label, []).append(r)
@@ -705,10 +722,10 @@ class TestReports:
                 t, pilots = rep.extras["truncation"], 1
             reused = first.trial < pilots and first.K in t["K_tried"]
             reuses.add(reused)
-            expected = first.stage_ms["draw"] + sum(
-                r.stage_ms["count"] for r in rows)
+            expected = sum(r.stage_ms["count"] for r in rows)
             if not reused:
-                expected += (first.stage_ms["assemble"]
+                expected += (first.stage_ms["draw"]
+                             + first.stage_ms["assemble"]
                              + first.stage_ms["eigensolve"])
             assert sum(r.millis for r in rows) == pytest.approx(expected)
         assert reuses == {True, False}
