@@ -211,25 +211,10 @@ def dilate(domain: SpectralDomain, lam: float) -> SpectralDomain:
     return Dilated(lam, domain)
 
 
-@dataclass(frozen=True)
-class DyadicPieces:
-    """Dyadic splitting of Gamma(0, lam * r_out): core, rings, cap.
-
-    ``cap`` is None when it would have zero width (lam = 2^k0 on a
-    constant profile)."""
-
-    core: SpectralDomain
-    rings: tuple
-    cap: SpectralDomain | None
-    k0: int
-
-    def all_pieces(self) -> list:
-        cap = [] if self.cap is None else [self.cap]
-        return [self.core, *self.rings, *cap]
-
-
-def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
-    """Split Gamma(0, lam*r_out) into a unit core, dyadic rings, and a cap."""
+def dyadic_decompose(lam: float, sector: AnnularSector) -> list:
+    """Split Gamma(0, lam*r_out) into [a unit core, dyadic rings 2^k..2^{k+1}
+    for k < k0 = floor(log2 lam), a cap from 2^k0 to lam], the cap left out
+    where it would have zero width (lam = 2^k0)."""
     if lam < 1.0:
         raise ValueError(f"lambda must be >= 1, got {lam}")
     if sector.r_in is not None and sector.r_in > BOUNDARY_TOL:
@@ -239,14 +224,14 @@ def dyadic_decompose(lam: float, sector: AnnularSector) -> DyadicPieces:
 
     k0 = int(math.floor(math.log2(lam) + 1e-12))
     tmin, tmax = sector.theta_min, sector.theta_max
-    core = AnnularSector(tmin, tmax, 1.0)
     ring_base = AnnularSector(tmin, tmax, 2.0, 1.0)
-    rings = tuple(Dilated(float(2 ** k), ring_base) for k in range(k0))
+    pieces = [AnnularSector(tmin, tmax, 1.0)]
+    pieces += [Dilated(float(2 ** k), ring_base) for k in range(k0)]
     cap_out = sector.r_out * (lam / 2 ** k0)
-    cap = None
     if cap_out > 1.0 + BOUNDARY_TOL:
-        cap = Dilated(float(2 ** k0), AnnularSector(tmin, tmax, cap_out, 1.0))
-    return DyadicPieces(core=core, rings=rings, cap=cap, k0=k0)
+        pieces.append(Dilated(float(2 ** k0),
+                              AnnularSector(tmin, tmax, cap_out, 1.0)))
+    return pieces
 
 
 # -- Weyl measure -----------------------------------------------------------

@@ -35,8 +35,9 @@ other trials at the candidate K being checked while the pilots are solved
 at larger K; a solve that started before the verdict is kept if that K is
 used, and dropped with its result or error if not.  The parent certifies,
 counts and records in trial order, so the outputs are byte-identical for
-any WORKERS.  A record's millis and stage_ms are work times, summed over
-processes; pilot_millis is a wall time.
+any WORKERS.  A record's stage_ms are work times, in the process that solved
+the trial; pilot_millis (the pilots' K ladder) and total_millis (the whole
+driver call) are wall times.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ CSV_HEADER = "mode,h_or_lambda,trial,seed,N,W,residual,K,millis"
 # Stages of one trial, timed into TrialRecord.stage_ms in this order.
 STAGES = ("draw", "assemble", "eigensolve", "count")
 
-# The rule's truncation K = ceil(C_K xi_window / h) + 2 bandwidth, and the
-# quantile of the coarsest h's scaled residuals that calibrates c_hat.
+# The rule's truncation K = ceil(C_K xi_window / h) + 2 bandwidth.
 C_K = 2.0
-CALIBRATION_QUANTILE = 1.0
 
 
 # -- configuration -----------------------------------------------------------
@@ -187,18 +186,10 @@ class ExperimentConfig:
         return int(math.ceil(c_K * window / h)) + 2 * self.sym.max_bandwidth()
 
     def echo(self) -> dict:
-        if self.raw:
-            return self.raw
-        return {
-            "mode": self.mode,
-            "h_list": list(self.h_list),
-            "lambda_list": list(self.lambda_list),
-            "trials": self.trials,
-            "gamma1": self.gamma1,
-            "N0": self.N0,
-            "delta_override": self.delta_override,
-            "seed": self.seed,
-        }
+        """The JSON config, or for a config built in code its fields."""
+        return self.raw or {key: getattr(self, key) for key in (
+            "mode", "h_list", "lambda_list", "trials", "gamma1", "N0",
+            "delta_override", "seed")}
 
 
 def _probe_z(domain) -> complex:
@@ -274,9 +265,6 @@ class TrialRecord:
     W: float
     residual: float         # N - W
     K: int
-    # count, plus an equal share over the trial's records of its draw,
-    # assemble and eigensolve, which pilot_millis holds for a pilot at K
-    millis: float
     eigenvalues: np.ndarray     # the trial's spectrum, shared by its rungs
     stage_ms: dict = field(default_factory=dict)    # STAGES timed, in ms
 
@@ -297,6 +285,7 @@ class ExperimentReport:
     coverage: dict
     extras: dict
     config_echo: dict
+    total_millis: float       # wall time of the driver call
 
 
 def _aggregate(records, param) -> dict:
@@ -399,8 +388,10 @@ def _movement(coarse: np.ndarray, fine: np.ndarray, near) -> float:
 
 
 def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
-                       cap: int, chains: int = 1, counts=None) -> tuple:
-    """The truncation K at which the pilots first settle in the first domain.
+                       cap: int, chains: int = 1, count: bool = False,
+                       fallback: int | None = None) -> tuple:
+    """The pilots' truncation decision, taken where they first settle in
+    the first domain.
 
     The candidates interleave ``chains`` chains K, ceil(growth K), ...
     started at ceil(growth^(j / chains) K0), j < chains, duplicates skipped;
@@ -413,13 +404,15 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
     exponentially ill-conditioned, so a domain that rounding alone can move
     is not settled by any larger K.  Every domain takes its verdict from the
     same pair (K, ceil(growth K)), and is settled when every pilot is.
-    ``counts(c, coarse, fine)``, if given, is a second rule for the first
-    domain, asked of each candidate c whose positions do not settle, with
-    the pilot spectra at c and at its partner, just solved: where it holds,
-    the ladder stops, K is that partner and the first verdict is True.
-    Returns (K, pilot spectra at K, per-domain verdicts, every K solved); if
-    a candidate's partner would exceed cap first, every verdict is False and
-    K is the last K solved.
+    With ``count``, count_truncation is a second rule for the first domain,
+    asked of each candidate whose positions do not settle: where it holds,
+    the ladder stops, that candidate is K_count, K is its partner and the
+    first verdict is True.
+    Returns (K, K_count, per-domain verdicts, every K solved, mu): mu is
+    count_truncation's mu / R where the counts stop the ladder, and else
+    None with K_count = K.  If a candidate's partner would exceed cap
+    first, every verdict is False and K is ``fallback``, or the last K
+    solved when it is None.
     """
     ladder = set()
     for j in range(chains):
@@ -440,12 +433,13 @@ def certify_truncation(solve, doms, K0: int, growth: float, tol: float,
                         for a, b in zip(spectra[K], spectra[finer_K]))
                     for dom in doms]
         if verdicts[0]:
-            return K, spectra[K], verdicts, tuple(spectra)
-        if counts is not None and counts(K, spectra[K], spectra[finer_K]):
-            return (finer_K, spectra[finer_K], [True, *verdicts[1:]],
-                    tuple(spectra))
-    last = max(spectra)
-    return last, spectra[last], [False] * len(doms), tuple(spectra)
+            return K, K, verdicts, tuple(spectra), None
+        mu = (count_truncation(spectra[K], spectra[finer_K], doms[0])
+              if count else None)
+        if mu is not None:
+            return finer_K, K, [True, *verdicts[1:]], tuple(spectra), mu
+    K = max(spectra) if fallback is None else fallback
+    return K, K, [False] * len(doms), tuple(spectra), None
 
 
 def count_truncation(coarse: list, fine: list, dom) -> float | None:
@@ -544,7 +538,7 @@ class StreamTrials:
     K: int
     verdicts: list          # per domain, smallest first: settled at K
     K_tried: tuple          # every K the pilots were solved at
-    pilot_millis: float     # wall time of the pilot solves at every K
+    pilot_millis: float     # wall time of the pilots' K ladder
     K_count: int            # the K the non-pilot trials were solved at
     mu: float | None        # count_truncation's mu / R, if counts stop K
     resolved: list          # the trials solved again and counted at K
@@ -560,22 +554,19 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
 
     ``rungs`` lists (param, domain, W), nested domains smallest first, W a
     callable called once the trials are solved; each trial yields one record
-    per rung, all counted from one spectrum of P - delta Q_omega.  K comes
-    from certify_truncation(K0, growth, tol, cap, chains); if the first
-    domain does not settle, the trials run at ``fallback``, or at the last K
-    solved when it is None.  The pilots keep their spectra at K.  With
-    ``count``, count_truncation is certify_truncation's second stop rule on
-    the first domain: where it stops the ladder at a candidate K_count, K is
-    K_count's partner, the other trials are solved at K_count, and those
-    with an eigenvalue within SC_FLAG_SCALE mu of that domain's boundary are
-    solved again at K and counted there; otherwise every other trial is
-    solved at K.  Every solve is shared out with ``pool``'s helpers by trial
-    index, and each process draws the trials it solves.  While the pilots
-    are solved at a finer K, helpers they leave idle solve the non-pilot
-    trials at the candidate K being checked, one future each, requeued
-    behind each pilot solve; the verdict cancels those not started, and the
-    started ones are collected after the parent's share if the non-pilot
-    trials are solved at that K, and dropped otherwise.
+    per rung, all counted from one spectrum of P - delta Q_omega.  K,
+    K_count and mu are certify_truncation's decision, taken with K0, growth,
+    tol, cap, chains, ``count`` and ``fallback``.  The pilots keep their
+    spectra at K.  The other trials are solved at K_count; where the counts
+    stopped the ladder (mu is not None), those with an eigenvalue within
+    SC_FLAG_SCALE mu of the first domain's boundary are solved again at K
+    and counted there.  Every solve is shared out with ``pool``'s helpers
+    by trial index, and each process draws the trials it solves.  While the
+    pilots are solved at a finer K, helpers they leave idle solve the
+    non-pilot trials at the candidate K being checked, one future each,
+    requeued behind each pilot solve; the verdict cancels those not started,
+    and the started ones are collected after the parent's share if the
+    non-pilot trials are solved at that K, and dropped otherwise.
     """
     pilots = min(pilots, config.trials)
     args = (config, stream, h, delta)       # _solve's arguments before K
@@ -603,26 +594,14 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                             speculate)
         return [solved[K][t][0] for t in range(pilots)]
 
-    gamma = rungs[0][1]
-    stop = {}       # K_count -> mu / R, once the pilots' counts stop K
-
-    def counts(c, coarse, fine):
-        mu = count_truncation(coarse, fine, gamma)
-        if mu is not None:
-            stop[c] = mu
-        return mu is not None
-
     t0 = time.perf_counter()
     try:
-        K, _, verdicts, K_tried = certify_truncation(
+        K, K_count, verdicts, K_tried, mu = certify_truncation(
             solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap,
-            chains, counts if count else None)
+            chains, count, fallback)
     finally:
         cancel_guesses()
     pilot_ms = (time.perf_counter() - t0) * 1e3
-    if not verdicts[0] and fallback is not None:
-        K = fallback
-    K_count, mu = next(iter(stop.items()), (K, None))
 
     reused = solved.get(K, {})
     # a guess already started at K_count is kept; any other guess's result
@@ -633,6 +612,7 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
         t for t in range(config.trials)
         if t not in reused and t not in started])
     rest.update((t, fut.result()[0]) for t, fut in started.items())
+    gamma = rungs[0][1]
     flagged = [] if mu is None else [
         t for t in sorted(rest) if domains.boundary_gap(gamma, rest[t][0])
         .min() <= SC_FLAG_SCALE * mu * gamma.bound_radius()]
@@ -646,7 +626,6 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
             row = (again[trial][0],
                    *(a + b for a, b in zip(row[1:], again[trial][1:])))
         eigs, *ms = row
-        share = 0.0 if trial in reused else sum(ms) / len(rungs)
         for param, dom, W in rungs:
             t1 = time.perf_counter()
             N = int(np.count_nonzero(dom.contains_many(eigs)))
@@ -656,7 +635,6 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
                 seed_label=f"{config.seed}/{stream}/{trial}",
                 N=N, W=W, residual=N - W,
                 K=K if trial in reused or trial in again else K_count,
-                millis=share + count_ms,
                 eigenvalues=eigs,
                 stage_ms=dict(zip(STAGES, (*ms, count_ms)))))
     return StreamTrials(records, pilots, K, verdicts, K_tried, pilot_ms,
@@ -676,6 +654,7 @@ def _coupling(config: ExperimentConfig, h: float) -> float:
 
 
 def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
+    start = time.perf_counter()
     config.require_law()
     sym = config.sym
     gamma = config.only_domain()
@@ -735,7 +714,7 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     h_cal = max(params)
     cal = [abs(r.residual) / scale(h_cal) for r in records
            if r.param == h_cal]
-    c_hat = float(np.quantile(cal, CALIBRATION_QUANTILE))
+    c_hat = float(max(cal))
     coverage = {h: float(np.mean([abs(r.residual) <= c_hat * scale(h)
                                   for r in records if r.param == h]))
                 for h in params if h < h_cal}
@@ -750,7 +729,8 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
                 "truncation": truncation,
                 "stage_ms": {h: _stage_medians(records, h) for h in params},
                 "workers": WORKERS},
-        config_echo=config.echo())
+        config_echo=config.echo(),
+        total_millis=(time.perf_counter() - start) * 1e3)
 
 
 # -- high-energy experiment ----------------------------------------------------
@@ -800,14 +780,14 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     the per-rung verdicts go into ``extras["truncation"]`` and the
     aggregates.
     """
+    start = time.perf_counter()
     config.require_law()
     sym = config.sym
     sector = config.only_domain()
 
     lam_sorted = tuple(sorted(config.lambda_list))
     # this also checks the sector: it must reach the origin with r_out = 1
-    pieces = [domains.dyadic_decompose(lam, sector).all_pieces()
-              for lam in lam_sorted]
+    pieces = [domains.dyadic_decompose(lam, sector) for lam in lam_sorted]
     rungs = [domains.dilate(sector, lam) if lam != 1.0 else sector
              for lam in lam_sorted]
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
@@ -826,13 +806,11 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         # in the undilated sector: it equals N in exact arithmetic, so a
         # mismatch exposes a count that rounding can move.  Trial 0's
         # records, one per rung, come first.
-        t0 = time.perf_counter()
         rescaled = _shared(pool, _rescaled_eigs, (config, "he", run.K),
                            list(lam_sorted))
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
             sector.contains_many(rescaled[lam])) == r.N)
             for lam, r in zip(lam_sorted, records)}
-        pilot_ms = run.pilot_millis + (time.perf_counter() - t0) * 1e3
     weyls = {str(lam): w.result() for lam, w in zip(lam_sorted, weyls)}
 
     dyadic_info = {}
@@ -891,7 +869,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
                 "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,
                 "certified": {str(lam): ok
                               for lam, ok in zip(lam_sorted, certified)},
-                "pilot_millis": pilot_ms,
+                "pilot_millis": run.pilot_millis,
                 "fit_rungs": fit_rungs,
             },
             "rescaling_identity": rescaling_ok,
@@ -901,7 +879,8 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
             "stage_ms": {lam: _stage_medians(records, lam) for lam in params},
             "workers": WORKERS,
         },
-        config_echo=config.echo())
+        config_echo=config.echo(),
+        total_millis=(time.perf_counter() - start) * 1e3)
 
 
 # -- report files --------------------------------------------------------------
@@ -933,8 +912,7 @@ def write_report(report: ExperimentReport, out_dir,
         "coverage": {repr(k): v for k, v in report.coverage.items()},
         "extras": _jsonable(report.extras),
         "config": _jsonable(report.config_echo),
-        "total_millis": float(sum(r.millis for r in report.records))
-        + _pilot_millis(report),
+        "total_millis": report.total_millis,
         "versions": _versions(),
         "blas_threads": _blas_threads(),
     }
@@ -953,14 +931,6 @@ def write_report(report: ExperimentReport, out_dir,
                              f"{float(z.real)!r},{float(z.imag)!r}\n")
         written["eigenvalues"] = eig_path
     return written
-
-
-def _pilot_millis(report: ExperimentReport) -> float:
-    """The certification time, which no record's millis holds: one entry
-    per h in semiclassical runs, one for the pilot trajectory otherwise."""
-    trunc = report.extras["truncation"]
-    per_run = trunc.values() if report.mode == "semiclassical" else [trunc]
-    return float(sum(t["pilot_millis"] for t in per_run))
 
 
 def _jsonable(obj):
@@ -1028,10 +998,18 @@ def _check_keys(block: str, spec: dict, known) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in {block}")
 
 
+def _real(value, what: str) -> float:
+    """float(value), refusing a JSON boolean, which float() reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
 def _whole(value, what: str, top: int | None = None) -> int:
     """int(value) for a whole number, in 0..top if ``top`` is given."""
     span = "" if top is None else f" in 0..{top}"
-    if not float(value).is_integer() or span and not 0 <= int(value) <= top:
+    if not _real(value, what).is_integer() or (
+            span and not 0 <= int(value) <= top):
         raise ValueError(f"{what} must be an integer{span}, not {value!r}")
     return int(value)
 
@@ -1042,7 +1020,7 @@ def parse_symbol(spec: dict) -> symbol.MatrixSymbol:
     return symbol.MatrixSymbol.from_terms(n, m, (
         (_whole(alpha, "symbol order", m), _whole(i, "symbol slot", n - 1),
          _whole(j, "symbol slot", n - 1), _whole(k, "symbol frequency"),
-         complex(float(re), float(im)))
+         complex(_real(re, "symbol entry"), _real(im, "symbol entry")))
         for alpha, entries in spec["coeffs"].items()
         for i, j, k, re, im in entries))
 
@@ -1052,19 +1030,22 @@ def parse_domain(spec: dict):
     if kind not in _DOMAIN_KEYS:
         raise ValueError(f"unknown domain type {kind!r}")
     _check_keys(f"{kind} domain", spec, ("type",) + _DOMAIN_KEYS[kind])
+    # only a sector's r_in may be null
+    bounds = {k: v if v is None and k == "r_in" else _real(v, f"{kind} {k}")
+              for k, v in spec.items() if k not in ("type", "vertices",
+                                                    "center")}
     if kind == "rectangle":
-        return domains.Rectangle(spec["re_min"], spec["re_max"],
-                                 spec["im_min"], spec["im_max"])
+        return domains.Rectangle(**bounds)
     if kind == "polygon":
-        verts = tuple(complex(a, b) for a, b in spec["vertices"])
-        return domains.Polygon(verts)
+        return domains.Polygon(tuple(complex(_real(a, "polygon vertex"),
+                                             _real(b, "polygon vertex"))
+                                     for a, b in spec["vertices"]))
     if kind == "disk":
-        c = spec.get("center", (0.0, 0.0))
-        return domains.regular_polygon(complex(c[0], c[1]), spec["radius"],
+        c = [_real(v, "disk center") for v in spec.get("center", (0.0, 0.0))]
+        return domains.regular_polygon(complex(c[0], c[1]), bounds["radius"],
                                        _whole(spec.get("vertices", 128),
                                               "disk vertices"))
-    return domains.AnnularSector(spec["theta_min"], spec["theta_max"],
-                                 spec.get("r_out", 1.0), spec.get("r_in"))
+    return domains.AnnularSector(**{"r_out": 1.0, **bounds})
 
 
 def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
@@ -1073,7 +1054,7 @@ def parse_law(spec: dict, n: int) -> randomness.CoefficientLaw:
         alpha_min=_whole(spec["alpha_min"], "perturbation alpha_min"),
         alpha_max=_whole(spec["alpha_max"], "perturbation alpha_max"),
         n=n,
-        rho_decay=float(spec["rho"]),
+        rho_decay=_real(spec["rho"], "perturbation rho"),
         K_q=_whole(spec.get("K_q", 64), "perturbation K_q"),
     )
 
@@ -1097,13 +1078,14 @@ def load_config(path) -> ExperimentConfig:
         _check_keys(block, exp, _EXPERIMENT_KEYS)
         fields = dict(
             mode=exp.get("mode", "semiclassical"),
-            h_list=tuple(float(v) for v in exp.get("h_list", ())),
-            lambda_list=tuple(float(v) for v in exp.get("lambda_list", ())),
+            h_list=tuple(_real(v, "h") for v in exp.get("h_list", ())),
+            lambda_list=tuple(_real(v, "lambda")
+                              for v in exp.get("lambda_list", ())),
             trials=_whole(exp.get("trials", 20), "experiment trials"),
-            gamma1=float(exp.get("gamma1", 0.25)),
-            N0=float(exp.get("N0", 3.0)),
+            gamma1=_real(exp.get("gamma1", 0.25), "gamma1"),
+            N0=_real(exp.get("N0", 3.0), "N0"),
             delta_override=(None if exp.get("delta") is None
-                            else float(exp["delta"])))
+                            else _real(exp["delta"], "delta")))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {block}: {exc}") from exc
     return ExperimentConfig(sym=sym, law=law, domains=doms, seed=seed,

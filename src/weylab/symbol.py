@@ -294,13 +294,14 @@ class RegionClassification:
 
 # The root scan: a GRID_NX x GRID_NXI seed grid over the xi window, at most
 # MAX_NEWTON Newton steps on all seeds at once, each seed stopping at a step
-# below NEWTON_TOL, roots merged within DEDUP_RADIUS, and a bracket within
-# EPS_PHI_REL |grad q_z|^2 of zero marked degenerate.
+# below NEWTON_TOL, roots merged within DEDUP_STEPS x steps of that grid
+# (2.45e-5 at GRID_NX = 256), and a bracket within EPS_PHI_REL |grad q_z|^2
+# of zero marked degenerate.
 GRID_NX = 256
 GRID_NXI = 256
 NEWTON_TOL = 1e-12
 MAX_NEWTON = 60
-DEDUP_RADIUS = 1e-6
+DEDUP_STEPS = 1e-3
 EPS_PHI_REL = 1e-6
 # winding_number refines its samples in at most WINDING_REFINE passes, and
 # takes |q_z| < WINDING_ZERO_TOL max|q_z| on the contour for a zero there
@@ -460,7 +461,7 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
     for k in np.flatnonzero(is_root):
         near = np.hypot(circle_distance(xr[unique], xr[k]),
                         xir[unique] - xir[k])
-        if not (near < max(DEDUP_RADIUS, 10 * dx * 1e-4)).any():
+        if not (near < DEDUP_STEPS * dx).any():
             unique.append(k)
     unique.sort(key=lambda k: (xr[k], xir[k]))
 

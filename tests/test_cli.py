@@ -338,6 +338,43 @@ class TestExitCodes:
         assert f"{name or key} must be finite" in capsys.readouterr().err
         assert solves == [] and not (tmp_path / "run").exists()
 
+    # float() and int() read a JSON boolean as 1 or 0, so these ran 1 trial,
+    # at delta = 1, at seed 0, with K_q = 1, up to re = 1, or as 0 + 1i
+    @pytest.mark.parametrize("path, value", [
+        (("experiment", "trials"), True), (("experiment", "delta"), True),
+        (("seed",), False), (("perturbation", "K_q"), True),
+        (("domains", 0, "re_max"), True),
+        (("symbol", "coeffs", "0"), [[0, 0, 1, False, True]])],
+        ids=["trials", "delta", "seed", "K_q", "re_max", "symbol-entry"])
+    def test_boolean_field_maps_to_two(self, config_path, tmp_path, capsys,
+                                       monkeypatch, path, value):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        *outer, last = path
+        block = raw
+        for key in outer:
+            block = block[key]
+        block[last] = value
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        solves = count_solves(monkeypatch)
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "must be a number, not" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "run").exists()
+
+    # a null bound reached the domain and raised TypeError in validation:
+    # exit 1 with a traceback
+    @pytest.mark.parametrize("key", ["re_min", "im_max"])
+    def test_null_domain_bound_maps_to_two(self, config_path, tmp_path,
+                                           capsys, key):
+        raw = json.loads(pathlib.Path(config_path).read_text())
+        raw["domains"][0][key] = None
+        pathlib.Path(config_path).write_text(json.dumps(raw))
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "malformed domains" in capsys.readouterr().err
+
     # a negative delta exited 2 as "below the rounding floor" once P was
     # assembled; a high-energy run took any delta, ran at 1 and echoed it
     @pytest.mark.parametrize("config, value, message", [

@@ -148,16 +148,18 @@ class TestDyadic:
     def test_decomposition_structure(self):
         sector = AnnularSector(0.2, 1.2, 1.0)
         pieces = dyadic_decompose(10.0, sector)
-        assert pieces.k0 == 3
-        assert len(pieces.rings) == 3
-        assert pieces.cap is not None
+        # the unit core, k0 = 3 rings and a cap from 8 to 10
+        ring = AnnularSector(0.2, 1.2, 2.0, 1.0)
+        assert pieces == [AnnularSector(0.2, 1.2, 1.0), Dilated(1.0, ring),
+                          Dilated(2.0, ring), Dilated(4.0, ring),
+                          Dilated(8.0, AnnularSector(0.2, 1.2, 1.25, 1.0))]
         # pieces tile Gamma(0, 10): area sum check by Monte Carlo membership
         rng = np.random.default_rng(1)
         z = rng.uniform(-10, 10, 4000) + 1j * rng.uniform(-10, 10, 4000)
         total = dilate(sector, 10.0)
         inside = total.contains_many(z)
         hits = np.zeros(len(z), dtype=int)
-        for p in pieces.all_pieces():
+        for p in pieces:
             hits += p.contains_many(z).astype(int)
         interior = hits[inside]
         # every covered point is hit at least once; overlaps only on the
@@ -169,8 +171,9 @@ class TestDyadic:
     def test_no_cap_at_power_of_two(self):
         # at lambda = 2^k0 the cap would have r_in = r_out: no piece
         pieces = dyadic_decompose(4.0, AnnularSector(0.2, 1.2, 1.0))
-        assert pieces.cap is None
-        assert pieces.all_pieces() == [pieces.core, *pieces.rings]
+        ring = AnnularSector(0.2, 1.2, 2.0, 1.0)
+        assert pieces == [AnnularSector(0.2, 1.2, 1.0), Dilated(1.0, ring),
+                          Dilated(2.0, ring)]
 
     def test_lambda_below_one(self):
         with pytest.raises(ValueError, match="lambda must be >= 1"):
@@ -238,7 +241,7 @@ class TestWeylMeasure:
         lam = 4.0
         pieces = dyadic_decompose(lam, sector)
         total = weyl_measure(f4, dilate(sector, lam)).value
-        parts = sum(weyl_measure(f4, p).value for p in pieces.all_pieces())
+        parts = sum(weyl_measure(f4, p).value for p in pieces)
         assert parts == pytest.approx(total, rel=3e-3)
 
     def test_deltas_decrease(self, f1):

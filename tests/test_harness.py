@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -193,14 +194,12 @@ class TestSemiclassicalTruncation:
                               "pilot_millis", "K_count", "mu", "match_band",
                               "flag_scale", "flag_cap", "resolved"}
             # every pilot draw and solve at every K tried is timed in
-            # pilot_millis; a pilot's millis is its count only
+            # pilot_millis, the wall time of the ladder
             pilots = [r for r in rep.records
                       if r.param == h and r.trial < harness.SC_PILOTS]
             assert t["pilot_millis"] > sum(
                 r.stage_ms["draw"] + r.stage_ms["assemble"]
                 + r.stage_ms["eigensolve"] for r in pilots)
-            for r in pilots:
-                assert r.millis == r.stage_ms["count"]
             assert t["certified"] is True
             assert t["settled_by"] == "counts"
             assert t["pilot_trials"] == harness.SC_PILOTS
@@ -368,12 +367,12 @@ class TestSemiclassicalTruncation:
 
 def run_ladder(monkeypatch, K0, cap, growth=harness.SC_GROWTH,
                chains=harness.SC_CHAINS, settle_at=math.inf,
-               count_at=math.inf, counts=False):
+               count_at=math.inf, counts=False, fallback=None):
     """certify_truncation on one synthetic pilot, no eigensolve: its one
     eigenvalue in Gamma moves by 0.1 / K below ``count_at``, by 1e-3 / K
     from there on, and stays put from ``settle_at`` on; with ``counts`` the
-    count rule is asked too.  Returns (the result, (K, checking) of every
-    solve, (K, K') of every compared pair)."""
+    count rule is asked too, and ``fallback`` is passed on.  Returns (the
+    result, (K, checking) of every solve, (K, K') of every compared pair)."""
     solves, compared, K_of = [], [], {}
     movement = harness._movement
     gamma = Rectangle(0.1, 0.7, -0.5, 0.5)
@@ -388,23 +387,19 @@ def run_ladder(monkeypatch, K0, cap, growth=harness.SC_GROWTH,
     def compare(coarse, fine, near):
         compared.append((K_of[id(coarse)], K_of[id(fine)]))
         return movement(coarse, fine, near)
-
-    def count_rule(c, coarse, fine):
-        return harness.count_truncation(coarse, fine, gamma) is not None
     monkeypatch.setattr(harness, "_movement", compare)
     result = harness.certify_truncation(
         solve, [gamma], K0, growth, harness.SC_SETTLE_TOL, cap, chains,
-        count_rule if counts else None)
+        counts, fallback)
     return result, solves, compared
 
 
 class TestCandidateLadder:
     def test_semiclassical_candidates(self, monkeypatch):
-        (K, spectra, verdicts, tried), solves, compared = run_ladder(
+        (K, K_count, verdicts, tried, mu), solves, compared = run_ladder(
             monkeypatch, 16, 200, settle_at=45)
         assert tried == (16, 20, 24, 30, 36, 45, 54, 68)
-        assert (K, verdicts) == (45, [True])
-        assert spectra[0][0] == 0.4 + 0.1j
+        assert (K, K_count, verdicts, mu) == (45, 45, [True], None)
         # each candidate is compared with its own ceil(1.5 c), never with
         # the next candidate; every K is solved once, in increasing order
         assert compared == [(c, math.ceil(1.5 * c))
@@ -420,28 +415,31 @@ class TestCandidateLadder:
         # rule's cap from candidate 24 against 36 on, but above the
         # positions' tolerance until 45 against 68.  The count rule stops
         # the ladder at 36, where positions alone climb to 68.
-        (K, spectra, verdicts, tried), solves, compared = run_ladder(
+        (K, K_count, verdicts, tried, mu), solves, compared = run_ladder(
             monkeypatch, 16, 200, count_at=24, counts=True)
-        assert (K, verdicts) == (36, [True])
+        assert (K, K_count, verdicts) == (36, 24, [True])
         assert tried == (16, 20, 24, 30, 36)
-        assert spectra[0][0] == 0.4 + 0.1j + 1e-3 / 36
+        # mu / R: the eigenvalue moved by 1e-3 / 24 - 1e-3 / 36
+        R = Rectangle(0.1, 0.7, -0.5, 0.5).bound_radius()
+        assert mu == pytest.approx((1e-3 / 24 - 1e-3 / 36) / R)
         assert [c for _, c in solves] == [16, 16, 16, 20, 24]
         # each candidate is asked the positions, then the counts
         assert compared == [pair for c in (16, 20, 24)
                             for pair in [(c, math.ceil(1.5 * c))] * 2]
         monkeypatch.undo()
-        (K, _, verdicts, tried), *_ = run_ladder(monkeypatch, 16, 200,
-                                                 count_at=24)
-        assert (K, verdicts, tried[-1]) == (45, [True], 68)
+        (K, K_count, verdicts, tried, mu), *_ = run_ladder(
+            monkeypatch, 16, 200, count_at=24)
+        assert (K, K_count, verdicts, tried[-1], mu) == (
+            45, 45, [True], 68, None)
 
     def test_highenergy_chain_unchanged(self, monkeypatch):
-        (K, _, verdicts, tried), solves, compared = run_ladder(
+        (K, K_count, verdicts, tried, _), solves, compared = run_ladder(
             monkeypatch, 10, harness.HE_K_CAP, harness.HE_GROWTH,
             harness.HE_CHAINS)
         assert tried == (10, 20, 40, 80, 160, 320, 640)
         assert compared == list(zip(tried, tried[1:]))
         assert solves == [(10, 10)] + [(b, a) for a, b in compared]
-        assert (K, verdicts) == (640, [False])
+        assert (K, K_count, verdicts) == (640, 640, [False])
         assert set(tried) == {k for pair in compared for k in pair}
 
     # the K after a candidate that settles is its sqrt(1.5) successor's
@@ -451,7 +449,7 @@ class TestCandidateLadder:
         (9, 25, set()), (12, 30, set()), (16, 39, set()),
         (16, 16, {20}), (9, 9, {12})])
     def test_every_solve_read(self, monkeypatch, K0, settle_at, unread):
-        (K, _, verdicts, tried), _, compared = run_ladder(
+        (K, _, verdicts, tried, _), _, compared = run_ladder(
             monkeypatch, K0, 200, settle_at=settle_at)
         assert verdicts == [True] and K >= settle_at
         assert set(tried) - {k for pair in compared for k in pair} == unread
@@ -459,7 +457,7 @@ class TestCandidateLadder:
     def test_duplicates_skipped(self, monkeypatch):
         # from K0 = 2 the chain from ceil(sqrt(1.5) 2) = 3 is the first
         # chain's tail, so the candidates form one chain
-        (K, _, verdicts, tried), solves, compared = run_ladder(
+        (K, _, verdicts, tried, _), solves, compared = run_ladder(
             monkeypatch, 2, 40)
         assert tried == (2, 3, 5, 8, 12, 18, 27)
         assert [k for k, _ in solves] == list(tried)
@@ -468,12 +466,16 @@ class TestCandidateLadder:
 
     @pytest.mark.parametrize("cap", [67, 68, 100, 101, 102])
     def test_cap_gives_up(self, monkeypatch, cap):
-        # no partner beyond the cap is solved; K is the last K solved
-        (K, spectra, verdicts, tried), _, compared = run_ladder(
+        # no partner beyond the cap is solved; K is the last K solved, or
+        # the fallback if one is given, and K_count is K
+        (K, K_count, verdicts, tried, mu), _, compared = run_ladder(
             monkeypatch, 16, cap)
         assert verdicts == [False]
-        assert K == tried[-1] == compared[-1][1] <= cap
-        assert spectra[0][0] == 0.4 + 0.1j + 0.1 / K
+        assert K == K_count == tried[-1] == compared[-1][1] <= cap
+        assert mu is None
+        monkeypatch.undo()
+        assert run_ladder(monkeypatch, 16, cap, fallback=cap)[0] == (
+            cap, cap, [False], tried, None)
         # the candidate after the last one checked has its partner past cap
         last = max(c for c, _ in compared)
         assert math.ceil(1.5 * min(c for c in tried if c > last)) > cap
@@ -601,12 +603,12 @@ class TestHighEnergyRun:
         # beyond the cap
         sector = AnnularSector(0.05, 2 * math.pi - 0.05, 1.0)
         rungs = [sector, dilate(sector, 4.0)]
-        K, _, verdicts, tried = harness.certify_truncation(
+        K, K_count, verdicts, tried, mu = harness.certify_truncation(
             lambda K, _: [np.full(3, 0.5 + 0.1j + 1e-4 * K)], rungs, 10,
             harness.HE_GROWTH, harness.HE_SETTLE_TOL, harness.HE_K_CAP)
         assert verdicts == [False, False]
         assert max(tried) <= harness.HE_K_CAP < 2 * max(tried)
-        assert K == max(tried)
+        assert K == K_count == max(tried) and mu is None
 
     def test_weyl_prefactor_is_classical(self, f4):
         from weylab.domains import dilate, weyl_measure
@@ -688,13 +690,15 @@ class TestReports:
 
     @pytest.mark.parametrize("mode", ["semiclassical", "highenergy"])
     def test_stage_timings(self, f2, f4, mode, tmp_path):
-        # one trial past the pilots, so some trials reuse a pilot's solve
-        # and some do not
+        # one trial past the pilots, so the run has trials of both kinds
         if mode == "semiclassical":
-            rep = run_semiclassical(
-                sc_config(f2, trials=harness.SC_PILOTS + 1))
+            cfg, run = (sc_config(f2, trials=harness.SC_PILOTS + 1),
+                        run_semiclassical)
         else:
-            rep = run_highenergy(he_config(f4))
+            cfg, run = he_config(f4), run_highenergy
+        start = time.perf_counter()
+        rep = run(cfg)
+        wall_ms = (time.perf_counter() - start) * 1e3
         write_report(rep, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         stage_ms = summary["extras"]["stage_ms"]
@@ -705,37 +709,20 @@ class TestReports:
         for r in rep.records:
             assert set(r.stage_ms) == set(harness.STAGES)
             assert all(v >= 0.0 for v in r.stage_ms.values())
-        # summed over a trial's records, millis is its counts, plus its
-        # draw, assemble and eigensolve unless it is a pilot solved at K
+        # a trial's records share its draw, assemble and eigensolve times
         trials = {}
         for r in rep.records:
             trials.setdefault(r.seed_label, []).append(r)
-        reuses = set()
         for rows in trials.values():
-            first = rows[0]
-            assert all(r.stage_ms[s] == first.stage_ms[s] for r in rows
+            assert all(r.stage_ms[s] == rows[0].stage_ms[s] for r in rows
                        for s in ("draw", "assemble", "eigensolve"))
-            if mode == "semiclassical":
-                t = rep.extras["truncation"][first.param]
-                pilots = t["pilot_trials"]
-            else:
-                t, pilots = rep.extras["truncation"], 1
-            reused = first.trial < pilots and first.K in t["K_tried"]
-            reuses.add(reused)
-            expected = sum(r.stage_ms["count"] for r in rows)
-            if not reused:
-                expected += (first.stage_ms["draw"]
-                             + first.stage_ms["assemble"]
-                             + first.stage_ms["eigensolve"])
-            assert sum(r.millis for r in rows) == pytest.approx(expected)
-        assert reuses == {True, False}
-        # certification time is part of the total in both modes
+        # total_millis is the driver call's wall time, which holds the
+        # pilots' K ladders, themselves wall times
         trunc = summary["extras"]["truncation"]
         runs = trunc.values() if mode == "semiclassical" else [trunc]
         pilot_ms = sum(t["pilot_millis"] for t in runs)
-        assert pilot_ms > 0.0
-        assert summary["total_millis"] == pytest.approx(
-            sum(r.millis for r in rep.records) + pilot_ms)
+        assert 0.0 < pilot_ms < summary["total_millis"]
+        assert summary["total_millis"] == pytest.approx(wall_ms, abs=1.0)
 
     def test_eigen_dump(self, f2, f4, tmp_path):
         # both drivers at their defaults: every record keeps its spectrum,
