@@ -17,6 +17,11 @@ and the cells' corner counts are four rows, one per corner, shape
 its spread is the max minus the min of the four rows, three elementwise
 comparisons each, where min and max along the length-4 axis of a
 (cells, 4) array would run an inner loop of 4 per cell.
+
+The symbol's coefficients are evaluated once per lattice column and
+broadcast against that column's rows: once for each column of the base
+lattice, and three times for each split cell, whose five new points lie on
+three columns (bottom, centre and top on the middle one).
 """
 
 from __future__ import annotations
@@ -266,15 +271,22 @@ CELL_CHUNK = 4096
 
 def m_gamma(sym, domain: SpectralDomain, x: np.ndarray,
             xi: np.ndarray) -> np.ndarray:
-    """m_Gamma(x[k], xi[k]): the number of eigenvalues of p(x[k], xi[k]) in
-    ``domain`` at each point, as the smallest integer type that holds n."""
-    out = np.empty(len(x), dtype=np.min_scalar_type(sym.n))
-    values = np.empty((sym.n, sym.n, POINT_CHUNK), dtype=complex)
-    for start in range(0, len(x), POINT_CHUNK):
-        coeffs = coefficient_values(sym, x[start:start + POINT_CHUNK])
-        size = coeffs.shape[-1]
-        p = polynomial(coeffs, xi[start:start + POINT_CHUNK],
-                       out=values[..., :size])
+    """m_Gamma(x[k], xi[k, ...]): the number of eigenvalues of p in
+    ``domain`` at each point, shape xi.shape, as the smallest integer type
+    that holds n.  x is one value per column, and the coefficients at x[k]
+    are evaluated once and broadcast against the row xi[k, ...]."""
+    xi = np.asarray(xi)
+    row = xi.shape[1:]
+    cols = max(POINT_CHUNK // math.prod(row), 1)
+    out = np.empty(xi.shape, dtype=np.min_scalar_type(sym.n))
+    values = np.empty((sym.n, sym.n, cols) + row, dtype=complex)
+    orders = sym.orders()
+    for start in range(0, len(x), cols):
+        coeffs = coefficient_values(sym, x[start:start + cols])
+        size = coeffs.shape[3]
+        p = polynomial(coeffs.reshape(coeffs.shape + (1,) * len(row)),
+                       xi[start:start + size], out=values[:, :, :size],
+                       orders=orders)
         out[start:start + size] = np.count_nonzero(
             domain.contains_many(det_or_eigvals(p, det=False)), axis=0)
     return out
@@ -298,13 +310,14 @@ def _mixed(ij: np.ndarray, corners: np.ndarray):
 
 def _split(ij: np.ndarray, corners: np.ndarray, m_at):
     """_mixed of the four children of each cell.  ``ij`` indexes the cells'
-    lower-left corners; m_at(i, j) evaluates m_Gamma at indices of the next
-    level, once for the 5 new points of each cell: the edge midpoints and
-    the centre."""
+    lower-left corners; m_at(i, j) evaluates m_Gamma at column indices i and
+    row indices j[k, ...] of the next level, for the 5 new points of each
+    cell: the edge midpoints and the centre.  The bottom, centre and top
+    points share column i + 1, and the left and right lie on i and i + 2."""
     i, j = 2 * ij[:, 0], 2 * ij[:, 1]
-    bottom, left, centre, right, top = m_at(
-        np.concatenate([i + 1, i, i + 1, i + 2, i + 1]),
-        np.concatenate([j, j + 1, j + 1, j + 1, j + 2])).reshape(5, -1)
+    bottom, centre, top = m_at(i + 1, j[:, None] + np.arange(3)).T
+    left, right = m_at(np.concatenate([i, i + 2]),
+                       np.concatenate([j + 1, j + 1])).reshape(2, -1)
     c00, c10, c01, c11 = corners
     # corner order (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)
     child_corners = np.concatenate([
@@ -343,13 +356,14 @@ def weyl_measure(sym, domain: SpectralDomain,
     evaluations = (grid + 1) ** 2
 
     def m_at(i, j):
-        # m_Gamma at lattice indices (i, j) of the current grid
+        # m_Gamma at column indices i and row indices j[k, ...] of the
+        # current grid
         return m_gamma(sym, domain, i * (TWO_PI / grid),
                        -window + j * (2.0 * window / grid))
 
     ii, jj = np.meshgrid(np.arange(grid + 1, dtype=np.int32),
                          np.arange(grid + 1, dtype=np.int32), indexing="ij")
-    lattice = m_at(ii.ravel(), jj.ravel()).reshape(grid + 1, grid + 1)
+    lattice = m_at(ii[:, 0], jj)
     count, ij, corners = _mixed(
         np.stack([ii[:-1, :-1], jj[:-1, :-1]], axis=-1).reshape(-1, 2),
         np.stack([lattice[:-1, :-1], lattice[1:, :-1], lattice[:-1, 1:],

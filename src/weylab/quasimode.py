@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .discretize import OperatorMatrix
 from .errors import BranchLoss, CutoffTooWide, MultipleEigenvalue
@@ -32,6 +32,9 @@ from .symbol import (SQRT_2PI, TWO_PI, ClassifiedRoot, MatrixSymbol,
                      adjugate, circle_distance, coefficient_values,
                      det_or_eigvals, find_roots, polynomial, shift,
                      trace_product)
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 _STEP = 1e-3            # continuation step in x
 _BLOCK = 32             # continuation points solved together
@@ -387,6 +390,9 @@ def _mode(sym, z, root, inventory) -> _Mode:
 
 def _solve_mode(sym, z, root, inventory) -> _Mode:
     """Eikonal, transport and cutoff checks at one root, independent of h."""
+    # scipy.interpolate is imported here, its only use, so that importing
+    # weylab does not pay for it
+    from scipy.interpolate import CubicSpline
     w = _auto_radius(sym, z, root, inventory)
     branch = locate_branch(sym, z, root)
     x0 = root.point.x

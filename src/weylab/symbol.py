@@ -2,14 +2,21 @@
 
 A symbol p(x, xi) = sum_alpha A_alpha(x) xi^alpha is one dense complex array
 ``coeffs[alpha, i, j, f + B]``: the coefficient of e^{ifx} in the entry
-A_alpha^{i,j}, for |f| <= B, the bandwidth.  Every value of p comes from one
-evaluator in two stages.  ``coefficient_values`` gives A_alpha(x), and with
-them d/dx A_alpha(x), on an array of x; each entry sums c_f e^{ifx} term by
-term in increasing f.  ``polynomial`` sums A_alpha xi^alpha (real or complex
-xi, broadcast against x) with powers of xi iterated in alpha order, and the
-xi-derivative with it.  The first stage runs once per x: a Newton iteration
-in xi at fixed x reuses it, and a grid builds its coefficients on a column
-of x before broadcasting against a row of xi.  ``det_or_eigvals`` turns the
+A_alpha^{i,j}, for |f| <= B, the bandwidth.  Most (order, frequency) slices
+``coeffs[alpha, :, :, f + B]`` of the symbols in use are zero, so the
+symbol records at construction which are not (``slices``), and the
+evaluator pays only for those.  Every value of p comes from one evaluator
+in two stages.  ``coefficient_values`` gives A_alpha(x), and with them
+d/dx A_alpha(x), on an array of x; each entry sums c_f e^{ifx} over its
+order's nonzero slices in increasing f, and a constant term (f = 0) is
+added as it is, with no exponential.  ``polynomial`` sums A_alpha xi^alpha
+(real or complex xi, broadcast against x) with powers of xi iterated in
+alpha order, and the xi-derivative with it, skipping the orders whose
+coefficients vanish (``orders()``).  Skipping a zero term leaves every sum
+bit for bit as it was, since adding a signed zero to a sum started at +0
+changes nothing.  The first stage runs once per x: a Newton iteration in
+xi at fixed x reuses it, and a grid builds its coefficients on a column of
+x before broadcasting against a row of xi.  ``det_or_eigvals`` turns the
 values into determinants or eigenvalues, and ``adjugate`` into adjugates;
 they are the only code that branches on n.  Both use closed forms for
 n <= 2: LAPACK's batched LU spent 29 ms of an F3 root scan's 38 ms on the
@@ -73,13 +80,17 @@ class MatrixSymbol:
     ``coeffs[alpha, i, j, f + B]`` is the Fourier coefficient of e^{ifx} in
     A_alpha^{i,j}; the stored array is read-only and trimmed to the bandwidth
     B of its nonzero coefficients.  Ellipticity (min_x sigma_min(A_m(x)) > 0)
-    is verified at construction, where the singular values of every A_alpha
-    on an x grid give ``ellipticity_margin`` and ``sup_norms``.
+    is verified at construction, where the singular values of every nonzero
+    A_alpha on an x grid give ``ellipticity_margin`` and ``sup_norms`` (0
+    for an order whose coefficients vanish).  ``slices`` records the nonzero
+    slices: a pair (f, orders) for each frequency f, increasing, with the
+    orders alpha whose slice coeffs[alpha, :, :, f + B] is not zero.
     """
 
     n: int
     m: int
     coeffs: np.ndarray
+    slices: tuple = field(init=False, repr=False)
     ellipticity_margin: float = field(init=False, repr=False)
     sup_norms: tuple = field(init=False, repr=False)    # per alpha
 
@@ -96,8 +107,15 @@ class MatrixSymbol:
         c = c[..., B - bw:B + bw + 1].copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-        sv = np.linalg.svd(np.moveaxis(coefficient_values(self, _COEFF_X),
-                                       -1, 1), compute_uv=False)
+        nonzero = c.any(axis=(1, 2))
+        object.__setattr__(self, "slices", tuple(
+            (f - bw, tuple(np.flatnonzero(nonzero[:, f]).tolist()))
+            for f in range(2 * bw + 1) if nonzero[:, f].any()))
+        orders = self.orders()
+        sv = np.zeros((self.m + 1, len(_COEFF_X), self.n))
+        sv[orders] = np.linalg.svd(np.moveaxis(
+            coefficient_values(self, _COEFF_X)[orders], -1, 1),
+            compute_uv=False)
         object.__setattr__(self, "ellipticity_margin",
                            float(sv[self.m, :, -1].min()))
         object.__setattr__(self, "sup_norms",
@@ -120,9 +138,13 @@ class MatrixSymbol:
     def max_bandwidth(self) -> int:
         return self.coeffs.shape[3] // 2
 
+    def orders(self) -> list:
+        """Orders alpha with a nonzero coefficient matrix, increasing."""
+        return sorted({a for _, orders in self.slices for a in orders})
+
     def lower_order_present(self) -> list:
         """Orders alpha < m with a nonzero coefficient matrix."""
-        return [a for a in range(self.m) if self.coeffs[a].any()]
+        return [a for a in self.orders() if a < self.m]
 
     def adjoint_principal(self) -> "MatrixSymbol":
         """Pointwise conjugate-transpose symbol p*(x, xi): conj(A_alpha^{j,i}),
@@ -135,36 +157,44 @@ class MatrixSymbol:
 
 def coefficient_values(sym: MatrixSymbol, x, dx: bool = False):
     """A_alpha(x) for every alpha in entry planes, shape (m+1, n, n,
-    *x.shape); with ``dx``, the pair (A_alpha(x), d/dx A_alpha(x))."""
+    *x.shape); with ``dx``, the pair (A_alpha(x), d/dx A_alpha(x)).  Only
+    the symbol's nonzero slices are summed, one exponential per frequency
+    and none for f = 0."""
     x = np.asarray(x, dtype=float)
     B = sym.max_bandwidth()
-    lead = (sym.m + 1, sym.n, sym.n) + (1,) * x.ndim
-    vals = np.zeros(lead[:3] + x.shape, dtype=complex)
+    entry = (sym.n, sym.n) + (1,) * x.ndim
+    vals = np.zeros((sym.m + 1, sym.n, sym.n) + x.shape, dtype=complex)
     derivs = np.zeros_like(vals) if dx else None
-    for f in range(-B, B + 1):
-        c = sym.coeffs[..., f + B]
-        if not c.any():
-            continue
-        wave = np.exp(1j * f * x)
-        vals += c.reshape(lead) * wave
-        if dx:
-            derivs += ((1j * f) * c).reshape(lead) * wave
+    for f, orders in sym.slices:
+        wave = np.exp(1j * f * x) if f else None
+        for a in orders:
+            c = sym.coeffs[a, :, :, f + B].reshape(entry)
+            if f == 0:          # e^{i0x} = 1, and d/dx of a constant is 0
+                vals[a] += c
+            else:
+                vals[a] += c * wave
+                if dx:
+                    derivs[a] += ((1j * f) * c) * wave
     return (vals, derivs) if dx else vals
 
 
-def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None):
+def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None, orders=None):
     """sum_alpha A[alpha] xi^alpha over the leading axis of A; with ``dxi``,
     the pair (that sum, sum_alpha alpha A[alpha] xi^(alpha-1)).
 
     xi broadcasts against the point axes of A, those after its two entry
-    axes, and may not have more axes than they do.  The sum is written
-    into ``out`` when given, so that a loop over grid chunks keeps two
+    axes, and may not have more axes than they do.  Only the alpha in
+    ``orders`` are summed, every alpha by default; a symbol's ``orders()``
+    leaves out those whose A[alpha] vanish.  The sum is written into
+    ``out`` when given, so that a loop over grid chunks keeps two
     chunk-sized arrays alive, not three: with three, the allocator gave
     their pages back and faulted them in again on every chunk.
     """
     xi = np.asarray(xi)
     if xi.ndim > A.ndim - 3:
         raise ValueError("xi has more axes than the points of A")
+    if orders is None:
+        orders = range(len(A))
     shape = np.broadcast_shapes(A.shape[1:], xi.shape)
     if out is None:
         p = np.zeros(shape, dtype=complex)
@@ -174,9 +204,10 @@ def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None):
     dp = np.zeros(shape, dtype=complex) if dxi else None
     term = np.empty(shape, dtype=complex)
     xipow = np.ones_like(xi)
-    for a in range(len(A)):
-        p += np.multiply(A[a], xipow, out=term)
-        if dxi and a + 1 < len(A):
+    for a in range(max(orders, default=-1) + 1):
+        if a in orders:
+            p += np.multiply(A[a], xipow, out=term)
+        if dxi and a + 1 in orders:
             dp += np.multiply((a + 1) * A[a + 1], xipow, out=term)
         xipow = xipow * xi
     return (p, dp) if dxi else p
@@ -317,15 +348,17 @@ def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True,
     triple (q_z, d_x q_z, d_xi q_z), the derivatives by the Jacobi formula
     dq = tr(adj(p - z) dp).  Without ``grad``, p is written into ``out``
     when given (see ``polynomial``)."""
+    orders = sym.orders()
     if not grad:
-        p = polynomial(coefficient_values(sym, x), xi, out=out)
+        p = polynomial(coefficient_values(sym, x), xi, out=out,
+                       orders=orders)
         return det_or_eigvals(shift(p, z), det=True)
     A, dA = coefficient_values(sym, x, dx=True)
-    p, dpxi = polynomial(A, xi, dxi=True)
+    p, dpxi = polynomial(A, xi, dxi=True, orders=orders)
     pz = shift(p, z)
     adj = adjugate(pz)
     return (det_or_eigvals(pz, det=True),
-            trace_product(adj, polynomial(dA, xi)),
+            trace_product(adj, polynomial(dA, xi, orders=orders)),
             trace_product(adj, dpxi))
 
 
@@ -405,7 +438,15 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
         xs = x[s:s + rows, None]
         absq[s:s + rows] = np.abs(_jet(sym, xs, xi, z, grad=False,
                                        out=values[:, :, :len(xs)]))
-    qscale = max(float(np.median(absq)), 1e-300)
+    # np.median's value from one partition at the upper middle value: the
+    # mean of it and the largest value below it, or NaN where the grid
+    # holds one, which the partition puts in the upper half.  (np.partition
+    # at both middle values selects several times more slowly.)
+    half = absq.size // 2
+    part = np.partition(absq, half, axis=None)
+    median = (np.nan if np.isnan(part[half:].max())
+              else float((part[:half].max() + part[half]) / 2.0))
+    qscale = max(median, 1e-300)
     dx, dxi = x[1] - x[0], xi[1] - xi[0]
 
     # undamped Newton on (Re q, Im q) from every seed at once; a seed stops

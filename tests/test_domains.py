@@ -10,6 +10,8 @@ from weylab.domains import (AnnularSector, Dilated, Polygon, QuadOptions,
 from weylab.errors import NonConvergence
 from weylab.symbol import MatrixSymbol
 
+from helpers import named_symbol, pointwise_m_gamma, pointwise_split
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -209,6 +211,29 @@ class TestWeylMeasure:
         assert np.array_equal(got_corners, corners[:, mixed])
         assert np.array_equal(domains._spread(corners),
                               corners.max(axis=0) - corners.min(axis=0))
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4", "full", "gap"])
+    def test_columns_match_pointwise_splits(self, name, request,
+                                            monkeypatch):
+        # the lattice and each split evaluate coefficients once per column;
+        # evaluating every point on its own, the 5 of a split in one list,
+        # gives the same result field for field.  Small chunks leave
+        # partial batches of columns and of points
+        sym = named_symbol(name, request)
+        monkeypatch.setattr(domains, "POINT_CHUNK", 700)
+        monkeypatch.setattr(domains, "CELL_CHUNK", 300)
+        quad = QuadOptions(tol_rel=5e-2, base_grid=32)
+        cases = [(Rectangle(-0.5, 0.5, -0.5, 0.5), quad),
+                 (regular_polygon(0.3 + 0.1j, 0.6, 16), quad),
+                 (dilate(AnnularSector(0.05, TWO_PI - 0.05, 1.0), 4.0),
+                  QuadOptions(tol_rel=5e-2, base_grid=33))]
+        got = [weyl_measure(sym, dom, q) for dom, q in cases]
+        monkeypatch.setattr(domains, "m_gamma",
+                            pointwise_m_gamma(domains.m_gamma))
+        monkeypatch.setattr(domains, "_split", pointwise_split)
+        assert got == [weyl_measure(sym, dom, q) for dom, q in cases]
+        assert all(r.evaluations > (r_q.base_grid + 1) ** 2 and r.deltas
+                   for r, (_, r_q) in zip(got, cases))
 
     def test_f1_rectangle_closed_form(self, f1):
         # for xi + e^{ix} the measure of [-1/2,1/2]^2 is 2*pi/3

@@ -635,6 +635,24 @@ class TestHighEnergyRun:
         assert len(spectra) == 1
         assert spectra[0].tobytes() == first.eigenvalues.tobytes()
 
+    def test_rescaled_matrix_exact_at_powers_of_4(self, f4, monkeypatch):
+        # for m = 2, h = lambda^{-1/2} is a power of 2 at lambda = 4^k, so
+        # the matrix the rescaling identity solves is trial 0's M over
+        # lambda bit for bit, and the identity checks assembly, not
+        # rounding; at lambda = 10 it is M / 10 only up to rounding
+        cfg = he_config(f4)
+        mats = []
+        monkeypatch.setattr(discretize, "eigenvalues", lambda mat: (
+            mats.append(mat.entries) or np.zeros(0, dtype=complex)))
+        K = 24
+        harness._solve(cfg, "he", 1.0, 1.0, K, [0])
+        harness._rescaled_eigs(cfg, "he", K, [4.0, 10.0])
+        M, at4, at10 = mats
+        assert at4.tobytes() == (M / 4.0).tobytes()
+        assert at10.tobytes() != (M / 10.0).tobytes()
+        assert np.allclose(at10, M / 10.0, rtol=0.0,
+                           atol=1e-14 * np.abs(M).max())
+
 
 class TestEnvelopeSanity:
     def test_mean_residual_exponent_in_band(self, f2):

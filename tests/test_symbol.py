@@ -9,6 +9,9 @@ from weylab.domains import Rectangle
 from weylab.errors import NonConvergence, ZeroOnContour
 from weylab.symbol import PhaseSpacePoint, RegionKind, TWO_PI
 
+from helpers import (dense_coefficient_values, dense_polynomial, full_symbol,
+                     gap_symbol, named_symbol)
+
 
 def circle(x0, xi0, r=0.25, n=180):
     t = np.linspace(0.0, TWO_PI, n)
@@ -268,6 +271,93 @@ class TestEvaluatorIdentity:
             symbol.det_or_eigvals(p, det=False))) for p in values]
         assert counts.tolist() == single
         assert 0 < counts.sum() < sym.n * len(single)
+
+
+SPARSITY = ["f1", "f2", "f3", "f4", "full", "gap"]
+
+
+class TestNonzeroSlices:
+    """The evaluator pays only for a symbol's nonzero slices and orders; a
+    sum over every slice and order, zero or not, gives the same bytes."""
+
+    def test_record(self):
+        sym = gap_symbol()
+        assert sym.slices == ((-1, (0,)), (0, (2,)), (1, (2,)), (2, (0,)))
+        assert sym.orders() == [0, 2]
+        assert sym.lower_order_present() == [0]
+        assert sym.sup_norms[1] == 0.0
+        full = full_symbol()
+        assert full.slices == tuple((f, (0, 1, 2, 3)) for f in range(-2, 3))
+
+    @pytest.mark.parametrize("name", SPARSITY)
+    def test_construction_scan_matches_dense(self, name, request):
+        # the SVD scan skips zero orders, whose singular values are 0
+        sym = named_symbol(name, request)
+        sv = np.linalg.svd(np.moveaxis(dense_coefficient_values(
+            sym, symbol._COEFF_X), -1, 1), compute_uv=False)
+        assert sym.ellipticity_margin == float(sv[sym.m, :, -1].min())
+        assert sym.sup_norms == tuple(
+            float(s) for s in sv[..., 0].max(axis=1))
+
+    @pytest.mark.parametrize("name", SPARSITY)
+    def test_coefficient_values_match_dense(self, name, request):
+        sym = named_symbol(name, request)
+        x = np.linspace(0.0, TWO_PI, 40, endpoint=False) - 0.3
+        A, dA = symbol.coefficient_values(sym, x, dx=True)
+        ref, dref = dense_coefficient_values(sym, x, dx=True)
+        assert A.tobytes() == ref.tobytes()
+        assert dA.tobytes() == dref.tobytes()
+        assert symbol.coefficient_values(sym, x).tobytes() == ref.tobytes()
+        column = symbol.coefficient_values(sym, x[:, None])
+        assert column.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", SPARSITY)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_polynomial_matches_dense(self, name, kind, request):
+        sym = named_symbol(name, request)
+        x = np.linspace(0.0, TWO_PI, 40, endpoint=False) - 0.3
+        xi = np.linspace(-3.0, 3.0, 24)
+        if kind == "complex":
+            xi = xi + 0.3j * np.cos(2.0 * xi)
+        for A in symbol.coefficient_values(sym, x, dx=True):
+            A = A[..., None]
+            p, dp = dense_polynomial(A, xi, dxi=True)
+            got, dgot = symbol.polynomial(A, xi, dxi=True,
+                                          orders=sym.orders())
+            assert got.tobytes() == p.tobytes()
+            assert dgot.tobytes() == dp.tobytes()
+            assert symbol.polynomial(A, xi, orders=sym.orders()).tobytes() \
+                == p.tobytes()
+            assert symbol.polynomial(A, xi).tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_root_scale_is_numpy_median(self, name, request, monkeypatch):
+        # find_roots seeds below 0.75 median|q_z| of its grid; the median
+        # from one partition is np.median's to the bit
+        sym = request.getfixturevalue(name)
+        calls = []
+        local_minima = symbol._local_minima
+        monkeypatch.setattr(symbol, "_local_minima", lambda absq, cap: (
+            calls.append((absq.copy(), cap)) or local_minima(absq, cap)))
+        symbol.find_roots(sym, 0.3 - 0.2j)
+        (absq, cap), = calls
+        assert cap == 0.75 * max(float(np.median(absq)), 1e-300)
+
+    def test_nan_on_root_grid_as_numpy_median(self, f2, monkeypatch):
+        # a NaN on the seed grid makes np.median, and so the root scale,
+        # NaN: no seed is below it and the scan ends with no root
+        jet = symbol._jet
+
+        def nan_grid(sym, x, xi, z, grad=True, out=None):
+            q = jet(sym, x, xi, z, grad=grad, out=out)
+            if out is not None and x.ravel()[0] == 0.0:
+                q[-1, -1] = np.nan
+            return q
+        assert len(symbol.find_roots(f2, 0.5).roots) == 2
+        monkeypatch.setattr(symbol, "_jet", nan_grid)
+        inv = symbol.find_roots(f2, 0.5)
+        assert (inv.roots, inv.beta, inv.gamma, inv.degenerate) == \
+            ((), 0, 0, False)
 
 
 class TestGradient:
