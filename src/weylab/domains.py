@@ -51,6 +51,14 @@ class SpectralDomain:
         """sup_{z in Gamma} |z| (an upper bound is acceptable)."""
         raise NotImplementedError
 
+    def boundary_gap(self, z: np.ndarray) -> np.ndarray:
+        """The distance from each z to the boundary, from inside or out."""
+        raise NotImplementedError
+
+    def probe(self) -> complex:
+        """The point of Gamma at which the hypotheses are checked."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Rectangle(SpectralDomain):
@@ -58,6 +66,11 @@ class Rectangle(SpectralDomain):
     re_max: float
     im_min: float
     im_max: float
+
+    def __post_init__(self):
+        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+            raise ValueError("rectangle needs re_min < re_max and "
+                             "im_min < im_max")
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
         t = BOUNDARY_TOL
@@ -69,8 +82,16 @@ class Rectangle(SpectralDomain):
                    for i in (self.im_min, self.im_max)]
         return max(abs(c) for c in corners)
 
-    def is_empty(self) -> bool:
-        return self.re_min > self.re_max or self.im_min > self.im_max
+    def boundary_gap(self, z: np.ndarray) -> np.ndarray:
+        # the signed distance to the box, negative inside
+        dx = np.maximum(self.re_min - z.real, z.real - self.re_max)
+        dy = np.maximum(self.im_min - z.imag, z.imag - self.im_max)
+        return np.abs(np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+                      + np.minimum(np.maximum(dx, dy), 0.0))
+
+    def probe(self) -> complex:
+        return complex(0.5 * (self.re_min + self.re_max),
+                       0.5 * (self.im_min + self.im_max))
 
 
 @dataclass(frozen=True)
@@ -96,10 +117,18 @@ class Polygon(SpectralDomain):
             with np.errstate(divide="ignore", invalid="ignore"):
                 xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= crosses & (x < np.where(crosses, xcross, np.inf))
-        return inside | (boundary_gap(self, z) <= BOUNDARY_TOL)
+        return inside | (self.boundary_gap(z) <= BOUNDARY_TOL)
 
     def bound_radius(self) -> float:
         return max(abs(v) for v in self.vertices)
+
+    def boundary_gap(self, z: np.ndarray) -> np.ndarray:
+        v = np.asarray(self.vertices)
+        return functools.reduce(np.minimum, (
+            _segment_gap(z, a, b) for a, b in zip(v, np.roll(v, -1))))
+
+    def probe(self) -> complex:
+        return complex(np.mean(np.asarray(self.vertices)))
 
 
 def regular_polygon(center: complex, radius: float, n: int = 128) -> Polygon:
@@ -130,8 +159,8 @@ class AnnularSector(SpectralDomain):
             object.__setattr__(self, "r_in", float(self.r_in))
         if self.r_out <= 0.0:
             raise ValueError("outer radius must be strictly positive")
-        if self.r_in is not None and self.r_in > self.r_out:
-            raise ValueError("inner radius must stay below outer radius")
+        if self.r_in is not None and not 0.0 <= self.r_in < self.r_out:
+            raise ValueError("inner radius must lie in [0, r_out)")
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
         r = np.abs(z)
@@ -150,6 +179,19 @@ class AnnularSector(SpectralDomain):
     def bound_radius(self) -> float:
         return self.r_out
 
+    def boundary_gap(self, z: np.ndarray) -> np.ndarray:
+        # two rays, from the origin or from r_in, and one or two arcs
+        lo = self.r_in or 0.0
+        rays = [_segment_gap(z, lo * e, self.r_out * e) for e in (
+            np.exp(1j * self.theta_min), np.exp(1j * self.theta_max))]
+        arcs = [_arc_gap(z, self, r) for r in (self.r_out, lo) if r > 0.0]
+        return functools.reduce(np.minimum, rays + arcs)
+
+    def probe(self) -> complex:
+        mid = 0.5 * (self.theta_min + self.theta_max)
+        lo = self.r_in or 0.0
+        return complex(0.5 * (lo + self.r_out) * np.exp(1j * mid))
+
 
 @dataclass(frozen=True)
 class Dilated(SpectralDomain):
@@ -165,6 +207,12 @@ class Dilated(SpectralDomain):
 
     def bound_radius(self) -> float:
         return self.lam * self.base.bound_radius()
+
+    def boundary_gap(self, z: np.ndarray) -> np.ndarray:
+        return self.lam * self.base.boundary_gap(z / self.lam)
+
+    def probe(self) -> complex:
+        return self.lam * self.base.probe()
 
 
 def _segment_gap(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -183,34 +231,7 @@ def _arc_gap(z: np.ndarray, sector: AnnularSector, r: float) -> np.ndarray:
     return np.where(theta <= sector.theta_max, np.abs(np.abs(z) - r), ends)
 
 
-def boundary_gap(dom: SpectralDomain, z) -> np.ndarray:
-    """The distance from each z to the boundary of dom, from inside or out."""
-    z = np.asarray(z, dtype=complex)
-    if isinstance(dom, Dilated):
-        return dom.lam * boundary_gap(dom.base, z / dom.lam)
-    if isinstance(dom, Rectangle):
-        # the signed distance to the box, negative inside
-        dx = np.maximum(dom.re_min - z.real, z.real - dom.re_max)
-        dy = np.maximum(dom.im_min - z.imag, z.imag - dom.im_max)
-        return np.abs(np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-                      + np.minimum(np.maximum(dx, dy), 0.0))
-    if isinstance(dom, Polygon):
-        v = np.asarray(dom.vertices)
-        return functools.reduce(np.minimum, (
-            _segment_gap(z, a, b) for a, b in zip(v, np.roll(v, -1))))
-    if isinstance(dom, AnnularSector):
-        # two rays, from the origin or from r_in, and one or two arcs
-        lo = dom.r_in or 0.0
-        rays = [_segment_gap(z, lo * e, dom.r_out * e) for e in (
-            np.exp(1j * dom.theta_min), np.exp(1j * dom.theta_max))]
-        arcs = [_arc_gap(z, dom, r) for r in (dom.r_out, lo) if r > 0.0]
-        return functools.reduce(np.minimum, rays + arcs)
-    raise ValueError(f"unsupported domain type {type(dom).__name__}")
-
-
 def dilate(domain: SpectralDomain, lam: float) -> SpectralDomain:
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     if isinstance(domain, Dilated):
         return Dilated(lam * domain.lam, domain.base)
     return Dilated(lam, domain)
@@ -346,8 +367,6 @@ def weyl_measure(sym, domain: SpectralDomain,
     complement, fits inside one base cell without touching a corner: the
     base grid must resolve every feature it is meant to count.
     """
-    if isinstance(domain, Rectangle) and domain.is_empty():
-        return QuadratureResult(0.0, 0.0, (), quad.base_grid, 0)
     window = xi_window(sym, domain.bound_radius())
     if window == 0.0:
         return QuadratureResult(0.0, 0.0, (), quad.base_grid, 0)

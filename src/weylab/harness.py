@@ -141,6 +141,12 @@ class ExperimentConfig:
             if not isinstance(self.domains[0], domains.AnnularSector):
                 raise ValueError("highenergy mode needs an annular-sector "
                                  "domain reaching the origin")
+            # run_highenergy's first K, at the smallest rung
+            K0 = self.truncation_K(1.0, domains.dilate(
+                self.domains[0], min(self.lambda_list)).bound_radius())
+            if K0 > HE_K_CAP:
+                raise ValueError(f"the smallest lambda starts the truncation "
+                                 f"at K = {K0}, past the cap {HE_K_CAP}")
         self._validate_roots()
 
     def require_law(self) -> randomness.CoefficientLaw:
@@ -160,7 +166,7 @@ class ExperimentConfig:
     def _validate_roots(self):
         """Check the root inventory at the probe z: of the symbol, or in
         high-energy mode of its principal part (at 1 if the probe is ~0)."""
-        z = _probe_z(self.domains[0])
+        z = self.domains[0].probe()
         sym = self.sym
         if self.mode == "highenergy":
             z = 1.0 + 0.0j if abs(z) < 1e-12 else z
@@ -190,19 +196,6 @@ class ExperimentConfig:
         return self.raw or {key: getattr(self, key) for key in (
             "mode", "h_list", "lambda_list", "trials", "gamma1", "N0",
             "delta_override", "seed")}
-
-
-def _probe_z(domain) -> complex:
-    if isinstance(domain, domains.Rectangle):
-        return complex(0.5 * (domain.re_min + domain.re_max),
-                       0.5 * (domain.im_min + domain.im_max))
-    if isinstance(domain, domains.Polygon):
-        return complex(np.mean(np.asarray(domain.vertices)))
-    if isinstance(domain, domains.AnnularSector):
-        mid = 0.5 * (domain.theta_min + domain.theta_max)
-        lo = domain.r_in if domain.r_in is not None else 0.0
-        return complex(0.5 * (lo + domain.r_out) * np.exp(1j * mid))
-    raise ValueError(f"unsupported domain type {type(domain).__name__}")
 
 
 def _check_shared_bases(inv):
@@ -453,7 +446,7 @@ def count_truncation(coarse: list, fine: list, dom) -> float | None:
 
     def near(z):
         return (dom.contains_many(z)
-                | (domains.boundary_gap(dom, z) <= SC_MATCH_BAND * R))
+                | (dom.boundary_gap(z) <= SC_MATCH_BAND * R))
 
     if not any(near(a).any() for a in coarse):
         return None
@@ -614,8 +607,8 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     rest.update((t, fut.result()[0]) for t, fut in started.items())
     gamma = rungs[0][1]
     flagged = [] if mu is None else [
-        t for t in sorted(rest) if domains.boundary_gap(gamma, rest[t][0])
-        .min() <= SC_FLAG_SCALE * mu * gamma.bound_radius()]
+        t for t in sorted(rest) if gamma.boundary_gap(rest[t][0]).min()
+        <= SC_FLAG_SCALE * mu * gamma.bound_radius()]
     again = _shared(pool, _solve, (*args, K), flagged)
 
     rungs = [(param, dom, W()) for param, dom, W in rungs]
@@ -788,8 +781,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     lam_sorted = tuple(sorted(config.lambda_list))
     # this also checks the sector: it must reach the origin with r_out = 1
     pieces = [domains.dyadic_decompose(lam, sector) for lam in lam_sorted]
-    rungs = [domains.dilate(sector, lam) if lam != 1.0 else sector
-             for lam in lam_sorted]
+    rungs = [domains.dilate(sector, lam) for lam in lam_sorted]
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
     with _helpers(config) as pool:
         # the helpers measure the rungs while the pilot climbs its K ladder

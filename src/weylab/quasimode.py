@@ -73,12 +73,7 @@ class EigenBranch:
             A = coefficient_values(self.sym, x)
         p, dp = polynomial(A, xi, dxi=True)
         lam, adj = self._pick(p)
-        return lam, _slope(adj, dp)
-
-    def dx(self, x, xi):
-        A, dA = coefficient_values(self.sym, x, dx=True)
-        _, adj = self._pick(polynomial(A, xi))
-        return _slope(adj, polynomial(dA, xi))
+        return lam, trace_product(adj, dp) / np.trace(adj)
 
     def eigvec(self, x, xi) -> np.ndarray:
         """Unit right eigenvectors in component planes, shape (n, ...)."""
@@ -86,10 +81,6 @@ class EigenBranch:
         col = np.linalg.norm(adj, axis=0).argmax(axis=0)[None, None]
         v = np.take_along_axis(adj, col, axis=1)[:, 0]
         return v / np.linalg.norm(v, axis=0, keepdims=True)
-
-
-def _slope(adj: np.ndarray, dp: np.ndarray):
-    return trace_product(adj, dp) / np.trace(adj)
 
 
 def locate_branch(sym: MatrixSymbol, z: complex,
@@ -115,7 +106,6 @@ class Phase:
     x_grid: np.ndarray
     xi: np.ndarray                # xi(x), complex continuation
     phi: np.ndarray               # int_{x_root}^x xi(s) ds
-    phi_second_at_root: complex
     root_index: int
 
 
@@ -176,8 +166,7 @@ def solve_eikonal(branch: EigenBranch, x_interval) -> Phase:
     xi0 = complex(branch.root.point.xi)
     if not x_lo < x0 < x_hi:
         raise ValueError("interval must contain the root base point")
-    dlam = complex(branch.value_dxi(x0, xi0)[1])
-    if abs(dlam) < 1e-12:
+    if abs(branch.value_dxi(x0, xi0)[1]) < 1e-12:
         raise ValueError("d_xi lambda vanishes at the root; no simple branch")
     step_cap = 10.0 * max(abs(xi0), 1.0)
 
@@ -195,12 +184,7 @@ def solve_eikonal(branch: EigenBranch, x_interval) -> Phase:
     x_grid = np.concatenate([xs_left[::-1], xs_right[1:]])
     xi_vals = np.concatenate([xi_left[::-1], xi_right[1:]])
     phi = np.concatenate([phi_left[::-1], phi_right[1:]])
-    root_index = n_left
-
-    # phi'' at the root from implicit differentiation of the eikonal
-    phi2 = -complex(branch.dx(x0, xi0)) / dlam
-    return Phase(x_grid=x_grid, xi=xi_vals, phi=phi,
-                 phi_second_at_root=complex(phi2), root_index=root_index)
+    return Phase(x_grid=x_grid, xi=xi_vals, phi=phi, root_index=n_left)
 
 
 def leading_amplitude(branch: EigenBranch, phase: Phase) -> np.ndarray:
@@ -287,8 +271,8 @@ def _auto_radius(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
 
 # The h-independent part of each mode, per (symbol, z, root, inventory),
 # and the adjoint side's symbol, target root and inventory, per (symbol, z,
-# minus-root, inventory).  Keyed weakly on the symbol (hashed by identity),
-# so the entries die with it; no entry refers back to its symbol.
+# minus-root).  Keyed weakly on the symbol (hashed by identity), so the
+# entries die with it; no entry refers back to its symbol.
 _MEMO: "weakref.WeakKeyDictionary[MatrixSymbol, dict]" = \
     weakref.WeakKeyDictionary()
 
@@ -313,29 +297,27 @@ def build_quasimode(sym: MatrixSymbol, z: complex, root: ClassifiedRoot,
 
 def build_adjoint_quasimode(sym: MatrixSymbol, z: complex,
                             minus_root: ClassifiedRoot, h: float,
-                            grid_size: int,
-                            inventory=None) -> Quasimode:
+                            grid_size: int) -> Quasimode:
     """Quasimode of the adjoint at conj(z), centered at a minus-root of p.
 
     The bracket flips sign under p -> p*, z -> conj(z), so the minus-root
     becomes a plus-root of the adjoint principal symbol and the same
-    construction applies.  ``inventory``, when given, is the root inventory
-    of that adjoint symbol at conj(z), not p's inventory at z.
+    construction applies.
     """
     if minus_root.sign != "minus":
         raise ValueError("adjoint-side quasimodes are built at minus-roots")
     adj, zbar, target, adj_inv = _memoised(
-        sym, ("adjoint", complex(z), minus_root, inventory),
-        lambda: _adjoint_target(sym, z, minus_root, inventory))
+        sym, ("adjoint", complex(z), minus_root),
+        lambda: _adjoint_target(sym, z, minus_root))
     return _mode(adj, zbar, target, adj_inv).sample(h, grid_size)
 
 
-def _adjoint_target(sym, z, minus_root, inventory):
+def _adjoint_target(sym, z, minus_root):
     """The adjoint symbol, conj(z), the plus-root of the adjoint matching
     the minus-root of p, and the adjoint's inventory."""
     adj = sym.adjoint_principal()
     zbar = complex(z).conjugate()
-    adj_inv = find_roots(adj, zbar) if inventory is None else inventory
+    adj_inv = find_roots(adj, zbar)
     target = None
     for r in adj_inv.roots:
         if (circle_distance(r.point.x, minus_root.point.x) < 1e-6

@@ -46,6 +46,8 @@ class CoefficientLaw:
         if not 1.0 < self.rho_decay < math.inf:
             raise ValueError(f"rho_decay must be finite and exceed 1, not "
                              f"{self.rho_decay!r}")
+        if self.K_q < 1:
+            raise ValueError(f"K_q must be >= 1, not {self.K_q!r}")
 
     def sigma_rule(self, alpha, i, j, k, h):
         """sigma = <k>^{-rho} for every alpha, i, j and h; k may be an array.

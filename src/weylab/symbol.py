@@ -538,12 +538,15 @@ def winding_number(sym: MatrixSymbol, z: complex, loop: Sequence) -> int:
     standard orientation of the (x, xi) plane); sampling is refined until
     consecutive argument jumps stay below pi/2.
     """
-    pts = [np.asarray(p, dtype=float) for p in loop]
+    pts = np.asarray(loop, dtype=float)
     if not np.allclose(pts[0], pts[-1]):
-        pts.append(pts[0])
-    samples = np.concatenate([np.linspace(a, b, 16, endpoint=False)
-                              for a, b in zip(pts[:-1], pts[1:])]
-                             + [pts[-1][None, :]])
+        pts = np.concatenate([pts, pts[:1]])
+    # 16 samples per segment, from its start: linspace's a + k (b - a) / 16,
+    # broadcast over the segments
+    a, b = pts[:-1, None], pts[1:, None]
+    samples = np.concatenate([
+        (a + np.arange(16)[:, None] * ((b - a) / 16)).reshape(-1, 2),
+        pts[-1:]])
 
     def q_of(arr):
         return _jet(sym, arr[:, 0] % TWO_PI, arr[:, 1], z, grad=False)

@@ -430,10 +430,13 @@ class TestExitCodes:
         assert f"{key} repeats a value" in capsys.readouterr().err
         assert solves == [] and not (tmp_path / "run").exists()
 
-    # these exited 0 with an empty extras.dyadic
+    # these exited 0 with an empty extras.dyadic, the last two with a
+    # sector that has no interior
     @pytest.mark.parametrize("key, value, message", [
         ("r_in", 0.5, "a sector reaching r = 0"),
-        ("r_out", 2.0, "so r_out = 1")])
+        ("r_out", 2.0, "so r_out = 1"),
+        ("r_in", -0.5, "inner radius must lie in [0, r_out)"),
+        ("r_in", 1.0, "inner radius must lie in [0, r_out)")])
     def test_sector_off_the_unit_origin_maps_to_two(
             self, he_config_path, tmp_path, monkeypatch, capsys, key, value,
             message):
@@ -447,6 +450,40 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert solves == [] and not (tmp_path / "run").exists()
         assert multiprocessing.active_children() == []
+
+    # an inverted rectangle counted nothing against W = 0 and exited 0;
+    # K_q = 0 put all 1,281 eigenvalues of a high-energy run on one point;
+    # a smallest lambda of 2^64 started K past the cap and asked for a
+    # 256 GiB matrix
+    @pytest.mark.parametrize("config, path, value, message", [
+        ("config_path", ("domains", 0, "re_min"), 0.8,
+         "rectangle needs re_min < re_max"),
+        ("config_path", ("domains", 0, "im_max"), -0.5,
+         "rectangle needs re_min < re_max"),
+        ("he_config_path", ("perturbation", "K_q"), 0, "K_q must be >= 1"),
+        ("he_config_path", ("experiment", "lambda_list"), [2.0 ** 64],
+         "past the cap 1024")],
+        ids=["re-inverted", "im-flat", "K_q-zero", "lambda-past-cap"])
+    def test_nothing_to_count_maps_to_two(self, request, tmp_path,
+                                          monkeypatch, capsys, config, path,
+                                          value, message):
+        config_file = pathlib.Path(request.getfixturevalue(config))
+        raw = json.loads(config_file.read_text())
+        *outer, last = path
+        block = raw
+        for key in outer:
+            block = block[key]
+        block[last] = value
+        config_file.write_text(json.dumps(raw))
+        solves = count_solves(monkeypatch)
+        assembled = []
+        monkeypatch.setattr(harness.discretize, "assemble_operator",
+                            lambda *args: assembled.append(args))
+        rc = cli.main([f"mc-{raw['experiment']['mode']}", "--config",
+                       str(config_file), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert solves == assembled == [] and not (tmp_path / "run").exists()
 
     # the drivers counted in the first domain and ignored the others
     def test_second_domain_maps_to_two(self, config_path, he_config_path,

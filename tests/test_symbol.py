@@ -539,6 +539,28 @@ class TestWinding:
     def test_loop_around_nothing(self, f1):
         assert symbol.winding_number(f1, 0.0, circle(1.5, 2.0, r=0.2)) == 0
 
+    def test_samples_match_linspace(self, f1, monkeypatch):
+        # the first samples, broadcast over the segments, are linspace's
+        # bit for bit, on axis-parallel and diagonal segments of an open
+        # loop that winding_number closes
+        loop = [(0.3, -0.7), (2.9, -0.7), (2.9, 1.3), (1.1, 2.6), (0.3, 1.3)]
+        pts = [np.asarray(p) for p in loop + loop[:1]]
+        expected = np.concatenate([np.linspace(a, b, 16, endpoint=False)
+                                   for a, b in zip(pts[:-1], pts[1:])]
+                                  + [pts[-1][None, :]])
+        seen = []
+        jet = symbol._jet
+
+        def recorded(sym, x, xi, *args, **kw):
+            seen.append((x, xi))
+            return jet(sym, x, xi, *args, **kw)
+
+        monkeypatch.setattr(symbol, "_jet", recorded)
+        symbol.winding_number(f1, 0.1 + 0.2j, loop)
+        x, xi = seen[0]
+        assert np.array_equal(x, expected[:, 0] % TWO_PI)
+        assert np.array_equal(xi, expected[:, 1])
+
     def test_zero_on_contour(self, f1):
         # the loop passes exactly through the plus-root (pi, 1)
         loop = [(math.pi, 1.0), (math.pi + 0.5, 1.0), (math.pi, 1.5),
