@@ -18,10 +18,10 @@ its spread is the max minus the min of the four rows, three elementwise
 comparisons each, where min and max along the length-4 axis of a
 (cells, 4) array would run an inner loop of 4 per cell.
 
-The symbol's coefficients are evaluated once per lattice column and
-broadcast against that column's rows: once for each column of the base
-lattice, and three times for each split cell, whose five new points lie on
-three columns (bottom, centre and top on the middle one).
+``m_gamma`` takes p from ``symbol.grid_values``, which evaluates the
+coefficients once per lattice column, broadcast against its rows: once per
+column of the base lattice, and three times per split cell, whose five new
+points lie on three columns (bottom, centre and top on the middle one).
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .symbol import (POINT_CHUNK, TWO_PI, coefficient_values,
-                     det_or_eigvals, polynomial, xi_window)
+from .symbol import TWO_PI, det_or_eigvals, grid_values, xi_window
 
 # points within this distance of a boundary count as inside (shared with
 # the eigenvalue-count routines)
@@ -102,6 +101,16 @@ class Polygon(SpectralDomain):
         v = tuple(complex(w) for w in self.vertices)
         if len(v) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        # a zero edge would divide 0 by 0 in _segment_gap.  The signed area
+        # cannot tell an interior: a symmetric bow-tie's is zero
+        w = np.asarray(v)
+        edges = np.roll(w, -1) - w
+        if not edges.all():
+            raise ValueError("polygon repeats a vertex at consecutive corners")
+        if (np.abs((np.conj(edges[0]) * (w - w[0])).imag)
+                <= BOUNDARY_TOL * abs(edges[0])).all():
+            raise ValueError("polygon has no interior: its vertices lie on "
+                             "one line")
         object.__setattr__(self, "vertices", v)
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
@@ -133,6 +142,8 @@ class Polygon(SpectralDomain):
 
 def regular_polygon(center: complex, radius: float, n: int = 128) -> Polygon:
     """Regular n-gon approximation of a disk."""
+    if not radius > 0.0:
+        raise ValueError(f"disk radius must be positive, not {radius!r}")
     angles = TWO_PI * np.arange(n) / n
     return Polygon(tuple(center + radius * np.exp(1j * angles)))
 
@@ -282,7 +293,7 @@ class QuadratureResult:
     evaluations: int
 
 
-# Cells per split batch; m_gamma evaluates POINT_CHUNK points at a time.
+# Cells per split batch; grid_values evaluates POINT_CHUNK points at a time.
 # Between levels the mixed cells are kept as int32 lattice indices and
 # small-integer corner counts; with float coordinates, int64 counts and
 # whole-level batches the finest F2 level added 9.4 MB to a run's peak
@@ -294,21 +305,10 @@ def m_gamma(sym, domain: SpectralDomain, x: np.ndarray,
             xi: np.ndarray) -> np.ndarray:
     """m_Gamma(x[k], xi[k, ...]): the number of eigenvalues of p in
     ``domain`` at each point, shape xi.shape, as the smallest integer type
-    that holds n.  x is one value per column, and the coefficients at x[k]
-    are evaluated once and broadcast against the row xi[k, ...]."""
-    xi = np.asarray(xi)
-    row = xi.shape[1:]
-    cols = max(POINT_CHUNK // math.prod(row), 1)
-    out = np.empty(xi.shape, dtype=np.min_scalar_type(sym.n))
-    values = np.empty((sym.n, sym.n, cols) + row, dtype=complex)
-    orders = sym.orders()
-    for start in range(0, len(x), cols):
-        coeffs = coefficient_values(sym, x[start:start + cols])
-        size = coeffs.shape[3]
-        p = polynomial(coeffs.reshape(coeffs.shape + (1,) * len(row)),
-                       xi[start:start + size], out=values[:, :, :size],
-                       orders=orders)
-        out[start:start + size] = np.count_nonzero(
+    that holds n; x and xi are columns and rows as grid_values takes them."""
+    out = np.empty(np.shape(xi), dtype=np.min_scalar_type(sym.n))
+    for cols, p in grid_values(sym, x, xi):
+        out[cols] = np.count_nonzero(
             domain.contains_many(det_or_eigvals(p, det=False)), axis=0)
     return out
 

@@ -86,6 +86,10 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # one Python float per parameter: a numpy float's repr names another
+        # seed stream ("sc:np.float64(0.1)") and prints into the reports
+        self.h_list = tuple(map(float, self.h_list))
+        self.lambda_list = tuple(map(float, self.lambda_list))
         self.validate()
 
     # ------------------------------------------------------------------
@@ -141,13 +145,34 @@ class ExperimentConfig:
             if not isinstance(self.domains[0], domains.AnnularSector):
                 raise ValueError("highenergy mode needs an annular-sector "
                                  "domain reaching the origin")
-            # run_highenergy's first K, at the smallest rung
+            # the rule's K at the largest rung: past the cap, no K that the
+            # ladder reaches resolves it (and at lambda = 1e308 its Weyl
+            # measure overflowed)
             K0 = self.truncation_K(1.0, domains.dilate(
-                self.domains[0], min(self.lambda_list)).bound_radius())
+                self.domains[0], max(self.lambda_list)).bound_radius())
             if K0 > HE_K_CAP:
-                raise ValueError(f"the smallest lambda starts the truncation "
+                raise ValueError(f"the largest lambda starts the truncation "
                                  f"at K = {K0}, past the cap {HE_K_CAP}")
+        self._check_memory()
         self._validate_roots()
+
+    def _check_memory(self):
+        """Refuse a run whose records' spectra, n(2K + 1) complex values
+        per trial and parameter at the largest K the run can reach, cannot
+        fit in physical memory."""
+        if self.mode == "semiclassical":
+            params, K = self.h_list, self.truncation_K(
+                min(self.h_list), self.domains[0].bound_radius())
+        else:
+            params, K = self.lambda_list, HE_K_CAP
+        need = self.trials * len(params) * self.sym.n * (2 * K + 1) * 16
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ValueError(
+                f"the spectra of {float(self.trials):.3g} trials x "
+                f"{len(params)} parameters at K = {K} take "
+                f"{need / 2 ** 30:.3g} GiB, more than the "
+                f"{have / 2 ** 30:.3g} GiB of physical memory")
 
     def require_law(self) -> randomness.CoefficientLaw:
         """The perturbation law, which the Monte-Carlo paths need."""
@@ -189,6 +214,8 @@ class ExperimentConfig:
     def truncation_K(self, h: float, z_sup: float, c_K: float = C_K) -> int:
         """ceil(c_K xi_window / h) + 2 bandwidth."""
         window = symbol.xi_window(self.sym, z_sup)
+        if not math.isfinite(window):
+            raise ValueError(f"no truncation resolves |z| <= {z_sup!r}")
         return int(math.ceil(c_K * window / h)) + 2 * self.sym.max_bandwidth()
 
     def echo(self) -> dict:
@@ -651,26 +678,29 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     config.require_law()
     sym = config.sym
     gamma = config.only_domain()
+    # every h's coupling is checked against its rounding floor before any
+    # solve; the floor reads the norm at K_rule whatever K is certified
+    rules = {}      # h -> (K_rule, delta)
+    for h in config.h_list:
+        K_rule = config.truncation_K(h, gamma.bound_radius())
+        delta = _coupling(config, h)
+        rules[h] = K_rule, delta
+        if delta != 0.0:
+            rule_P = discretize.assemble_operator(
+                sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
+            floor = _delta_floor(float(np.linalg.norm(rule_P.entries, 2)))
+            if delta < floor:
+                raise EmptyWindow(
+                    f"delta = {delta:.3e} is below the rounding floor "
+                    f"{floor:.3e} at h = {h}; the intentional "
+                    f"perturbation would drown in eigensolver noise")
     weyl = domains.weyl_measure(sym, gamma)
     measure = weyl.value
 
     records = []
     truncation = {}
     with _helpers(config) as pool:
-        for h in config.h_list:
-            K_rule = config.truncation_K(h, gamma.bound_radius())
-            delta = _coupling(config, h)
-            if delta != 0.0:
-                # the rounding-floor guard reads the norm at K_rule whatever
-                # K is certified
-                rule_P = discretize.assemble_operator(
-                    sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
-                floor = _delta_floor(float(np.linalg.norm(rule_P.entries, 2)))
-                if delta < floor:
-                    raise EmptyWindow(
-                        f"delta = {delta:.3e} is below the rounding floor "
-                        f"{floor:.3e} at h = {h}; the intentional "
-                        f"perturbation would drown in eigensolver noise")
+        for h, (K_rule, delta) in rules.items():
             run = _certified_trials(
                 pool, config, f"sc:{h!r}", h, delta,
                 [(h, gamma, lambda: measure / (symbol.TWO_PI * h))],
@@ -718,7 +748,7 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
         c_hat=c_hat, coverage=coverage,
         extras={"weyl_measure": measure,
                 "weyl_measure_bound": weyl.bound,
-                "delta": {h: _coupling(config, h) for h in params},
+                "delta": {h: delta for h, (_, delta) in rules.items()},
                 "truncation": truncation,
                 "stage_ms": {h: _stage_medians(records, h) for h in params},
                 "workers": WORKERS},
@@ -778,18 +808,18 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     sym = config.sym
     sector = config.only_domain()
 
-    lam_sorted = tuple(sorted(config.lambda_list))
+    params = tuple(sorted(config.lambda_list))
     # this also checks the sector: it must reach the origin with r_out = 1
-    pieces = [domains.dyadic_decompose(lam, sector) for lam in lam_sorted]
-    rungs = [domains.dilate(sector, lam) for lam in lam_sorted]
+    pieces = [domains.dyadic_decompose(lam, sector) for lam in params]
+    rungs = [domains.dilate(sector, lam) for lam in params]
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
     with _helpers(config) as pool:
         # the helpers measure the rungs while the pilot climbs its K ladder
         weyls = [_submit(pool, _rung_weyl, sym, dom) for dom in rungs]
         run = _certified_trials(
             pool, config, "he", 1.0, 1.0,
-            [(float(lam), dom, lambda w=w: w.result()[0])
-             for lam, dom, w in zip(lam_sorted, rungs, weyls)],
+            [(lam, dom, lambda w=w: w.result()[0])
+             for lam, dom, w in zip(params, rungs, weyls)],
             K0=K0, cap=HE_K_CAP, fallback=None, pilots=1,
             growth=HE_GROWTH, chains=HE_CHAINS, tol=HE_SETTLE_TOL)
         records, certified = run.records, run.verdicts
@@ -799,14 +829,14 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         # mismatch exposes a count that rounding can move.  Trial 0's
         # records, one per rung, come first.
         rescaled = _shared(pool, _rescaled_eigs, (config, "he", run.K),
-                           list(lam_sorted))
+                           list(params))
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
             sector.contains_many(rescaled[lam])) == r.N)
-            for lam, r in zip(lam_sorted, records)}
-    weyls = {str(lam): w.result() for lam, w in zip(lam_sorted, weyls)}
+            for lam, r in zip(params, records)}
+    weyls = {str(lam): w.result() for lam, w in zip(params, weyls)}
 
     dyadic_info = {}
-    for r, lam, rung_pieces in zip(records, itertools.cycle(lam_sorted),
+    for r, lam, rung_pieces in zip(records, itertools.cycle(params),
                                    itertools.cycle(pieces)):
         piece_counts = [int(np.count_nonzero(p.contains_many(r.eigenvalues)))
                         for p in rung_pieces]
@@ -814,7 +844,6 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
             "piece_counts": piece_counts, "total": r.N,
             "sum_matches": sum(piece_counts) == r.N}
 
-    params = tuple(float(l) for l in lam_sorted)
     aggregates = {lam: _aggregate(records, lam) for lam in params}
     for lam, ok in zip(params, certified):
         aggregates[lam]["certified"] = ok
@@ -860,7 +889,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
                 "K": run.K, "K_start": K0, "K_tried": list(run.K_tried),
                 "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,
                 "certified": {str(lam): ok
-                              for lam, ok in zip(lam_sorted, certified)},
+                              for lam, ok in zip(params, certified)},
                 "pilot_millis": run.pilot_millis,
                 "fit_rungs": fit_rungs,
             },

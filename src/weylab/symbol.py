@@ -15,12 +15,12 @@ alpha order, and the xi-derivative with it, skipping the orders whose
 coefficients vanish (``orders()``).  Skipping a zero term leaves every sum
 bit for bit as it was, since adding a signed zero to a sum started at +0
 changes nothing.  The first stage runs once per x: a Newton iteration in
-xi at fixed x reuses it, and a grid builds its coefficients on a column of
-x before broadcasting against a row of xi.  ``det_or_eigvals`` turns the
-values into determinants or eigenvalues, and ``adjugate`` into adjugates;
-they are the only code that branches on n.  Both use closed forms for
-n <= 2: LAPACK's batched LU spent 29 ms of an F3 root scan's 38 ms on the
-65,536 2 x 2 determinants of its seed grid.
+xi at fixed x reuses it, and ``grid_values`` builds a grid's coefficients
+on a batch of x columns, broadcast against rows of xi.  ``det_or_eigvals``
+turns the values into determinants or eigenvalues, and ``adjugate`` into
+adjugates; they are the only code that branches on n.  Both use closed
+forms for n <= 2: LAPACK's batched LU spent 29 ms of an F3 root scan's
+38 ms on the 65,536 2 x 2 determinants of its seed grid.
 
 Values are laid out in entry planes: the n x n matrix axes come first and
 the point axes last, as in A of shape (m+1, n, n, *x.shape), so that each
@@ -101,6 +101,8 @@ class MatrixSymbol:
         if (c.ndim != 4 or c.shape[:3] != (self.m + 1, self.n, self.n)
                 or c.shape[3] % 2 != 1):
             raise ValueError("coeffs must have shape (m+1, n, n, 2B+1)")
+        if not np.isfinite(c).all():
+            raise ValueError("symbol coefficients must be finite")
         B = c.shape[3] // 2
         used = np.flatnonzero(c.any(axis=(0, 1, 2))) - B
         bw = int(np.abs(used).max(initial=0))
@@ -186,9 +188,7 @@ def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None, orders=None):
     axes, and may not have more axes than they do.  Only the alpha in
     ``orders`` are summed, every alpha by default; a symbol's ``orders()``
     leaves out those whose A[alpha] vanish.  The sum is written into
-    ``out`` when given, so that a loop over grid chunks keeps two
-    chunk-sized arrays alive, not three: with three, the allocator gave
-    their pages back and faulted them in again on every chunk.
+    ``out`` when given (see ``grid_values``).
     """
     xi = np.asarray(xi)
     if xi.ndim > A.ndim - 3:
@@ -211,6 +211,28 @@ def polynomial(A: np.ndarray, xi, dxi: bool = False, out=None, orders=None):
             dp += np.multiply((a + 1) * A[a + 1], xipow, out=term)
         xipow = xipow * xi
     return (p, dp) if dxi else p
+
+
+def grid_values(sym: MatrixSymbol, x, xi):
+    """Yields (columns, p): p(x[k], xi[k, ...]) in entry planes for each
+    batch of whole x columns, at most POINT_CHUNK points or else one column,
+    ``columns`` the slice of x it covers.  xi is one row per column, shape
+    (len(x), *row), or one row that every column shares, shape (1, *row),
+    which broadcasts uncopied.  A batch's coefficients are evaluated once,
+    and every p is written into one buffer, so each must be used before the
+    next: fresh arrays per batch were faulted in again on every batch."""
+    xi = np.asarray(xi)
+    row = xi.shape[1:]
+    cols = max(POINT_CHUNK // math.prod(row), 1)
+    buffer = np.empty((sym.n, sym.n, min(cols, len(x))) + row, dtype=complex)
+    orders = sym.orders()
+    for start in range(0, len(x), cols):
+        A = coefficient_values(sym, x[start:start + cols])
+        size = A.shape[3]
+        p = polynomial(A.reshape(A.shape + (1,) * len(row)),
+                       xi if len(xi) == 1 else xi[start:start + size],
+                       out=buffer[:, :, :size], orders=orders)
+        yield slice(start, start + size), p
 
 
 def shift(p: np.ndarray, z) -> np.ndarray:
@@ -342,16 +364,13 @@ WINDING_ZERO_TOL = 1e-13
 
 # -- q_z and its gradient ------------------------------------------------------
 
-def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True,
-         out=None):
+def _jet(sym: MatrixSymbol, x, xi, z: complex, grad: bool = True):
     """q_z = det(p - z) at the points (x, xi), broadcast; with ``grad``, the
     triple (q_z, d_x q_z, d_xi q_z), the derivatives by the Jacobi formula
-    dq = tr(adj(p - z) dp).  Without ``grad``, p is written into ``out``
-    when given (see ``polynomial``)."""
+    dq = tr(adj(p - z) dp)."""
     orders = sym.orders()
     if not grad:
-        p = polynomial(coefficient_values(sym, x), xi, out=out,
-                       orders=orders)
+        p = polynomial(coefficient_values(sym, x), xi, orders=orders)
         return det_or_eigvals(shift(p, z), det=True)
     A, dA = coefficient_values(sym, x, dx=True)
     p, dpxi = polynomial(A, xi, dxi=True, orders=orders)
@@ -428,16 +447,9 @@ def find_roots(sym: MatrixSymbol, z: complex) -> RootInventory:
                              degenerate=False)
     x = np.linspace(0.0, TWO_PI, GRID_NX, endpoint=False)
     xi = np.linspace(-window, window, GRID_NXI)
-    # |q_z| on the grid, a batch of whole x rows at a time in one buffer of
-    # entry planes: fresh arrays for each batch were faulted in again on
-    # every batch once the allocator had given their pages back
-    rows = max(POINT_CHUNK // GRID_NXI, 1)
     absq = np.empty((GRID_NX, GRID_NXI))
-    values = np.empty((sym.n, sym.n, rows, GRID_NXI), dtype=complex)
-    for s in range(0, GRID_NX, rows):
-        xs = x[s:s + rows, None]
-        absq[s:s + rows] = np.abs(_jet(sym, xs, xi, z, grad=False,
-                                       out=values[:, :, :len(xs)]))
+    for rows, p in grid_values(sym, x, xi[None]):
+        absq[rows] = np.abs(det_or_eigvals(shift(p, z), det=True))
     # np.median's value from one partition at the upper middle value: the
     # mean of it and the largest value below it, or NaN where the grid
     # holds one, which the partition puts in the upper half.  (np.partition

@@ -184,11 +184,31 @@ EXIT_CODES = {"BandwidthExceeded": 2, "EmptyWindow": 2,
 
 
 def count_solves(monkeypatch):
-    """The matrices passed to discretize.eigenvalues, which solves none."""
+    """The matrices passed to discretize.eigenvalues, each still solved."""
     solves = []
+    eigenvalues = harness.discretize.eigenvalues
     monkeypatch.setattr(harness.discretize, "eigenvalues",
-                        lambda mat: solves.append(mat))
+                        lambda mat: solves.append(mat) or eigenvalues(mat))
     return solves
+
+
+DELETE = object()
+
+
+def set_leaf(config_file, path, value):
+    """Write value at the path of keys into the JSON config file, or delete
+    that leaf for DELETE; returns the new config."""
+    raw = json.loads(pathlib.Path(config_file).read_text())
+    *outer, last = path
+    block = raw
+    for key in outer:
+        block = block[key]
+    if value is DELETE:
+        del block[last]
+    else:
+        block[last] = value
+    pathlib.Path(config_file).write_text(json.dumps(raw))
+    return raw
 
 
 class TestExitCodes:
@@ -307,13 +327,7 @@ class TestExitCodes:
              "order", "order-minus-1", "slot", "vertices"])
     def test_non_integral_field_maps_to_two(self, config_path, tmp_path,
                                             capsys, path, value):
-        raw = json.loads(pathlib.Path(config_path).read_text())
-        *outer, last = path
-        block = raw
-        for key in outer:
-            block = block[key]
-        block[last] = value
-        pathlib.Path(config_path).write_text(json.dumps(raw))
+        set_leaf(config_path, path, value)
         rc = cli.main(["mc-semiclassical", "--config", config_path,
                        "--out", str(tmp_path / "run")])
         assert rc == 2
@@ -348,13 +362,7 @@ class TestExitCodes:
         ids=["trials", "delta", "seed", "K_q", "re_max", "symbol-entry"])
     def test_boolean_field_maps_to_two(self, config_path, tmp_path, capsys,
                                        monkeypatch, path, value):
-        raw = json.loads(pathlib.Path(config_path).read_text())
-        *outer, last = path
-        block = raw
-        for key in outer:
-            block = block[key]
-        block[last] = value
-        pathlib.Path(config_path).write_text(json.dumps(raw))
+        set_leaf(config_path, path, value)
         solves = count_solves(monkeypatch)
         rc = cli.main(["mc-semiclassical", "--config", config_path,
                        "--out", str(tmp_path / "run")])
@@ -454,7 +462,11 @@ class TestExitCodes:
     # an inverted rectangle counted nothing against W = 0 and exited 0;
     # K_q = 0 put all 1,281 eigenvalues of a high-energy run on one point;
     # a smallest lambda of 2^64 started K past the cap and asked for a
-    # 256 GiB matrix
+    # 256 GiB matrix; a disk of radius 0 or a polygon with a zero edge
+    # divided 0 by 0 in its boundary gap, a negative radius counted in the
+    # disk of radius 0.2, and collinear vertices ran the Weyl measure to
+    # NonConvergence; 1e308 trials raised MemoryError building the trial
+    # list
     @pytest.mark.parametrize("config, path, value, message", [
         ("config_path", ("domains", 0, "re_min"), 0.8,
          "rectangle needs re_min < re_max"),
@@ -462,25 +474,37 @@ class TestExitCodes:
          "rectangle needs re_min < re_max"),
         ("he_config_path", ("perturbation", "K_q"), 0, "K_q must be >= 1"),
         ("he_config_path", ("experiment", "lambda_list"), [2.0 ** 64],
-         "past the cap 1024")],
-        ids=["re-inverted", "im-flat", "K_q-zero", "lambda-past-cap"])
+         "past the cap 1024"),
+        ("config_path", ("domains", 0),
+         {"type": "disk", "center": [0.4, 0.0], "radius": 0.0},
+         "disk radius must be positive"),
+        ("config_path", ("domains", 0),
+         {"type": "disk", "center": [0.4, 0.0], "radius": -0.2},
+         "disk radius must be positive"),
+        ("config_path", ("domains", 0),
+         {"type": "polygon", "vertices": [[0.1, -0.3], [0.4, 0.0],
+                                          [0.7, 0.3]]},
+         "its vertices lie on one line"),
+        ("config_path", ("domains", 0),
+         {"type": "polygon", "vertices": [[0.1, -0.5], [0.7, -0.5],
+                                          [0.7, -0.5], [0.4, 0.5]]},
+         "repeats a vertex at consecutive corners"),
+        ("config_path", ("experiment", "trials"), 1e308,
+         "GiB of physical memory")],
+        ids=["re-inverted", "im-flat", "K_q-zero", "lambda-past-cap",
+             "disk-zero", "disk-negative", "polygon-collinear",
+             "polygon-repeated", "trials-past-memory"])
     def test_nothing_to_count_maps_to_two(self, request, tmp_path,
                                           monkeypatch, capsys, config, path,
                                           value, message):
-        config_file = pathlib.Path(request.getfixturevalue(config))
-        raw = json.loads(config_file.read_text())
-        *outer, last = path
-        block = raw
-        for key in outer:
-            block = block[key]
-        block[last] = value
-        config_file.write_text(json.dumps(raw))
+        config_file = request.getfixturevalue(config)
+        raw = set_leaf(config_file, path, value)
         solves = count_solves(monkeypatch)
         assembled = []
         monkeypatch.setattr(harness.discretize, "assemble_operator",
                             lambda *args: assembled.append(args))
         rc = cli.main([f"mc-{raw['experiment']['mode']}", "--config",
-                       str(config_file), "--out", str(tmp_path / "run")])
+                       config_file, "--out", str(tmp_path / "run")])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert solves == assembled == [] and not (tmp_path / "run").exists()
@@ -532,14 +556,60 @@ class TestExitCodes:
         assert rc == 2
         assert f"--domain {index}" in capsys.readouterr().err
 
-    def test_empty_window_maps_to_two(self, config_path, tmp_path, capsys):
-        raw = json.loads(pathlib.Path(config_path).read_text())
-        raw["experiment"]["delta"] = 1e-18
-        pathlib.Path(config_path).write_text(json.dumps(raw))
-        rc = cli.main(["mc-semiclassical", "--config", config_path,
-                       "--out", str(tmp_path / "run")])
-        assert rc == 2
-        assert "rounding floor" in capsys.readouterr().err
+    def test_empty_window_maps_to_two(self, config_path, tmp_path, capsys,
+                                      monkeypatch):
+        # at delta = 8e-12 the floor is 7.04e-12 at h = 0.05 and 8.83e-12
+        # at h = 0.3, which was checked after h = 0.05's 33 solves
+        solves = count_solves(monkeypatch)
+        for h_list, delta in (([0.1], 1e-18), ([0.05, 0.3], 8e-12)):
+            raw = json.loads(pathlib.Path(config_path).read_text())
+            raw["experiment"].update(h_list=h_list, delta=delta)
+            pathlib.Path(config_path).write_text(json.dumps(raw))
+            rc = cli.main(["mc-semiclassical", "--config", config_path,
+                           "--out", str(tmp_path / "run")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "rounding floor" in err and f"at h = {h_list[-1]};" in err
+        assert solves == [] and not (tmp_path / "run").exists()
+
+
+# A fixed sample of the config-mutation sweep: one leaf of a config at a
+# time takes each of these values or is deleted.  A run may finish, refuse
+# its config or fail numerically, but never raise, and a refusal comes
+# before any eigensolve
+SWEEP_VALUES = [None, True, "x", [], {}, -1, 0, 0.5, math.nan, math.inf,
+                1e308, DELETE]
+SWEEP_LEAVES = [
+    ("config_path", ("experiment", "trials")),
+    ("config_path", ("experiment", "h_list", 0)),
+    ("config_path", ("symbol", "m")),
+    ("config_path", ("perturbation", "rho")),
+    ("config_path", ("perturbation", "K_q")),
+    ("config_path", ("domains", 0, "re_max")),
+    ("config_path", ("seed",)),
+    ("config_path", ("symbol", "coeffs", "0", 0, 3)),
+    ("he_config_path", ("experiment", "lambda_list", 1)),
+    ("he_config_path", ("perturbation", "alpha_max")),
+    ("he_config_path", ("domains", 0, "r_out")),
+    ("he_config_path", ("domains", 0, "theta_max"))]
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES, ids=lambda v: (
+    "deleted" if v is DELETE else json.dumps(v)))
+@pytest.mark.parametrize("config, path", SWEEP_LEAVES, ids=[
+    config[:-len("config_path")] + ".".join(map(str, path))
+    for config, path in SWEEP_LEAVES])
+def test_config_mutation_sweep(request, tmp_path, monkeypatch, capsys,
+                               config, path, value):
+    config_file = request.getfixturevalue(config)
+    set_leaf(config_file, path, value)
+    monkeypatch.setattr(harness, "WORKERS", 1)
+    solves = count_solves(monkeypatch)
+    mode = "highenergy" if config == "he_config_path" else "semiclassical"
+    rc = cli.main([f"mc-{mode}", "--config", config_file,
+                   "--out", str(tmp_path / "run")])
+    assert rc in (0, 2, 3)
+    assert rc != 2 or solves == []
 
 
 def test_readme_cli_lines_parse():

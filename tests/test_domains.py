@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weylab import domains
+from weylab import domains, symbol
 from weylab.domains import (AnnularSector, Dilated, Polygon, QuadOptions,
                             Rectangle, dilate, dyadic_decompose,
                             regular_polygon, weyl_measure)
@@ -59,6 +59,10 @@ class TestPolygon:
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):
             Polygon((0, 1))
+        # a symmetric bow-tie has zero signed area and an interior
+        bow_tie = Polygon((0, 1 + 1j, 1, 1j))
+        assert bow_tie.contains_many(np.array([0.5 + 0.2j, 0.2 + 0.5j])) \
+            .tolist() == [False, True]
 
 
 class TestAnnularSector:
@@ -249,7 +253,7 @@ class TestWeylMeasure:
         # gives the same result field for field.  Small chunks leave
         # partial batches of columns and of points
         sym = named_symbol(name, request)
-        monkeypatch.setattr(domains, "POINT_CHUNK", 700)
+        monkeypatch.setattr(symbol, "POINT_CHUNK", 700)
         monkeypatch.setattr(domains, "CELL_CHUNK", 300)
         quad = QuadOptions(tol_rel=5e-2, base_grid=32)
         cases = [(Rectangle(-0.5, 0.5, -0.5, 0.5), quad),

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -137,9 +138,18 @@ class TestSemiclassicalRun:
         # finest-h coverage entry exists relative to the coarsest h
         assert 0.08 in rep.coverage
 
-    def test_delta_floor_guard(self, f2):
-        with pytest.raises(EmptyWindow):
-            run_semiclassical(sc_config(f2, delta_override=1e-18))
+    def test_delta_floor_guard(self, f2, monkeypatch):
+        # every h's floor is checked before the first solve: at delta =
+        # 8e-12 the floor is 7.04e-12 at h = 0.05 and 8.83e-12 at h = 0.3,
+        # which raised after h = 0.05's 33 solves
+        solves = []
+        monkeypatch.setattr(harness.discretize, "eigenvalues",
+                            lambda mat: solves.append(mat))
+        for h_list, delta in (((0.1,), 1e-18), ((0.05, 0.3), 8e-12)):
+            with pytest.raises(EmptyWindow, match=f"at h = {h_list[-1]};"):
+                run_semiclassical(sc_config(f2, h_list=h_list,
+                                            delta_override=delta))
+        assert solves == []
 
     def test_trial_reuse_of_stream_labels(self, f2):
         cfg = sc_config(f2, trials=2)
@@ -741,6 +751,23 @@ class TestReports:
         pilot_ms = sum(t["pilot_millis"] for t in runs)
         assert 0.0 < pilot_ms < summary["total_millis"]
         assert summary["total_millis"] == pytest.approx(wall_ms, abs=1.0)
+
+    @pytest.mark.parametrize("mode", ["semiclassical", "highenergy"])
+    def test_numpy_float_parameters(self, f2, f4, mode, tmp_path):
+        # a numpy h named the seed stream "sc:np.float64(0.1)", and so drew
+        # other trials, and printed that repr into the reports
+        make, run, key, values = {
+            "semiclassical": (functools.partial(sc_config, f2, trials=3),
+                              run_semiclassical, "h_list", (0.1, 0.08)),
+            "highenergy": (functools.partial(he_config, f4), run_highenergy,
+                           "lambda_list", (4.0, 2.0))}[mode]
+        python, numpy = (report_files(
+            run(make(**{key: tuple(map(kind, values))})), tmp_path / side)
+            for side, kind in (("python", float), ("numpy", np.float64)))
+        assert numpy["trials"] == python["trials"]
+        assert numpy["eigenvalues"] == python["eigenvalues"]
+        assert without(numpy["summary"], TIMES) == \
+            without(python["summary"], TIMES)
 
     def test_eigen_dump(self, f2, f4, tmp_path):
         # both drivers at their defaults: every record keeps its spectrum,

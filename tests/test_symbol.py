@@ -264,7 +264,7 @@ class TestEvaluatorIdentity:
         assert seeds[0].tobytes() == np.abs(
             symbol._jet(sym, gx[:, None], gxi, z, grad=False)).tobytes()
         dom = Rectangle(-0.5, 1.0, -0.6, 0.6)
-        monkeypatch.setattr(domains, "POINT_CHUNK", 100)
+        monkeypatch.setattr(symbol, "POINT_CHUNK", 100)
         counts = domains.m_gamma(sym, dom, np.repeat(x, len(xi)),
                                  np.tile(xi, len(x)))
         single = [np.count_nonzero(dom.contains_many(
@@ -346,15 +346,15 @@ class TestNonzeroSlices:
     def test_nan_on_root_grid_as_numpy_median(self, f2, monkeypatch):
         # a NaN on the seed grid makes np.median, and so the root scale,
         # NaN: no seed is below it and the scan ends with no root
-        jet = symbol._jet
+        grid_values = symbol.grid_values
 
-        def nan_grid(sym, x, xi, z, grad=True, out=None):
-            q = jet(sym, x, xi, z, grad=grad, out=out)
-            if out is not None and x.ravel()[0] == 0.0:
-                q[-1, -1] = np.nan
-            return q
+        def nan_grid(sym, x, xi):
+            for columns, p in grid_values(sym, x, xi):
+                if columns.start == 0:
+                    p[..., -1, -1] = np.nan
+                yield columns, p
         assert len(symbol.find_roots(f2, 0.5).roots) == 2
-        monkeypatch.setattr(symbol, "_jet", nan_grid)
+        monkeypatch.setattr(symbol, "grid_values", nan_grid)
         inv = symbol.find_roots(f2, 0.5)
         assert (inv.roots, inv.beta, inv.gamma, inv.degenerate) == \
             ((), 0, 0, False)
@@ -428,9 +428,9 @@ class TestRoots:
         calls = []
         jet = symbol._jet
 
-        def counted(sym, x, xi, z, grad=True, out=None):
+        def counted(sym, x, xi, z, grad=True):
             calls.append(grad)
-            return jet(sym, x, xi, z, grad, out)
+            return jet(sym, x, xi, z, grad)
 
         monkeypatch.setattr(symbol, "_jet", counted)
         inv = symbol.find_roots(f2, 0.5)
