@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand reads a JSON config (symbol / perturbation / domains /
-experiment / seed) and writes plot-ready CSV or JSON.  Exit codes:
+experiment / seed), loaded once in ``main``, and writes JSON or plot-ready
+tables through ``harness.write_table``.  Exit codes:
 0 success, 2 config or hypothesis violation (a ValueError, KeyError or
 OSError), 3 numerical failure (any other WeylabError).
 """
@@ -45,10 +46,15 @@ def _inventory_json(inv: symbol.RootInventory) -> dict:
     }
 
 
-def cmd_symbol_scan(args) -> int:
+def _rule_truncation(cfg, h: float) -> discretize.FourierTruncation:
+    """The rule's truncation at h for the first domain."""
+    K = cfg.truncation_K(h, cfg.domains[0].bound_radius())
+    return discretize.FourierTruncation(K=K, n=cfg.sym.n, h=h)
+
+
+def cmd_symbol_scan(args, cfg) -> int:
     """Region map over a z grid; a point whose root scan does not converge
     is written with NonConvergence as its region, and the run exits 3."""
-    cfg = harness.load_config(args.config)
     nx, ny = (int(v) for v in args.grid.split("x"))
     if args.zbox:
         re0, re1, im0, im1 = (float(v) for v in args.zbox.split(","))
@@ -57,36 +63,35 @@ def cmd_symbol_scan(args) -> int:
         re0, re1, im0, im1 = -r, r, -r, r
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "region_map.csv")
-    failed = 0
-    with open(path, "w") as fh:
-        fh.write("re,im,region,beta,gamma\n")
+    failed = []
+
+    def rows():
         for re in np.linspace(re0, re1, nx):
             for im in np.linspace(im0, im1, ny):
                 try:
                     cls = symbol.classify_region(cfg.sym, complex(re, im))
-                    row = (f"{cls.kind.value},{cls.inventory.beta},"
-                           f"{cls.inventory.gamma}")
+                    yield (re, im, cls.kind.value, cls.inventory.beta,
+                           cls.inventory.gamma)
                 except NonConvergence:
-                    failed += 1
-                    row = "NonConvergence,,"
-                fh.write(f"{float(re)!r},{float(im)!r},{row}\n")
+                    failed.append((re, im))
+                    yield re, im, "NonConvergence", "", ""
+
+    harness.write_table(path, ("re", "im", "region", "beta", "gamma"), rows())
     print(path)
     if failed:
-        print(f"numerical failure at {failed} of {nx * ny} points",
+        print(f"numerical failure at {len(failed)} of {nx * ny} points",
               file=sys.stderr)
     return 3 if failed else 0
 
 
-def cmd_roots(args) -> int:
-    cfg = harness.load_config(args.config)
+def cmd_roots(args, cfg) -> int:
     inv = symbol.find_roots(cfg.sym, _parse_z(args.z))
     json.dump(_inventory_json(inv), sys.stdout, indent=2)
     print()
     return 0
 
 
-def cmd_weyl(args) -> int:
-    cfg = harness.load_config(args.config)
+def cmd_weyl(args, cfg) -> int:
     if int(args.domain) not in range(len(cfg.domains)):
         raise ValueError(f"--domain {args.domain}: no such domain in config")
     dom = cfg.domains[int(args.domain)]
@@ -103,22 +108,21 @@ def cmd_weyl(args) -> int:
     return 0
 
 
-def cmd_assemble(args) -> int:
-    cfg = harness.load_config(args.config)
-    trunc = discretize.FourierTruncation(K=int(args.K), n=cfg.sym.n,
-                                         h=float(args.h))
-    mat = discretize.assemble_operator(cfg.sym, trunc)
-    discretize.save_matrix(mat, args.out)
+def cmd_assemble(args, cfg) -> int:
+    """The matrix file: a header (side, n, K, h), then one line of
+    'Re Im' pairs per matrix row, all space-separated."""
+    t = discretize.FourierTruncation(K=int(args.K), n=cfg.sym.n,
+                                     h=float(args.h))
+    mat = discretize.assemble_operator(cfg.sym, t)
+    harness.write_table(args.out, (t.side, t.n, t.K, t.h),
+                        mat.entries.view(float), sep=" ")
     print(args.out)
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    cfg = harness.load_config(args.config)
+def cmd_spectrum(args, cfg) -> int:
     h = float(args.h)
-    K = cfg.truncation_K(h, cfg.domains[0].bound_radius())
-    trunc = discretize.FourierTruncation(K=K, n=cfg.sym.n, h=h)
-    mat = discretize.assemble_operator(cfg.sym, trunc)
+    mat = discretize.assemble_operator(cfg.sym, _rule_truncation(cfg, h))
     if args.delta is not None and float(args.delta) != 0.0:
         seed = int(args.seed) if args.seed is not None else cfg.seed
         spec = randomness.SeedSpec(seed, "spectrum", int(args.trial))
@@ -127,33 +131,27 @@ def cmd_spectrum(args) -> int:
     eigs = discretize.eigenvalues(mat)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "spectrum.csv")
-    with open(path, "w") as fh:
-        fh.write("re,im\n")
-        for z in eigs:
-            fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
+    harness.write_table(path, ("re", "im"), zip(eigs.real, eigs.imag))
     print(path)
     return 0
 
 
-def cmd_pseudospec(args) -> int:
-    cfg = harness.load_config(args.config)
+def cmd_pseudospec(args, cfg) -> int:
     h = float(args.h)
-    K = cfg.truncation_K(h, cfg.domains[0].bound_radius())
-    trunc = discretize.FourierTruncation(K=K, n=cfg.sym.n, h=h)
     grid = _parse_grid(args.grid)
-    smap = discretize.sigma_min_map(cfg.sym, h, trunc, grid)
+    smap = discretize.sigma_min_map(cfg.sym, h, _rule_truncation(cfg, h),
+                                    grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sigma_min.csv")
-    with open(path, "w") as fh:
-        fh.write("re,im,sigma_min\n")
-        for zi, si in zip(grid.ravel(), smap.ravel()):
-            fh.write(f"{float(zi.real)!r},{float(zi.imag)!r},{float(si)!r}\n")
+    harness.write_table(path, ("re", "im", "sigma_min"),
+                        zip(grid.real.ravel(), grid.imag.ravel(),
+                            smap.ravel()))
     print(path)
     return 0
 
 
-def cmd_quasimode(args) -> int:
-    cfg = harness.load_config(args.config)
+def cmd_quasimode(args, cfg) -> int:
+    """One table per plus-root: x, then Re and Im of each component."""
     z = _parse_z(args.z)
     h = float(args.h)
     inv = symbol.find_roots(cfg.sym, z)
@@ -161,20 +159,22 @@ def cmd_quasimode(args) -> int:
     if not plus:
         raise HypothesisViolation(f"no plus-root at z = {z}")
     K = cfg.truncation_K(h, abs(z))
+    header = ["x", *(f"{part}{i}" for i in range(cfg.sym.n)
+                     for part in ("re", "im"))]
     os.makedirs(args.out, exist_ok=True)
     paths = []
     for idx, root in enumerate(plus):
         q = quasimode.build_quasimode(cfg.sym, z, root, h, 8 * (2 * K + 1),
                                       inventory=inv)
         path = os.path.join(args.out, f"quasimode_plus_{idx}.csv")
-        quasimode.save_quasimode(q, path)
+        harness.write_table(path, header,
+                            np.column_stack((q.x, q.samples.view(float))))
         paths.append(path)
     print("\n".join(paths))
     return 0
 
 
-def cmd_mc(args, mode: str) -> int:
-    cfg = harness.load_config(args.config)
+def cmd_mc(args, cfg, mode: str) -> int:
     if cfg.mode != mode:
         raise ValueError(f"config mode is {cfg.mode!r}; this subcommand "
                          f"runs {mode!r}")
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--out", required=True)
         sp.add_argument("--dump-eigs", action="store_true")
-        sp.set_defaults(func=lambda a, m=mode: cmd_mc(a, m))
+        sp.set_defaults(func=lambda a, c, m=mode: cmd_mc(a, c, m))
 
     return p
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, harness.load_config(args.config))
     except (ValueError, KeyError, OSError) as exc:
         print(f"config/hypothesis violation: {exc}", file=sys.stderr)
         return 2

@@ -197,15 +197,3 @@ def sigma_min_map(sym: MatrixSymbol, h: float, trunc: FourierTruncation,
         res[idx] = np.linalg.svd(base - z * eye, compute_uv=False)[-1]
     return out
 
-
-# -- matrix files ------------------------------------------------------------
-
-def save_matrix(mat: OperatorMatrix, path) -> None:
-    """Header (side, n, K, h), then row-major 'Re Im' pairs."""
-    with open(path, "w") as fh:
-        t = mat.trunc
-        fh.write(f"{t.side} {t.n} {t.K} {t.h!r}\n")
-        for row in mat.entries:
-            fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}"
-                              for v in row) + "\n")
-

@@ -26,6 +26,7 @@ points lie on three columns (bottom, centre and top on the middle one).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -101,6 +102,10 @@ class Polygon(SpectralDomain):
         v = tuple(complex(w) for w in self.vertices)
         if len(v) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        for k, w in enumerate(v):
+            if not cmath.isfinite(w):
+                raise ValueError(f"polygon vertex {k} must be finite, "
+                                 f"not {w!r}")
         # a zero edge would divide 0 by 0 in _segment_gap.  The signed area
         # cannot tell an interior: a symmetric bow-tie's is zero
         w = np.asarray(v)
@@ -142,8 +147,11 @@ class Polygon(SpectralDomain):
 
 def regular_polygon(center: complex, radius: float, n: int = 128) -> Polygon:
     """Regular n-gon approximation of a disk."""
-    if not radius > 0.0:
-        raise ValueError(f"disk radius must be positive, not {radius!r}")
+    if not cmath.isfinite(center):
+        raise ValueError(f"disk center must be finite, not {center!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"disk radius must be positive and finite, not "
+                         f"{radius!r}")
     angles = TWO_PI * np.arange(n) / n
     return Polygon(tuple(center + radius * np.exp(1j * angles)))
 

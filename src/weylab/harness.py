@@ -157,21 +157,21 @@ class ExperimentConfig:
         self._validate_roots()
 
     def _check_memory(self):
-        """Refuse a run whose records' spectra, n(2K + 1) complex values
-        per trial and parameter at the largest K the run can reach, cannot
-        fit in physical memory."""
+        """Refuse a run whose records' spectra, n(2K + 1) complex values at
+        the largest K the run can reach, cannot fit in physical memory: one
+        spectrum per trial and h, or per high-energy trajectory, whose
+        rungs' records share it."""
         if self.mode == "semiclassical":
-            params, K = self.h_list, self.truncation_K(
+            per_trial, K = len(self.h_list), self.truncation_K(
                 min(self.h_list), self.domains[0].bound_radius())
         else:
-            params, K = self.lambda_list, HE_K_CAP
-        need = self.trials * len(params) * self.sym.n * (2 * K + 1) * 16
+            per_trial, K = 1, HE_K_CAP
+        need = self.trials * per_trial * self.sym.n * (2 * K + 1) * 16
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
             raise ValueError(
-                f"the spectra of {float(self.trials):.3g} trials x "
-                f"{len(params)} parameters at K = {K} take "
-                f"{need / 2 ** 30:.3g} GiB, more than the "
+                f"{float(self.trials * per_trial):.3g} spectra at K = {K} "
+                f"take {need / 2 ** 30:.3g} GiB, more than the "
                 f"{have / 2 ** 30:.3g} GiB of physical memory")
 
     def require_law(self) -> randomness.CoefficientLaw:
@@ -906,6 +906,17 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
 
 # -- report files --------------------------------------------------------------
 
+def write_table(path, header, rows, sep: str = ",") -> None:
+    """A plot-ready table: the header's cells, then one line per row, cells
+    joined by ``sep``; a float cell is written by repr(float(c)), which
+    reads back bit for bit, and any other cell by str.  ``rows`` may be a
+    generator: each row is written as it is yielded."""
+    with open(path, "w") as fh:
+        for row in itertools.chain([header], rows):
+            fh.write(sep.join([repr(float(c)) if isinstance(c, float)
+                               else str(c) for c in row]) + "\n")
+
+
 def write_report(report: ExperimentReport, out_dir,
                  dump_eigs: bool = False) -> dict:
     """trials.csv + summary.json (+ eigenvalues.csv); returns written paths.
@@ -916,11 +927,9 @@ def write_report(report: ExperimentReport, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     rows = sorted(report.records, key=lambda r: (r.param, r.trial))
-    with open(trials_path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.mode},{r.param!r},{r.trial},{r.seed_label},"
-                     f"{r.N},{r.W!r},{r.residual!r},{r.K},0\n")
+    write_table(trials_path, CSV_HEADER.split(","), (
+        (r.mode, r.param, r.trial, r.seed_label, r.N, r.W, r.residual, r.K, 0)
+        for r in rows))
 
     summary_path = os.path.join(out_dir, "summary.json")
     summary = {
@@ -944,12 +953,9 @@ def write_report(report: ExperimentReport, out_dir,
     written = {"trials": trials_path, "summary": summary_path}
     if dump_eigs:
         eig_path = os.path.join(out_dir, "eigenvalues.csv")
-        with open(eig_path, "w") as fh:
-            fh.write("mode,h_or_lambda,trial,re,im\n")
-            for r in rows:
-                for z in r.eigenvalues:
-                    fh.write(f"{r.mode},{r.param!r},{r.trial},"
-                             f"{float(z.real)!r},{float(z.imag)!r}\n")
+        write_table(eig_path, ("mode", "h_or_lambda", "trial", "re", "im"), (
+            (r.mode, r.param, r.trial, z.real, z.imag)
+            for r in rows for z in r.eigenvalues))
         written["eigenvalues"] = eig_path
     return written
 
@@ -1020,10 +1026,14 @@ def _check_keys(block: str, spec: dict, known) -> None:
 
 
 def _real(value, what: str) -> float:
-    """float(value), refusing a JSON boolean, which float() reads as 0 or 1."""
+    """float(value), refusing a JSON boolean, which float() reads as 0 or 1,
+    and an integer too large for a float."""
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, not {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _whole(value, what: str, top: int | None = None) -> int:

@@ -460,14 +460,3 @@ def overlap_variance(law, e_plus: Quasimode, e_minus: Quasimode,
                 total += float(np.sum(sig ** 2 * np.abs(vals) ** 2))
     return total
 
-
-def save_quasimode(q: Quasimode, path) -> None:
-    """Plot-ready table: x, then Re/Im per component."""
-    with open(path, "w") as fh:
-        n = q.samples.shape[1]
-        header = "x " + " ".join(f"re{i} im{i}" for i in range(n))
-        fh.write(header + "\n")
-        for xv, row in zip(q.x, q.samples):
-            vals = " ".join(f"{float(v.real)!r} {float(v.imag)!r}"
-                            for v in row)
-            fh.write(f"{float(xv)!r} {vals}\n")

@@ -116,8 +116,8 @@ def pointwise_split(ij, corners, m_at):
 
 
 def read_matrix(path):
-    """The OperatorMatrix of a save_matrix file: a header (side, n, K, h),
-    then one row of 'Re Im' pairs per matrix row."""
+    """The OperatorMatrix of a `weylab assemble` file: a header (side, n,
+    K, h), then one row of 'Re Im' pairs per matrix row."""
     with open(path) as fh:
         side, n, K, h = fh.readline().split()
         pairs = np.array([line.split() for line in fh], dtype=float)

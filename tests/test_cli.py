@@ -145,7 +145,7 @@ class TestSubcommands:
                        "--out", str(tmp_path / "qm")])
         assert rc == 0
         table = (tmp_path / "qm" / "quasimode_plus_0.csv").read_text()
-        assert table.startswith("x re0 im0")
+        assert table.startswith("x,re0,im0\n")
 
     def test_mc_semiclassical(self, config_path, tmp_path):
         blobs = []
@@ -466,7 +466,10 @@ class TestExitCodes:
     # divided 0 by 0 in its boundary gap, a negative radius counted in the
     # disk of radius 0.2, and collinear vertices ran the Weyl measure to
     # NonConvergence; 1e308 trials raised MemoryError building the trial
-    # list
+    # list; an integer past the float range (1 followed by 400 zeros)
+    # raised OverflowError with exit 1, and a NaN vertex or disk centre
+    # exited 2 only from the probe's root scan or the truncation rule, an
+    # infinite radius from a NaN vertex, after a RuntimeWarning
     @pytest.mark.parametrize("config, path, value, message", [
         ("config_path", ("domains", 0, "re_min"), 0.8,
          "rectangle needs re_min < re_max"),
@@ -490,10 +493,33 @@ class TestExitCodes:
                                           [0.7, -0.5], [0.4, 0.5]]},
          "repeats a vertex at consecutive corners"),
         ("config_path", ("experiment", "trials"), 1e308,
-         "GiB of physical memory")],
+         "GiB of physical memory"),
+        ("config_path", ("experiment", "trials"), 10 ** 400,
+         "experiment trials is too large for a float"),
+        ("config_path", ("seed",), 10 ** 400, "seed is too large"),
+        ("config_path", ("perturbation", "K_q"), 10 ** 400,
+         "perturbation K_q is too large"),
+        ("config_path", ("symbol", "coeffs", "0", 0, 2), 10 ** 400,
+         "symbol frequency is too large"),
+        ("config_path", ("domains", 0),
+         {"type": "polygon", "vertices": [[math.nan, 0.5], [0.7, -0.5],
+                                          [0.1, -0.5]]},
+         "polygon vertex 0 must be finite, not (nan+0.5j)"),
+        ("config_path", ("domains", 0),
+         {"type": "polygon", "vertices": [[0.1, -0.5], [0.7, -0.5],
+                                          [0.4, math.inf]]},
+         "polygon vertex 2 must be finite, not (0.4+infj)"),
+        ("config_path", ("domains", 0),
+         {"type": "disk", "center": [math.nan, 0.0], "radius": 0.2},
+         "disk center must be finite, not (nan+0j)"),
+        ("config_path", ("domains", 0),
+         {"type": "disk", "center": [0.4, 0.0], "radius": math.inf},
+         "disk radius must be positive and finite, not inf")],
         ids=["re-inverted", "im-flat", "K_q-zero", "lambda-past-cap",
              "disk-zero", "disk-negative", "polygon-collinear",
-             "polygon-repeated", "trials-past-memory"])
+             "polygon-repeated", "trials-past-memory", "trials-huge",
+             "seed-huge", "K_q-huge", "frequency-huge", "vertex-nan",
+             "vertex-inf", "center-nan", "radius-inf"])
     def test_nothing_to_count_maps_to_two(self, request, tmp_path,
                                           monkeypatch, capsys, config, path,
                                           value, message):

@@ -1,14 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from weylab import discretize, harness, randomness, symbol
+from weylab import cli, discretize, harness, randomness, symbol
 from weylab.discretize import (FourierTruncation, OperatorMatrix,
                                assemble_operator, assemble_perturbation,
                                eigenvalues, formal_adjoint,
-                               perturbed_operator, save_matrix, sigma_min_map)
+                               perturbed_operator, sigma_min_map)
 from weylab.domains import Rectangle
 from weylab.errors import BandwidthExceeded
 from weylab.randomness import CoefficientLaw, SeedSpec, sample_draw
@@ -348,10 +349,21 @@ class TestConvergenceAndMaps:
         assert smap[0, 1] > 1.0   # far from the spectrum and pseudospectrum
 
     def test_save_load_roundtrip(self, f3, tmp_path):
-        t = FourierTruncation(K=3, n=2, h=0.5)
-        mat = assemble_operator(f3, t)
+        # weylab assemble writes F3's matrix, and read_matrix reads back its
+        # truncation and every entry exactly
+        config = tmp_path / "f3.json"
+        config.write_text(json.dumps({
+            "symbol": {"n": 2, "m": 1, "coeffs": {
+                "0": [[0, 0, 1, 1.0, 0.0], [0, 1, 0, 1.0, 0.0],
+                      [1, 1, 1, -1.0, 0.0]],
+                "1": [[0, 0, 0, 1.0, 0.0], [1, 1, 0, 1.0, 0.0]]}},
+            "domains": [{"type": "rectangle", "re_min": -0.5, "re_max": 0.5,
+                         "im_min": -0.5, "im_max": 0.5}],
+            "experiment": {"mode": "semiclassical", "h_list": [0.1]}}))
         path = tmp_path / "mat.txt"
-        save_matrix(mat, path)
+        assert cli.main(["assemble", "--config", str(config), "--h", "0.5",
+                         "--K", "3", "--out", str(path)]) == 0
+        t = FourierTruncation(K=3, n=2, h=0.5)
         back = read_matrix(path)
         assert back.trunc == t
-        assert np.array_equal(back.entries, mat.entries)
+        assert np.array_equal(back.entries, assemble_operator(f3, t).entries)

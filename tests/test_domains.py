@@ -56,6 +56,14 @@ class TestPolygon:
         z = np.array([1.0, 1.49, 1.51]) + 1.0j
         assert list(disk.contains_many(z)) == [True, True, False]
 
+    def test_vertices_and_center_must_be_finite(self):
+        # a NaN vertex ran on into the root scan at a NaN probe
+        with pytest.raises(ValueError, match=r"polygon vertex 1 must be "
+                                             r"finite, not \(nan\+0.5j\)"):
+            Polygon((0, complex(math.nan, 0.5), 1j))
+        with pytest.raises(ValueError, match="disk center must be finite"):
+            regular_polygon(complex(math.inf, 0.0), 0.5)
+
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):
             Polygon((0, 1))

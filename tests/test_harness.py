@@ -99,6 +99,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             he_config(f4, domains=[Rectangle(0.0, 1.0, 0.0, 1.0)])
 
+    def test_memory_refusal_counts_each_spectrum_once(self, f2, f4,
+                                                      monkeypatch):
+        # a high-energy trajectory's rungs share one spectrum, so ten
+        # trajectories of six rungs fit where ten spectra do; a semiclassical
+        # trial holds one spectrum per h
+        sc = sc_config(f2, h_list=(0.1, 0.08))
+        sc_K = sc.truncation_K(0.08, sc.domains[0].bound_radius())
+        for make, spectrum, per_trial in (
+                (functools.partial(he_config, f4, lambda_list=(
+                    2.0, 4.0, 8.0, 16.0, 32.0, 64.0)),
+                 (2 * harness.HE_K_CAP + 1) * 16, 1),
+                (functools.partial(sc_config, f2, h_list=(0.1, 0.08)),
+                 (2 * sc_K + 1) * 16, 2)):
+            have = {"SC_PHYS_PAGES": 10 * spectrum, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(os, "sysconf", have.__getitem__)
+            make(trials=10 // per_trial)
+            with pytest.raises(ValueError, match="GiB of physical memory"):
+                make(trials=10 // per_trial + 1)
+
     def test_truncation_rule(self, f2):
         cfg = sc_config(f2)
         from weylab.symbol import xi_window
@@ -682,6 +701,25 @@ class TestEnvelopeSanity:
 
 
 class TestReports:
+    def test_table_cells_read_back(self, tmp_path):
+        # the header first, then each row as the generator yields it; a
+        # float reads back bit for bit, -0.0's sign included
+        floats = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308,
+                  np.float64(2.5e-8)]
+        others = [7, np.int64(-3), "NearPhi", ""]
+        path = tmp_path / "table.csv"
+        header = [f"c{i}" for i in range(len(floats) + len(others))]
+        harness.write_table(path, header,
+                            (floats + others for _ in range(2)))
+        lines = path.read_text().split("\n")
+        assert lines[0] == ",".join(header) and lines[3] == ""
+        for line in lines[1:3]:
+            cells = line.split(",")
+            back = np.array([float(c) for c in cells[:len(floats)]])
+            assert back.view(np.uint64).tolist() == \
+                np.array(floats).view(np.uint64).tolist()
+            assert cells[len(floats):] == ["7", "-3", "NearPhi", ""]
+
     def test_write_report_files(self, f2, tmp_path):
         rep = run_semiclassical(sc_config(f2, trials=2))
         out = write_report(rep, tmp_path / "out")

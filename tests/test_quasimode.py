@@ -1,18 +1,19 @@
 import gc
+import json
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from weylab import discretize, quasimode, symbol
+from weylab import cli, discretize, harness, quasimode, symbol
 from weylab.discretize import FourierTruncation, OperatorMatrix, assemble_operator
 from weylab.errors import CutoffTooWide, MultipleEigenvalue
 from weylab.quasimode import (build_adjoint_quasimode,
                               build_quasimode, fourier_coefficients,
                               leading_amplitude, locate_branch,
                               overlap_profile, overlap_variance, residual,
-                              save_quasimode, solve_eikonal)
+                              solve_eikonal)
 from weylab.randomness import CoefficientLaw
 
 TWO_PI = 2.0 * math.pi
@@ -195,14 +196,30 @@ class TestBuild:
         # centered at the shared base point of F2
         assert abs(q.center.point.x - math.pi / 2) < 1e-6
 
-    def test_save_table(self, f2, tmp_path):
-        inv, root = plus_root(f2, 0.5)
-        q = build_quasimode(f2, 0.5, root, 0.1, 512, inventory=inv)
-        path = tmp_path / "qm.txt"
-        save_quasimode(q, path)
-        data = np.loadtxt(path, skiprows=1)
-        assert data.shape == (512, 3)
-        assert np.allclose(data[:, 1] + 1j * data[:, 2], q.samples[:, 0])
+    def test_save_table(self, tmp_path):
+        # weylab quasimode writes F2's mode at its plus-root as comma
+        # separated x, Re, Im, which read back exactly
+        config = tmp_path / "f2.json"
+        config.write_text(json.dumps({
+            "symbol": {"n": 1, "m": 2,
+                       "coeffs": {"0": [[0, 0, 1, 0.0, 1.0]],
+                                  "2": [[0, 0, 0, 1.0, 0.0]]}},
+            "domains": [{"type": "rectangle", "re_min": 0.1, "re_max": 0.7,
+                         "im_min": -0.5, "im_max": 0.5}],
+            "experiment": {"mode": "semiclassical", "h_list": [0.1]}}))
+        assert cli.main(["quasimode", "--config", str(config), "--z",
+                         "0.5,0.0", "--h", "0.1",
+                         "--out", str(tmp_path)]) == 0
+        cfg = harness.load_config(config)
+        N = 8 * (2 * cfg.truncation_K(0.1, 0.5) + 1)
+        inv, root = plus_root(cfg.sym, 0.5)
+        q = build_quasimode(cfg.sym, 0.5, root, 0.1, N, inventory=inv)
+        path = tmp_path / "quasimode_plus_0.csv"
+        assert path.read_text().startswith("x,re0,im0\n")
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape == (N, 3)
+        assert np.array_equal(data[:, 0], q.x)
+        assert np.array_equal(data[:, 1] + 1j * data[:, 2], q.samples[:, 0])
 
 
 def fresh_f2():
