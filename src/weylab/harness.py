@@ -29,7 +29,9 @@ K, then the other trials') go in WORKERS interleaved shares of trial
 indices, share 0 in the parent and the others in the helpers; each process
 draws a trial from its seed address just before it solves it.  A high-energy
 run hands the helpers the rungs' Weyl measures while the parent climbs the
-pilot's K ladder, then shares out its rescaling-identity solves likewise.
+pilot's K ladder.  Its rescaling identity solves only the rungs whose
+rescaled matrix is not trial 0's over lambda bit for bit, shared out
+likewise; the others count trial 0's spectrum over lambda.
 Helpers that the pilots leave idle (fewer pilots than WORKERS) solve the
 other trials at the candidate K being checked while the pilots are solved
 at larger K; a solve that started before the verdict is kept if that K is
@@ -196,7 +198,13 @@ class ExperimentConfig:
         if self.mode == "highenergy":
             z = 1.0 + 0.0j if abs(z) < 1e-12 else z
             sym = _principal_part(self.sym)
-        inv = symbol.find_roots(sym, z)
+        with np.errstate(over="raise"):
+            try:
+                inv = symbol.find_roots(sym, z)
+            except FloatingPointError as exc:
+                raise ValueError(f"the symbol's values overflow near probe "
+                                 f"z = {z}: its coefficients are too large"
+                                 ) from exc
         for failed, what in (
                 (not inv.roots, "no phase-space roots (the domain is outside "
                                 "the symbol's spectral region)"),
@@ -773,9 +781,9 @@ def _rung_weyl(sym: symbol.MatrixSymbol, dom) -> tuple:
     return weyl.value / symbol.TWO_PI, weyl.bound / symbol.TWO_PI
 
 
-def _rescaled_eigs(config: ExperimentConfig, stream: str, K: int,
-                   lams) -> list:
-    """Spectra of lambda^{-1} (P - Q) at K for each lambda in lams, Q of
+def _rescaled_matrices(config: ExperimentConfig, stream: str, K: int,
+                       lams):
+    """lambda^{-1} (P - Q) at K for each lambda in lams, one at a time, Q of
     the stream's trial 0, drawn here: P assembled at h = lambda^{-1/m}, Q
     once, at h = 1."""
     sym = config.sym
@@ -783,15 +791,38 @@ def _rescaled_eigs(config: ExperimentConfig, stream: str, K: int,
         config.law, randomness.SeedSpec(config.seed, stream, 0), 1.0)
     q_pilot = discretize.assemble_perturbation(
         pilot, discretize.FourierTruncation(K=K, n=sym.n, h=1.0), 1.0).entries
-    spectra = []
     for lam in lams:
         h = lam ** (-1.0 / sym.m)
         scaled = discretize.assemble_operator(
             _rescaled_symbol(sym, h),
             discretize.FourierTruncation(K=K, n=sym.n, h=h))
-        spectra.append(discretize.eigenvalues(discretize.OperatorMatrix(
-            scaled.entries - q_pilot / lam, scaled.trunc)))
-    return spectra
+        yield discretize.OperatorMatrix(scaled.entries - q_pilot / lam,
+                                        scaled.trunc)
+
+
+def _rescaled_eigs(config: ExperimentConfig, stream: str, K: int,
+                   lams) -> list:
+    """Spectra of _rescaled_matrices, in order."""
+    return [discretize.eigenvalues(mat)
+            for mat in _rescaled_matrices(config, stream, K, lams)]
+
+
+def _inexact_rungs(config: ExperimentConfig, stream: str, K: int,
+                   lams) -> list:
+    """The lambdas in lams whose rescaled matrix is not M / lambda bit for
+    bit, M = P - Q at h = 1 of the stream's trial 0 at K, built as the
+    trial's solve builds it; each rescaled matrix is compared as it is
+    assembled."""
+    sym = config.sym
+    M = discretize.perturbed_operator(
+        discretize.assemble_operator(
+            sym, discretize.FourierTruncation(K=K, n=sym.n, h=1.0)),
+        randomness.sample_draw(
+            config.law, randomness.SeedSpec(config.seed, stream, 0), 1.0),
+        1.0).entries
+    return [lam for lam, mat in zip(
+        lams, _rescaled_matrices(config, stream, K, lams))
+        if mat.entries.tobytes() != (M / lam).tobytes()]
 
 
 def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
@@ -826,10 +857,15 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
 
         # lambda^{-1} (P - Q) at h = lambda^{-1/m}, same draw and K, counted
         # in the undilated sector: it equals N in exact arithmetic, so a
-        # mismatch exposes a count that rounding can move.  Trial 0's
-        # records, one per rung, come first.
-        rescaled = _shared(pool, _rescaled_eigs, (config, "he", run.K),
-                           list(params))
+        # mismatch exposes a count that rounding can move.  Where it is
+        # trial 0's matrix M over lambda bit for bit (h exact, as at
+        # lambda = 4^k for m = 2), its spectrum is trial 0's over lambda;
+        # the other rungs are solved, shared out.  Trial 0's records, one
+        # per rung, come first.
+        solved = _inexact_rungs(config, "he", run.K, params)
+        rescaled = {lam: records[0].eigenvalues / lam for lam in params}
+        rescaled.update(_shared(pool, _rescaled_eigs, (config, "he", run.K),
+                                solved))
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
             sector.contains_many(rescaled[lam])) == r.N)
             for lam, r in zip(params, records)}
@@ -894,6 +930,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
                 "fit_rungs": fit_rungs,
             },
             "rescaling_identity": rescaling_ok,
+            "rescaling_solved": solved,
             "dyadic": dyadic_info,
             "trajectory_fits": fits,
             "relative_residuals": rel_residuals,

@@ -132,16 +132,23 @@ def _on_trial_solves(monkeypatch, solve):
     eigenvalues), ``trial`` the trial whose perturbed operator ``mat`` is,
     or None, in whichever process solves it: fork carries the patches to
     helpers."""
-    solving = {}
+    last = {}       # the latest perturbed operator and its trial
     perturbed, eigenvalues = (discretize.perturbed_operator,
                               discretize.eigenvalues)
 
     def perturbed_op(mat, draw, delta):
-        solving["trial"] = draw.seed_record.trial
-        return perturbed(mat, draw, delta)
+        out = perturbed(mat, draw, delta)
+        last.update(mat=out, trial=draw.seed_record.trial)
+        return out
+
+    def solved(mat):
+        # a perturbed operator built but never solved (the rescaling
+        # identity's comparison matrix) names no later solve's trial
+        trial = last.get("trial") if last.get("mat") is mat else None
+        last.clear()
+        return solve(trial, mat, eigenvalues)
     monkeypatch.setattr(discretize, "perturbed_operator", perturbed_op)
-    monkeypatch.setattr(discretize, "eigenvalues", lambda mat: solve(
-        solving.pop("trial", None), mat, eigenvalues))
+    monkeypatch.setattr(discretize, "eigenvalues", solved)
 
 
 def fail_at_trial(monkeypatch, trial):

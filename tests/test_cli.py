@@ -15,40 +15,39 @@ from helpers import fail_at_trial, fail_in_helper, read_matrix
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
+CONFIG = {
+    "symbol": {"n": 1, "m": 2,
+               "coeffs": {"0": [[0, 0, 1, 0.0, 1.0]],
+                          "2": [[0, 0, 0, 1.0, 0.0]]}},
+    "perturbation": {"alpha_min": 0, "alpha_max": 0, "rho": 1.2, "K_q": 16},
+    "domains": [{"type": "rectangle", "re_min": 0.1, "re_max": 0.7,
+                 "im_min": -0.5, "im_max": 0.5}],
+    "experiment": {"mode": "semiclassical", "h_list": [0.1], "trials": 2},
+    "seed": 9,
+}
+HE_CONFIG = {
+    "symbol": {"n": 1, "m": 2, "semiclassical": False,
+               "coeffs": {"2": [[0, 0, 1, 1.0, 0.0]]}},
+    "perturbation": {"alpha_min": 0, "alpha_max": 0, "rho": 1.1, "K_q": 16},
+    "domains": [{"type": "sector", "theta_min": 0.05,
+                 "theta_max": 6.2331853, "r_out": 1.0}],
+    "experiment": {"mode": "highenergy", "lambda_list": [2.0, 4.0],
+                   "trials": 2},
+    "seed": 5,
+}
+
+
 @pytest.fixture()
 def config_path(tmp_path):
-    raw = {
-        "symbol": {"n": 1, "m": 2,
-                   "coeffs": {"0": [[0, 0, 1, 0.0, 1.0]],
-                              "2": [[0, 0, 0, 1.0, 0.0]]}},
-        "perturbation": {"alpha_min": 0, "alpha_max": 0, "rho": 1.2,
-                         "K_q": 16},
-        "domains": [{"type": "rectangle", "re_min": 0.1, "re_max": 0.7,
-                     "im_min": -0.5, "im_max": 0.5}],
-        "experiment": {"mode": "semiclassical", "h_list": [0.1],
-                       "trials": 2},
-        "seed": 9,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(CONFIG))
     return str(path)
 
 
 @pytest.fixture()
 def he_config_path(tmp_path):
-    raw = {
-        "symbol": {"n": 1, "m": 2, "semiclassical": False,
-                   "coeffs": {"2": [[0, 0, 1, 1.0, 0.0]]}},
-        "perturbation": {"alpha_min": 0, "alpha_max": 0, "rho": 1.1,
-                         "K_q": 16},
-        "domains": [{"type": "sector", "theta_min": 0.05,
-                     "theta_max": 6.2331853, "r_out": 1.0}],
-        "experiment": {"mode": "highenergy", "lambda_list": [2.0, 4.0],
-                       "trials": 2},
-        "seed": 5,
-    }
     path = tmp_path / "he_config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(HE_CONFIG))
     return str(path)
 
 
@@ -469,7 +468,8 @@ class TestExitCodes:
     # list; an integer past the float range (1 followed by 400 zeros)
     # raised OverflowError with exit 1, and a NaN vertex or disk centre
     # exited 2 only from the probe's root scan or the truncation rule, an
-    # infinite radius from a NaN vertex, after a RuntimeWarning
+    # infinite radius from a NaN vertex, after a RuntimeWarning; a leading
+    # coefficient of 1e308 overflowed in the probe's root scan
     @pytest.mark.parametrize("config, path, value, message", [
         ("config_path", ("domains", 0, "re_min"), 0.8,
          "rectangle needs re_min < re_max"),
@@ -514,12 +514,15 @@ class TestExitCodes:
          "disk center must be finite, not (nan+0j)"),
         ("config_path", ("domains", 0),
          {"type": "disk", "center": [0.4, 0.0], "radius": math.inf},
-         "disk radius must be positive and finite, not inf")],
+         "disk radius must be positive and finite, not inf"),
+        ("config_path", ("symbol", "coeffs", "2", 0, 3), 1e308,
+         "the symbol's values overflow near probe z")],
         ids=["re-inverted", "im-flat", "K_q-zero", "lambda-past-cap",
              "disk-zero", "disk-negative", "polygon-collinear",
              "polygon-repeated", "trials-past-memory", "trials-huge",
              "seed-huge", "K_q-huge", "frequency-huge", "vertex-nan",
-             "vertex-inf", "center-nan", "radius-inf"])
+             "vertex-inf", "center-nan", "radius-inf",
+             "coefficient-overflow"])
     def test_nothing_to_count_maps_to_two(self, request, tmp_path,
                                           monkeypatch, capsys, config, path,
                                           value, message):
@@ -567,6 +570,8 @@ class TestExitCodes:
 
     def test_helper_failure_in_highenergy_maps_to_three(
             self, he_config_path, tmp_path, monkeypatch, capsys):
+        # neither rung is a power of 4, so the helper has a rescaled solve
+        set_leaf(he_config_path, ("experiment", "lambda_list"), [2.0, 3.0])
         monkeypatch.setattr(harness, "WORKERS", 2)
         fail_in_helper(monkeypatch, "rescaled")
         rc = cli.main(["mc-highenergy", "--config", he_config_path,
@@ -620,13 +625,16 @@ SWEEP_LEAVES = [
     ("he_config_path", ("domains", 0, "theta_max"))]
 
 
-@pytest.mark.parametrize("value", SWEEP_VALUES, ids=lambda v: (
-    "deleted" if v is DELETE else json.dumps(v)))
-@pytest.mark.parametrize("config, path", SWEEP_LEAVES, ids=[
-    config[:-len("config_path")] + ".".join(map(str, path))
-    for config, path in SWEEP_LEAVES])
-def test_config_mutation_sweep(request, tmp_path, monkeypatch, capsys,
-                               config, path, value):
+def sweep_ids(leaves):
+    return [config[:-len("config_path")] + ".".join(map(str, path))
+            for config, path in leaves]
+
+
+def value_id(value):
+    return "deleted" if value is DELETE else json.dumps(value)
+
+
+def run_mutation(request, tmp_path, monkeypatch, config, path, value):
     config_file = request.getfixturevalue(config)
     set_leaf(config_file, path, value)
     monkeypatch.setattr(harness, "WORKERS", 1)
@@ -636,6 +644,40 @@ def test_config_mutation_sweep(request, tmp_path, monkeypatch, capsys,
                    "--out", str(tmp_path / "run")])
     assert rc in (0, 2, 3)
     assert rc != 2 or solves == []
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES, ids=value_id)
+@pytest.mark.parametrize("config, path", SWEEP_LEAVES,
+                         ids=sweep_ids(SWEEP_LEAVES))
+def test_config_mutation_sweep(request, tmp_path, monkeypatch, config, path,
+                               value):
+    run_mutation(request, tmp_path, monkeypatch, config, path, value)
+
+
+def leaves(raw, path=()):
+    """The path of keys to every leaf of a JSON value."""
+    if isinstance(raw, (dict, list)):
+        items = raw.items() if isinstance(raw, dict) else enumerate(raw)
+        return [leaf for key, value in items
+                for leaf in leaves(value, (*path, key))]
+    return [path]
+
+
+# The whole cross product: every leaf of both configs, with 2^64 and [1, 2]
+# beside the sample's values
+FULL_LEAVES = [(config, path) for config, raw in (
+    ("config_path", CONFIG), ("he_config_path", HE_CONFIG))
+    for path in leaves(raw)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("value", SWEEP_VALUES + [2 ** 64, [1, 2]],
+                         ids=value_id)
+@pytest.mark.parametrize("config, path", FULL_LEAVES,
+                         ids=sweep_ids(FULL_LEAVES))
+def test_config_mutation_cross_product(request, tmp_path, monkeypatch,
+                                       config, path, value):
+    run_mutation(request, tmp_path, monkeypatch, config, path, value)
 
 
 def test_readme_cli_lines_parse():

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from weylab import discretize, harness
+from weylab import discretize, harness, symbol
 from weylab.domains import AnnularSector, Rectangle, dilate
 from weylab.errors import (EmptyWindow, HypothesisViolation, NonConvergence,
                            WindowViolation)
@@ -682,6 +682,65 @@ class TestHighEnergyRun:
         assert np.allclose(at10, M / 10.0, rtol=0.0,
                            atol=1e-14 * np.abs(M).max())
 
+    def test_rescaled_spectrum_is_pilot_over_lambda(self, f4):
+        # the premise of skipping the solve where the matrices match: at
+        # lambda = 4^k the solver's spectrum of the rescaled matrix is trial
+        # 0's spectrum over lambda bit for bit, and only lambda = 10 differs
+        cfg = he_config(f4)
+        K = 24
+        pilot = harness._solve(cfg, "he", 1.0, 1.0, K, [0])[0][0]
+        for lam, eigs in zip((4.0, 16.0), harness._rescaled_eigs(
+                cfg, "he", K, [4.0, 16.0])):
+            assert eigs.tobytes() == (pilot / lam).tobytes()
+        assert harness._inexact_rungs(cfg, "he", K, [4.0, 10.0, 16.0]) == [
+            10.0]
+
+    @staticmethod
+    def rescaled_solves(monkeypatch, cfg):
+        """The run and the h of every eigensolve of a matrix assembled at
+        h != 1, which only the rescaling identity makes."""
+        monkeypatch.setattr(harness, "WORKERS", 1)
+        hs = []
+        eigenvalues = discretize.eigenvalues
+
+        def logged(mat):
+            if mat.trunc.h != 1.0:
+                hs.append(mat.trunc.h)
+            return eigenvalues(mat)
+        monkeypatch.setattr(discretize, "eigenvalues", logged)
+        return run_highenergy(cfg), hs
+
+    def test_rescaled_solve_only_where_matrices_differ(self, f4,
+                                                       monkeypatch):
+        rep, hs = self.rescaled_solves(
+            monkeypatch, he_config(f4, lambda_list=(4.0, 16.0)))
+        assert hs == [] and rep.extras["rescaling_solved"] == []
+        assert rep.extras["rescaling_identity"] == {"4.0/0": True,
+                                                    "16.0/0": True}
+        cfg = he_config(f4, lambda_list=(4.0, 10.0))
+        rep, hs = self.rescaled_solves(monkeypatch, cfg)
+        assert hs == [10.0 ** -0.5] and rep.extras["rescaling_solved"] == [
+            10.0]
+        # lambda = 10 is counted from its own solve (uncertified here, it
+        # counts other than trial 0)
+        (eigs,) = harness._rescaled_eigs(
+            cfg, "he", rep.extras["truncation"]["K"], [10.0])
+        N = next(r.N for r in rep.records if r.param == 10.0)
+        assert rep.extras["rescaling_identity"] == {
+            "4.0/0": True, "10.0/0": bool(np.count_nonzero(
+                cfg.domains[0].contains_many(eigs)) == N)}
+
+    def test_mutated_rescaling_is_solved_and_fails(self, f4, monkeypatch):
+        # F4 has one term, of order m, so the rescaled symbol is F4 itself;
+        # one that doubles P is not M / lambda: the rung is solved, and its
+        # count is not trial 0's
+        monkeypatch.setattr(harness, "_rescaled_symbol", lambda sym, h: (
+            symbol.MatrixSymbol(sym.n, sym.m, 2 * sym.coeffs)))
+        rep, hs = self.rescaled_solves(
+            monkeypatch, he_config(f4, lambda_list=(4.0,)))
+        assert hs == [0.5] and rep.extras["rescaling_solved"] == [4.0]
+        assert rep.extras["rescaling_identity"] == {"4.0/0": False}
+
 
 class TestEnvelopeSanity:
     def test_mean_residual_exponent_in_band(self, f2):
@@ -897,13 +956,14 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     # at 2 workers both Weyl measures run in the helper, and rung 1's
-    # rescaling-identity solve
+    # rescaling-identity solve: neither rung is a power of 4, so both are
+    # solved
     @pytest.mark.parametrize("work", ["weyl", "rescaled"])
     def test_helper_error_in_moved_work(self, f4, monkeypatch, work):
         monkeypatch.setattr(harness, "WORKERS", 2)
         fail_in_helper(monkeypatch, work)
         with pytest.raises(NonConvergence, match=f"{work} in a helper"):
-            run_highenergy(he_config(f4))
+            run_highenergy(he_config(f4, lambda_list=(2.0, 3.0)))
         assert multiprocessing.active_children() == []
 
     # While the pilot is solved at a finer K, the helper solves trials 1-4
