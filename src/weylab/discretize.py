@@ -18,6 +18,7 @@ coefficient.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import comb
 
@@ -63,6 +64,11 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
+def physical_memory() -> int:
+    """The bytes of physical memory of this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
     """Sum of band terms, each added into its (i, j) block in the order given.
 
@@ -70,6 +76,11 @@ def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
     multiplication by sum_f c_f e^{ifx} after the diagonal weight on the
     input modes.  ``coeffs`` holds c_f at f + B for |f| <= B <= 2K.
     """
+    need, have = 16 * trunc.side ** 2, physical_memory()
+    if need > have:
+        raise ValueError(f"a matrix of side {trunc.side} takes "
+                         f"{need / 2 ** 30:.3g} GiB, more than the "
+                         f"{have / 2 ** 30:.3g} GiB of physical memory")
     K = trunc.K
     nb = 2 * K + 1
     modes = trunc.modes

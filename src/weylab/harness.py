@@ -24,14 +24,19 @@ addressable sampler makes exact.  The h = 1 matrix does not depend on
 lambda, so one eigensolve per trajectory counts every rung, at a truncation
 certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
 
+A config checks only its shape when it is built, so every command loads it;
+each Monte-Carlo run first calls its admit method, which checks the paper's
+hypotheses and the run's memory before anything is assembled or solved.
+
 Each run forks one pool of helpers.  A stream's solves (the pilots' at each
 K, then the other trials') go in WORKERS interleaved shares of trial
 indices, share 0 in the parent and the others in the helpers; each process
 draws a trial from its seed address just before it solves it.  A high-energy
 run hands the helpers the rungs' Weyl measures while the parent climbs the
-pilot's K ladder.  Its rescaling identity solves only the rungs whose
-rescaled matrix is not trial 0's over lambda bit for bit, shared out
-likewise; the others count trial 0's spectrum over lambda.
+pilot's K ladder.  Its rescaling identity shares the rungs out likewise:
+each process compares its rungs' rescaled matrices with trial 0's over
+lambda and solves only those that differ bit for bit; the others count
+trial 0's spectrum over lambda.
 Helpers that the pilots leave idle (fewer pilots than WORKERS) solve the
 other trials at the candidate K being checked while the pilots are solved
 at larger K; a solve that started before the verdict is kept if that K is
@@ -92,10 +97,6 @@ class ExperimentConfig:
         # seed stream ("sc:np.float64(0.1)") and prints into the reports
         self.h_list = tuple(map(float, self.h_list))
         self.lambda_list = tuple(map(float, self.lambda_list))
-        self.validate()
-
-    # ------------------------------------------------------------------
-    def validate(self):
         if self.mode not in ("semiclassical", "highenergy"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.domains:
@@ -106,11 +107,6 @@ class ExperimentConfig:
                             ("delta", self.delta_override)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
-        # the law is optional here: only require_law's callers read it
-        if self.law is not None and self.law.alpha_max > self.sym.m - 1:
-            raise HypothesisViolation(
-                f"perturbation order alpha_max={self.law.alpha_max} must stay "
-                f"below the operator order m={self.sym.m}")
         if self.mode == "semiclassical":
             if not self.h_list:
                 raise ValueError("semiclassical mode needs h_list")
@@ -121,9 +117,6 @@ class ExperimentConfig:
             if self.delta_override is not None and self.delta_override < 0:
                 raise ValueError(f"delta must be >= 0, not "
                                  f"{self.delta_override!r}")
-            if self.law is not None and self.delta_override is None:
-                for h in self.h_list:
-                    delta_window(h, self.law.rho_decay, self.gamma1, self.N0)
         else:
             if not self.lambda_list:
                 raise ValueError("highenergy mode needs lambda_list")
@@ -134,19 +127,35 @@ class ExperimentConfig:
             if self.delta_override is not None:
                 raise ValueError("highenergy mode takes no delta: it counts "
                                  "P - Q_omega at coupling 1")
-            if self.law is not None:
-                margin = (self.sym.m - self.law.alpha_max
-                          - self.law.rho_decay - 0.75)
-                if margin <= 0.0:
-                    raise WindowViolation(f"m - alpha1 - rho - 3/4 = "
-                                          f"{margin:.3f} must be positive")
-                if self.sym.m - self.law.alpha_max <= (self.law.rho_decay
-                                                       + self.gamma1 + 0.5):
-                    raise WindowViolation(
-                        "m - alpha1 must exceed rho + gamma1 + 1/2")
             if not isinstance(self.domains[0], domains.AnnularSector):
                 raise ValueError("highenergy mode needs an annular-sector "
                                  "domain reaching the origin")
+
+    # ------------------------------------------------------------------
+    def admit(self):
+        """Check the paper's hypotheses for this config's Monte-Carlo run,
+        before it assembles or solves anything; returns the one domain the
+        run counts in."""
+        law = self.require_law()
+        if len(self.domains) > 1:
+            raise ValueError(f"{self.mode} runs count in one domain, and the "
+                             f"config has {len(self.domains)}")
+        if law.alpha_max > self.sym.m - 1:
+            raise HypothesisViolation(
+                f"perturbation order alpha_max={law.alpha_max} must stay "
+                f"below the operator order m={self.sym.m}")
+        if self.mode == "semiclassical" and self.delta_override is None:
+            for h in self.h_list:
+                delta_window(h, law.rho_decay, self.gamma1, self.N0)
+        elif self.mode == "highenergy":
+            margin = self.sym.m - law.alpha_max - law.rho_decay - 0.75
+            if margin <= 0.0:
+                raise WindowViolation(f"m - alpha1 - rho - 3/4 = "
+                                      f"{margin:.3f} must be positive")
+            if self.sym.m - law.alpha_max <= (law.rho_decay + self.gamma1
+                                              + 0.5):
+                raise WindowViolation(
+                    "m - alpha1 must exceed rho + gamma1 + 1/2")
             # the rule's K at the largest rung: past the cap, no K that the
             # ladder reaches resolves it (and at lambda = 1e308 its Weyl
             # measure overflowed)
@@ -157,6 +166,7 @@ class ExperimentConfig:
                                  f"at K = {K0}, past the cap {HE_K_CAP}")
         self._check_memory()
         self._validate_roots()
+        return self.domains[0]
 
     def _check_memory(self):
         """Refuse a run whose records' spectra, n(2K + 1) complex values at
@@ -169,7 +179,7 @@ class ExperimentConfig:
         else:
             per_trial, K = 1, HE_K_CAP
         need = self.trials * per_trial * self.sym.n * (2 * K + 1) * 16
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        have = discretize.physical_memory()
         if need > have:
             raise ValueError(
                 f"{float(self.trials * per_trial):.3g} spectra at K = {K} "
@@ -181,14 +191,6 @@ class ExperimentConfig:
         if self.law is None:
             raise ValueError(f"{self.mode} mode needs a perturbation law")
         return self.law
-
-    def only_domain(self):
-        """The one domain a Monte-Carlo run counts in: they do not count a
-        config's other domains yet, so a config with more is refused."""
-        if len(self.domains) > 1:
-            raise ValueError(f"{self.mode} runs count in one domain, and the "
-                             f"config has {len(self.domains)}")
-        return self.domains[0]
 
     def _validate_roots(self):
         """Check the root inventory at the probe z: of the symbol, or in
@@ -683,9 +685,8 @@ def _coupling(config: ExperimentConfig, h: float) -> float:
 
 def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
-    config.require_law()
+    gamma = config.admit()
     sym = config.sym
-    gamma = config.only_domain()
     # every h's coupling is checked against its rounding floor before any
     # solve; the floor reads the norm at K_rule whatever K is certified
     rules = {}      # h -> (K_rule, delta)
@@ -781,48 +782,29 @@ def _rung_weyl(sym: symbol.MatrixSymbol, dom) -> tuple:
     return weyl.value / symbol.TWO_PI, weyl.bound / symbol.TWO_PI
 
 
-def _rescaled_matrices(config: ExperimentConfig, stream: str, K: int,
-                       lams):
-    """lambda^{-1} (P - Q) at K for each lambda in lams, one at a time, Q of
-    the stream's trial 0, drawn here: P assembled at h = lambda^{-1/m}, Q
-    once, at h = 1."""
+def _rescaled_eigs(config: ExperimentConfig, stream: str, K: int,
+                   lams) -> list:
+    """For each lambda in lams, lambda^{-1} (P - Q) at K, P assembled at
+    h = lambda^{-1/m} and Q of the stream's trial 0 at h = 1, drawn here:
+    None where it is M / lambda bit for bit, M = P - Q at h = 1 built as
+    the trial's solve builds it, and its spectrum elsewhere."""
     sym = config.sym
-    pilot = randomness.sample_draw(
-        config.law, randomness.SeedSpec(config.seed, stream, 0), 1.0)
-    q_pilot = discretize.assemble_perturbation(
-        pilot, discretize.FourierTruncation(K=K, n=sym.n, h=1.0), 1.0).entries
+    at_1 = discretize.FourierTruncation(K=K, n=sym.n, h=1.0)
+    Q = discretize.assemble_perturbation(randomness.sample_draw(
+        config.law, randomness.SeedSpec(config.seed, stream, 0), 1.0),
+        at_1, 1.0).entries
+    M = discretize.assemble_operator(sym, at_1).entries - Q
+    out = []
     for lam in lams:
         h = lam ** (-1.0 / sym.m)
         scaled = discretize.assemble_operator(
             _rescaled_symbol(sym, h),
             discretize.FourierTruncation(K=K, n=sym.n, h=h))
-        yield discretize.OperatorMatrix(scaled.entries - q_pilot / lam,
+        mat = discretize.OperatorMatrix(scaled.entries - Q / lam,
                                         scaled.trunc)
-
-
-def _rescaled_eigs(config: ExperimentConfig, stream: str, K: int,
-                   lams) -> list:
-    """Spectra of _rescaled_matrices, in order."""
-    return [discretize.eigenvalues(mat)
-            for mat in _rescaled_matrices(config, stream, K, lams)]
-
-
-def _inexact_rungs(config: ExperimentConfig, stream: str, K: int,
-                   lams) -> list:
-    """The lambdas in lams whose rescaled matrix is not M / lambda bit for
-    bit, M = P - Q at h = 1 of the stream's trial 0 at K, built as the
-    trial's solve builds it; each rescaled matrix is compared as it is
-    assembled."""
-    sym = config.sym
-    M = discretize.perturbed_operator(
-        discretize.assemble_operator(
-            sym, discretize.FourierTruncation(K=K, n=sym.n, h=1.0)),
-        randomness.sample_draw(
-            config.law, randomness.SeedSpec(config.seed, stream, 0), 1.0),
-        1.0).entries
-    return [lam for lam, mat in zip(
-        lams, _rescaled_matrices(config, stream, K, lams))
-        if mat.entries.tobytes() != (M / lam).tobytes()]
+        out.append(None if mat.entries.tobytes() == (M / lam).tobytes()
+                   else discretize.eigenvalues(mat))
+    return out
 
 
 def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
@@ -835,9 +817,8 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     aggregates.
     """
     start = time.perf_counter()
-    config.require_law()
+    sector = config.admit()
     sym = config.sym
-    sector = config.only_domain()
 
     params = tuple(sorted(config.lambda_list))
     # this also checks the sector: it must reach the origin with r_out = 1
@@ -860,14 +841,15 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         # mismatch exposes a count that rounding can move.  Where it is
         # trial 0's matrix M over lambda bit for bit (h exact, as at
         # lambda = 4^k for m = 2), its spectrum is trial 0's over lambda;
-        # the other rungs are solved, shared out.  Trial 0's records, one
-        # per rung, come first.
-        solved = _inexact_rungs(config, "he", run.K, params)
-        rescaled = {lam: records[0].eigenvalues / lam for lam in params}
-        rescaled.update(_shared(pool, _rescaled_eigs, (config, "he", run.K),
-                                solved))
+        # the other rungs are solved.  The rungs are shared out, compared
+        # and solved where they are assembled.  Trial 0's records, one per
+        # rung, come first.
+        rescaled = _shared(pool, _rescaled_eigs, (config, "he", run.K),
+                           list(params))
+        solved = [lam for lam in params if rescaled[lam] is not None]
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
-            sector.contains_many(rescaled[lam])) == r.N)
+            sector.contains_many(r.eigenvalues / lam if rescaled[lam] is None
+                                 else rescaled[lam])) == r.N)
             for lam, r in zip(params, records)}
     weyls = {str(lam): w.result() for lam, w in zip(params, weyls)}
 

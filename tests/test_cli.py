@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import pathlib
+import re
 import shlex
 
 import numpy as np
@@ -579,6 +580,56 @@ class TestExitCodes:
         assert rc == 3
         assert "rescaled in a helper" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    # loading this config checked the root pairing at the probe, so every
+    # command refused it, though only the Monte-Carlo runs read a hypothesis
+    def test_hypotheses_checked_only_by_monte_carlo(self, config_path,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        set_leaf(config_path, ("symbol",), {"n": 1, "m": 1, "coeffs": {
+            "0": [[0, 0, 1, 1.0, 0.0]], "1": [[0, 0, 0, 1.0, 0.0]]}})
+        set_leaf(config_path, ("domains", 0), {
+            "type": "rectangle", "re_min": -0.2, "re_max": 0.2,
+            "im_min": -0.4, "im_max": 0.4})
+        out = str(tmp_path / "out")
+        for argv in (["roots", "--z", "0,0"],
+                     ["symbol-scan", "--grid", "3x3", "--out", out],
+                     ["weyl"],
+                     ["assemble", "--h", "0.5", "--K", "3",
+                      "--out", str(tmp_path / "mat.txt")],
+                     ["spectrum", "--h", "0.5", "--out", out],
+                     ["pseudospec", "--h", "0.5",
+                      "--grid=-0.1:0.1:2,-0.1:0.1:2", "--out", out],
+                     ["quasimode", "--z", "0,0", "--h", "0.5", "--out", out]):
+            assert cli.main([*argv, "--config", config_path]) == 0, argv
+        capsys.readouterr()
+        solves = count_solves(monkeypatch)
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert ("plus-root at x=3.1416 does not pair"
+                in capsys.readouterr().err)
+        assert solves == [] and not (tmp_path / "run").exists()
+
+    # each asked numpy for the whole matrix and exited 1 with its
+    # _ArrayMemoryError; these sides are far past any host's memory
+    @pytest.mark.parametrize("argv", [
+        ["assemble", "--h", "0.5", "--K", "1000000"],
+        ["spectrum", "--h", "1e-5"],
+        ["pseudospec", "--h", "1e-5", "--grid", "0.2:0.3:2,0:0.1:2"]],
+        ids=["assemble", "spectrum", "pseudospec"])
+    def test_matrix_past_memory_maps_to_two(self, config_path, tmp_path,
+                                            capsys, argv):
+        rc = cli.main([*argv, "--config", config_path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        side = re.search(r"a matrix of side (\d+) takes .* GiB, more than "
+                         r"the .* GiB of physical memory",
+                         capsys.readouterr().err)
+        assert side and int(side[1]) > 200_000
+        if argv[0] == "assemble":
+            assert side[1] == "2000001"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("index", ["3", "-1"])
     def test_domain_out_of_range_maps_to_two(self, config_path, capsys,

@@ -69,31 +69,48 @@ class TestDeltaWindow:
             delta_window(0.1, 1.2, 0.25, 1.5)
 
 
+def refused(monkeypatch, cfg, exc, match):
+    """cfg, which constructs, makes its run raise exc before anything is
+    assembled or solved."""
+    def work(*args):
+        raise AssertionError("assembled or solved before the refusal")
+    with monkeypatch.context() as mp:
+        for name in ("assemble_operator", "assemble_perturbation",
+                     "eigenvalues"):
+            mp.setattr(discretize, name, work)
+        with pytest.raises(exc, match=match):
+            (run_semiclassical if cfg.mode == "semiclassical"
+             else run_highenergy)(cfg)
+
+
 class TestConfigValidation:
     def test_f2_semiclassical_accepted(self, f2):
         cfg = sc_config(f2)
         assert cfg.mode == "semiclassical"
+        assert cfg.admit() is cfg.domains[0]
 
-    def test_f1_rejected_separate_bases(self, f1):
+    def test_f1_rejected_separate_bases(self, f1, monkeypatch):
         # the two roots of F1 live at different base points, violating the
         # shared-base requirement of the semiclassical construction
-        with pytest.raises(HypothesisViolation):
-            sc_config(f1, sym=f1, domains=[Rectangle(-0.2, 0.2, -0.4, 0.4)])
+        refused(monkeypatch, sc_config(
+            f1, sym=f1, domains=[Rectangle(-0.2, 0.2, -0.4, 0.4)]),
+            HypothesisViolation, "does not pair")
 
-    def test_domain_outside_sigma_rejected(self, f2):
-        with pytest.raises(HypothesisViolation):
-            sc_config(f2, domains=[Rectangle(4.0, 5.0, 4.0, 5.0)])
+    def test_domain_outside_sigma_rejected(self, f2, monkeypatch):
+        refused(monkeypatch, sc_config(
+            f2, domains=[Rectangle(4.0, 5.0, 4.0, 5.0)]),
+            HypothesisViolation, "no phase-space roots")
 
-    def test_perturbation_order_capped(self, f2):
-        with pytest.raises(HypothesisViolation):
-            sc_config(f2, law=CoefficientLaw(alpha_min=0, alpha_max=2, n=1,
-                                             rho_decay=1.2))
+    def test_perturbation_order_capped(self, f2, monkeypatch):
+        refused(monkeypatch, sc_config(f2, law=CoefficientLaw(
+            alpha_min=0, alpha_max=2, n=1, rho_decay=1.2)),
+            HypothesisViolation, "alpha_max=2")
 
-    def test_highenergy_window_violation(self, f4):
+    def test_highenergy_window_violation(self, f4, monkeypatch):
         # m - alpha1 - rho - 3/4 <= 0
-        with pytest.raises(WindowViolation):
-            he_config(f4, law=CoefficientLaw(alpha_min=0, alpha_max=1, n=1,
-                                             rho_decay=1.1))
+        refused(monkeypatch, he_config(f4, law=CoefficientLaw(
+            alpha_min=0, alpha_max=1, n=1, rho_decay=1.1)),
+            WindowViolation, "must be positive")
 
     def test_highenergy_needs_sector(self, f4):
         with pytest.raises(ValueError):
@@ -114,9 +131,9 @@ class TestConfigValidation:
                  (2 * sc_K + 1) * 16, 2)):
             have = {"SC_PHYS_PAGES": 10 * spectrum, "SC_PAGE_SIZE": 1}
             monkeypatch.setattr(os, "sysconf", have.__getitem__)
-            make(trials=10 // per_trial)
-            with pytest.raises(ValueError, match="GiB of physical memory"):
-                make(trials=10 // per_trial + 1)
+            make(trials=10 // per_trial).admit()
+            refused(monkeypatch, make(trials=10 // per_trial + 1),
+                    ValueError, "GiB of physical memory")
 
     def test_truncation_rule(self, f2):
         cfg = sc_config(f2)
@@ -652,48 +669,58 @@ class TestHighEnergyRun:
             assert rep.extras["weyl_bound_by_lambda"][str(lam)] == \
                 pytest.approx(quad.bound / (2 * math.pi), rel=1e-9)
 
-    def test_rescaled_pilot_is_trial_0(self, f4):
-        # at lambda = 1 the rescaling check's matrix is P - Q at h = 1, built
-        # by the same operations as trial 0's: the spectra agree bit for bit
-        # only if the check draws trial 0's omega
+    def test_rescaled_pilot_is_trial_0(self, f4, monkeypatch):
+        # at lambda = 1 the rescaled matrix is P - Q at h = 1, built by the
+        # same operations as trial 0's M, so it is not solved; at lambda =
+        # 10 the solved matrix is trial 0's M / 10 up to rounding, and far
+        # from trial 1's
         cfg = he_config(f4, trials=3)
-        rep = run_highenergy(cfg)
-        K = rep.extras["truncation"]["K"]
-        first = next(r for r in rep.records if r.trial == 0)
-        spectra = harness._rescaled_eigs(cfg, "he", K, [1.0])
-        assert len(spectra) == 1
-        assert spectra[0].tobytes() == first.eigenvalues.tobytes()
+        mats = []
+        monkeypatch.setattr(discretize, "eigenvalues", lambda mat: (
+            mats.append(mat.entries) or np.zeros(0, dtype=complex)))
+        K = 24
+        harness._solve(cfg, "he", 1.0, 1.0, K, [0, 1])
+        assert harness._rescaled_eigs(cfg, "he", K, [1.0, 10.0])[0] is None
+        M0, M1, at10 = mats
+        atol = 1e-14 * np.abs(M0).max()
+        assert np.allclose(at10, M0 / 10.0, rtol=0.0, atol=atol)
+        assert not np.allclose(at10, M1 / 10.0, rtol=0.0, atol=atol)
 
     def test_rescaled_matrix_exact_at_powers_of_4(self, f4, monkeypatch):
         # for m = 2, h = lambda^{-1/2} is a power of 2 at lambda = 4^k, so
-        # the matrix the rescaling identity solves is trial 0's M over
-        # lambda bit for bit, and the identity checks assembly, not
-        # rounding; at lambda = 10 it is M / 10 only up to rounding
+        # the rescaled matrix is trial 0's M over lambda bit for bit and is
+        # not solved, and the identity checks assembly, not rounding; at
+        # lambda = 10 it is M / 10 only up to rounding, and is solved
         cfg = he_config(f4)
         mats = []
         monkeypatch.setattr(discretize, "eigenvalues", lambda mat: (
             mats.append(mat.entries) or np.zeros(0, dtype=complex)))
         K = 24
         harness._solve(cfg, "he", 1.0, 1.0, K, [0])
-        harness._rescaled_eigs(cfg, "he", K, [4.0, 10.0])
-        M, at4, at10 = mats
-        assert at4.tobytes() == (M / 4.0).tobytes()
+        at4, _ = harness._rescaled_eigs(cfg, "he", K, [4.0, 10.0])
+        M, at10 = mats
+        assert at4 is None
         assert at10.tobytes() != (M / 10.0).tobytes()
         assert np.allclose(at10, M / 10.0, rtol=0.0,
                            atol=1e-14 * np.abs(M).max())
 
     def test_rescaled_spectrum_is_pilot_over_lambda(self, f4):
         # the premise of skipping the solve where the matrices match: at
-        # lambda = 4^k the solver's spectrum of the rescaled matrix is trial
-        # 0's spectrum over lambda bit for bit, and only lambda = 10 differs
+        # lambda = 4^k the solver's spectrum of M / lambda is trial 0's
+        # spectrum over lambda bit for bit, and only lambda = 10 is solved
         cfg = he_config(f4)
         K = 24
         pilot = harness._solve(cfg, "he", 1.0, 1.0, K, [0])[0][0]
-        for lam, eigs in zip((4.0, 16.0), harness._rescaled_eigs(
-                cfg, "he", K, [4.0, 16.0])):
+        trunc = discretize.FourierTruncation(K=K, n=1, h=1.0)
+        M = discretize.perturbed_operator(
+            discretize.assemble_operator(f4, trunc),
+            sample_draw(cfg.law, SeedSpec(cfg.seed, "he", 0), 1.0), 1.0)
+        for lam in (4.0, 16.0):
+            eigs = discretize.eigenvalues(
+                discretize.OperatorMatrix(M.entries / lam, trunc))
             assert eigs.tobytes() == (pilot / lam).tobytes()
-        assert harness._inexact_rungs(cfg, "he", K, [4.0, 10.0, 16.0]) == [
-            10.0]
+        assert [eigs is None for eigs in harness._rescaled_eigs(
+            cfg, "he", K, [4.0, 10.0, 16.0])] == [True, False, True]
 
     @staticmethod
     def rescaled_solves(monkeypatch, cfg):
