@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,8 +21,18 @@ from . import discretize, domains, harness, quasimode, randomness, symbol
 from .errors import HypothesisViolation, NonConvergence, WeylabError
 
 
+def _finite(flag: str, parts) -> list:
+    """float(p) for each of ``parts`` of the flag's value, refusing NaN and
+    infinities."""
+    values = [float(p) for p in parts]
+    for p, v in zip(parts, values):
+        if not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite, not {p!r}")
+    return values
+
+
 def _parse_z(text: str) -> complex:
-    re, im = (float(p) for p in text.split(","))
+    re, im = _finite("--z", text.split(","))
     return complex(re, im)
 
 
@@ -30,8 +41,9 @@ def _parse_grid(text: str):
     re_part, im_part = text.split(",")
     r0, r1, rn = re_part.split(":")
     i0, i1, im_n = im_part.split(":")
-    res = np.linspace(float(r0), float(r1), int(rn))
-    ims = np.linspace(float(i0), float(i1), int(im_n))
+    r0, r1, i0, i1 = _finite("--grid", (r0, r1, i0, i1))
+    res = np.linspace(r0, r1, int(rn))
+    ims = np.linspace(i0, i1, int(im_n))
     return res[:, None] + 1j * ims[None, :]
 
 
@@ -57,7 +69,7 @@ def cmd_symbol_scan(args, cfg) -> int:
     is written with NonConvergence as its region, and the run exits 3."""
     nx, ny = (int(v) for v in args.grid.split("x"))
     if args.zbox:
-        re0, re1, im0, im1 = (float(v) for v in args.zbox.split(","))
+        re0, re1, im0, im1 = _finite("--zbox", args.zbox.split(","))
     else:
         r = cfg.domains[0].bound_radius()
         re0, re1, im0, im1 = -r, r, -r, r

@@ -1,10 +1,10 @@
 """Experiment orchestration: seeded Monte Carlo eigenvalue counts vs the
-phase-space (Weyl) prediction, in two modes that share one trial path,
-_certified_trials: draw omega from the trial's seed stream, assemble
-P - delta Q_omega at a truncation K certified on the stream's first trials
-(the pilots, whose spectra at K are reused), solve, and count in each
-domain; every TrialRecord keeps its trial's spectrum and the K it was
-counted at.
+phase-space (Weyl) prediction, in two modes that share one trial path.
+_certified_trials solves: it draws omega from each trial's seed address and
+solves P - delta Q_omega at a truncation K certified on the stream's first
+trials (the pilots, whose spectra at K are reused).  count_records counts:
+it turns those spectra and a list of (param, domain, W) into one TrialRecord
+per trial and entry, each keeping its trial's spectrum and K.
 
 semiclassical: fixed spectral window Gamma, shrinking h, coupling delta
 inside the admissible window h^N0 < delta < h^{rho+gamma1+1/2} |ln h|^{-2};
@@ -223,6 +223,8 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
     def truncation_K(self, h: float, z_sup: float, c_K: float = C_K) -> int:
         """ceil(c_K xi_window / h) + 2 bandwidth."""
+        if not 0.0 < h <= 1.0:
+            raise ValueError("h must lie in (0, 1]")
         window = symbol.xi_window(self.sym, z_sup)
         if not math.isfinite(window):
             raise ValueError(f"no truncation resolves |z| <= {z_sup!r}")
@@ -323,16 +325,15 @@ def _aggregate(records, param) -> dict:
     res = np.array([abs(r.residual) for r in rows])
     Ns = np.array([r.N for r in rows], dtype=float)
     W = rows[0].W
-    out = {
+    return {
         "trials": len(rows),
         "W": W,
         "mean_N": float(np.mean(Ns)),
         "mean_abs_residual": float(np.mean(res)),
         "q50_abs_residual": float(np.quantile(res, 0.5)),
         "q90_abs_residual": float(np.quantile(res, 0.9)),
+        "mean_ratio": float(np.mean(Ns) / W) if W > 0 else None,
     }
-    out["mean_ratio"] = float(np.mean(Ns) / W) if W > 0 else None
-    return out
 
 
 def _stage_medians(records, param) -> dict:
@@ -563,7 +564,7 @@ def _shared(pool, fn, args: tuple, items: list, meanwhile=None) -> dict:
 
 @dataclass(frozen=True)
 class StreamTrials:
-    records: list           # per trial and rung, each with its spectrum
+    solves: list            # per trial, in order: (spectrum, K, stage ms)
     pilots: int             # the first trials, which certify K
     K: int
     verdicts: list          # per domain, smallest first: settled at K
@@ -571,32 +572,31 @@ class StreamTrials:
     pilot_millis: float     # wall time of the pilots' K ladder
     K_count: int            # the K the non-pilot trials were solved at
     mu: float | None        # count_truncation's mu / R, if counts stop K
-    resolved: list          # the trials solved again and counted at K
+    resolved: list          # the trials solved again at K
 
 
 def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
-                      delta: float, rungs, *, K0: int, cap: int,
+                      delta: float, doms, *, K0: int, cap: int,
                       fallback: int | None, pilots: int, growth: float,
                       chains: int, tol: float,
                       count: bool = False) -> StreamTrials:
-    """Every trial of one seed stream, at a truncation K certified on the
-    first ``pilots`` trials.
+    """Solve every trial of one seed stream at a truncation K certified on
+    the first ``pilots`` trials; count_records counts the spectra.
 
-    ``rungs`` lists (param, domain, W), nested domains smallest first, W a
-    callable called once the trials are solved; each trial yields one record
-    per rung, all counted from one spectrum of P - delta Q_omega.  K,
-    K_count and mu are certify_truncation's decision, taken with K0, growth,
-    tol, cap, chains, ``count`` and ``fallback``.  The pilots keep their
-    spectra at K.  The other trials are solved at K_count; where the counts
-    stopped the ladder (mu is not None), those with an eigenvalue within
-    SC_FLAG_SCALE mu of the first domain's boundary are solved again at K
-    and counted there.  Every solve is shared out with ``pool``'s helpers
-    by trial index, and each process draws the trials it solves.  While the
-    pilots are solved at a finer K, helpers they leave idle solve the
-    non-pilot trials at the candidate K being checked, one future each,
-    requeued behind each pilot solve; the verdict cancels those not started,
-    and the started ones are collected after the parent's share if the
-    non-pilot trials are solved at that K, and dropped otherwise.
+    ``doms`` are nested domains, smallest first, on which
+    certify_truncation takes K, K_count and mu with K0, growth, tol, cap,
+    chains, ``count`` and ``fallback``.  The pilots keep their spectra at
+    K.  The other trials are solved at K_count; where the counts stopped
+    the ladder (mu is not None), those with an eigenvalue within
+    SC_FLAG_SCALE mu of the first domain's boundary are solved again at K,
+    and their stage times sum both solves'.  Every solve is shared out with
+    ``pool``'s helpers by trial index, and each process draws the trials it
+    solves.  While the pilots are solved at a finer K, helpers they leave
+    idle solve the non-pilot trials at the candidate K being checked, one
+    future each, requeued behind each pilot solve; the verdict cancels
+    those not started, and the started ones are collected after the
+    parent's share if the non-pilot trials are solved at that K, and
+    dropped otherwise.
     """
     pilots = min(pilots, config.trials)
     args = (config, stream, h, delta)       # _solve's arguments before K
@@ -627,8 +627,8 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
     t0 = time.perf_counter()
     try:
         K, K_count, verdicts, K_tried, mu = certify_truncation(
-            solve_pilots, [dom for _, dom, _ in rungs], K0, growth, tol, cap,
-            chains, count, fallback)
+            solve_pilots, doms, K0, growth, tol, cap, chains, count,
+            fallback)
     finally:
         cancel_guesses()
     pilot_ms = (time.perf_counter() - t0) * 1e3
@@ -642,33 +642,39 @@ def _certified_trials(pool, config: ExperimentConfig, stream: str, h: float,
         t for t in range(config.trials)
         if t not in reused and t not in started])
     rest.update((t, fut.result()[0]) for t, fut in started.items())
-    gamma = rungs[0][1]
     flagged = [] if mu is None else [
-        t for t in sorted(rest) if gamma.boundary_gap(rest[t][0]).min()
-        <= SC_FLAG_SCALE * mu * gamma.bound_radius()]
+        t for t in sorted(rest) if doms[0].boundary_gap(rest[t][0]).min()
+        <= SC_FLAG_SCALE * mu * doms[0].bound_radius()]
     again = _shared(pool, _solve, (*args, K), flagged)
 
-    rungs = [(param, dom, W()) for param, dom, W in rungs]
-    records = []
+    solves = []
     for trial in range(config.trials):
-        row = reused.get(trial) or rest[trial]
+        eigs, *ms = reused.get(trial) or rest[trial]
         if trial in again:      # both solves' times, the spectrum at K
-            row = (again[trial][0],
-                   *(a + b for a, b in zip(row[1:], again[trial][1:])))
-        eigs, *ms = row
+            eigs, *more = again[trial]
+            ms = [a + b for a, b in zip(ms, more)]
+        solves.append((eigs, K if trial in reused or trial in again
+                       else K_count, ms))
+    return StreamTrials(solves, pilots, K, verdicts, K_tried, pilot_ms,
+                        K_count, mu, flagged)
+
+
+def count_records(config: ExperimentConfig, stream: str,
+                  trials: StreamTrials, rungs) -> list:
+    """One TrialRecord per trial and (param, domain, W) of ``rungs``, trial
+    by trial, each counting the trial's spectrum in its domain."""
+    records = []
+    for trial, (eigs, K, ms) in enumerate(trials.solves):
         for param, dom, W in rungs:
-            t1 = time.perf_counter()
+            t0 = time.perf_counter()
             N = int(np.count_nonzero(dom.contains_many(eigs)))
-            count_ms = (time.perf_counter() - t1) * 1e3
+            count_ms = (time.perf_counter() - t0) * 1e3
             records.append(TrialRecord(
                 mode=config.mode, param=param, trial=trial,
                 seed_label=f"{config.seed}/{stream}/{trial}",
-                N=N, W=W, residual=N - W,
-                K=K if trial in reused or trial in again else K_count,
-                eigenvalues=eigs,
+                N=N, W=W, residual=N - W, K=K, eigenvalues=eigs,
                 stage_ms=dict(zip(STAGES, (*ms, count_ms)))))
-    return StreamTrials(records, pilots, K, verdicts, K_tried, pilot_ms,
-                        K_count, mu, flagged)
+    return records
 
 
 # -- semiclassical experiment --------------------------------------------------
@@ -710,15 +716,16 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     truncation = {}
     with _helpers(config) as pool:
         for h, (K_rule, delta) in rules.items():
+            stream = f"sc:{h!r}"
             run = _certified_trials(
-                pool, config, f"sc:{h!r}", h, delta,
-                [(h, gamma, lambda: measure / (symbol.TWO_PI * h))],
+                pool, config, stream, h, delta, [gamma],
                 K0=min(K_rule, config.truncation_K(
                     h, gamma.bound_radius(), SC_C_START)),
                 cap=K_rule, fallback=K_rule, pilots=SC_PILOTS,
                 growth=SC_GROWTH, chains=SC_CHAINS, tol=SC_SETTLE_TOL,
                 count=True)
-            records += run.records
+            records += count_records(config, stream, run, [
+                (h, gamma, measure / (symbol.TWO_PI * h))])
             truncation[h] = {
                 "K": run.K, "K_rule": K_rule, "K_tried": list(run.K_tried),
                 "pilot_trials": run.pilots, "settle_tol": SC_SETTLE_TOL,
@@ -822,19 +829,20 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
 
     params = tuple(sorted(config.lambda_list))
     # this also checks the sector: it must reach the origin with r_out = 1
-    pieces = [domains.dyadic_decompose(lam, sector) for lam in params]
+    pieces = {lam: domains.dyadic_decompose(lam, sector) for lam in params}
     rungs = [domains.dilate(sector, lam) for lam in params]
     K0 = config.truncation_K(1.0, rungs[0].bound_radius())
     with _helpers(config) as pool:
         # the helpers measure the rungs while the pilot climbs its K ladder
         weyls = [_submit(pool, _rung_weyl, sym, dom) for dom in rungs]
         run = _certified_trials(
-            pool, config, "he", 1.0, 1.0,
-            [(lam, dom, lambda w=w: w.result()[0])
-             for lam, dom, w in zip(params, rungs, weyls)],
+            pool, config, "he", 1.0, 1.0, rungs,
             K0=K0, cap=HE_K_CAP, fallback=None, pilots=1,
             growth=HE_GROWTH, chains=HE_CHAINS, tol=HE_SETTLE_TOL)
-        records, certified = run.records, run.verdicts
+        weyls = {str(lam): w.result() for lam, w in zip(params, weyls)}
+        records = count_records(config, "he", run, [
+            (lam, dom, weyls[str(lam)][0]) for lam, dom in zip(params, rungs)])
+        record = {(r.param, r.trial): r for r in records}
 
         # lambda^{-1} (P - Q) at h = lambda^{-1/m}, same draw and K, counted
         # in the undilated sector: it equals N in exact arithmetic, so a
@@ -842,41 +850,36 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
         # trial 0's matrix M over lambda bit for bit (h exact, as at
         # lambda = 4^k for m = 2), its spectrum is trial 0's over lambda;
         # the other rungs are solved.  The rungs are shared out, compared
-        # and solved where they are assembled.  Trial 0's records, one per
-        # rung, come first.
+        # and solved where they are assembled.
         rescaled = _shared(pool, _rescaled_eigs, (config, "he", run.K),
                            list(params))
         solved = [lam for lam in params if rescaled[lam] is not None]
         rescaling_ok = {f"{lam}/0": bool(np.count_nonzero(
-            sector.contains_many(r.eigenvalues / lam if rescaled[lam] is None
-                                 else rescaled[lam])) == r.N)
-            for lam, r in zip(params, records)}
-    weyls = {str(lam): w.result() for lam, w in zip(params, weyls)}
+            sector.contains_many(record[lam, 0].eigenvalues / lam
+                                 if rescaled[lam] is None else rescaled[lam]))
+            == record[lam, 0].N) for lam in params}
 
     dyadic_info = {}
-    for r, lam, rung_pieces in zip(records, itertools.cycle(params),
-                                   itertools.cycle(pieces)):
+    for r in records:
         piece_counts = [int(np.count_nonzero(p.contains_many(r.eigenvalues)))
-                        for p in rung_pieces]
-        dyadic_info[f"{lam}/{r.trial}"] = {
+                        for p in pieces[r.param]]
+        dyadic_info[f"{r.param}/{r.trial}"] = {
             "piece_counts": piece_counts, "total": r.N,
             "sum_matches": sum(piece_counts) == r.N}
 
     aggregates = {lam: _aggregate(records, lam) for lam in params}
-    for lam, ok in zip(params, certified):
+    for lam, ok in zip(params, run.verdicts):
         aggregates[lam]["certified"] = ok
 
     # Fits and relative residuals use certified rungs only: an uncertified
     # count is a truncation artefact.  Per trajectory, the envelope
     # |res| <= C(omega) + C~ lambda^{1/(2m)} sqrt(ln lam); None where fewer
     # certified rungs remain than a fit has parameters.
-    fit_rungs = [lam for lam, ok in zip(params, certified) if ok]
+    fit_rungs = [lam for lam, ok in zip(params, run.verdicts) if ok]
     fits = {}
     rel_residuals = {}
     for trial in range(config.trials):
-        rows = sorted((r for r in records
-                       if r.trial == trial and r.param in fit_rungs),
-                      key=lambda r: r.param)
+        rows = [record[lam, trial] for lam in fit_rungs]
         rel_residuals[trial] = [
             abs(r.residual) / r.W if r.W > 0 else math.inf for r in rows]
         if len(rows) < 2:
@@ -907,7 +910,7 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
                 "K": run.K, "K_start": K0, "K_tried": list(run.K_tried),
                 "pilot_trial": 0, "settle_tol": HE_SETTLE_TOL,
                 "certified": {str(lam): ok
-                              for lam, ok in zip(params, certified)},
+                              for lam, ok in zip(params, run.verdicts)},
                 "pilot_millis": run.pilot_millis,
                 "fit_rungs": fit_rungs,
             },

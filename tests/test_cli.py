@@ -183,6 +183,10 @@ EXIT_CODES = {"BandwidthExceeded": 2, "EmptyWindow": 2,
               "BranchLoss": 3, "CutoffTooWide": 3}
 
 
+# FourierTruncation's message, which the three commands that take --h give
+H_RANGE = "h must lie in (0, 1]"
+
+
 def count_solves(monkeypatch):
     """The matrices passed to discretize.eigenvalues, each still solved."""
     solves = []
@@ -629,6 +633,47 @@ class TestExitCodes:
         assert side and int(side[1]) > 200_000
         if argv[0] == "assemble":
             assert side[1] == "2000001"
+        assert not (tmp_path / "out").exists()
+
+    # --h 0 raised ZeroDivisionError (exit 1), and a negative or NaN h
+    # exited 2 without naming h; NaN and inf in --z, --zbox and --grid ran
+    # on, wrote NaN rows, or failed in the SVD
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--h", "0"], H_RANGE),
+        (["spectrum", "--h=-0.1"], H_RANGE),
+        (["spectrum", "--h", "nan", "--delta", "1e-4"], H_RANGE),
+        (["spectrum", "--h", "inf"], H_RANGE),
+        (["pseudospec", "--h", "0", "--grid", "0.2:0.6:2,-0.2:0.2:2"],
+         H_RANGE),
+        (["quasimode", "--z", "0.5,0.0", "--h", "0"], H_RANGE),
+        (["quasimode", "--z", "0.5,0.0", "--h", "nan"], H_RANGE),
+        (["roots", "--z", "nan,0"], "--z must be finite, not 'nan'"),
+        (["roots", "--z", "inf,0"], "--z must be finite, not 'inf'"),
+        (["quasimode", "--z", "0.5,nan", "--h", "0.1"],
+         "--z must be finite, not 'nan'"),
+        (["symbol-scan", "--zbox=0,nan,0,1"],
+         "--zbox must be finite, not 'nan'"),
+        (["symbol-scan", "--zbox=0,1,-inf,1"],
+         "--zbox must be finite, not '-inf'"),
+        (["pseudospec", "--h", "0.1", "--grid", "0:nan:2,0:1:2"],
+         "--grid must be finite, not 'nan'"),
+        (["pseudospec", "--h", "0.1", "--grid", "0:1:2,0:inf:2"],
+         "--grid must be finite, not 'inf'")],
+        ids=["spectrum-h-0", "spectrum-h-negative", "spectrum-h-nan",
+             "spectrum-h-inf", "pseudospec-h-0", "quasimode-h-0",
+             "quasimode-h-nan", "roots-z-nan", "roots-z-inf",
+             "quasimode-z-nan", "zbox-nan", "zbox-inf", "grid-nan",
+             "grid-inf"])
+    def test_flag_out_of_range_maps_to_two(self, config_path, tmp_path,
+                                           monkeypatch, capsys, argv,
+                                           message):
+        solves = count_solves(monkeypatch)
+        out = [] if argv[0] == "roots" else ["--out", str(tmp_path / "out")]
+        rc = cli.main([*argv, "--config", config_path, *out])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config/hypothesis violation: {message}\n"
+        assert captured.out == "" and solves == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("index", ["3", "-1"])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from weylab import discretize, harness, symbol
+from weylab import discretize, domains, harness, symbol
 from weylab.domains import AnnularSector, Rectangle, dilate
 from weylab.errors import (EmptyWindow, HypothesisViolation, NonConvergence,
                            WindowViolation)
@@ -192,6 +192,44 @@ class TestSemiclassicalRun:
         rep = run_semiclassical(cfg)
         labels = {r.seed_label for r in rep.records}
         assert labels == {"3/sc:0.1/0", "3/sc:0.1/1"}
+
+    def test_quarter_boxes_sum_to_gamma(self, f2, monkeypatch):
+        # Gamma's four quarter boxes, with their W, counted from the run's
+        # spectra by the one count function, the driver unchanged; each box
+        # holds an eigenvalue in some trial
+        cfg = sc_config(f2, h_list=(0.1, 0.08), trials=4)
+        quarters = [Rectangle(re0, re1, im0, im1)
+                    for re0, re1 in ((0.1, 0.4), (0.4, 0.7))
+                    for im0, im1 in ((-0.5, 0.0), (0.0, 0.5))]
+        weyls = [domains.weyl_measure(f2, q) for q in quarters]
+        count = harness.count_records
+        streams = []
+
+        def spy(config, stream, trials, rungs):
+            streams.append((stream, trials, rungs))
+            return count(config, stream, trials, rungs)
+        monkeypatch.setattr(harness, "count_records", spy)
+        rep = run_semiclassical(cfg)
+        assert [s for s, _, _ in streams] == ["sc:0.1", "sc:0.08"]
+        held = set()
+        for stream, trials, [(h, gamma, W)] in streams:
+            assert gamma is cfg.domains[0]
+            boxes = count(cfg, stream, trials, [
+                (h, q, w.value / (2 * math.pi * h))
+                for q, w in zip(quarters, weyls)])
+            assert len(boxes) == 4 * cfg.trials
+            # W's quadrature error and the boxes' bound their sum's
+            assert abs(sum(b.W for b in boxes[:4]) - W) <= (
+                rep.extras["weyl_measure_bound"]
+                + sum(w.bound for w in weyls)) / (2 * math.pi * h)
+            for r in (r for r in rep.records if r.param == h):
+                parts = [b for b in boxes if b.trial == r.trial]
+                assert [b.W for b in parts] == [b.W for b in boxes[:4]]
+                assert sum(b.N for b in parts) == r.N
+                assert all(b.K == r.K and b.eigenvalues is r.eigenvalues
+                           for b in parts)
+                held.update(i for i, b in enumerate(parts) if b.N)
+        assert held == {0, 1, 2, 3}
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +624,23 @@ class TestHighEnergyRun:
         # one omega per trajectory: same label across both lambdas
         labels = {(r.trial, r.seed_label) for r in rep.records}
         assert labels == {(0, "5/he/0"), (1, "5/he/1")}
+
+    def test_counts_read_no_record_order(self, f4, monkeypatch):
+        # the rescaling identity, the dyadic pieces and the trajectory fits
+        # find each count by its (lambda, trial), so records counted in
+        # reverse change none of them; lambda = 10 is solved rescaled
+        cfg = he_config(f4, lambda_list=(4.0, 10.0, 16.0), trials=3)
+        rep = run_highenergy(cfg)
+        assert rep.extras["rescaling_solved"] == [10.0]
+        count = harness.count_records
+        monkeypatch.setattr(harness, "count_records",
+                            lambda *args: count(*args)[::-1])
+        again = run_highenergy(cfg)
+        assert [(r.param, r.trial, r.N) for r in again.records] == [
+            (r.param, r.trial, r.N) for r in rep.records[::-1]]
+        for key in ("rescaling_identity", "dyadic", "trajectory_fits",
+                    "relative_residuals"):
+            assert again.extras[key] == rep.extras[key], key
 
     def test_certified_counts_match_solve_at_2K(self, f4):
         cfg = he_config(f4, trials=10)
