@@ -113,8 +113,9 @@ def cmd_weyl(args, cfg) -> int:
     if cfg.mode == "semiclassical":
         out["prediction"] = {repr(h): res.value / (symbol.TWO_PI * h)
                              for h in cfg.h_list}
-    else:
-        out["prediction"] = res.value / symbol.TWO_PI
+    else:   # each rung's W, as mc-highenergy's extras.weyl_by_lambda
+        out["prediction"] = {repr(lam): harness.rung_weyl(
+            cfg.sym, domains.dilate(dom, lam))[0] for lam in cfg.lambda_list}
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
@@ -134,12 +135,13 @@ def cmd_assemble(args, cfg) -> int:
 
 def cmd_spectrum(args, cfg) -> int:
     h = float(args.h)
+    delta = 0.0 if args.delta is None else _finite("--delta", [args.delta])[0]
     mat = discretize.assemble_operator(cfg.sym, _rule_truncation(cfg, h))
-    if args.delta is not None and float(args.delta) != 0.0:
+    if delta != 0.0:
         seed = int(args.seed) if args.seed is not None else cfg.seed
         spec = randomness.SeedSpec(seed, "spectrum", int(args.trial))
         draw = randomness.sample_draw(cfg.require_law(), spec, h)
-        mat = discretize.perturbed_operator(mat, draw, float(args.delta))
+        mat = discretize.perturbed_operator(mat, draw, delta)
     eigs = discretize.eigenvalues(mat)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "spectrum.csv")
@@ -173,11 +175,11 @@ def cmd_quasimode(args, cfg) -> int:
     K = cfg.truncation_K(h, abs(z))
     header = ["x", *(f"{part}{i}" for i in range(cfg.sym.n)
                      for part in ("re", "im"))]
-    os.makedirs(args.out, exist_ok=True)
     paths = []
     for idx, root in enumerate(plus):
         q = quasimode.build_quasimode(cfg.sym, z, root, h, 8 * (2 * K + 1),
                                       inventory=inv)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"quasimode_plus_{idx}.csv")
         harness.write_table(path, header,
                             np.column_stack((q.x, q.samples.view(float))))

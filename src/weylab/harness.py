@@ -25,8 +25,10 @@ lambda, so one eigensolve per trajectory counts every rung, at a truncation
 certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
 
 A config checks only its shape when it is built, so every command loads it;
-each Monte-Carlo run first calls its admit method, which checks the paper's
-hypotheses and the run's memory before anything is assembled or solved.
+each Monte-Carlo run first calls its admit method, which makes every refusal
+of the run before any trial is drawn: the paper's hypotheses, the run's
+memory and each coupling's rounding floor.  It returns the domain and each
+parameter's rule K and coupling, which the runs read and never recompute.
 
 Each run forks one pool of helpers.  A stream's solves (the pilots' at each
 K, then the other trials') go in WORKERS interleaved shares of trial
@@ -132,10 +134,12 @@ class ExperimentConfig:
                                  "domain reaching the origin")
 
     # ------------------------------------------------------------------
-    def admit(self):
-        """Check the paper's hypotheses for this config's Monte-Carlo run,
-        before it assembles or solves anything; returns the one domain the
-        run counts in."""
+    def admit(self) -> tuple:
+        """Check the paper's hypotheses for this config's Monte-Carlo run and
+        make every refusal of the run, before any trial is drawn; returns the
+        one domain it counts in and {param: (K_rule, delta)}: the rule's K
+        and the coupling of each h in config order, or of each lambda in
+        increasing order at coupling 1."""
         law = self.require_law()
         if len(self.domains) > 1:
             raise ValueError(f"{self.mode} runs count in one domain, and the "
@@ -144,10 +148,13 @@ class ExperimentConfig:
             raise HypothesisViolation(
                 f"perturbation order alpha_max={law.alpha_max} must stay "
                 f"below the operator order m={self.sym.m}")
-        if self.mode == "semiclassical" and self.delta_override is None:
-            for h in self.h_list:
-                delta_window(h, law.rho_decay, self.gamma1, self.N0)
-        elif self.mode == "highenergy":
+        if self.mode == "semiclassical":
+            deltas = [default_delta(h, law.rho_decay, self.gamma1, self.N0)
+                      if self.delta_override is None else self.delta_override
+                      for h in self.h_list]
+            rules = {h: (self.truncation_K(h, self.domains[0].bound_radius()),
+                         delta) for h, delta in zip(self.h_list, deltas)}
+        else:
             margin = self.sym.m - law.alpha_max - law.rho_decay - 0.75
             if margin <= 0.0:
                 raise WindowViolation(f"m - alpha1 - rho - 3/4 = "
@@ -156,26 +163,40 @@ class ExperimentConfig:
                                               + 0.5):
                 raise WindowViolation(
                     "m - alpha1 must exceed rho + gamma1 + 1/2")
-            # the rule's K at the largest rung: past the cap, no K that the
-            # ladder reaches resolves it (and at lambda = 1e308 its Weyl
-            # measure overflowed)
-            K0 = self.truncation_K(1.0, domains.dilate(
-                self.domains[0], max(self.lambda_list)).bound_radius())
-            if K0 > HE_K_CAP:
+            # the rule's K at each rung, of radius lambda r_out, the largest
+            # first: past the cap, no K that the ladder reaches resolves it
+            # (and at lambda = 1e308 its Weyl measure overflowed)
+            rules = dict(reversed([(lam, (self.truncation_K(
+                1.0, lam * self.domains[0].bound_radius()), 1.0))
+                for lam in sorted(self.lambda_list, reverse=True)]))
+            if (K0 := rules[max(rules)][0]) > HE_K_CAP:
                 raise ValueError(f"the largest lambda starts the truncation "
                                  f"at K = {K0}, past the cap {HE_K_CAP}")
-        self._check_memory()
+        self._check_memory(rules)
         self._validate_roots()
-        return self.domains[0]
+        # every h's coupling against its rounding floor, before any trial is
+        # drawn; the floor reads the norm at K_rule whatever K is certified
+        for h, (K_rule, delta) in rules.items():
+            if self.mode == "semiclassical" and delta != 0.0:
+                rule_P = discretize.assemble_operator(
+                    self.sym,
+                    discretize.FourierTruncation(K=K_rule, n=self.sym.n, h=h))
+                floor = 1e3 * np.finfo(float).eps * float(np.linalg.norm(
+                    rule_P.entries, 2))
+                if delta < floor:
+                    raise EmptyWindow(
+                        f"delta = {delta:.3e} is below the rounding floor "
+                        f"{floor:.3e} at h = {h}; the intentional "
+                        f"perturbation would drown in eigensolver noise")
+        return self.domains[0], rules
 
-    def _check_memory(self):
+    def _check_memory(self, rules: dict):
         """Refuse a run whose records' spectra, n(2K + 1) complex values at
         the largest K the run can reach, cannot fit in physical memory: one
         spectrum per trial and h, or per high-energy trajectory, whose
         rungs' records share it."""
         if self.mode == "semiclassical":
-            per_trial, K = len(self.h_list), self.truncation_K(
-                min(self.h_list), self.domains[0].bound_radius())
+            per_trial, K = len(rules), max(K for K, _ in rules.values())
         else:
             per_trial, K = 1, HE_K_CAP
         need = self.trials * per_trial * self.sym.n * (2 * K + 1) * 16
@@ -679,37 +700,10 @@ def count_records(config: ExperimentConfig, stream: str,
 
 # -- semiclassical experiment --------------------------------------------------
 
-def _delta_floor(mat_norm: float) -> float:
-    return 1e3 * np.finfo(float).eps * mat_norm
-
-
-def _coupling(config: ExperimentConfig, h: float) -> float:
-    if config.delta_override is not None:
-        return config.delta_override
-    return default_delta(h, config.law.rho_decay, config.gamma1, config.N0)
-
-
 def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
-    gamma = config.admit()
-    sym = config.sym
-    # every h's coupling is checked against its rounding floor before any
-    # solve; the floor reads the norm at K_rule whatever K is certified
-    rules = {}      # h -> (K_rule, delta)
-    for h in config.h_list:
-        K_rule = config.truncation_K(h, gamma.bound_radius())
-        delta = _coupling(config, h)
-        rules[h] = K_rule, delta
-        if delta != 0.0:
-            rule_P = discretize.assemble_operator(
-                sym, discretize.FourierTruncation(K=K_rule, n=sym.n, h=h))
-            floor = _delta_floor(float(np.linalg.norm(rule_P.entries, 2)))
-            if delta < floor:
-                raise EmptyWindow(
-                    f"delta = {delta:.3e} is below the rounding floor "
-                    f"{floor:.3e} at h = {h}; the intentional "
-                    f"perturbation would drown in eigensolver noise")
-    weyl = domains.weyl_measure(sym, gamma)
+    gamma, rules = config.admit()
+    weyl = domains.weyl_measure(config.sym, gamma)
     measure = weyl.value
 
     records = []
@@ -783,7 +777,7 @@ def _rescaled_symbol(sym: symbol.MatrixSymbol,
                                sym.coeffs * scale[:, None, None, None])
 
 
-def _rung_weyl(sym: symbol.MatrixSymbol, dom) -> tuple:
+def rung_weyl(sym: symbol.MatrixSymbol, dom) -> tuple:
     """(W, its bound): the Weyl measure of dom over 2 pi."""
     weyl = domains.weyl_measure(sym, dom)
     return weyl.value / symbol.TWO_PI, weyl.bound / symbol.TWO_PI
@@ -824,17 +818,17 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     aggregates.
     """
     start = time.perf_counter()
-    sector = config.admit()
+    sector, rules = config.admit()
     sym = config.sym
 
-    params = tuple(sorted(config.lambda_list))
+    params = tuple(rules)
     # this also checks the sector: it must reach the origin with r_out = 1
     pieces = {lam: domains.dyadic_decompose(lam, sector) for lam in params}
     rungs = [domains.dilate(sector, lam) for lam in params]
-    K0 = config.truncation_K(1.0, rungs[0].bound_radius())
+    K0 = rules[params[0]][0]
     with _helpers(config) as pool:
         # the helpers measure the rungs while the pilot climbs its K ladder
-        weyls = [_submit(pool, _rung_weyl, sym, dom) for dom in rungs]
+        weyls = [_submit(pool, rung_weyl, sym, dom) for dom in rungs]
         run = _certified_trials(
             pool, config, "he", 1.0, 1.0, rungs,
             K0=K0, cap=HE_K_CAP, fallback=None, pilots=1,

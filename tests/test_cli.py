@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 import pathlib
 import re
 import shlex
@@ -173,6 +174,22 @@ class TestSubcommands:
         K = summary["extras"]["truncation"]["K"]
         rows = blobs[0].decode().strip().split("\n")[1:]
         assert {int(row.split(",")[7]) for row in rows} == {K}
+
+    def test_weyl_predicts_each_rung(self, he_config_path, tmp_path,
+                                     monkeypatch, capsys):
+        # weyl printed one prediction, W at lambda = 1, which is no rung; it
+        # prints each rung's W, the one mc-highenergy compares N against
+        assert cli.main(["mc-highenergy", "--config", he_config_path,
+                         "--out", str(tmp_path / "he")]) == 0
+        summary = json.loads((tmp_path / "he" / "summary.json").read_text())
+        capsys.readouterr()
+        solves = count_solves(monkeypatch)
+        assert cli.main(["weyl", "--config", he_config_path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and solves == []
+        out = json.loads(captured.out)
+        assert out["prediction"] == summary["extras"]["weyl_by_lambda"]
+        assert list(out["prediction"]) == ["2.0", "4.0"]
 
 
 # the exit code of every package error type: a ValueError is a bad config
@@ -615,22 +632,36 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert solves == [] and not (tmp_path / "run").exists()
 
-    # each asked numpy for the whole matrix and exited 1 with its
-    # _ArrayMemoryError; these sides are far past any host's memory
-    @pytest.mark.parametrize("argv", [
-        ["assemble", "--h", "0.5", "--K", "1000000"],
-        ["spectrum", "--h", "1e-5"],
-        ["pseudospec", "--h", "1e-5", "--grid", "0.2:0.3:2,0:0.1:2"]],
-        ids=["assemble", "spectrum", "pseudospec"])
+    # each asked numpy for the whole matrix, or the quasimode's grid, and
+    # exited 1 with its _ArrayMemoryError; these sides are far past any
+    # host's memory, and the grid of --h 0.1 is past a patched 1 KiB (at
+    # --h 1e-9 it took 584 GiB, which is not asked for here)
+    @pytest.mark.parametrize("argv, memory", [
+        (["assemble", "--h", "0.5", "--K", "1000000"], None),
+        (["spectrum", "--h", "1e-5"], None),
+        (["pseudospec", "--h", "1e-5", "--grid", "0.2:0.3:2,0:0.1:2"], None),
+        (["quasimode", "--z", "0.5,0", "--h", "0.1"], 1024)],
+        ids=["assemble", "spectrum", "pseudospec", "quasimode"])
     def test_matrix_past_memory_maps_to_two(self, config_path, tmp_path,
-                                            capsys, argv):
+                                            monkeypatch, capsys, argv,
+                                            memory):
+        if memory is not None:
+            have = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(os, "sysconf", have.__getitem__)
+        solves = count_solves(monkeypatch)
         rc = cli.main([*argv, "--config", config_path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
-        side = re.search(r"a matrix of side (\d+) takes .* GiB, more than "
-                         r"the .* GiB of physical memory",
-                         capsys.readouterr().err)
-        assert side and int(side[1]) > 200_000
+        side = re.fullmatch(r"config/hypothesis violation: a (?:matrix of "
+                            r"side|quasimode grid of N =) (\d+) (?:points )?"
+                            r"takes .* GiB, more than the .* GiB of "
+                            r"physical memory\n", capsys.readouterr().err)
+        assert side and solves == []
+        if argv[0] == "quasimode":
+            K = harness.load_config(config_path).truncation_K(0.1, 0.5)
+            assert int(side[1]) == 8 * (2 * K + 1)
+        else:
+            assert int(side[1]) > 200_000
         if argv[0] == "assemble":
             assert side[1] == "2000001"
         assert not (tmp_path / "out").exists()
@@ -647,6 +678,10 @@ class TestExitCodes:
          H_RANGE),
         (["quasimode", "--z", "0.5,0.0", "--h", "0"], H_RANGE),
         (["quasimode", "--z", "0.5,0.0", "--h", "nan"], H_RANGE),
+        (["spectrum", "--h", "0.1", "--delta", "nan"],
+         "--delta must be finite, not 'nan'"),
+        (["spectrum", "--h", "0.1", "--delta", "inf"],
+         "--delta must be finite, not 'inf'"),
         (["roots", "--z", "nan,0"], "--z must be finite, not 'nan'"),
         (["roots", "--z", "inf,0"], "--z must be finite, not 'inf'"),
         (["quasimode", "--z", "0.5,nan", "--h", "0.1"],
@@ -661,7 +696,7 @@ class TestExitCodes:
          "--grid must be finite, not 'inf'")],
         ids=["spectrum-h-0", "spectrum-h-negative", "spectrum-h-nan",
              "spectrum-h-inf", "pseudospec-h-0", "quasimode-h-0",
-             "quasimode-h-nan", "roots-z-nan", "roots-z-inf",
+             "quasimode-h-nan", "delta-nan", "delta-inf", "roots-z-nan", "roots-z-inf",
              "quasimode-z-nan", "zbox-nan", "zbox-inf", "grid-nan",
              "grid-inf"])
     def test_flag_out_of_range_maps_to_two(self, config_path, tmp_path,

@@ -87,7 +87,18 @@ class TestConfigValidation:
     def test_f2_semiclassical_accepted(self, f2):
         cfg = sc_config(f2)
         assert cfg.mode == "semiclassical"
-        assert cfg.admit() is cfg.domains[0]
+        gamma, rules = cfg.admit()
+        assert gamma is cfg.domains[0]
+        assert rules == {0.1: (cfg.truncation_K(0.1, gamma.bound_radius()),
+                               default_delta(0.1, 1.2, 0.25, 3.0))}
+
+    def test_highenergy_rules_in_increasing_lambda(self, f4):
+        cfg = he_config(f4, lambda_list=(8.0, 2.0, 4.0))
+        sector, rules = cfg.admit()
+        assert sector is cfg.domains[0]
+        assert rules == {lam: (cfg.truncation_K(1.0, dilate(
+            sector, lam).bound_radius()), 1.0) for lam in (2.0, 4.0, 8.0)}
+        assert list(rules) == [2.0, 4.0, 8.0]
 
     def test_f1_rejected_separate_bases(self, f1, monkeypatch):
         # the two roots of F1 live at different base points, violating the
@@ -120,19 +131,22 @@ class TestConfigValidation:
                                                       monkeypatch):
         # a high-energy trajectory's rungs share one spectrum, so ten
         # trajectories of six rungs fit where ten spectra do; a semiclassical
-        # trial holds one spectrum per h
+        # trial holds one spectrum per h, and its admission assembles the
+        # rule's matrix at each h for the rounding floor, so its memory
+        # holds ten spectra and the largest of those matrices, of side
+        # 2 sc_K + 1: that many spectra more
         sc = sc_config(f2, h_list=(0.1, 0.08))
         sc_K = sc.truncation_K(0.08, sc.domains[0].bound_radius())
-        for make, spectrum, per_trial in (
+        for make, spectrum, room, per_trial in (
                 (functools.partial(he_config, f4, lambda_list=(
                     2.0, 4.0, 8.0, 16.0, 32.0, 64.0)),
-                 (2 * harness.HE_K_CAP + 1) * 16, 1),
+                 (2 * harness.HE_K_CAP + 1) * 16, 10, 1),
                 (functools.partial(sc_config, f2, h_list=(0.1, 0.08)),
-                 (2 * sc_K + 1) * 16, 2)):
-            have = {"SC_PHYS_PAGES": 10 * spectrum, "SC_PAGE_SIZE": 1}
+                 (2 * sc_K + 1) * 16, 10 + 2 * sc_K + 1, 2)):
+            have = {"SC_PHYS_PAGES": room * spectrum, "SC_PAGE_SIZE": 1}
             monkeypatch.setattr(os, "sysconf", have.__getitem__)
-            make(trials=10 // per_trial).admit()
-            refused(monkeypatch, make(trials=10 // per_trial + 1),
+            make(trials=room // per_trial).admit()
+            refused(monkeypatch, make(trials=room // per_trial + 1),
                     ValueError, "GiB of physical memory")
 
     def test_truncation_rule(self, f2):
@@ -182,10 +196,46 @@ class TestSemiclassicalRun:
         monkeypatch.setattr(harness.discretize, "eigenvalues",
                             lambda mat: solves.append(mat))
         for h_list, delta in (((0.1,), 1e-18), ((0.05, 0.3), 8e-12)):
-            with pytest.raises(EmptyWindow, match=f"at h = {h_list[-1]};"):
-                run_semiclassical(sc_config(f2, h_list=h_list,
-                                            delta_override=delta))
+            cfg = sc_config(f2, h_list=h_list, delta_override=delta)
+            # admission alone refuses it, and the run refuses it there
+            for admit_or_run in (cfg.admit, functools.partial(
+                    run_semiclassical, cfg)):
+                with pytest.raises(EmptyWindow,
+                                   match=f"at h = {h_list[-1]};"):
+                    admit_or_run()
         assert solves == []
+
+    def test_runs_read_admitted_rules(self, f2, f4, monkeypatch):
+        # each Monte-Carlo run works on the rule's K and the coupling that
+        # admit hands it, and works out neither again: altered, they reach
+        # the report
+        admit = ExperimentConfig.admit
+
+        def altered(config):
+            dom, rules = admit(config)
+            return dom, {p: (K + 5, delta * 2) for p, (K, delta)
+                         in rules.items()}
+        sc, he = sc_config(f2, h_list=(0.1, 0.08)), he_config(f4)
+        (_, sc_rules), (_, he_rules) = sc.admit(), he.admit()
+        monkeypatch.setattr(ExperimentConfig, "admit", altered)
+        # every solve in this process, with the coupling it perturbs by
+        monkeypatch.setattr(harness, "WORKERS", 1)
+        perturb, couplings = harness.discretize.perturbed_operator, set()
+        monkeypatch.setattr(
+            harness.discretize, "perturbed_operator",
+            lambda mat, d, delta: couplings.add((mat.trunc.h, delta))
+            or perturb(mat, d, delta))
+        rep = run_semiclassical(sc)
+        assert couplings == {(h, 2 * delta)
+                             for h, (_, delta) in sc_rules.items()}
+        for h, (K_rule, delta) in sc_rules.items():
+            assert rep.extras["delta"][h] == 2 * delta
+            assert rep.extras["truncation"][h]["K_rule"] == K_rule + 5
+            assert all(r.K <= K_rule + 5 for r in rep.records
+                       if r.param == h)
+        rep = run_highenergy(he)
+        assert rep.extras["truncation"]["K_start"] == he_rules[2.0][0] + 5
+        assert rep.extras["truncation"]["K_tried"][0] == he_rules[2.0][0] + 5
 
     def test_trial_reuse_of_stream_labels(self, f2):
         cfg = sc_config(f2, trials=2)

@@ -189,6 +189,19 @@ class TestBuild:
         with pytest.raises(CutoffTooWide):
             build_quasimode(f1, z, root, 0.1, 1024, inventory=inv)
 
+    def test_grid_past_memory_refused(self, f2, monkeypatch):
+        # both build functions sample through one method, which refuses a grid of
+        # 16 n N bytes past physical memory before allocating it
+        _, proot = plus_root(f2, 0.5)
+        _, mroot = minus_root(f2, 0.5)
+        have = {"SC_PHYS_PAGES": 16 * 2048 - 1, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(discretize.os, "sysconf", have.__getitem__)
+        for build, root in ((build_quasimode, proot),
+                            (build_adjoint_quasimode, mroot)):
+            with pytest.raises(ValueError, match="grid of N = 2048 points"):
+                build(f2, 0.5, root, 0.1, 2048)
+            assert build(f2, 0.5, root, 0.1, 2047).samples.shape == (2047, 1)
+
     def test_adjoint_mode_from_minus_root(self, f2):
         inv, mroot = minus_root(f2, 0.5)
         q = build_adjoint_quasimode(f2, 0.5, mroot, 0.1, 2048)
