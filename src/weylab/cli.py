@@ -31,19 +31,41 @@ def _finite(flag: str, parts) -> list:
     return values
 
 
+def _split(flag: str, text: str, sep: str, count: int) -> list:
+    """The flag's value split at ``sep``, refusing any number of parts but
+    ``count``."""
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise ValueError(f"{flag} takes {count} values joined by {sep!r}, "
+                         f"not {text!r}")
+    return parts
+
+
+def _count(flag: str, text: str) -> int:
+    """A number of grid points from the flag's value: a whole number >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"{flag} counts must be whole numbers >= 0, "
+                         f"not {text!r}")
+    return n
+
+
 def _parse_z(text: str) -> complex:
-    re, im = _finite("--z", text.split(","))
+    re, im = _finite("--z", _split("--z", text, ",", 2))
     return complex(re, im)
 
 
 def _parse_grid(text: str):
     """'-1:1:40,-0.5:0.5:30' -> complex meshgrid."""
-    re_part, im_part = text.split(",")
-    r0, r1, rn = re_part.split(":")
-    i0, i1, im_n = im_part.split(":")
+    re_part, im_part = _split("--grid", text, ",", 2)
+    r0, r1, rn = _split("--grid", re_part, ":", 3)
+    i0, i1, im_n = _split("--grid", im_part, ":", 3)
     r0, r1, i0, i1 = _finite("--grid", (r0, r1, i0, i1))
-    res = np.linspace(r0, r1, int(rn))
-    ims = np.linspace(i0, i1, int(im_n))
+    res = np.linspace(r0, r1, _count("--grid", rn))
+    ims = np.linspace(i0, i1, _count("--grid", im_n))
     return res[:, None] + 1j * ims[None, :]
 
 
@@ -67,9 +89,10 @@ def _rule_truncation(cfg, h: float) -> discretize.FourierTruncation:
 def cmd_symbol_scan(args, cfg) -> int:
     """Region map over a z grid; a point whose root scan does not converge
     is written with NonConvergence as its region, and the run exits 3."""
-    nx, ny = (int(v) for v in args.grid.split("x"))
+    nx, ny = (_count("--grid", v) for v in _split("--grid", args.grid, "x", 2))
     if args.zbox:
-        re0, re1, im0, im1 = _finite("--zbox", args.zbox.split(","))
+        re0, re1, im0, im1 = _finite("--zbox",
+                                     _split("--zbox", args.zbox, ",", 4))
     else:
         r = cfg.domains[0].bound_radius()
         re0, re1, im0, im1 = -r, r, -r, r
@@ -136,6 +159,8 @@ def cmd_assemble(args, cfg) -> int:
 def cmd_spectrum(args, cfg) -> int:
     h = float(args.h)
     delta = 0.0 if args.delta is None else _finite("--delta", [args.delta])[0]
+    if delta < 0.0:
+        raise ValueError(f"--delta must be >= 0, not {args.delta!r}")
     mat = discretize.assemble_operator(cfg.sym, _rule_truncation(cfg, h))
     if delta != 0.0:
         seed = int(args.seed) if args.seed is not None else cfg.seed
@@ -192,6 +217,9 @@ def cmd_mc(args, cfg, mode: str) -> int:
     if cfg.mode != mode:
         raise ValueError(f"config mode is {cfg.mode!r}; this subcommand "
                          f"runs {mode!r}")
+    # write_report would refuse it only after the whole run
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out!r} exists and is not a directory")
     runner = (harness.run_semiclassical if mode == "semiclassical"
               else harness.run_highenergy)
     written = harness.write_report(runner(cfg), args.out,

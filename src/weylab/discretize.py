@@ -64,9 +64,14 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def physical_memory() -> int:
-    """The bytes of physical memory of this host."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def require_memory(need: int, what: str) -> None:
+    """Refuse, before anything is allocated, ``need`` bytes past this host's
+    physical memory; ``what`` names the allocation and its verb, as in
+    "a matrix of side 5 takes"."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"{what} {need / 2 ** 30:.3g} GiB, more than the "
+                         f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
@@ -76,11 +81,8 @@ def _assemble_bands(terms, trunc: FourierTruncation) -> np.ndarray:
     multiplication by sum_f c_f e^{ifx} after the diagonal weight on the
     input modes.  ``coeffs`` holds c_f at f + B for |f| <= B <= 2K.
     """
-    need, have = 16 * trunc.side ** 2, physical_memory()
-    if need > have:
-        raise ValueError(f"a matrix of side {trunc.side} takes "
-                         f"{need / 2 ** 30:.3g} GiB, more than the "
-                         f"{have / 2 ** 30:.3g} GiB of physical memory")
+    require_memory(16 * trunc.side ** 2,
+                   f"a matrix of side {trunc.side} takes")
     K = trunc.K
     nb = 2 * K + 1
     modes = trunc.modes

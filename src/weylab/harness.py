@@ -27,8 +27,9 @@ certified on pilot trajectory 0.  Both modes record K in extras["truncation"].
 A config checks only its shape when it is built, so every command loads it;
 each Monte-Carlo run first calls its admit method, which makes every refusal
 of the run before any trial is drawn: the paper's hypotheses, the run's
-memory and each coupling's rounding floor.  It returns the domain and each
-parameter's rule K and coupling, which the runs read and never recompute.
+memory, and last each coupling's rounding floor or the high-energy sector's
+normalization.  It returns the domain and each parameter's rule K and
+coupling, which the runs read and never recompute; they refuse nothing.
 
 Each run forks one pool of helpers.  A stream's solves (the pilots' at each
 K, then the other trials') go in WORKERS interleaved shares of trial
@@ -136,10 +137,11 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
     def admit(self) -> tuple:
         """Check the paper's hypotheses for this config's Monte-Carlo run and
-        make every refusal of the run, before any trial is drawn; returns the
-        one domain it counts in and {param: (K_rule, delta)}: the rule's K
-        and the coupling of each h in config order, or of each lambda in
-        increasing order at coupling 1."""
+        make every refusal of the run, before any trial is drawn, the last
+        each h's rounding floor or the high-energy sector's normalization;
+        returns the one domain it counts in and {param: (K_rule, delta)}:
+        the rule's K and the coupling of each h in config order, or of each
+        lambda in increasing order at coupling 1."""
         law = self.require_law()
         if len(self.domains) > 1:
             raise ValueError(f"{self.mode} runs count in one domain, and the "
@@ -148,12 +150,17 @@ class ExperimentConfig:
             raise HypothesisViolation(
                 f"perturbation order alpha_max={law.alpha_max} must stay "
                 f"below the operator order m={self.sym.m}")
+        dom = self.domains[0]
+        z = dom.probe()
         if self.mode == "semiclassical":
             deltas = [default_delta(h, law.rho_decay, self.gamma1, self.N0)
                       if self.delta_override is None else self.delta_override
                       for h in self.h_list]
-            rules = {h: (self.truncation_K(h, self.domains[0].bound_radius()),
-                         delta) for h, delta in zip(self.h_list, deltas)}
+            rules = {h: (self.truncation_K(h, dom.bound_radius()), delta)
+                     for h, delta in zip(self.h_list, deltas)}
+            # one spectrum per trial and h, at the largest K a stream reaches
+            spectra, K = len(rules), max(K for K, _ in rules.values())
+            sym = self.sym
         else:
             margin = self.sym.m - law.alpha_max - law.rho_decay - 0.75
             if margin <= 0.0:
@@ -167,79 +174,47 @@ class ExperimentConfig:
             # first: past the cap, no K that the ladder reaches resolves it
             # (and at lambda = 1e308 its Weyl measure overflowed)
             rules = dict(reversed([(lam, (self.truncation_K(
-                1.0, lam * self.domains[0].bound_radius()), 1.0))
+                1.0, lam * dom.bound_radius()), 1.0))
                 for lam in sorted(self.lambda_list, reverse=True)]))
             if (K0 := rules[max(rules)][0]) > HE_K_CAP:
                 raise ValueError(f"the largest lambda starts the truncation "
                                  f"at K = {K0}, past the cap {HE_K_CAP}")
-        self._check_memory(rules)
-        self._validate_roots()
-        # every h's coupling against its rounding floor, before any trial is
-        # drawn; the floor reads the norm at K_rule whatever K is certified
-        for h, (K_rule, delta) in rules.items():
-            if self.mode == "semiclassical" and delta != 0.0:
-                rule_P = discretize.assemble_operator(
-                    self.sym,
-                    discretize.FourierTruncation(K=K_rule, n=self.sym.n, h=h))
-                floor = 1e3 * np.finfo(float).eps * float(np.linalg.norm(
-                    rule_P.entries, 2))
-                if delta < floor:
-                    raise EmptyWindow(
-                        f"delta = {delta:.3e} is below the rounding floor "
-                        f"{floor:.3e} at h = {h}; the intentional "
-                        f"perturbation would drown in eigensolver noise")
-        return self.domains[0], rules
-
-    def _check_memory(self, rules: dict):
-        """Refuse a run whose records' spectra, n(2K + 1) complex values at
-        the largest K the run can reach, cannot fit in physical memory: one
-        spectrum per trial and h, or per high-energy trajectory, whose
-        rungs' records share it."""
+            # one spectrum per trajectory, which its rungs share, at the cap
+            spectra, K = 1, HE_K_CAP
+            # roots of the principal part (h -> 0 keeps order m alone), at
+            # 1 if the probe is ~0
+            sym = _rescaled_symbol(self.sym, 0.0)
+            z = 1.0 + 0.0j if abs(z) < 1e-12 else z
+        discretize.require_memory(
+            self.trials * spectra * self.sym.n * (2 * K + 1) * 16,
+            f"{float(self.trials * spectra):.3g} spectra at K = {K} take")
+        _validate_roots(sym, z)
         if self.mode == "semiclassical":
-            per_trial, K = len(rules), max(K for K, _ in rules.values())
+            # every h's coupling against its rounding floor; the floor reads
+            # the norm at K_rule whatever K is certified
+            for h, (K_rule, delta) in rules.items():
+                if delta != 0.0:
+                    rule_P = discretize.assemble_operator(
+                        self.sym, discretize.FourierTruncation(
+                            K=K_rule, n=self.sym.n, h=h))
+                    floor = 1e3 * np.finfo(float).eps * float(
+                        np.linalg.norm(rule_P.entries, 2))
+                    if delta < floor:
+                        raise EmptyWindow(
+                            f"delta = {delta:.3e} is below the rounding "
+                            f"floor {floor:.3e} at h = {h}; the intentional "
+                            f"perturbation would drown in eigensolver noise")
         else:
-            per_trial, K = 1, HE_K_CAP
-        need = self.trials * per_trial * self.sym.n * (2 * K + 1) * 16
-        have = discretize.physical_memory()
-        if need > have:
-            raise ValueError(
-                f"{float(self.trials * per_trial):.3g} spectra at K = {K} "
-                f"take {need / 2 ** 30:.3g} GiB, more than the "
-                f"{have / 2 ** 30:.3g} GiB of physical memory")
+            # the dyadic rings need a sector reaching the origin with
+            # r_out = 1; decomposing the largest rung refuses any other
+            domains.dyadic_decompose(max(rules), dom)
+        return dom, rules
 
     def require_law(self) -> randomness.CoefficientLaw:
         """The perturbation law, which the Monte-Carlo paths need."""
         if self.law is None:
             raise ValueError(f"{self.mode} mode needs a perturbation law")
         return self.law
-
-    def _validate_roots(self):
-        """Check the root inventory at the probe z: of the symbol, or in
-        high-energy mode of its principal part (at 1 if the probe is ~0)."""
-        z = self.domains[0].probe()
-        sym = self.sym
-        if self.mode == "highenergy":
-            z = 1.0 + 0.0j if abs(z) < 1e-12 else z
-            sym = _principal_part(self.sym)
-        with np.errstate(over="raise"):
-            try:
-                inv = symbol.find_roots(sym, z)
-            except FloatingPointError as exc:
-                raise ValueError(f"the symbol's values overflow near probe "
-                                 f"z = {z}: its coefficients are too large"
-                                 ) from exc
-        for failed, what in (
-                (not inv.roots, "no phase-space roots (the domain is outside "
-                                "the symbol's spectral region)"),
-                (inv.degenerate, "degenerate bracket (boundary of the good "
-                                 "region)"),
-                (inv.beta != inv.gamma, f"unbalanced root counts "
-                                        f"beta={inv.beta}, gamma={inv.gamma}"),
-                (any(abs(r.point.xi) < 1e-9 for r in inv.roots),
-                 "a root on xi = 0")):
-            if failed:
-                raise HypothesisViolation(f"{what} at probe z = {z}")
-        _check_shared_bases(inv)
 
     # ------------------------------------------------------------------
     def truncation_K(self, h: float, z_sup: float, c_K: float = C_K) -> int:
@@ -273,10 +248,26 @@ def _check_shared_bases(inv):
                 "two root pairs share the same base point")
 
 
-def _principal_part(sym: symbol.MatrixSymbol) -> symbol.MatrixSymbol:
-    coeffs = np.zeros_like(sym.coeffs)
-    coeffs[sym.m] = sym.coeffs[sym.m]
-    return symbol.MatrixSymbol(sym.n, sym.m, coeffs)
+def _validate_roots(sym: symbol.MatrixSymbol, z: complex) -> None:
+    """Check sym's root inventory at z against the paper's hypotheses."""
+    with np.errstate(over="raise"):
+        try:
+            inv = symbol.find_roots(sym, z)
+        except FloatingPointError as exc:
+            raise ValueError(f"the symbol's values overflow near probe z = "
+                             f"{z}: its coefficients are too large") from exc
+    for failed, what in (
+            (not inv.roots, "no phase-space roots (the domain is outside "
+                            "the symbol's spectral region)"),
+            (inv.degenerate, "degenerate bracket (boundary of the good "
+                             "region)"),
+            (inv.beta != inv.gamma, f"unbalanced root counts "
+                                    f"beta={inv.beta}, gamma={inv.gamma}"),
+            (any(abs(r.point.xi) < 1e-9 for r in inv.roots),
+             "a root on xi = 0")):
+        if failed:
+            raise HypothesisViolation(f"{what} at probe z = {z}")
+    _check_shared_bases(inv)
 
 
 # -- delta window -------------------------------------------------------------
@@ -771,7 +762,8 @@ def run_semiclassical(config: ExperimentConfig) -> ExperimentReport:
 def _rescaled_symbol(sym: symbol.MatrixSymbol,
                      h: float) -> symbol.MatrixSymbol:
     """lambda^{-1} P in semiclassical form at h = lambda^{-1/m}:
-    A_alpha D^alpha / lambda = h^{m - alpha} A_alpha (hD)^alpha."""
+    A_alpha D^alpha / lambda = h^{m - alpha} A_alpha (hD)^alpha; at h = 0,
+    the principal part (0.0 ** 0 = 1, and the zero orders are never summed)."""
     scale = np.array([h ** (sym.m - a) for a in range(sym.m + 1)])
     return symbol.MatrixSymbol(sym.n, sym.m,
                                sym.coeffs * scale[:, None, None, None])
@@ -822,7 +814,6 @@ def run_highenergy(config: ExperimentConfig) -> ExperimentReport:
     sym = config.sym
 
     params = tuple(rules)
-    # this also checks the sector: it must reach the origin with r_out = 1
     pieces = {lam: domains.dyadic_decompose(lam, sector) for lam in params}
     rungs = [domains.dilate(sector, lam) for lam in params]
     K0 = rules[params[0]][0]

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discretize import OperatorMatrix, physical_memory
+from .discretize import OperatorMatrix, require_memory
 from .errors import BranchLoss, CutoffTooWide, MultipleEigenvalue
 from .symbol import (SQRT_2PI, TWO_PI, ClassifiedRoot, MatrixSymbol,
                      adjugate, circle_distance, coefficient_values,
@@ -346,11 +346,8 @@ class _Mode:
         """chi a0 e^{i phi/h} on the uniform circle grid, L2-normalized."""
         w, x0 = self.radius, self.root.point.x
         N = int(grid_size)
-        need, have = 16 * len(self.amp) * N, physical_memory()
-        if need > have:
-            raise ValueError(f"a quasimode grid of N = {N} points takes "
-                             f"{need / 2 ** 30:.3g} GiB, more than the "
-                             f"{have / 2 ** 30:.3g} GiB of physical memory")
+        require_memory(16 * len(self.amp) * N,
+                       f"a quasimode grid of N = {N} points takes")
         xs = TWO_PI * np.arange(N) / N
         d = np.mod(xs - x0 + math.pi, TWO_PI) - math.pi
         inside = np.abs(d) < w

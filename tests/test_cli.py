@@ -668,7 +668,10 @@ class TestExitCodes:
 
     # --h 0 raised ZeroDivisionError (exit 1), and a negative or NaN h
     # exited 2 without naming h; NaN and inf in --z, --zbox and --grid ran
-    # on, wrote NaN rows, or failed in the SVD
+    # on, wrote NaN rows, or failed in the SVD; --delta -1 assembled P
+    # first; a --z, --grid or --zbox of the wrong shape exited 2 with "not
+    # enough values to unpack", and a negative count wrote a header-only
+    # table
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--h", "0"], H_RANGE),
         (["spectrum", "--h=-0.1"], H_RANGE),
@@ -693,12 +696,29 @@ class TestExitCodes:
         (["pseudospec", "--h", "0.1", "--grid", "0:nan:2,0:1:2"],
          "--grid must be finite, not 'nan'"),
         (["pseudospec", "--h", "0.1", "--grid", "0:1:2,0:inf:2"],
-         "--grid must be finite, not 'inf'")],
+         "--grid must be finite, not 'inf'"),
+        (["spectrum", "--h", "0.1", "--delta", "-1"],
+         "--delta must be >= 0, not '-1'"),
+        (["symbol-scan", "--grid", "3"],
+         "--grid takes 2 values joined by 'x', not '3'"),
+        (["symbol-scan", "--zbox=0,1,0"],
+         "--zbox takes 4 values joined by ',', not '0,1,0'"),
+        (["pseudospec", "--h", "0.1", "--grid=0:1:2"],
+         "--grid takes 2 values joined by ',', not '0:1:2'"),
+        (["symbol-scan", "--grid=3x-1"],
+         "--grid counts must be whole numbers >= 0, not '-1'"),
+        (["pseudospec", "--h", "0.1", "--grid=0:1:2,0:1:2.5"],
+         "--grid counts must be whole numbers >= 0, not '2.5'"),
+        (["roots", "--z", "0.5"], "--z takes 2 values joined by ',', not "
+                                  "'0.5'")],
         ids=["spectrum-h-0", "spectrum-h-negative", "spectrum-h-nan",
              "spectrum-h-inf", "pseudospec-h-0", "quasimode-h-0",
              "quasimode-h-nan", "delta-nan", "delta-inf", "roots-z-nan", "roots-z-inf",
              "quasimode-z-nan", "zbox-nan", "zbox-inf", "grid-nan",
-             "grid-inf"])
+             "grid-inf", "delta-negative", "scan-grid-one-part",
+             "zbox-three-parts", "pseudospec-grid-one-part",
+             "scan-grid-negative", "pseudospec-grid-fraction",
+             "roots-z-one-part"])
     def test_flag_out_of_range_maps_to_two(self, config_path, tmp_path,
                                            monkeypatch, capsys, argv,
                                            message):
@@ -710,6 +730,20 @@ class TestExitCodes:
         assert captured.err == f"config/hypothesis violation: {message}\n"
         assert captured.out == "" and solves == []
         assert not (tmp_path / "out").exists()
+
+    # write_report refused it with "[Errno 17] File exists" after the run
+    def test_out_naming_a_file_maps_to_two(self, config_path, tmp_path,
+                                           monkeypatch, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        solves = count_solves(monkeypatch)
+        rc = cli.main(["mc-semiclassical", "--config", config_path,
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config/hypothesis violation: --out {str(out)!r} exists and "
+            f"is not a directory\n")
+        assert solves == [] and out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("index", ["3", "-1"])
     def test_domain_out_of_range_maps_to_two(self, config_path, capsys,

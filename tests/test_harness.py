@@ -127,6 +127,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             he_config(f4, domains=[Rectangle(0.0, 1.0, 0.0, 1.0)])
 
+    # these passed admit, and run_highenergy refused them after it
+    @pytest.mark.parametrize("sector, message", [
+        (AnnularSector(0.05, 2 * math.pi - 0.05, 1.0, 0.5),
+         "dyadic decomposition needs a sector reaching r = 0"),
+        (AnnularSector(0.05, 2 * math.pi - 0.05, 2.0),
+         "normalize the sector so r_out = 1 first")],
+        ids=["r_in", "r_out"])
+    def test_admit_refuses_sector_off_the_unit_origin(self, f4, monkeypatch,
+                                                      sector, message):
+        def work(*args):
+            raise AssertionError("assembled or solved before the refusal")
+        for name in ("assemble_operator", "assemble_perturbation",
+                     "eigenvalues"):
+            monkeypatch.setattr(discretize, name, work)
+        with pytest.raises(ValueError, match=message):
+            he_config(f4, domains=[sector]).admit()
+
     def test_memory_refusal_counts_each_spectrum_once(self, f2, f4,
                                                       monkeypatch):
         # a high-energy trajectory's rungs share one spectrum, so ten
